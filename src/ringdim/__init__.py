@@ -23,16 +23,10 @@ from .calculus import (
     Tensor,
     TraceEntry,
     evaluate,
-    faithfully_flat_lower_bound,
     field_tensor_dimension,
     flatten_affine,
     integral_extension_rule,
-    tensor_equality,
     tensor_flatten_affine,
-    tensor_infinite_applicable,
-    tensor_lower_bound,
-    tensor_upper_bound,
-    trdeg_of,
 )
 from .chains import (
     ChainCertificate,
@@ -98,6 +92,7 @@ from .orderings import GREVLEX, LEX, BlockElimination, GrevLex, Lex, compare
 from .parser import (
     format_field,
     format_ring_expr,
+    parse_field,
     parse_polynomial,
     parse_ring_expr,
 )

@@ -284,11 +284,6 @@ class _Claims:
 
 # -- structural helpers ----------------------------------------------------------
 
-def trdeg_of(descriptor: FieldExtensionDescriptor):
-    """Declared transcendence degree; the algebraic part contributes zero."""
-    return descriptor.trdeg
-
-
 def field_trdeg_over(big: CoefficientField, small: CoefficientField):
     """trdeg of one representable field over another, or None if the two do
     not sit in a recognized tower."""
@@ -457,130 +452,15 @@ def field_tensor_dimension(trdegs: Sequence[object]) -> DimensionValue:
     return DimensionValue.exact(sum(ts[:-1], 0))
 
 
-def tensor_lower_bound(
-    n: int,
-    algebra: RingExpr,
-    witnesses: Sequence[Polynomial],
-    localized_dim: DimensionValue,
-    over: CoefficientField | None = None,
-    budget: Budget | None = None,
-) -> tuple[object, TraceEntry]:
-    """Lower bound n + dim S^-1 A for adjoining n indeterminates, witnessed
-    by n elements of A algebraically independent over ``over``.
-
-    Independence is verified through the kernel when A flattens to an affine
-    presentation over that very field; when A is only affine over a larger
-    field (so the claim is not kernel-checkable) the assumption is recorded
-    in the trace instead.
-    """
-    if len(witnesses) != n:
-        raise ValueError(f"{n} witnesses expected, got {len(witnesses)}")
-    checked = "assumed independent"
-    if n > 0:
-        flat = flatten_affine(algebra)
-        if flat is not None and (over is None or flat.field == over):
-            from .chains import verify_algebraic_independence
-
-            if not verify_algebraic_independence(flat, list(witnesses), budget):
-                raise ValueError("witnesses are not algebraically independent over the base")
-            checked = "independence verified by elimination"
-    if localized_dim.kind == "empty":
-        raise ValueError("localized algebra is the zero ring")
-    bound = n + localized_dim.lo
-    return bound, _entry(RULE_TENSOR_LB, f"n={n} + dim S^-1 A >= {bound} ({checked})")
-
-
-def tensor_upper_bound(n: int, algebra_dim: DimensionValue, noetherian: bool) -> tuple[object, TraceEntry] | None:
-    """Upper bound dim A + n; only emitted with a Noetherian flag."""
-    if not noetherian or algebra_dim.kind == "empty":
-        return None
-    bound = algebra_dim.hi + n
-    return bound, _entry(RULE_TENSOR_UB, f"dim A + n <= {bound}")
-
-
-def tensor_infinite_applicable(leg_trdeg, other_subfield_trdeg) -> bool:
-    """The countably-infinite rule fires when the extension leg and the
-    algebra both contain countable independent families."""
-    return isinstance(leg_trdeg, Infinity) and isinstance(other_subfield_trdeg, Infinity)
-
-
-def tensor_equality(
-    n: int, algebra_dim: DimensionValue, subfield_trdeg, noetherian: bool
-) -> tuple[DimensionValue, TraceEntry] | None:
-    """Exact n + dim A for adjoining n indeterminates to a Noetherian
-    algebra containing a subfield of transcendence degree >= n: the chain
-    lower bound meets the polynomial upper bound.
-
-    None when a hypothesis is missing; callers fall back to honest bounds.
-    """
-    if not noetherian or not algebra_dim.is_exact or isinstance(algebra_dim.value, Infinity):
-        return None
-    if subfield_trdeg is None:
-        return None
-    if not isinstance(subfield_trdeg, Infinity) and subfield_trdeg < n:
-        return None
-    value = DimensionValue.exact(n + algebra_dim.value)
-    return value, _entry(RULE_TENSOR_EQ, f"n={n}, dim A={algebra_dim.value}")
-
-
-def integral_extension_rule(descriptor: FieldExtensionDescriptor) -> TraceEntry | None:
+def integral_extension_rule(claims: _Claims, leg: RingExpr) -> None:
     """Dimension-equality rule across an integral extension; the syntactic
     certificate is the monic shape of the adjoined minimal polynomials,
-    which descriptor construction already enforced.  Inapplicable (None)
-    when there is nothing algebraic to cross."""
-    if not descriptor.algebraic_part:
-        return None
-    names = ",".join(s for s, _ in descriptor.algebraic_part)
-    return _entry(RULE_INTEGRAL, f"algebraic part ({names}) crossed without changing dimension")
-
-
-def faithfully_flat_lower_bound(
-    larger: RingExpr, smaller: RingExpr, budget: Budget | None = None
-) -> tuple[object, TraceEntry] | None:
-    """dim(larger) >= dim(smaller) for the two supported faithful-flatness
-    shapes: enlarging a purely transcendental tensor leg, and tensoring with
-    one more leg (every algebra over a field is a free module).
-
-    Returns None when neither shape matches; this rule never guesses.
-    """
-    if larger == smaller:
-        d = evaluate(smaller, budget).value
-        return d.lo, _entry(RULE_FFLAT, "identical expressions")
-    if not (isinstance(larger, Tensor) and isinstance(smaller, Tensor)) or larger.over != smaller.over:
-        return None
-    if len(larger.legs) == len(smaller.legs):
-        # shape (a): one purely transcendental leg grew, the rest agree
-        grown = [
-            (big, small)
-            for big, small in zip(larger.legs, smaller.legs)
-            if big != small
-        ]
-        if grown and all(
-            isinstance(big, FieldExt)
-            and isinstance(small, FieldExt)
-            and big.descriptor.is_purely_transcendental
-            and small.descriptor.is_purely_transcendental
-            and big.descriptor.base == small.descriptor.base
-            and big.descriptor.trdeg >= small.descriptor.trdeg
-            for big, small in grown
-        ):
-            d = evaluate(smaller, budget).value
-            if d.kind == "empty":
-                return None
-            return d.lo, _entry(RULE_FFLAT, "purely transcendental leg enlarged")
-        return None
-    # shape (b): larger has extra legs; the common legs must match
-    small_legs = list(smaller.legs)
-    big_legs = list(larger.legs)
-    for leg in small_legs:
-        if leg in big_legs:
-            big_legs.remove(leg)
-        else:
-            return None
-    d = evaluate(smaller, budget).value
-    if d.kind == "empty":
-        return None
-    return d.lo, _entry(RULE_FFLAT, "extra tensor legs are free module extensions")
+    which descriptor construction already enforced.  Applies only to field
+    extension legs with something algebraic to cross."""
+    if not isinstance(leg, FieldExt) or not leg.descriptor.algebraic_part:
+        return
+    names = ",".join(s for s, _ in leg.descriptor.algebraic_part)
+    claims.note(RULE_INTEGRAL, f"algebraic part ({names}) crossed without changing dimension")
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -679,17 +559,13 @@ def _eval_loc_element(expr: LocElement, budget: Budget) -> DimensionResult:
     if base_flat.presentation.is_zero_ideal(budget):
         n = base_flat.ring.arity
         claims.exactly(n, RULE_LOC_POLY, f"polynomial ring in {n} variables")
-        kernel = dim_affine(flat, budget=budget)
-        claims.exactly(kernel.value, RULE_KERNEL, "Rabinowitsch cross-check")
-        return claims.finish(flat)
-    status = zero_divisor_status(base_flat, f, budget)
-    kernel = dim_affine(flat, budget=budget)
-    if status is ZeroDivisorStatus.NON_ZERO_DIVISOR:
-        base_dim = dim_affine(base_flat, budget=budget)
-        claims.exactly(base_dim.value, RULE_LOC_NZD, "non-zero-divisor certified by ideal quotient")
-        claims.exactly(kernel.value, RULE_KERNEL, "Rabinowitsch cross-check")
+        _kernel_exact(claims, flat, budget, detail="Rabinowitsch cross-check")
+    elif zero_divisor_status(base_flat, f, budget) is ZeroDivisorStatus.NON_ZERO_DIVISOR:
+        _kernel_exact(claims, base_flat, budget, RULE_LOC_NZD, "non-zero-divisor certified by ideal quotient")
+        _kernel_exact(claims, flat, budget, detail="Rabinowitsch cross-check")
     else:
-        claims.exactly(kernel.value, RULE_LOC_KERNEL, "zero-divisor: no preservation rule, kernel value only")
+        # a nilpotent element lands here: the Rabinowitsch ideal is the unit ideal
+        _kernel_exact(claims, flat, budget, RULE_LOC_KERNEL, "zero-divisor: no preservation rule, kernel value only")
     return claims.finish(flat)
 
 
@@ -727,20 +603,6 @@ def _eval_frac(expr: FracField, budget: Budget) -> DimensionResult:
     return claims.finish()
 
 
-def _transcendental_leg(leg: RingExpr, over: CoefficientField):
-    """(trdeg over the base, descriptor-or-None) when the leg is a field
-    whose transcendence degree over ``over`` is structurally known."""
-    if isinstance(leg, BaseField):
-        t = field_trdeg_over(leg.coefficients, over)
-        return None if t is None else (t, None)
-    if isinstance(leg, FieldExt):
-        base_t = field_trdeg_over(leg.descriptor.base, over)
-        if base_t is None:
-            return None
-        return base_t + leg.descriptor.trdeg, leg.descriptor
-    return None
-
-
 def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
     claims = _Claims()
     over = expr.over
@@ -763,23 +625,20 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
         claims.note(RULE_FFLAT, "enlarging the transcendental leg keeps every finite lower bound")
         return DimensionResult(DimensionValue.infinite(), tuple(claims.trace))
 
-    field_legs = [_transcendental_leg(leg, over) for leg in expr.legs]
+    # trdeg over the base of each leg that is itself a field (None otherwise)
+    field_legs = [
+        t if isinstance(leg, (BaseField, FieldExt)) else None for leg, t in zip(expr.legs, subfields)
+    ]
     if all(t is not None for t in field_legs):
-        trdegs = [t for t, _ in field_legs]
-        for _, desc in field_legs:
-            if desc is not None and desc.algebraic_part:
-                entry = integral_extension_rule(desc)
-                claims.trace.append(entry)
-        value = field_tensor_dimension(trdegs)
-        if value.kind == "infinite":
-            claims.note(RULE_TRDEG_SUM, f"trdegs {trdegs}: at least two infinite factors")
-            return DimensionResult(DimensionValue.infinite(), tuple(claims.trace))
-        claims.exactly(value.value, RULE_TRDEG_SUM, f"trdegs {sorted(trdegs)}: sum of all but the largest")
+        for leg in expr.legs:
+            integral_extension_rule(claims, leg)
+        # at most one leg is infinite here, so the formula gives an integer
+        value = field_tensor_dimension(field_legs)
+        claims.exactly(value.value, RULE_TRDEG_SUM, f"trdegs {sorted(field_legs)}: sum of all but the largest")
         flat = flatten_affine(expr)
         if flat is not None:
             _kernel_exact(claims, flat, budget, detail="affine cross-check of the trdeg formula")
-            return claims.finish(flat)
-        return claims.finish()
+        return claims.finish(flat)
 
     flat = flatten_affine(expr)
     if flat is not None:
@@ -787,69 +646,57 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
         return claims.finish(flat)
 
     # one transcendental field leg against affine legs: the generic fiber
-    trans = [(i, t) for i, t in enumerate(field_legs) if t is not None]
-    if len(trans) == 1:
-        i, (t, desc) = trans[0]
+    trans = [i for i, t in enumerate(field_legs) if t is not None]
+    if len(trans) == 1 and not isinstance(field_legs[trans[0]], Infinity):
+        i = trans[0]
+        t = field_legs[i]
         rest = [leg for j, leg in enumerate(expr.legs) if j != i]
         rest_flat = [flatten_affine(leg) for leg in rest]
-        if not isinstance(t, Infinity) and all(
-            f is not None and f.field == over for f in rest_flat
-        ):
+        if all(f is not None and f.field == over for f in rest_flat):
             combined = rest_flat[0]
             for other in rest_flat[1:]:
                 combined = tensor_flatten_affine(combined, other)
-            if desc is not None and desc.algebraic_part:
-                claims.trace.append(integral_extension_rule(desc))
+            integral_extension_rule(claims, expr.legs[i])
             fiber = dim_generic_fiber(combined, t, budget)
             if fiber.kind == "empty":
                 claims.mark_empty(detail="affine legs present the zero ring")
                 return claims.finish()
             claims.exactly(fiber.value, RULE_FIBER, f"kernel dimension over the extended base ({t} fresh transcendentals)")
-            base_dim = dim_affine(combined, budget=budget)
-            ub = tensor_upper_bound(t, base_dim, True)
-            if ub is not None:
-                bound, entry = ub
-                claims.trace.append(entry)
-                if bound < claims.hi:
-                    claims.hi = bound
+            bound = dim_affine(combined, budget=budget).value + t
+            claims.upper(bound, RULE_TENSOR_UB, f"dim A + n <= {bound}")
             return claims.finish(combined)
 
-        # the algebra legs may contain a subfield supplying independent witnesses
+        # the algebra legs may contain a subfield supplying independent
+        # witnesses; a Noetherian-flagged algebra has a finite (or no) one
         rest_expr = rest[0] if len(rest) == 1 else Tensor(tuple(rest), over)
-        sub_t = contained_subfield_trdeg(rest_expr, over)
-        if not isinstance(t, Infinity) and noetherian_flag(rest_expr):
+        if noetherian_flag(rest_expr):
+            sub_t = contained_subfield_trdeg(rest_expr, over)
             inner = _eval(rest_expr, budget)
             claims.trace.extend(inner.trace)
             if inner.value.kind == "empty":
                 claims.mark_empty()
                 return claims.finish()
-            if inner.value.is_exact and not isinstance(inner.value.value, Infinity):
-                if desc is not None and desc.algebraic_part:
-                    claims.trace.append(integral_extension_rule(desc))
+            if inner.value.is_exact:
+                integral_extension_rule(claims, expr.legs[i])
                 d = inner.value.value
-                s = 0 if sub_t is None or isinstance(sub_t, Infinity) else min(sub_t, t)
+                s = 0 if sub_t is None else min(sub_t, t)
                 detail = f"subfield of trdeg {sub_t} supplies {s} independent witnesses; S^-1 A = A"
                 claims.lower(s + d, RULE_TENSOR_LB, detail)
                 claims.note(RULE_UNIT_LOC, "the witnesses generate a subfield, so S is made of units")
                 if 0 < s < t:
                     claims.note(RULE_FFLAT, f"enlarging the transcendental leg from {s} to {t} keeps the bound")
                 claims.upper(d + t, RULE_TENSOR_UB, "Noetherian-flagged algebra leg")
-                equality = tensor_equality(t, inner.value, sub_t, True)
-                if equality is not None:
-                    claims.exactly(equality[0].value, RULE_TENSOR_EQ, f"n={t}, dim A={d}")
+                if sub_t is not None and sub_t >= t:
+                    claims.exactly(t + d, RULE_TENSOR_EQ, f"n={t}, dim A={d}")
                 return claims.finish(inner.flattened)
 
     # fallback: free-module faithful flatness gives the best leg lower bound
-    best = None
+    best = 0
     for leg in expr.legs:
         inner = _eval(leg, budget)
         if inner.value.kind == "empty":
             claims.mark_empty(detail="one tensor factor is the zero ring")
             return claims.finish()
-        lo = inner.value.lo
-        if best is None or lo > best:
-            best = lo
+        best = max(best, inner.value.lo)
     claims.lower(best, RULE_FFLAT, "every factor is a free module over the base field")
-    if isinstance(best, Infinity):
-        return DimensionResult(DimensionValue.infinite(), tuple(claims.trace))
     return claims.finish()

@@ -17,13 +17,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .calculus import (
+    CITATIONS,
     BaseField,
     DimensionResult,
     FieldExt,
     Quotient,
+    RULE_DOMAIN_TRDEG,
     RULE_FIBER,
     RULE_KERNEL,
     RULE_LOC_NZD,
@@ -33,7 +34,6 @@ from .calculus import (
     RULE_TRDEG_SUM,
     evaluate,
     flatten_affine,
-    trdeg_of,
 )
 from .chains import (
     ChainCertificate,
@@ -70,58 +70,18 @@ from .orderings import GREVLEX, LEX
 from .parser import (
     ambient_ring_of,
     format_field,
+    parse_field,
     parse_polynomial,
     parse_ring_expr,
 )
 from .polynomials import PolynomialRing, format_polynomial
 
 SCHEMA_VERSION = "ringdim-report/1"
-VERBS = ("dim", "gb", "eliminate", "quotient", "saturate", "nzd", "chain", "verify", "trdeg")
-STATUSES = ("ok", "user-error", "budget-exhausted", "internal-inconsistency")
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_BUDGET = 2
 EXIT_INCONSISTENT = 3
-
-
-@dataclass(frozen=True)
-class Command:
-    """A parsed invocation in canonical form: parse(argv) and to_argv()
-    round-trip exactly, defaults included."""
-
-    verb: str
-    positionals: tuple[str, ...]
-    options: tuple[tuple[str, object], ...]
-
-    def to_argv(self) -> list[str]:
-        argv = [self.verb, *self.positionals]
-        for name, value in self.options:
-            flag = "--" + name.replace("_", "-")
-            if isinstance(value, bool):
-                if value:
-                    argv.append(flag)
-            elif value is not None:
-                argv.extend([flag, str(value)])
-        return argv
-
-
-_OPTION_FIELDS = ("order", "budget", "format", "out", "keep", "witnesses", "fresh", "assert_domain")
-
-
-def parse_command(argv) -> Command:
-    args = build_arg_parser().parse_args(list(argv))
-    positionals = []
-    if getattr(args, "expression", None) is not None:
-        positionals.append(args.expression)
-    if getattr(args, "element", None) is not None:
-        positionals.append(args.element)
-    if getattr(args, "certificate", None) is not None:
-        positionals.append(args.certificate)
-    options = tuple(
-        (name, getattr(args, name)) for name in _OPTION_FIELDS if hasattr(args, name)
-    )
-    return Command(args.verb, tuple(positionals), options)
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -187,46 +147,6 @@ def make_report(command: str, input_echo: dict, started: float) -> dict:
     }
 
 
-def validate_report(report: dict) -> list[str]:
-    """Structural validation mirroring report_schema.json; returns problems."""
-    problems = []
-    required = {
-        "schema_version": str,
-        "command": str,
-        "input": dict,
-        "status": str,
-        "result": (dict, type(None)),
-        "trace": list,
-        "cross_checks": list,
-        "timing_ms": (int, float),
-        "error": (dict, type(None)),
-    }
-    for key, types in required.items():
-        if key not in report:
-            problems.append(f"missing key {key}")
-        elif not isinstance(report[key], types):
-            problems.append(f"key {key} has type {type(report[key]).__name__}")
-    if report.get("schema_version") != SCHEMA_VERSION:
-        problems.append("wrong schema_version")
-    if report.get("command") not in VERBS:
-        problems.append("unknown command")
-    if report.get("status") not in STATUSES:
-        problems.append("unknown status")
-    for entry in report.get("trace", []):
-        if not isinstance(entry, dict) or "rule" not in entry or "citation" not in entry:
-            problems.append("malformed trace entry")
-    for entry in report.get("cross_checks", []):
-        if not isinstance(entry, dict) or "name" not in entry or "status" not in entry:
-            problems.append("malformed cross-check entry")
-    # every exact dimension must be backed by a kernel run or a closed rule
-    result = report.get("result") or {}
-    dimension = result.get("dimension") if isinstance(result, dict) else None
-    if isinstance(dimension, dict) and dimension.get("kind") == "exact":
-        if not report.get("trace"):
-            problems.append("exact dimension reported without a justifying trace")
-    return problems
-
-
 # -- certificate serialization ---------------------------------------------------
 
 def certificate_to_json(cert: ChainCertificate) -> dict:
@@ -262,21 +182,11 @@ def certificate_to_json(cert: ChainCertificate) -> dict:
     }
 
 
-def parse_field_text(text: str):
-    from .parser import _Cursor, _parse_field, tokenize
-
-    cur = _Cursor(tokenize(text))
-    field = _parse_field(cur)
-    if cur.peek().kind != "EOF":
-        raise ParseError("trailing input after field")
-    return field
-
-
 def certificate_from_json(blob: dict) -> ChainCertificate:
     # accept either a bare certificate or a full chain report containing one
     if "field" not in blob and isinstance(blob.get("result"), dict):
         blob = blob["result"].get("certificate", blob)
-    field = parse_field_text(blob["field"])
+    field = parse_field(blob["field"])
     ring = PolynomialRing(field, tuple(blob["variables"]), unchecked=True)
 
     def poly(text: str):
@@ -435,7 +345,7 @@ def _cmd_nzd(args, report: dict, budget: Budget):
 def _cmd_trdeg(args, report: dict, budget: Budget):
     expr = parse_ring_expr(args.expression)
     if isinstance(expr, (BaseField, FieldExt)):
-        t = trdeg_of(expr.descriptor) if isinstance(expr, FieldExt) else 0
+        t = expr.descriptor.trdeg if isinstance(expr, FieldExt) else 0
         report["result"] = {
             "trdeg": "inf" if isinstance(t, Infinity) else t,
             "certificate": {"kind": "declared", "flagged": False},
@@ -457,12 +367,12 @@ def _cmd_trdeg(args, report: dict, budget: Budget):
         cert_kind, flagged = "asserted", True
     else:
         raise ParseError("pass --assert-domain to certify the quotient is a domain")
-    t = trdeg_affine_domain(flat, cert_kind, budget)
+    t = trdeg_affine_domain(flat, budget)
     report["result"] = {"trdeg": t, "certificate": {"kind": cert_kind, "flagged": flagged}}
     report["trace"] = [
         {
-            "rule": "affine-domain-trdeg",
-            "citation": "dim of an affine domain equals trdeg of its fraction field",
+            "rule": RULE_DOMAIN_TRDEG,
+            "citation": CITATIONS[RULE_DOMAIN_TRDEG],
             "detail": f"domain certificate: {cert_kind}",
         }
     ]

@@ -220,7 +220,7 @@ def is_zero_divisor(A: AffineAlgebra, f: Polynomial, budget: Budget | None = Non
     return zero_divisor_status(A, f, budget) is not ZeroDivisorStatus.NON_ZERO_DIVISOR
 
 
-def height_of_prime(P: IdealPresentation, certificate=None, budget: Budget | None = None) -> int:
+def height_of_prime(P: IdealPresentation, budget: Budget | None = None) -> int:
     """Height of a prime of K[X_1..X_n] as n minus the quotient dimension.
 
     Primality is the caller's obligation (see chains for certificate forms);
@@ -257,7 +257,7 @@ def dim_generic_fiber(A: AffineAlgebra, n: int, budget: Budget | None = None) ->
     return dim_affine(AffineAlgebra(IdealPresentation(new_ring, gens)), budget=budget)
 
 
-def trdeg_affine_domain(A: AffineAlgebra, certificate=None, budget: Budget | None = None) -> int:
+def trdeg_affine_domain(A: AffineAlgebra, budget: Budget | None = None) -> int:
     """Transcendence degree of Frac(A) over the base field, for A a domain.
 
     Equal to dim A; the domain certificate travels with the caller and is

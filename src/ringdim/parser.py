@@ -73,10 +73,17 @@ class Token:
     column: int
 
 
+# the parsers recurse once per parenthesis level; capping the depth here makes
+# over-deep input a ParseError instead of a RecursionError that depends on
+# how much stack the caller already used
+MAX_NESTING = 100
+
+
 def tokenize(text: str) -> list[Token]:
     tokens = []
     line, col = 1, 1
     i = 0
+    depth = 0
     while i < len(text):
         ch = text[i]
         if ch == "\n":
@@ -89,6 +96,12 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             continue
         if ch in _PUNCT:
+            if ch == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", line, col)
+            elif ch == ")":
+                depth -= 1
             tokens.append(Token(_PUNCT[ch], ch, line, col))
             col += 1
             i += 1
@@ -243,13 +256,18 @@ def poly_ast_to_polynomial(ast, ring: PolynomialRing) -> Polynomial:
     raise AssertionError(f"unknown AST node {kind}")
 
 
-def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
+def _parse_whole(text: str, parse):
+    """Run one grammar rule over the whole text; anything left over is an error."""
     cur = _Cursor(tokenize(text))
-    ast = _parse_poly_expr(cur)
+    parsed = parse(cur)
     tok = cur.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-    return poly_ast_to_polynomial(ast, ring)
+    return parsed
+
+
+def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
+    return poly_ast_to_polynomial(_parse_whole(text, _parse_poly_expr), ring)
 
 
 # -- ring expressions --------------------------------------------------------------
@@ -474,12 +492,13 @@ def _parse_expr(cur: _Cursor) -> tuple[RingExpr, PolynomialRing | None]:
 
 def parse_ring_expr(text: str) -> RingExpr:
     """Parse the constructor grammar into a ring expression tree."""
-    cur = _Cursor(tokenize(text))
-    expr, _ = _parse_expr(cur)
-    tok = cur.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+    expr, _ = _parse_whole(text, _parse_expr)
     return expr
+
+
+def parse_field(text: str) -> CoefficientField:
+    """Parse a field (Q, Fp(p), FunField(..)); the inverse of format_field."""
+    return _parse_whole(text, _parse_field)
 
 
 def ambient_ring_of(text: str) -> PolynomialRing | None:

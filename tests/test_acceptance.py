@@ -12,6 +12,9 @@ import json
 import random
 from contextlib import contextmanager
 from itertools import combinations, combinations_with_replacement, permutations
+from pathlib import Path
+
+import jsonschema
 
 from ringdim import (
     INF,
@@ -160,7 +163,7 @@ def test_criterion_3_nzd_localization_suite():
         rng = random.Random(26_08_02)
         for algebra, f in _random_affine_instances(rng, 100):
             assert dim_localization(algebra, f) == dim_affine(algebra), (algebra, f)
-        for prime, cert, f in _prime_instances(rng, 20):
+        for prime, _, f in _prime_instances(rng, 20):
             ring = prime.ring
             ext = ring.extend(("Yloc",))
             lift = {i: i for i in range(ring.arity)}
@@ -168,7 +171,7 @@ def test_criterion_3_nzd_localization_suite():
             gens = [g.map_to(ext, lift) for g in prime.generators]
             gens.append(f.map_to(ext, lift) * y_loc - ext.one())
             extended = IdealPresentation(ext, gens)
-            assert height_of_prime(extended, cert) == height_of_prime(prime, cert) + 1, (
+            assert height_of_prime(extended) == height_of_prime(prime) + 1, (
                 prime,
                 f,
             )
@@ -314,11 +317,13 @@ def test_criterion_7_infinite_cases():
 
 def test_criterion_8_cli_end_to_end(capsys, tmp_path):
     with criterion(8, "CLI reports and exit codes"):
+        schema = json.loads((Path(cli.__file__).parent / "report_schema.json").read_text())
+
         def run(*argv):
             code = cli.main(list(argv))
             out = capsys.readouterr().out
             report = json.loads(out)
-            assert cli.validate_report(report) == []
+            jsonschema.validate(report, schema)
             return code, report
 
         code, report = run("dim", "Tensor(Ext(Q;1),Ext(Q;2),Ext(Q;4))")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from itertools import permutations, product
 
 import pytest
@@ -7,30 +8,38 @@ import pytest
 from ringdim import (
     INF,
     DimensionValue,
-    FieldExtensionDescriptor,
     InconsistentBoundsError,
     QQ,
     evaluate,
-    faithfully_flat_lower_bound,
     field_tensor_dimension,
     flatten_affine,
     integral_extension_rule,
-    parse_polynomial,
     parse_ring_expr,
     tensor_flatten_affine,
-    tensor_lower_bound,
-    tensor_upper_bound,
-    trdeg_of,
 )
+from ringdim import cli
 from ringdim.calculus import (
+    CITATIONS,
+    RULE_DOMAIN_TRDEG,
+    RULE_EMPTY,
+    RULE_FFLAT,
     RULE_FIBER,
+    RULE_FIELD,
+    RULE_FRAC,
+    RULE_INTEGRAL,
     RULE_KERNEL,
+    RULE_LOC_KERNEL,
     RULE_LOC_NZD,
     RULE_LOC_POLY,
+    RULE_LOC_UB,
+    RULE_LOC_ZERO,
+    RULE_POLY_EXT,
+    RULE_QUOT_UB,
     RULE_TENSOR_EQ,
     RULE_TENSOR_INF,
     RULE_TENSOR_LB,
     RULE_TENSOR_UB,
+    RULE_TENSOR_UNIT,
     RULE_TRDEG_SUM,
     RULE_UNIT_LOC,
     _Claims,
@@ -70,11 +79,10 @@ def test_formula_permutation_invariance_exhaustive():
                 assert field_tensor_dimension(list(perm)) == base
 
 
-def test_trdeg_of():
-    assert trdeg_of(FieldExtensionDescriptor(QQ, 2, ("s1", "s2"))) == 2
-    assert trdeg_of(FieldExtensionDescriptor(QQ, INF)) == INF
-    d = parse_ring_expr("Ext(Q; 1; a^2 - 2)").descriptor
-    assert trdeg_of(d) == 1  # the algebraic part contributes nothing
+def test_trdeg_of(capsys):
+    # the trdeg verb reads the declared degree; the algebraic part contributes nothing
+    assert cli.main(["trdeg", "Ext(Q; 1; a^2 - 2)"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["trdeg"] == 1
 
 
 # -- evaluate on closed shapes ---------------------------------------------------
@@ -228,36 +236,75 @@ def test_tensor_with_base_field_is_identity():
     assert r.value == DimensionValue.exact(1)
 
 
-# -- public rule functions --------------------------------------------------------
+# -- every cited rule, reached through evaluate -------------------------------------
 
-def test_tensor_lower_bound_verifies_independence():
-    expr = parse_ring_expr("Poly(Q; u, v)")
-    ring = flatten_affine(expr).ring
-    u, v = ring.variable("u"), ring.variable("v")
-    bound, entry = tensor_lower_bound(2, expr, [u, v], DimensionValue.exact(0))
-    assert bound == 2 and entry.rule == RULE_TENSOR_LB
-    with pytest.raises(ValueError):
-        tensor_lower_bound(2, expr, [u, u**2], DimensionValue.exact(0))
+EXACT = DimensionValue.exact
+RULE_CASES = [
+    ("Q", EXACT(0), [RULE_FIELD]),
+    ("Tensor(Ext(Q; 0; a^2 - 2), Q)", EXACT(0), [RULE_INTEGRAL, RULE_TRDEG_SUM, RULE_KERNEL]),
+    ("Tensor(Ext(Q; inf), Ext(Q; inf))", DimensionValue.infinite(), [RULE_TENSOR_INF, RULE_FFLAT]),
+    (
+        "Tensor(Ext(Q; 1), Poly(FunField(Q; u); y))",
+        EXACT(2),
+        [RULE_TENSOR_LB, RULE_UNIT_LOC, RULE_TENSOR_UB, RULE_TENSOR_EQ],
+    ),
+    (
+        "Tensor(Ext(Q; 1; a^2 - s1), Quot(Poly(Q; x,y); x*y))",
+        EXACT(1),
+        [RULE_INTEGRAL, RULE_FIBER, RULE_TENSOR_UB],
+    ),
+    # no field leg helps: the free-module fallback
+    ("Tensor(Ext(Q; inf), Poly(Q; y))", DimensionValue.interval(1, INF), [RULE_FFLAT]),
+    ("Tensor(Poly(Q; x))", EXACT(1), [RULE_TENSOR_UNIT]),
+    ("Poly(Ext(Q; inf); y)", DimensionValue.interval(1, INF), [RULE_POLY_EXT]),
+    ("Quot(Poly(Ext(Q; inf); y); y^2 - 2)", DimensionValue.interval(0, INF), [RULE_QUOT_UB]),
+    ("Loc(Poly(Q; x,y); x^2 + y^2)", EXACT(2), [RULE_LOC_POLY, RULE_KERNEL]),
+    ("Loc(Quot(Poly(Q; x,y); x*y); x + y)", EXACT(1), [RULE_LOC_NZD, RULE_KERNEL]),
+    ("Loc(Quot(Poly(Q; x,y); x*y); x)", EXACT(1), [RULE_LOC_KERNEL]),
+    ("Loc(Quot(Poly(Q; x,y); x*y); x*y)", DimensionValue.empty_ring(), [RULE_LOC_ZERO]),
+    ("Quot(Poly(Q; x); 1)", DimensionValue.empty_ring(), [RULE_EMPTY]),
+    ("LocSub(Poly(Q; u, y); u)", DimensionValue.interval(0, 2), [RULE_LOC_UB]),
+    ("Frac(Poly(Q; x, y))", EXACT(0), [RULE_FRAC]),
+]
 
 
-def test_tensor_lower_bound_degenerate():
-    expr = parse_ring_expr("Poly(Q; u)")
-    bound, _ = tensor_lower_bound(0, expr, [], DimensionValue.exact(1))
-    assert bound == 1
+@pytest.mark.parametrize("text, value, rules", RULE_CASES, ids=[case[0] for case in RULE_CASES])
+def test_evaluate_rule_paths(text, value, rules):
+    r = evaluate(parse_ring_expr(text))
+    assert r.value == value
+    assert set(rules) <= set(rules_of(r))
 
+
+def test_rule_cases_reach_every_cited_rule(capsys):
+    reached = {rule for _, _, rules in RULE_CASES for rule in rules}
+    # the trdeg verb applies the affine-domain rule outside evaluate
+    cli.main(["trdeg", "Poly(Q; x)"])
+    reached |= {e["rule"] for e in json.loads(capsys.readouterr().out)["trace"]}
+    assert RULE_DOMAIN_TRDEG in reached
+    assert reached == set(CITATIONS)
+
+
+# -- hypotheses of the tensor rules ------------------------------------------------
 
 def test_tensor_upper_bound_needs_noetherian_flag():
-    assert tensor_upper_bound(1, DimensionValue.exact(1), True)[0] == 2
-    assert tensor_upper_bound(1, DimensionValue.exact(1), False) is None
-    assert tensor_upper_bound(0, DimensionValue.exact(3), True)[0] == 3
+    r = evaluate(parse_ring_expr("Tensor(Ext(Q; 1), Quot(Poly(Q; x,y); x*y))"))
+    assert [(e.rule, e.detail) for e in r.trace if e.rule == RULE_TENSOR_UB] == [
+        (RULE_TENSOR_UB, "dim A + n <= 2")
+    ]
+    # an infinite-trdeg algebra leg is not Noetherian-flagged: no upper bound
+    r = evaluate(parse_ring_expr("Tensor(Ext(Q; 1), Poly(Ext(Q; inf); y))"))
+    assert r.value == DimensionValue.interval(1, INF)
+    assert RULE_TENSOR_UB not in rules_of(r)
 
 
 def test_integral_extension_rule():
-    with_alg = parse_ring_expr("Ext(Q; 1; a^2 - 2)").descriptor
-    entry = integral_extension_rule(with_alg)
-    assert entry is not None and entry.rule == "integral-extension"
-    without = parse_ring_expr("Ext(Q; 1)").descriptor
-    assert integral_extension_rule(without) is None
+    claims = _Claims()
+    integral_extension_rule(claims, parse_ring_expr("Ext(Q; 1; a^2 - 2)"))
+    assert rules_of(claims) == [RULE_INTEGRAL]
+    for text in ("Ext(Q; 1)", "Q", "Quot(Poly(Q; a); a^2 - 2)"):
+        claims = _Claims()
+        integral_extension_rule(claims, parse_ring_expr(text))
+        assert claims.trace == []
 
 
 def test_integral_extension_in_tensor_evaluation():
@@ -267,16 +314,12 @@ def test_integral_extension_in_tensor_evaluation():
 
 
 def test_faithfully_flat_shapes():
-    small = parse_ring_expr("Tensor(Ext(Q; 1), Ext(Q; 1))")
-    large = parse_ring_expr("Tensor(Ext(Q; 2), Ext(Q; 1))")
-    bound, entry = faithfully_flat_lower_bound(large, small)
-    assert bound == 1 and entry.rule == "faithfully-flat-bound"
-    assert faithfully_flat_lower_bound(small, small)[0] == 1
-    extra = parse_ring_expr("Tensor(Ext(Q; 1), Ext(Q; 1), Ext(Q; 0))")
-    assert faithfully_flat_lower_bound(extra, small)[0] == 1
-    # shrinking a transcendental leg is not a supported flatness shape
-    bigger = parse_ring_expr("Tensor(Ext(Q; 1), Ext(Q; 2))")
-    assert faithfully_flat_lower_bound(small, bigger) is None
+    # enlarging the transcendental leg beyond the witnesses keeps the bound
+    r = evaluate(parse_ring_expr("Tensor(Ext(Q; 2), Poly(FunField(Q; u); y))"))
+    assert RULE_FFLAT in rules_of(r)
+    # enough witnesses: no enlargement to justify
+    r = evaluate(parse_ring_expr("Tensor(Ext(Q; 1), Poly(FunField(Q; u); y))"))
+    assert RULE_FFLAT not in rules_of(r)
 
 
 def test_noetherian_flagging():
@@ -309,22 +352,12 @@ def test_claims_detect_contradictions():
 
 
 def test_tensor_infinite_applicability():
-    from ringdim.calculus import tensor_infinite_applicable
-
-    assert tensor_infinite_applicable(INF, INF)
-    assert not tensor_infinite_applicable(INF, 3)
-    assert not tensor_infinite_applicable(2, INF)
-
-
-def test_tensor_lower_bound_records_assumption_over_smaller_base():
-    # A = Q(u)[y] with witness u: independent over Q, but A is only affine
-    # over Q(u), so the claim is recorded as an assumption rather than checked
-    expr = parse_ring_expr("Poly(FunField(Q; u); y)")
-    ring = flatten_affine(expr).ring
-    u = parse_polynomial("u", ring)
-    bound, entry = tensor_lower_bound(1, expr, [u], DimensionValue.exact(1), over=QQ)
-    assert bound == 2
-    assert "assumed" in entry.detail
+    # the countable rule needs two infinite families, one per factor
+    r = evaluate(parse_ring_expr("Tensor(Ext(Q; inf), Ext(Q; 3))"))
+    assert r.value == DimensionValue.exact(3)
+    assert RULE_TENSOR_INF not in rules_of(r)
+    r = evaluate(parse_ring_expr("Tensor(Ext(Q; inf), Poly(Q; y))"))
+    assert RULE_TENSOR_INF not in rules_of(r)
 
 
 def test_symbolic_zero_ring_is_not_infinite():
@@ -337,26 +370,24 @@ def test_symbolic_zero_ring_is_not_infinite():
 
 
 def test_faithfully_flat_infinite_enlargement():
-    # growing the transcendental leg all the way to a countable basis keeps
-    # every finite lower bound
-    small = parse_ring_expr("Tensor(Ext(Q; 2), Ext(Q; 2))")
-    large = parse_ring_expr("Tensor(Ext(Q; inf), Ext(Q; 2))")
-    bound, entry = faithfully_flat_lower_bound(large, small)
-    assert bound == 2
-    assert entry.rule == "faithfully-flat-bound"
+    # a factor that is itself infinite-dimensional makes the whole tensor so
+    r = evaluate(parse_ring_expr("Tensor(Tensor(Ext(Q; inf), Ext(Q; inf)), Poly(Q; y))"))
+    assert r.value == DimensionValue.infinite()
+    assert rules_of(r) == [RULE_FFLAT]
 
 
 def test_tensor_equality_rule_function():
-    from ringdim import tensor_equality
-
-    value, entry = tensor_equality(1, DimensionValue.exact(1), 1, True)
-    assert value == DimensionValue.exact(2)
-    assert entry.rule == RULE_TENSOR_EQ
-    assert tensor_equality(2, DimensionValue.exact(1), 1, True) is None  # subfield too small
-    assert tensor_equality(1, DimensionValue.exact(1), 1, False) is None  # not Noetherian-flagged
-    assert tensor_equality(1, DimensionValue.interval(0, 2), 1, True) is None
-    value, _ = tensor_equality(1, DimensionValue.exact(0), INF, True)
-    assert value == DimensionValue.exact(1)
+    # the chain bound meets the Noetherian upper bound once the algebra leg
+    # contains a subfield of trdeg >= n
+    r = evaluate(parse_ring_expr("Tensor(Ext(Q; 1), Poly(FunField(Q; u,v); y))"))
+    assert r.value == DimensionValue.exact(2)
+    assert RULE_TENSOR_EQ in rules_of(r)
+    for text in (
+        "Tensor(Ext(Q; 2), Poly(FunField(Q; u); y))",  # subfield too small
+        "Tensor(Ext(Q; 1), Poly(Ext(Q; inf); y))",  # not Noetherian-flagged
+        "Tensor(Ext(Q; 1), LocSub(Poly(Q; u, y); u))",  # algebra leg only bounded
+    ):
+        assert RULE_TENSOR_EQ not in rules_of(evaluate(parse_ring_expr(text))), text
 
 
 def test_evaluate_prime_field_tensors():

@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import jsonschema
+import pytest
+
 from ringdim import cli
 from ringdim.cli import (
     EXIT_BUDGET,
@@ -11,25 +14,19 @@ from ringdim.cli import (
     EXIT_USER_ERROR,
     certificate_from_json,
     certificate_to_json,
-    validate_report,
 )
 from ringdim.errors import InconsistentBoundsError
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
+from ringdim.parser import MAX_NESTING
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "ringdim" / "report_schema.json"
+SCHEMA = json.loads(SCHEMA_PATH.read_text())
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     report = json.loads(out)
-    assert validate_report(report) == []
-    if jsonschema is not None:
-        jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
+    jsonschema.validate(report, SCHEMA)
     return code, report
 
 
@@ -174,11 +171,9 @@ def test_text_format(capsys):
 
 
 def test_schema_file_matches_validator_constants():
-    schema = json.loads(SCHEMA_PATH.read_text())
-    assert schema["properties"]["schema_version"]["const"] == cli.SCHEMA_VERSION
-    assert set(schema["properties"]["command"]["enum"]) == set(cli.VERBS)
-    assert set(schema["properties"]["status"]["enum"]) == set(cli.STATUSES)
-    assert set(schema["required"]) == {
+    assert SCHEMA["properties"]["schema_version"]["const"] == cli.SCHEMA_VERSION
+    assert set(SCHEMA["properties"]["command"]["enum"]) == set(cli._HANDLERS)
+    assert set(SCHEMA["required"]) == {
         "schema_version",
         "command",
         "input",
@@ -209,27 +204,6 @@ def test_dim_cross_checks_recorded(capsys):
     assert "exact-rules-agree" in names
 
 
-def test_command_round_trip():
-    from ringdim.cli import parse_command
-
-    corpus = [
-        ["dim", "Tensor(Ext(Q;1),Ext(Q;2))"],
-        ["dim", "Q", "--order", "lex", "--budget", "100", "--format", "text"],
-        ["gb", "Quot(Poly(Q;x,y); x*y)", "--order", "lex"],
-        ["eliminate", "Quot(Poly(Q;t,x); x - t)", "--keep", "x"],
-        ["quotient", "Quot(Poly(Q;x,y); x*y)", "x"],
-        ["saturate", "Quot(Poly(Q;x,y); x^2*y)", "x", "--budget", "777"],
-        ["nzd", "Quot(Poly(Q;x,y); x*y)", "x+y"],
-        ["trdeg", "Quot(Poly(Q;x,y); y^2-x^3)", "--assert-domain"],
-        ["chain", "Poly(Q;u)", "--witnesses", "u", "--fresh", "X1"],
-        ["verify", "somewhere/cert.json", "--format", "text"],
-    ]
-    for argv in corpus:
-        cmd = parse_command(argv)
-        again = parse_command(cmd.to_argv())
-        assert again == cmd, argv
-
-
 def test_dim_locsub_and_frac(capsys):
     code, report = run_cli(capsys, "dim", "LocSub(Poly(FunField(Q; u); y); u)")
     assert code == EXIT_OK
@@ -256,8 +230,7 @@ def test_out_file_is_json_even_in_text_mode(capsys, tmp_path):
     code = cli.main(["dim", "Q", "--format", "text", "--out", str(out)])
     capsys.readouterr()
     assert code == EXIT_OK
-    report = json.loads(out.read_text())
-    assert validate_report(report) == []
+    jsonschema.validate(json.loads(out.read_text()), SCHEMA)
 
 
 def test_reports_are_bit_identical_across_processes():
@@ -293,6 +266,30 @@ def test_validator_rejects_unjustified_exact_dimension():
         "timing_ms": 0.1,
         "error": None,
     }
-    assert any("justifying trace" in p for p in validate_report(base))
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(base, SCHEMA)
     base["trace"] = [{"rule": "kernel-groebner", "citation": "leading-term scan"}]
-    assert validate_report(base) == []
+    jsonschema.validate(base, SCHEMA)
+    # only exact dimensions need a trace
+    base["trace"] = []
+    base["result"] = {"dimension": {"kind": "interval", "lo": 0, "hi": "inf"}}
+    jsonschema.validate(base, SCHEMA)
+
+
+def test_dim_nilpotent_localization_is_the_zero_ring(capsys):
+    # x is nilpotent, so inverting it gives the zero ring
+    code, report = run_cli(capsys, "dim", "Loc(Quot(Poly(Q;x,y); x^2); x)")
+    assert code == EXIT_OK
+    assert report["status"] == "ok"
+    assert report["result"]["dimension"] == {"kind": "empty-ring"}
+    assert [e["rule"] for e in report["trace"]] == ["empty-ring"]
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    prefix = "Quot(Poly(Q; x); "
+    text = prefix + "(" * 3000 + "x" + ")" * 3000 + ")"
+    code, report = run_cli(capsys, "dim", text)
+    assert code == EXIT_USER_ERROR
+    assert report["status"] == "user-error"
+    # Quot( is the first level, so the offending '(' is number MAX_NESTING of the run
+    assert (report["error"]["line"], report["error"]["column"]) == (1, len(prefix) + MAX_NESTING)

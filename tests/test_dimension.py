@@ -226,14 +226,14 @@ def test_trdeg_affine_domain_examples():
     rxy = PolynomialRing(QQ, ("x", "y"))
     x, y = rxy.variable("x"), rxy.variable("y")
     cusp = AffineAlgebra(IdealPresentation(rxy, [y**2 - x**3]))
-    assert trdeg_affine_domain(cusp, certificate="asserted") == 1
+    assert trdeg_affine_domain(cusp) == 1
     r4 = PolynomialRing(QQ, tuple(f"x{i}" for i in range(4)))
-    assert trdeg_affine_domain(AffineAlgebra.polynomial_ring(r4), "zero-ideal-in-domain") == 4
+    assert trdeg_affine_domain(AffineAlgebra.polynomial_ring(r4)) == 4
     r1 = PolynomialRing(QQ, ("x",))
     quad = AffineAlgebra(IdealPresentation(r1, [r1.variable("x") ** 2 - r1.from_int(2)]))
-    assert trdeg_affine_domain(quad, "principal-irreducible") == 0
+    assert trdeg_affine_domain(quad) == 0
     with pytest.raises(EmptyRingError):
-        trdeg_affine_domain(AffineAlgebra(IdealPresentation(r1, [r1.one()])), "asserted")
+        trdeg_affine_domain(AffineAlgebra(IdealPresentation(r1, [r1.one()])))
 
 
 def test_interval_collapses_and_validates():

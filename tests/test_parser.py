@@ -13,11 +13,14 @@ from ringdim import (
     Quotient,
     RationalFunctionField,
     Tensor,
+    format_field,
     format_polynomial,
     format_ring_expr,
+    parse_field,
     parse_polynomial,
     parse_ring_expr,
 )
+from ringdim.parser import MAX_NESTING
 
 
 # -- polynomial text -----------------------------------------------------------
@@ -77,6 +80,15 @@ def test_parse_syntax_error_position():
         parse_polynomial("x ? 1", ring)
 
 
+def test_nesting_cap():
+    ring = PolynomialRing(QQ, ("x",))
+    at_cap = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(at_cap, ring) == ring.variable("x")
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("(" + at_cap + ")", ring)
+    assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
+
+
 # -- ring expressions -----------------------------------------------------------
 
 def test_grammar_examples():
@@ -104,6 +116,10 @@ def test_field_forms():
         parse_ring_expr("Fp(6)")
     with pytest.raises(ParseError):
         parse_ring_expr("FunField(FunField(Q; t); u)")
+    for field in (QQ, PrimeField(7), RationalFunctionField(QQ, ("t", "u"))):
+        assert parse_field(format_field(field)) == field
+    with pytest.raises(ParseError):
+        parse_field("Q x")
 
 
 def test_ext_with_minimal_polynomials():

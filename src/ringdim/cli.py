@@ -4,7 +4,9 @@ One verb per invocation; every run emits a single report (JSON by default)
 echoing the input, the result, the rule trace with citations, kernel
 cross-check outcomes, and timing.  Exit codes: 0 success, 1 user error,
 2 budget exhausted, 3 internal inconsistency (two rules disagreed, which
-can only mean a bug).
+can only mean a bug), 4 internal error (any other exception; the report
+still carries the exception type, message and frames, with no partial
+result).
 
 Chain certificates serialize with every witness polynomial spelled out, so
 an external checker needs nothing beyond a normal-form routine to re-verify
@@ -17,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from .calculus import (
     CITATIONS,
@@ -76,12 +79,13 @@ from .parser import (
 )
 from .polynomials import PolynomialRing, format_polynomial
 
-SCHEMA_VERSION = "ringdim-report/1"
+SCHEMA_VERSION = "ringdim-report/2"
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_BUDGET = 2
 EXIT_INCONSISTENT = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -558,6 +562,15 @@ def main(argv=None) -> int:
         report["status"] = "internal-inconsistency"
         report["error"] = {"message": str(exc)}
         exit_code = EXIT_INCONSISTENT
+    except Exception as exc:  # last resort: a bug still yields one valid report
+        import traceback  # only a failing run pays for this import
+
+        report.update(status="internal-error", result=None, trace=[], cross_checks=[])
+        report["error"] = {
+            "message": f"{type(exc).__name__}: {exc}",
+            "traceback": [f"{Path(f.filename).name}:{f.lineno} {f.name}" for f in traceback.extract_tb(exc.__traceback__)],
+        }
+        exit_code = EXIT_INTERNAL_ERROR
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     rendered = (
         json.dumps(report, indent=2, sort_keys=True)

@@ -5,16 +5,25 @@ through ``buchberger``.  Determinism matters more than speed here: pair
 selection, divisor order in reductions, and the final basis sort all follow
 fixed canonical orders so reruns are bit-identical and certificates can be
 re-checked externally.
+
+Speed comes from the reduction loop, not from changing the algorithm:
+``normal_form`` keeps the unreduced part as a dict plus a heap of its
+monomials under the order's ``descending_key`` (heap division, after
+Monagan & Pearce), screens divisors by support mask and degree before the
+exact divisibility test, and subtracts only the tail of each divisor
+multiple.  The divisor rule and every intermediate basis are those of the
+textbook loop.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add, itemgetter, le, sub
 from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, RingMismatchError, ZeroPolynomialError
-from .orderings import GREVLEX, MonomialOrder, monomial_key
+from .orderings import GREVLEX, MonomialOrder
 from .polynomials import (
     Polynomial,
     PolynomialRing,
@@ -58,26 +67,65 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 
     Divisors are tried by leading term, descending, so the result is
     deterministic for a fixed basis.
+
+    The unreduced part lives in a dict with a heap of its monomials
+    (Monagan & Pearce's heap division): each step pops the largest
+    monomial, so the remainder is never rescanned or rebuilt.  A monomial
+    whose coefficient cancels stays in the heap and is skipped when popped.
+    Only the tail of q*m*g is subtracted, since its leading term cancels the
+    popped term exactly.
     """
-    divisors = [(g.leading(order), g) for g in basis if not g.is_zero()]
-    divisors.sort(key=lambda pair: monomial_key(order)(pair[0][0]), reverse=True)
+    ring = f.ring
+    field = ring.field
+    key = order.descending_key
+    divisors = []
     for g in basis:
-        if not g.is_zero() and g.ring != f.ring:
+        if g.is_zero():
+            continue
+        if g.ring != ring:
             raise RingMismatchError("basis element in a different ring")
-    field = f.ring.field
-    remainder = f.ring.zero()
-    rest = f
-    while rest:
-        lt, lc = rest.leading(order)
-        for (lg, cg), g in divisors:
-            if monomial_divides(lg, lt):
-                rest = rest - g.mul_term(field.div(lc, cg), monomial_div(lt, lg))
+        lm, lc = g.leading(order)
+        divisors.append((key(lm), lm, None if field.is_one(lc) else lc, _support_mask(lm), sum(lm), g.terms))
+    divisors.sort(key=itemgetter(0))
+    cadd, cmul, is_zero = field.add, field.mul, field.is_zero
+    rest = dict(f.terms)
+    heap = [(key(m), m) for m in rest]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = rest.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        mask, degree = _support_mask(m), sum(m)
+        for _, lm, lc, lmask, ldegree, terms in divisors:
+            if ldegree <= degree and not lmask & ~mask and all(map(le, lm, m)):
                 break
         else:
-            move = Polynomial._raw(rest.ring, {lt: lc})
-            remainder = remainder + move
-            rest = rest - move
-    return remainder
+            remainder[m] = c
+            continue
+        q = field.neg(c if lc is None else field.div(c, lc))
+        shift = tuple(map(sub, m, lm))
+        for gm, gc in terms.items():
+            if gm == lm:
+                continue
+            t = tuple(map(add, gm, shift))
+            prod = cmul(q, gc)
+            old = rest.get(t)
+            if old is None:
+                rest[t] = prod
+                heapq.heappush(heap, (key(t), t))
+            else:
+                total = cadd(old, prod)
+                if is_zero(total):
+                    del rest[t]
+                else:
+                    rest[t] = total
+    return Polynomial._raw(ring, remainder)
+
+
+def _support_mask(m: tuple[int, ...]) -> int:
+    return sum(1 << i for i, e in enumerate(m) if e)
 
 
 def _inter_reduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
@@ -148,8 +196,8 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
                 heapq.heappush(heap, (*pair_key(k, new), k, new))
 
     # minimalize: keep only elements whose leading term no other divides
-    order_key = monomial_key(order)
-    indexed = sorted(range(len(basis)), key=lambda i: order_key(leads[i]))
+    order_key = order.descending_key
+    indexed = sorted(range(len(basis)), key=lambda i: order_key(leads[i]), reverse=True)
     kept: list[int] = []
     for i in indexed:
         if not any(monomial_divides(leads[k], leads[i]) for k in kept):
@@ -160,7 +208,7 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         reduced.append(normal_form(g, others, order).monic(order) if others else g.monic(order))
-    reduced.sort(key=lambda g: order_key(g.leading(order)[0]))
+    reduced.sort(key=lambda g: order_key(g.leading(order)[0]), reverse=True)
     return tuple(reduced)
 
 

@@ -4,12 +4,18 @@ Monomials are plain tuples of non-negative integers, one entry per ring
 variable.  Every order here is global (the unit monomial is minimal) and
 multiplicative (u < v implies uw < vw), which is what the Groebner engine
 relies on.
+
+Each order has two faces that must agree: ``compare(u, v)``, the sign of
+u - v in the order, and ``descending_key(u)``, a plain tuple whose natural
+ascending order is the monomial order, descending.  The engine sorts and
+heaps by the key, so a monomial costs one key build instead of a Python
+comparison call per comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from operator import neg
 
 from .errors import ArityMismatchError
 
@@ -29,6 +35,11 @@ def _grevlex(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return 0
 
 
+def _grevlex_key(u: tuple[int, ...]) -> tuple:
+    # higher degree first; then the smaller rightmost differing exponent
+    return (-sum(u), u[::-1])
+
+
 @dataclass(frozen=True)
 class Lex:
     """Pure lexicographic order; the first variable is strongest."""
@@ -39,6 +50,9 @@ class Lex:
                 return _sign(a, b)
         return 0
 
+    def descending_key(self, u: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(neg, u))
+
 
 @dataclass(frozen=True)
 class GrevLex:
@@ -46,6 +60,8 @@ class GrevLex:
 
     def compare(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
         return _grevlex(u, v)
+
+    descending_key = staticmethod(_grevlex_key)
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,11 @@ class BlockElimination:
         vr = tuple(e if i not in self.block else 0 for i, e in enumerate(v))
         return _grevlex(ur, vr)
 
+    def descending_key(self, u: tuple[int, ...]) -> tuple:
+        inside = tuple(e if i in self.block else 0 for i, e in enumerate(u))
+        outside = tuple(e - b for e, b in zip(u, inside))
+        return _grevlex_key(inside) + _grevlex_key(outside)
+
 
 LEX = Lex()
 GREVLEX = GrevLex()
@@ -83,7 +104,3 @@ def compare(u: tuple[int, ...], v: tuple[int, ...], order: MonomialOrder) -> int
         raise ArityMismatchError(f"cannot compare arities {len(u)} and {len(v)}")
     return order.compare(u, v)
 
-
-def monomial_key(order: MonomialOrder):
-    """Sort key turning an order into something usable with sorted()/max()."""
-    return cmp_to_key(order.compare)

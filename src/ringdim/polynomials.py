@@ -8,11 +8,15 @@ ints, rational functions are reduced numerator/denominator pairs.
 
 Polynomials are immutable values; every operation returns a fresh one.
 That is what makes it safe for ideal presentations to cache Groebner bases
-and for concurrent evaluations to share structures.
+and for concurrent evaluations to share structures.  The leading term is
+computed lazily and cached on the polynomial for the last order asked for;
+the cache is a pure function of the (immutable) terms, so filling it is
+idempotent and changes no value a caller can observe.
 """
 
 from __future__ import annotations
 
+from operator import add, le
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -21,7 +25,7 @@ from .errors import (
     VariableCapError,
     ZeroPolynomialError,
 )
-from .orderings import GREVLEX, MonomialOrder, monomial_key
+from .orderings import GREVLEX, MonomialOrder
 
 # Ring variables plus coefficient-field variables; the dimension kernel
 # enumerates variable subsets, which is exponential in this count.
@@ -31,11 +35,11 @@ MAX_TOTAL_VARIABLES = 12
 # -- exponent-vector helpers -------------------------------------------------
 
 def monomial_mul(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def monomial_divides(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def monomial_div(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -46,7 +50,7 @@ def monomial_div(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def monomial_lcm(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 
 def monomial_degree(u: tuple[int, ...]) -> int:
@@ -129,7 +133,7 @@ class PolynomialRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_leading")
 
     def __init__(self, ring: PolynomialRing, terms: Mapping[tuple[int, ...], object]):
         is_zero = ring.field.is_zero
@@ -143,6 +147,7 @@ class Polynomial:
         self.ring = ring
         self.terms = clean
         self._hash = None
+        self._leading = None
 
     @classmethod
     def _raw(cls, ring: PolynomialRing, terms: dict) -> "Polynomial":
@@ -151,6 +156,7 @@ class Polynomial:
         p.ring = ring
         p.terms = terms
         p._hash = None
+        p._leading = None
         return p
 
     # -- structure ----------------------------------------------------------
@@ -186,14 +192,22 @@ class Polynomial:
         return max((exps[i] for exps in self.terms), default=0)
 
     def leading(self, order: MonomialOrder) -> tuple[tuple[int, ...], object]:
-        """Leading (monomial, coefficient) under ``order``."""
-        if not self.terms:
+        """Leading (monomial, coefficient) under ``order``.
+
+        Cached for the last order object asked for; a single term needs no
+        cache."""
+        cached = self._leading
+        if cached is not None and cached[0] is order:
+            return cached[1]
+        terms = self.terms
+        if len(terms) == 1:
+            return next(iter(terms.items()))
+        if not terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        best = None
-        for exps in self.terms:
-            if best is None or order.compare(exps, best) > 0:
-                best = exps
-        return best, self.terms[best]
+        best = min(terms, key=order.descending_key)
+        lead = (best, terms[best])
+        self._leading = (order, lead)
+        return lead
 
     def coefficient_of(self, i: int, d: int) -> "Polynomial":
         """Coefficient of x_i^d, as a polynomial with x_i cleared."""
@@ -355,7 +369,8 @@ def format_polynomial(p: Polynomial) -> str:
         return "0"
     field = p.ring.field
     names = p.ring.variables
-    items = sorted(p.terms.items(), key=lambda item: monomial_key(GREVLEX)(item[0]), reverse=True)
+    key = GREVLEX.descending_key
+    items = sorted(p.terms.items(), key=lambda item: key(item[0]))
     pieces: list[str] = []
     for exps, c in items:
         negative, body = field.display_split(c)

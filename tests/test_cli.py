@@ -10,6 +10,7 @@ from ringdim import cli
 from ringdim.cli import (
     EXIT_BUDGET,
     EXIT_INCONSISTENT,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_USER_ERROR,
     certificate_from_json,
@@ -160,6 +161,21 @@ def test_exit_code_internal_inconsistency(capsys, monkeypatch):
     code, report = run_cli(capsys, "dim", "Q")
     assert code == EXIT_INCONSISTENT
     assert report["status"] == "internal-inconsistency"
+
+
+def test_exit_code_internal_error(capsys, monkeypatch):
+    def broken_dim(args, report, budget):
+        # a half-written exact answer must not survive into the report
+        report["result"] = {"dimension": {"kind": "exact", "value": 0}}
+        raise RuntimeError("bug injected for the exit-code fixture")
+
+    monkeypatch.setitem(cli._HANDLERS, "dim", broken_dim)
+    code, report = run_cli(capsys, "dim", "Q")
+    assert code == EXIT_INTERNAL_ERROR
+    assert report["status"] == "internal-error"
+    assert report["result"] is None
+    assert report["error"]["message"] == "RuntimeError: bug injected for the exit-code fixture"
+    assert report["error"]["traceback"][-1].endswith(" broken_dim")
 
 
 def test_text_format(capsys):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ringdim import (
     BlockElimination,
@@ -12,20 +14,80 @@ from ringdim import (
     GREVLEX,
     IdealPresentation,
     LEX,
+    Polynomial,
     PolynomialRing,
     PrimeField,
     QQ,
+    RationalFunctionField,
     buchberger,
     eliminate,
     ideal_membership,
     ideal_quotient,
     normal_form,
-    s_polynomial,
     saturate,
 )
 from ringdim.polynomials import monomial_divides
 
 from conftest import random_polynomial
+from test_orderings import block_oracle, grevlex_oracle, lex_oracle
+
+ELIMINATE_X = BlockElimination(frozenset({0}))
+ORACLES = {LEX: lex_oracle, GREVLEX: grevlex_oracle, ELIMINATE_X: block_oracle(frozenset({0}))}
+
+
+# -- reference division --------------------------------------------------------
+# Written from the definitions and sharing no code with the engine's division:
+# monomials are ranked by the order oracles of test_orderings, polynomials are
+# read only through Polynomial.terms, and coefficients go through the field's
+# own add/sub/mul/div.
+
+def ref_leading(terms: dict, cmp) -> tuple[int, ...]:
+    lead = None
+    for m in terms:
+        if lead is None or cmp(m, lead) > 0:
+            lead = m
+    return lead
+
+
+def ref_normal_form(field, terms: dict, divisors: list[dict], cmp) -> dict:
+    """Remainder of `terms` under the divisor rule: the first divisor, in
+    descending leading-term order, whose leading term divides the current
+    leading term (ties keep the given order)."""
+    leads = [(ref_leading(g, cmp), g) for g in divisors if g]
+    leads.sort(key=cmp_to_key(lambda a, b: cmp(b[0], a[0])))
+    rest, remainder = dict(terms), {}
+    while rest:
+        m = ref_leading(rest, cmp)
+        for lead, g in leads:
+            if all(a <= b for a, b in zip(lead, m)):
+                q = field.div(rest[m], g[lead])
+                for gm, gc in g.items():
+                    t = tuple(e + f - d for e, f, d in zip(gm, m, lead))
+                    value = field.sub(rest.get(t, field.zero), field.mul(q, gc))
+                    if field.is_zero(value):
+                        rest.pop(t, None)
+                    else:
+                        rest[t] = value
+                break
+        else:
+            remainder[m] = rest.pop(m)
+    return remainder
+
+
+def ref_s_polynomial(field, f: dict, g: dict, cmp) -> dict:
+    lf, lg = ref_leading(f, cmp), ref_leading(g, cmp)
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    out: dict = {}
+    for p, lead, sign in ((f, lf, field.one), (g, lg, field.neg(field.one))):
+        scale = field.div(sign, p[lead])
+        for m, c in p.items():
+            t = tuple(e + l - d for e, l, d in zip(m, lcm, lead))
+            value = field.add(out.get(t, field.zero), field.mul(scale, c))
+            if field.is_zero(value):
+                out.pop(t, None)
+            else:
+                out[t] = value
+    return out
 
 
 @pytest.fixture
@@ -41,19 +103,58 @@ def rxy():
 def assert_is_reduced_groebner_basis(basis, generators, order):
     """Independent verification: every S-polynomial reduces to zero, every
     original generator reduces to zero, and the basis is reduced and monic.
-    Uses only the division algorithm, not the completion logic."""
+    Uses only the reference division above, not the engine's."""
+    cmp = ORACLES[order]
+    field = basis[0].ring.field
+    divisors = [g.terms for g in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j], order)
-            assert normal_form(s, basis, order).is_zero()
+            s = ref_s_polynomial(field, divisors[i], divisors[j], cmp)
+            assert not ref_normal_form(field, s, divisors, cmp)
     for g in generators:
-        assert normal_form(g, basis, order).is_zero()
-    for i, g in enumerate(basis):
-        _, lc = g.leading(order)
-        assert g.ring.field.is_one(lc)
-        others = [h.leading(order)[0] for k, h in enumerate(basis) if k != i]
-        for exps in g.terms:
-            assert not any(monomial_divides(lt, exps) for lt in others)
+        assert not ref_normal_form(field, g.terms, divisors, cmp)
+    leads = [ref_leading(g, cmp) for g in divisors]
+    for i, g in enumerate(divisors):
+        assert field.is_one(g[leads[i]])
+        others = leads[:i] + leads[i + 1:]
+        for exps in g:
+            assert not any(all(a <= b for a, b in zip(lt, exps)) for lt in others)
+
+
+def _coefficient_pool(field) -> list:
+    one = field.one
+    pool = [field.from_int(n) for n in (1, -1, 2, 3)] + [field.div(one, field.from_int(2))]
+    if isinstance(field, RationalFunctionField):
+        t = field.generator("t")
+        pool += [t, field.inv(field.add(t, one))]
+    return pool
+
+
+DIVISION_FIELDS = [
+    (field, _coefficient_pool(field))
+    for field in (PrimeField(7), QQ, RationalFunctionField(QQ, ("t",)))
+]
+
+
+@st.composite
+def division_problems(draw):
+    field, pool = draw(st.sampled_from(DIVISION_FIELDS))
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    monomials = st.tuples(*[st.integers(0, 2)] * ring.arity)
+
+    def polynomial(min_size: int) -> Polynomial:
+        return Polynomial(ring, draw(st.dictionaries(monomials, st.sampled_from(pool), min_size=min_size, max_size=4)))
+
+    f = polynomial(0)
+    basis = [polynomial(1) for _ in range(draw(st.integers(1, 3)))]
+    return f, basis, draw(st.sampled_from(list(ORACLES)))
+
+
+@given(division_problems())
+def test_normal_form_matches_reference_division(problem):
+    f, basis, order = problem
+    expected = ref_normal_form(f.ring.field, f.terms, [g.terms for g in basis], ORACLES[order])
+    assert normal_form(f, basis, order).terms == expected
 
 
 def test_buchberger_twisted_cubic_style_example(rxyz):
@@ -159,8 +260,6 @@ def brute_force_colon_check(rxy):
     f = x + y
     in_xy = lambda p: all(monomial_divides((1, 1), e) for e in p.terms)
     for coeffs in product([-1, 0, 1], repeat=len(monos)):
-        from ringdim import Polynomial
-
         g = Polynomial(rxy, {m: QQ.from_int(c) for m, c in zip(monos, coeffs)})
         if g.is_zero():
             continue

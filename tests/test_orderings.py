@@ -24,6 +24,24 @@ def grevlex_oracle(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return 0
 
 
+def lex_oracle(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    # the leftmost nonzero entry of u - v decides (positive means greater)
+    for d in (a - b for a, b in zip(u, v)):
+        if d:
+            return 1 if d > 0 else -1
+    return 0
+
+
+def block_oracle(block: frozenset[int]):
+    # grevlex on the block variables alone, ties broken by grevlex on the rest
+    def cmp(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+        inside = [tuple(e if i in block else 0 for i, e in enumerate(m)) for m in (u, v)]
+        outside = [tuple(0 if i in block else e for i, e in enumerate(m)) for m in (u, v)]
+        return grevlex_oracle(*inside) or grevlex_oracle(*outside)
+
+    return cmp
+
+
 def test_grevlex_matches_definition_on_small_monomials():
     for u in monomials_up_to(2, 2):
         for v in monomials_up_to(2, 2):
@@ -67,6 +85,9 @@ def test_order_axioms_by_enumeration(order):
             assert c == -compare(v, u, order)  # antisymmetry
             if u != v:
                 assert c != 0  # totality
+            # the sort key ranks the greater monomial first
+            ku, kv = order.descending_key(u), order.descending_key(v)
+            assert (c > 0) - (c < 0) == (kv > ku) - (kv < ku)
     # multiplicativity: u < v implies uw < vw
     small = monomials_up_to(2, 3)
     for u in small:
@@ -77,6 +98,18 @@ def test_order_axioms_by_enumeration(order):
                 uw = tuple(a + b for a, b in zip(u, w))
                 vw = tuple(a + b for a, b in zip(v, w))
                 assert compare(uw, vw, order) < 0
+
+
+@pytest.mark.parametrize(
+    "order, oracle",
+    [(LEX, lex_oracle), (BlockElimination(frozenset({0, 2})), block_oracle(frozenset({0, 2})))],
+    ids=["lex", "block02"],
+)
+def test_orders_match_their_definitions(order, oracle):
+    monos = monomials_up_to(3, 3)
+    for u in monos:
+        for v in monos:
+            assert compare(u, v, order) == oracle(u, v)
 
 
 def test_block_elimination_ranks_block_above_rest():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringdim import (
+    BlockElimination,
     GREVLEX,
     LEX,
     PolynomialRing,
@@ -83,6 +84,17 @@ def test_leading_term_lex_against_exponent_comparison(rxy):
     p = x * y**2 + x**2
     assert max(p.terms, key=lambda e: e) == (2, 0)  # tuple order IS lex order
     assert p.leading(LEX)[0] == (2, 0)
+
+
+def test_leading_term_follows_the_order_asked_for(rxy):
+    # the cached leading term must not leak from one order to the next
+    x, y = rxy.variable("x"), rxy.variable("y")
+    p = x + y**2
+    assert p.leading(LEX)[0] == (1, 0)
+    assert p.leading(GREVLEX)[0] == (0, 2)
+    assert p.leading(BlockElimination(frozenset({0})))[0] == (1, 0)
+    assert p.leading(GREVLEX)[0] == (0, 2)
+    assert p.leading(LEX)[0] == (1, 0)
 
 
 def test_leading_term_of_zero_raises(rxy):

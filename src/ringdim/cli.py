@@ -5,8 +5,7 @@ echoing the input, the result, the rule trace with citations, kernel
 cross-check outcomes, and timing.  Exit codes: 0 success, 1 user error,
 2 budget exhausted, 3 internal inconsistency (two rules disagreed, which
 can only mean a bug), 4 internal error (any other exception; the report
-still carries the exception type, message and frames, with no partial
-result).
+still carries the exception type and message, with no partial result).
 
 Chain certificates serialize with every witness polynomial spelled out, so
 an external checker needs nothing beyond a normal-form routine to re-verify
@@ -19,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 
 from .calculus import (
     CITATIONS,
@@ -563,13 +561,8 @@ def main(argv=None) -> int:
         report["error"] = {"message": str(exc)}
         exit_code = EXIT_INCONSISTENT
     except Exception as exc:  # last resort: a bug still yields one valid report
-        import traceback  # only a failing run pays for this import
-
         report.update(status="internal-error", result=None, trace=[], cross_checks=[])
-        report["error"] = {
-            "message": f"{type(exc).__name__}: {exc}",
-            "traceback": [f"{Path(f.filename).name}:{f.lineno} {f.name}" for f in traceback.extract_tb(exc.__traceback__)],
-        }
+        report["error"] = {"message": f"{type(exc).__name__}: {exc}"}
         exit_code = EXIT_INTERNAL_ERROR
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     rendered = (

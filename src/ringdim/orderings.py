@@ -5,11 +5,11 @@ variable.  Every order here is global (the unit monomial is minimal) and
 multiplicative (u < v implies uw < vw), which is what the Groebner engine
 relies on.
 
-Each order has two faces that must agree: ``compare(u, v)``, the sign of
-u - v in the order, and ``descending_key(u)``, a plain tuple whose natural
-ascending order is the monomial order, descending.  The engine sorts and
-heaps by the key, so a monomial costs one key build instead of a Python
-comparison call per comparison.
+Each order is defined once, by ``descending_key(u)``: a plain tuple whose
+natural ascending order is the monomial order, descending.  The engine
+sorts and heaps by the key, so a monomial costs one key build instead of a
+Python comparison call per comparison.  ``compare(u, v)``, the sign of
+u - v in the order, is derived from the key.
 """
 
 from __future__ import annotations
@@ -20,35 +20,22 @@ from operator import neg
 from .errors import ArityMismatchError
 
 
-def _sign(a: int, b: int) -> int:
-    return (a > b) - (a < b)
-
-
-def _grevlex(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    du, dv = sum(u), sum(v)
-    if du != dv:
-        return _sign(du, dv)
-    # ties broken by the rightmost differing exponent, smaller entry wins
-    for a, b in zip(reversed(u), reversed(v)):
-        if a != b:
-            return _sign(b, a)
-    return 0
-
-
 def _grevlex_key(u: tuple[int, ...]) -> tuple:
     # higher degree first; then the smaller rightmost differing exponent
     return (-sum(u), u[::-1])
+
+
+def _compare_by_key(order, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    # the greater monomial has the smaller key
+    ku, kv = order.descending_key(u), order.descending_key(v)
+    return (kv > ku) - (kv < ku)
 
 
 @dataclass(frozen=True)
 class Lex:
     """Pure lexicographic order; the first variable is strongest."""
 
-    def compare(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        for a, b in zip(u, v):
-            if a != b:
-                return _sign(a, b)
-        return 0
+    compare = _compare_by_key
 
     def descending_key(self, u: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(neg, u))
@@ -58,9 +45,7 @@ class Lex:
 class GrevLex:
     """Graded reverse lexicographic order."""
 
-    def compare(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        return _grevlex(u, v)
-
+    compare = _compare_by_key
     descending_key = staticmethod(_grevlex_key)
 
 
@@ -76,15 +61,7 @@ class BlockElimination:
 
     block: frozenset[int]
 
-    def compare(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        ub = tuple(e if i in self.block else 0 for i, e in enumerate(u))
-        vb = tuple(e if i in self.block else 0 for i, e in enumerate(v))
-        c = _grevlex(ub, vb)
-        if c:
-            return c
-        ur = tuple(e if i not in self.block else 0 for i, e in enumerate(u))
-        vr = tuple(e if i not in self.block else 0 for i, e in enumerate(v))
-        return _grevlex(ur, vr)
+    compare = _compare_by_key
 
     def descending_key(self, u: tuple[int, ...]) -> tuple:
         inside = tuple(e if i in self.block else 0 for i, e in enumerate(u))

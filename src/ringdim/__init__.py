@@ -48,11 +48,8 @@ from .dimension import (
     ZeroDivisorStatus,
     dim_affine,
     dim_generic_fiber,
-    dim_localization,
-    dim_poly_localization,
     height_of_prime,
     independent_set_dimension,
-    is_zero_divisor,
     rabinowitsch_presentation,
     trdeg_affine_domain,
     zero_divisor_status,
@@ -82,7 +79,6 @@ from .ideals import (
     IdealPresentation,
     buchberger,
     eliminate,
-    ideal_membership,
     ideal_quotient,
     normal_form,
     s_polynomial,

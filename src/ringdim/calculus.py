@@ -26,6 +26,7 @@ from .dimension import (
     Infinity,
     dim_affine,
     dim_generic_fiber,
+    rabinowitsch_presentation,
     zero_divisor_status,
     ZeroDivisorStatus,
 )
@@ -365,34 +366,22 @@ def flatten_affine(expr: RingExpr) -> AffineAlgebra | None:
         d = expr.descriptor
         if isinstance(d.trdeg, Infinity):
             return None
-        ring = d.ambient_ring
-        rels = [p for _, p in d.algebraic_part]
-        if not rels:
-            return AffineAlgebra.polynomial_ring(ring)
-        return AffineAlgebra(IdealPresentation(ring, rels))
+        return AffineAlgebra(IdealPresentation(d.ambient_ring, [p for _, p in d.algebraic_part]))
     if isinstance(expr, PolyExt):
         inner = flatten_affine(expr.base)
         if inner is None:
             return None
         ext = inner.ring.extend(expr.variables)
-        var_map = {i: i for i in range(inner.ring.arity)}
-        gens = [g.map_to(ext, var_map) for g in inner.presentation.generators]
-        return AffineAlgebra(IdealPresentation(ext, gens))
+        return AffineAlgebra(IdealPresentation(ext, [g.map_to(ext) for g in inner.presentation.generators]))
     if isinstance(expr, Quotient):
         inner = flatten_affine(expr.base)
         if inner is None:
             return None
-        gens = [g for g in inner.presentation.generators if not g.is_zero()]
-        gens += [r for r in expr.relations]
-        if not gens:
-            return AffineAlgebra.polynomial_ring(inner.ring)
-        return AffineAlgebra(IdealPresentation(inner.ring, gens))
+        return AffineAlgebra(IdealPresentation(inner.ring, (*inner.presentation.generators, *expr.relations)))
     if isinstance(expr, LocElement):
         inner = flatten_affine(expr.base)
         if inner is None:
             return None
-        from .dimension import rabinowitsch_presentation
-
         return rabinowitsch_presentation(inner, expr.element)
     if isinstance(expr, Tensor):
         flats = []
@@ -415,7 +404,7 @@ def tensor_flatten_affine(a: AffineAlgebra, b: AffineAlgebra) -> AffineAlgebra:
         raise ValueError(f"tensor legs over different base fields: {a.field!r} vs {b.field!r}")
     names = list(a.ring.variables)
     b_names = []
-    taken = set(names) | set(getattr(a.field, "function_variables", ()))
+    taken = set(names) | set(a.field.function_variables)
     for name in b.ring.variables:
         candidate = name
         k = 1
@@ -425,12 +414,9 @@ def tensor_flatten_affine(a: AffineAlgebra, b: AffineAlgebra) -> AffineAlgebra:
         taken.add(candidate)
         b_names.append(candidate)
     ring = PolynomialRing(a.field, tuple(names + b_names), unchecked=True)
-    a_map = {i: i for i in range(a.ring.arity)}
     b_map = {i: len(names) + i for i in range(b.ring.arity)}
-    gens = [g.map_to(ring, a_map) for g in a.presentation.generators if not g.is_zero()]
-    gens += [g.map_to(ring, b_map) for g in b.presentation.generators if not g.is_zero()]
-    if not gens:
-        return AffineAlgebra.polynomial_ring(ring)
+    gens = [g.map_to(ring) for g in a.presentation.generators]
+    gens += [g.map_to(ring, b_map) for g in b.presentation.generators]
     return AffineAlgebra(IdealPresentation(ring, gens))
 
 
@@ -555,8 +541,8 @@ def _eval_loc_element(expr: LocElement, budget: Budget) -> DimensionResult:
     if base_flat.presentation.contains(f, budget=budget):
         claims.mark_empty(RULE_LOC_ZERO, "the element is zero in the algebra")
         return claims.finish(base_flat)
-    flat = flatten_affine(expr)
-    if base_flat.presentation.is_zero_ideal(budget):
+    flat = rabinowitsch_presentation(base_flat, f)
+    if base_flat.presentation.is_zero_ideal():
         n = base_flat.ring.arity
         claims.exactly(n, RULE_LOC_POLY, f"polynomial ring in {n} variables")
         _kernel_exact(claims, flat, budget, detail="Rabinowitsch cross-check")

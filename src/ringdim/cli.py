@@ -6,6 +6,8 @@ cross-check outcomes, and timing.  Exit codes: 0 success, 1 user error,
 2 budget exhausted, 3 internal inconsistency (two rules disagreed, which
 can only mean a bug), 4 internal error (any other exception; the report
 still carries the exception type and message, with no partial result).
+A command line argparse rejects exits 1 as well: with a known verb it gets
+a user-error report, without one only argparse's message on stderr.
 
 Chain certificates serialize with every witness polynomial spelled out, so
 an external checker needs nothing beyond a normal-form routine to re-verify
@@ -135,6 +137,12 @@ def cross_checks_of(result: DimensionResult) -> list[dict]:
     return checks
 
 
+def generators_to_json(polys) -> list[str]:
+    """Generator texts of an ideal; the zero ideal, which has none, is
+    written as ["0"]."""
+    return [format_polynomial(g) for g in polys] or ["0"]
+
+
 def make_report(command: str, input_echo: dict, started: float) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -155,7 +163,7 @@ def certificate_to_json(cert: ChainCertificate) -> dict:
     def primality_to_json(p: PrimalityCertificate) -> dict:
         blob = {"kind": p.kind, "note": p.note, "flagged": p.flagged}
         if p.base_prime is not None:
-            blob["base_prime"] = [format_polynomial(g) for g in p.base_prime.generators]
+            blob["base_prime"] = generators_to_json(p.base_prime.generators)
         if p.substitutions:
             blob["substitutions"] = [
                 [cert.ring.variables[idx], format_polynomial(value)]
@@ -170,7 +178,7 @@ def certificate_to_json(cert: ChainCertificate) -> dict:
         "variables": list(cert.ring.variables),
         "witness_variables": list(cert.witness_variables),
         "witnesses": [format_polynomial(t) for t in cert.witnesses],
-        "links": [[format_polynomial(g) for g in link.generators] for link in cert.links],
+        "links": [generators_to_json(link.generators) for link in cert.links],
         "evidence": [
             {
                 "strictness_witness": None
@@ -184,27 +192,68 @@ def certificate_to_json(cert: ChainCertificate) -> dict:
     }
 
 
-def certificate_from_json(blob: dict) -> ChainCertificate:
+# JSON shape of a serialized certificate: a key ending in "?" is optional,
+# and an array shape with several entries is a tuple of exactly that length
+_CERTIFICATE_SHAPE = {
+    "field": str,
+    "variables": [str],
+    "witness_variables": [str],
+    "witnesses": [str],
+    "links": [[str]],
+    "evidence": [
+        {
+            "strictness_witness": (str, type(None)),
+            "avoidance_checked?": bool,
+            "primality": {"kind": str, "note?": str, "base_prime?": [str], "substitutions?": [[str, str]], "generator?": str},
+        }
+    ],
+}
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def _check_shape(value, shape, where: str) -> None:
+    """Raise a ``CertificateError`` naming the first key that is missing or
+    whose value does not have the JSON shape ``shape``."""
+    if isinstance(shape, (dict, list)):
+        kinds = (type(shape),)
+    else:
+        kinds = shape if isinstance(shape, tuple) else (shape,)
+    if not isinstance(value, kinds):
+        expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
+        found = _JSON_TYPE_NAMES.get(type(value), "a number")
+        raise CertificateError(f"{where} must be {expected}, not {found}")
+    if isinstance(shape, dict):
+        for key, inner in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                _check_shape(value[name], inner, f"{where}[{name!r}]")
+            elif name == key:
+                raise CertificateError(f"{where} has no {name!r} key")
+    elif isinstance(shape, list):
+        if len(shape) > 1 and len(value) != len(shape):
+            raise CertificateError(f"{where} must have {len(shape)} entries, not {len(value)}")
+        for i, item in enumerate(value):
+            _check_shape(item, shape[i] if len(shape) > 1 else shape[0], f"{where}[{i}]")
+
+
+def certificate_from_json(blob) -> ChainCertificate:
     # accept either a bare certificate or a full chain report containing one
-    if "field" not in blob and isinstance(blob.get("result"), dict):
+    if isinstance(blob, dict) and "field" not in blob and isinstance(blob.get("result"), dict):
         blob = blob["result"].get("certificate", blob)
+    _check_shape(blob, _CERTIFICATE_SHAPE, "certificate")
     field = parse_field(blob["field"])
     ring = PolynomialRing(field, tuple(blob["variables"]), unchecked=True)
 
     def poly(text: str):
         return parse_polynomial(text, ring)
 
-    links = tuple(
-        IdealPresentation(ring, [poly(g) for g in gens]) if gens else IdealPresentation.zero_ideal(ring)
-        for gens in blob["links"]
-    )
+    links = tuple(IdealPresentation(ring, [poly(g) for g in gens]) for gens in blob["links"])
     evidence = []
     for e in blob["evidence"]:
         p = e["primality"]
         base_prime = None
         if "base_prime" in p:
-            gens = [poly(g) for g in p["base_prime"]]
-            base_prime = IdealPresentation(ring, gens) if gens else IdealPresentation.zero_ideal(ring)
+            base_prime = IdealPresentation(ring, [poly(g) for g in p["base_prime"]])
         substitutions = tuple(
             (ring.variable_index(name), poly(value)) for name, value in p.get("substitutions", [])
         )
@@ -216,7 +265,7 @@ def certificate_from_json(blob: dict) -> ChainCertificate:
         evidence.append(
             ChainStepEvidence(
                 None if witness is None else poly(witness),
-                bool(e.get("avoidance_checked", False)),
+                e.get("avoidance_checked", False),
                 cert,
             )
         )
@@ -259,7 +308,7 @@ def _cmd_dim(args, report: dict, budget: Budget):
     if result.flattened is not None:
         report["result"]["kernel_presentation"] = {
             "variables": list(result.flattened.ring.variables),
-            "generators": [format_polynomial(g) for g in result.flattened.presentation.generators],
+            "generators": generators_to_json(result.flattened.presentation.generators),
         }
     report["trace"] = trace_to_json(result)
     report["cross_checks"] = cross_checks_of(result)
@@ -271,7 +320,7 @@ def _cmd_gb(args, report: dict, budget: Budget):
     basis = flat.presentation.groebner_basis(order, budget)
     report["result"] = {
         "order": args.order,
-        "basis": [format_polynomial(g) for g in basis] or ["0"],
+        "basis": generators_to_json(basis),
     }
     report["trace"] = [
         {
@@ -288,7 +337,7 @@ def _cmd_eliminate(args, report: dict, budget: Budget):
     result = eliminate_ideal(flat.presentation, keep, budget)
     report["result"] = {
         "keep": keep,
-        "generators": [format_polynomial(g) for g in result.generators],
+        "generators": generators_to_json(result.generators),
     }
     report["trace"] = [
         {
@@ -303,7 +352,7 @@ def _cmd_quotient(args, report: dict, budget: Budget):
     _, flat = _require_quotient_payload(args.expression)
     f = _element_in(args.element, args.expression)
     result = ideal_quotient(flat.presentation, f, budget)
-    report["result"] = {"generators": [format_polynomial(g) for g in result.generators]}
+    report["result"] = {"generators": generators_to_json(result.generators)}
     report["trace"] = [
         {
             "rule": "ideal-quotient",
@@ -317,7 +366,7 @@ def _cmd_saturate(args, report: dict, budget: Budget):
     _, flat = _require_quotient_payload(args.expression)
     f = _element_in(args.element, args.expression)
     result = saturate_ideal(flat.presentation, f, budget)
-    report["result"] = {"generators": [format_polynomial(g) for g in result.generators]}
+    report["result"] = {"generators": generators_to_json(result.generators)}
     report["trace"] = [
         {
             "rule": "saturation",
@@ -363,7 +412,7 @@ def _cmd_trdeg(args, report: dict, budget: Budget):
     flat = flatten_affine(expr)
     if flat is None:
         raise ParseError("trdeg needs a field extension or an affine domain")
-    if flat.presentation.is_zero_ideal(budget):
+    if flat.presentation.is_zero_ideal():
         cert_kind, flagged = "zero-ideal-in-domain", False
     elif args.assert_domain:
         cert_kind, flagged = "asserted", True
@@ -388,7 +437,7 @@ def _cmd_chain(args, report: dict, budget: Budget):
     ring = flat.ring
     witnesses = [parse_polynomial(t.strip(), ring) for t in args.witnesses.split(",") if t.strip()]
     fresh = [name.strip() for name in args.fresh.split(",") if name.strip()]
-    if flat.presentation.is_zero_ideal(budget):
+    if flat.presentation.is_zero_ideal():
         base_cert = PrimalityCertificate("zero-ideal-in-domain")
     else:
         base_cert = PrimalityCertificate("asserted", note="algebra assumed to be a domain")
@@ -470,8 +519,24 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects.  Raised instead of argparse's exit
+    with code 2, which here means an exhausted budget; ``verb`` is None when
+    the verb itself is missing or unknown."""
+
+    def __init__(self, verb: str | None, message: str):
+        super().__init__(message)
+        self.verb = verb
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        verb = self.prog.split()[-1]
+        raise _UsageError(verb if verb in _HANDLERS else None, message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ringdim",
         description="Exact Krull dimensions of affine algebras, localizations, and tensor products of field extensions.",
     )
@@ -530,8 +595,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    try:
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise _UsageError(args.verb, f"unrecognized arguments: {' '.join(extra)}")
+    except _UsageError as exc:
+        if exc.verb is None:
+            parser.print_usage(sys.stderr)
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return EXIT_USER_ERROR
+        report = make_report(exc.verb, {"argv": argv}, time.perf_counter())
+        report.update(status="user-error", error={"message": str(exc)})
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return EXIT_USER_ERROR
     started = time.perf_counter()
     echo = {"expression": getattr(args, "expression", getattr(args, "certificate", ""))}
     if getattr(args, "element", None):

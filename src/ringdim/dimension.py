@@ -14,11 +14,11 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .errors import EmptyRingError, ZeroPolynomialError
+from .errors import EmptyRingError
 from .fields import CoefficientField, embed_coefficient, merged_function_field
-from .ideals import Budget, IdealPresentation, fresh_variable, ideal_quotient
+from .ideals import Budget, IdealPresentation, ideal_quotient, rabinowitsch
 from .orderings import GREVLEX, MonomialOrder
-from .polynomials import Polynomial, PolynomialRing
+from .polynomials import Polynomial, PolynomialRing, fresh_variable
 
 
 class Infinity:
@@ -167,32 +167,10 @@ def dim_affine(A: AffineAlgebra, order: MonomialOrder = GREVLEX, budget: Budget 
     return DimensionValue.exact(independent_set_dimension(leads, A.ring.arity))
 
 
-def rabinowitsch_presentation(A: AffineAlgebra, f: Polynomial, budget: Budget | None = None) -> AffineAlgebra:
-    """The localization A[1/f] presented as K[X, Y]/(I, f*Y - 1)."""
-    if f.ring != A.ring:
-        raise ValueError("localizing element must live in the algebra's ring")
-    if A.presentation.contains(f, budget=budget):
-        raise ZeroPolynomialError("cannot invert an element that is zero in the algebra")
-    name = fresh_variable("Y", A.ring.variables)
-    ext = A.ring.extend((name,))
-    var_map = {i: i for i in range(A.ring.arity)}
-    lifted = [g.map_to(ext, var_map) for g in A.presentation.generators if not g.is_zero()]
-    relation = f.map_to(ext, var_map) * ext.variable(A.ring.arity) - ext.one()
-    return AffineAlgebra(IdealPresentation(ext, lifted + [relation]))
-
-
-def dim_localization(A: AffineAlgebra, f: Polynomial, budget: Budget | None = None) -> DimensionValue:
-    """dim A[1/f], computed on the Rabinowitsch presentation."""
-    return dim_affine(rabinowitsch_presentation(A, f, budget), budget=budget)
-
-
-def dim_poly_localization(n: int, f: Polynomial, budget: Budget | None = None) -> DimensionValue:
-    """dim K[X_1..X_n][1/f] for nonzero f; always n, but recomputed exactly."""
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot localize a polynomial ring at zero")
-    if f.ring.arity != n:
-        raise ValueError(f"f lives in a {f.ring.arity}-variable ring, not {n}")
-    return dim_localization(AffineAlgebra.polynomial_ring(f.ring), f, budget)
+def rabinowitsch_presentation(A: AffineAlgebra, f: Polynomial) -> AffineAlgebra:
+    """The localization A[1/f] presented as K[X, Y]/(I, f*Y - 1); the zero
+    ring (the unit ideal) when f is zero in A."""
+    return AffineAlgebra(rabinowitsch(A.presentation, f))
 
 
 class ZeroDivisorStatus(Enum):
@@ -213,11 +191,6 @@ def zero_divisor_status(A: AffineAlgebra, f: Polynomial, budget: Budget | None =
     if all(A.presentation.contains(g, budget=budget) for g in quotient.generators):
         return ZeroDivisorStatus.NON_ZERO_DIVISOR
     return ZeroDivisorStatus.ZERO_DIVISOR
-
-
-def is_zero_divisor(A: AffineAlgebra, f: Polynomial, budget: Budget | None = None) -> bool:
-    """Boolean form; zero elements count as zero-divisors by convention."""
-    return zero_divisor_status(A, f, budget) is not ZeroDivisorStatus.NON_ZERO_DIVISOR
 
 
 def height_of_prime(P: IdealPresentation, budget: Budget | None = None) -> int:
@@ -243,17 +216,13 @@ def dim_generic_fiber(A: AffineAlgebra, n: int, budget: Budget | None = None) ->
         raise ValueError("negative transcendental count")
     if n == 0:
         return dim_affine(A, budget=budget)
-    taken = set(A.ring.variables) | set(getattr(A.field, "function_variables", ()))
-    fresh = []
+    fresh: list[str] = []
     for _ in range(n):
-        name = fresh_variable("T", taken)
-        taken.add(name)
-        fresh.append(name)
+        fresh.append(fresh_variable("T", A.ring, fresh))
     target_field = merged_function_field(A.field, tuple(fresh))
     lift = embed_coefficient(A.field, target_field)
     new_ring = PolynomialRing(target_field, A.ring.variables, unchecked=True)
-    var_map = {i: i for i in range(A.ring.arity)}
-    gens = [g.map_to(new_ring, var_map, coeff_map=lift) for g in A.presentation.generators]
+    gens = [g.map_to(new_ring, coeff_map=lift) for g in A.presentation.generators]
     return dim_affine(AffineAlgebra(IdealPresentation(new_ring, gens)), budget=budget)
 
 

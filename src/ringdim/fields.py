@@ -333,12 +333,9 @@ def embed_coefficient(source: CoefficientField, target: RationalFunctionField):
             raise ValueError(f"cannot embed {source!r} into {target!r}")
         pad = len(target.variables) - len(source.variables)
         tring = target.poly_ring
-        var_map = {i: i for i in range(len(source.variables))}
 
         def lift(c: RatFunc) -> RatFunc:
-            num = c.num.map_to(tring, var_map)
-            den = c.den.map_to(tring, var_map)
-            return RatFunc._reduced(num, den)
+            return RatFunc._reduced(c.num.map_to(tring), c.den.map_to(tring))
 
         return lift if pad else (lambda c: c)
     if source != target.base:

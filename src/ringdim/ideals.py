@@ -28,6 +28,7 @@ from .polynomials import (
     Polynomial,
     PolynomialRing,
     exact_divide,
+    fresh_variable,
     monomial_degree,
     monomial_div,
     monomial_divides,
@@ -80,8 +81,6 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     key = order.descending_key
     divisors = []
     for g in basis:
-        if g.is_zero():
-            continue
         if g.ring != ring:
             raise RingMismatchError("basis element in a different ring")
         lm, lc = g.leading(order)
@@ -215,27 +214,26 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
 class IdealPresentation:
     """An ideal given by generators, with cached reduced Groebner bases.
 
-    The zero ideal is presented by a single zero generator.  Presentations
-    are immutable apart from the basis cache, whose fill is idempotent, so
-    sharing across threads is safe.
+    Zero generators are dropped on construction, so the zero ideal is the
+    presentation with no generators.  Presentations are immutable apart from
+    the basis cache, whose fill is idempotent, so sharing across threads is
+    safe.
     """
 
     __slots__ = ("ring", "generators", "_gb_cache")
 
     def __init__(self, ring: PolynomialRing, generators: Iterable[Polynomial]):
         gens = tuple(generators)
-        if not gens:
-            raise ValueError("presentation needs at least one generator; use zero_ideal()")
         for g in gens:
             if g.ring != ring:
                 raise RingMismatchError(f"generator {g!r} is not in {ring!r}")
         self.ring = ring
-        self.generators = gens
+        self.generators = tuple(g for g in gens if not g.is_zero())
         self._gb_cache: dict[MonomialOrder, tuple[Polynomial, ...]] = {}
 
     @classmethod
     def zero_ideal(cls, ring: PolynomialRing) -> "IdealPresentation":
-        return cls(ring, [ring.zero()])
+        return cls(ring, ())
 
     def __eq__(self, other):
         return (
@@ -260,35 +258,12 @@ class IdealPresentation:
     def contains(self, f: Polynomial, order: MonomialOrder = GREVLEX, budget: Budget | None = None) -> bool:
         return normal_form(f, self.groebner_basis(order, budget), order).is_zero()
 
-    def is_zero_ideal(self, budget: Budget | None = None) -> bool:
-        return not self.groebner_basis(GREVLEX, budget)
+    def is_zero_ideal(self) -> bool:
+        return not self.generators
 
     def is_unit_ideal(self, budget: Budget | None = None) -> bool:
         basis = self.groebner_basis(GREVLEX, budget)
-        return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
-
-    def same_ideal(self, other: "IdealPresentation", budget: Budget | None = None) -> bool:
-        if self.ring != other.ring:
-            raise RingMismatchError("comparing ideals of different rings")
-        return all(other.contains(g, budget=budget) for g in self.generators) and all(
-            self.contains(g, budget=budget) for g in other.generators
-        )
-
-
-def ideal_membership(f: Polynomial, ideal: IdealPresentation, budget: Budget | None = None) -> bool:
-    if f.ring != ideal.ring:
-        raise RingMismatchError("membership test across rings")
-    return ideal.contains(f, budget=budget)
-
-
-def fresh_variable(stem: str, taken: Iterable[str]) -> str:
-    used = set(taken)
-    if stem not in used:
-        return stem
-    k = 1
-    while f"{stem}{k}" in used:
-        k += 1
-    return f"{stem}{k}"
+        return len(basis) == 1 and basis[0].is_constant()
 
 
 def eliminate(ideal: IdealPresentation, keep: Iterable[str], budget: Budget | None = None) -> IdealPresentation:
@@ -306,20 +281,14 @@ def eliminate(ideal: IdealPresentation, keep: Iterable[str], budget: Budget | No
     from .orderings import BlockElimination
 
     basis = ideal.groebner_basis(BlockElimination(block), budget)
-    kept = [g for g in basis if g.support() <= keep_idx]
-    if not kept:
-        return IdealPresentation.zero_ideal(ring)
-    return IdealPresentation(ring, kept)
+    return IdealPresentation(ring, [g for g in basis if g.support() <= keep_idx])
 
 
-def _push_to_extension(ideal_ring: PolynomialRing, ext: PolynomialRing, polys: Iterable[Polynomial]) -> list[Polynomial]:
-    var_map = {i: i for i in range(ideal_ring.arity)}
-    return [p.map_to(ext, var_map) for p in polys]
-
-
-def _drop_last_variables(p: Polynomial, target: PolynomialRing) -> Polynomial:
-    var_map = {i: i for i in range(target.arity)}
-    return p.map_to(target, var_map)
+def _contract(ideal: IdealPresentation, ring: PolynomialRing, budget: Budget | None) -> list[Polynomial]:
+    """Generators of the ideal's intersection with ``ring``, whose variables
+    are the first ones of the ideal's ring."""
+    inter = eliminate(ideal, ring.variables, budget)
+    return [g.map_to(ring) for g in inter.generators]
 
 
 def ideal_quotient(ideal: IdealPresentation, f: Polynomial, budget: Budget | None = None) -> IdealPresentation:
@@ -333,29 +302,27 @@ def ideal_quotient(ideal: IdealPresentation, f: Polynomial, budget: Budget | Non
     if f.ring != ideal.ring:
         raise RingMismatchError("quotient element in a different ring")
     ring = ideal.ring
-    if ideal.is_zero_ideal(budget):
-        return IdealPresentation.zero_ideal(ring)
-    tag = fresh_variable("tagvar", ring.variables)
-    ext = ring.extend((tag,))
+    ext = ring.extend((fresh_variable("tagvar", ring),))
     t = ext.variable(ring.arity)
-    lifted = _push_to_extension(ring, ext, ideal.generators)
-    f_ext = _push_to_extension(ring, ext, [f])[0]
-    mixed = [t * g for g in lifted] + [(ext.one() - t) * f_ext]
-    inter = eliminate(IdealPresentation(ext, mixed), ring.variables, budget)
-    if inter.is_zero_ideal(budget):
-        return IdealPresentation.zero_ideal(ring)
+    mixed = [t * g.map_to(ext) for g in ideal.generators] + [(ext.one() - t) * f.map_to(ext)]
     gens = []
-    for g in inter.generators:
-        if g.is_zero():
-            continue
-        down = _drop_last_variables(g, ring)
-        q = exact_divide(down, f)
+    for g in _contract(IdealPresentation(ext, mixed), ring, budget):
+        q = exact_divide(g, f)
         if q is None:
             raise AssertionError("intersection generator not divisible by f")
         gens.append(q)
-    if not gens:
-        return IdealPresentation.zero_ideal(ring)
     return IdealPresentation(ring, gens)
+
+
+def rabinowitsch(ideal: IdealPresentation, f: Polynomial) -> IdealPresentation:
+    """(I, f*Y - 1) with one fresh variable Y appended to the ring: it
+    presents the localization at f, and is the unit ideal when f lies in I."""
+    if f.ring != ideal.ring:
+        raise RingMismatchError("localizing element in a different ring")
+    ring = ideal.ring
+    ext = ring.extend((fresh_variable("Y", ring),))
+    relation = f.map_to(ext) * ext.variable(ring.arity) - ext.one()
+    return IdealPresentation(ext, [g.map_to(ext) for g in ideal.generators] + [relation])
 
 
 def saturate(ideal: IdealPresentation, f: Polynomial, budget: Budget | None = None) -> IdealPresentation:
@@ -363,19 +330,4 @@ def saturate(ideal: IdealPresentation, f: Polynomial, budget: Budget | None = No
     contracting back to the original ring."""
     if f.is_zero():
         raise ZeroPolynomialError("saturation by zero")
-    if f.ring != ideal.ring:
-        raise RingMismatchError("saturation element in a different ring")
-    ring = ideal.ring
-    inverse = fresh_variable("satvar", ring.variables)
-    ext = ring.extend((inverse,))
-    y = ext.variable(ring.arity)
-    lifted = [g for g in _push_to_extension(ring, ext, ideal.generators) if not g.is_zero()]
-    f_ext = _push_to_extension(ring, ext, [f])[0]
-    gens = lifted + [f_ext * y - ext.one()]
-    inter = eliminate(IdealPresentation(ext, gens), ring.variables, budget)
-    if inter.is_zero_ideal(budget):
-        return IdealPresentation.zero_ideal(ring)
-    down = [_drop_last_variables(g, ring) for g in inter.generators if not g.is_zero()]
-    if not down:
-        return IdealPresentation.zero_ideal(ring)
-    return IdealPresentation(ring, down)
+    return IdealPresentation(ideal.ring, _contract(rabinowitsch(ideal, f), ideal.ring, budget))

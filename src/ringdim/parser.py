@@ -46,6 +46,7 @@ from .fields import (
     QQ,
     RationalField,
     RationalFunctionField,
+    merged_function_field,
 )
 from .polynomials import Polynomial, PolynomialRing, format_polynomial
 
@@ -338,7 +339,7 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
         descriptor = FieldExtensionDescriptor(base, INF)
         return FieldExt(descriptor), None
     basis = tuple(f"s{i + 1}" for i in range(trdeg))
-    known = set(basis) | set(getattr(base, "function_variables", ()))
+    known = set(basis) | set(base.function_variables)
     symbols: list[str] = []
     for ast in minpoly_asts:
         fresh = [n for n in poly_ast_identifiers(ast) if n not in known and n not in symbols]
@@ -349,7 +350,7 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
                 open_tok.column,
             )
         symbols.append(fresh[0])
-    flat = _merged(base, basis)
+    flat = merged_function_field(base, basis) if basis else base
     ring = PolynomialRing(flat, tuple(symbols))
     minpolys = tuple(
         (name, poly_ast_to_polynomial(ast, ring)) for name, ast in zip(symbols, minpoly_asts)
@@ -359,14 +360,6 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
     except ValueError as exc:
         raise ParseError(str(exc), open_tok.line, open_tok.column) from None
     return FieldExt(descriptor), descriptor.ambient_ring
-
-
-def _merged(base: CoefficientField, extra: tuple[str, ...]) -> CoefficientField:
-    if not extra:
-        return base
-    if isinstance(base, RationalFunctionField):
-        return RationalFunctionField(base.base, base.variables + extra)
-    return RationalFunctionField(base, extra)
 
 
 def _field_chain(expr: RingExpr) -> list[CoefficientField]:

@@ -73,7 +73,7 @@ class PolynomialRing:
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate ring variables in {self.variables}")
-        function_vars = tuple(getattr(field, "function_variables", ()))
+        function_vars = field.function_variables
         clash = set(self.variables) & set(function_vars)
         if clash:
             raise ValueError(f"ring variables shadow coefficient-field variables: {sorted(clash)}")
@@ -130,6 +130,18 @@ class PolynomialRing:
 
     def extend(self, extra: Iterable[str]) -> "PolynomialRing":
         return PolynomialRing(self.field, self.variables + tuple(extra), unchecked=True)
+
+
+def fresh_variable(stem: str, ring: PolynomialRing, taken: Iterable[str] = ()) -> str:
+    """``stem``, or ``stem`` with the smallest positive integer suffix, that
+    names neither a variable of ``ring`` or of its coefficient field nor
+    anything in ``taken``."""
+    used = {*ring.variables, *ring.field.function_variables, *taken}
+    name, k = stem, 0
+    while name in used:
+        k += 1
+        name = f"{stem}{k}"
+    return name
 
 
 class Polynomial:
@@ -311,12 +323,17 @@ class Polynomial:
             result = result + factor.mul_term(ring.field.one, tuple(kept))
         return result
 
-    def map_to(self, target: PolynomialRing, var_map: Mapping[int, int], coeff_map=None) -> "Polynomial":
+    def map_to(self, target: PolynomialRing, var_map: Mapping[int, int] | None = None, coeff_map=None) -> "Polynomial":
         """Reinterpret in ``target``, sending variable i to var_map[i].
 
-        Every variable actually occurring must be mapped; coefficients pass
-        through ``coeff_map`` (identity when the fields agree).
+        Without ``var_map``, variable i goes to variable i of ``target``: the
+        embedding into a ring with variables appended, or back onto a prefix
+        of the variables.  Every variable actually occurring must be mapped;
+        coefficients pass through ``coeff_map`` (identity when the fields
+        agree).
         """
+        if var_map is None:
+            var_map = range(target.arity)  # i -> i, defined for i < target.arity
         out: dict = {}
         field = target.field
         for exps, c in self.terms.items():

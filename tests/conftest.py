@@ -4,7 +4,7 @@ import random
 
 from hypothesis import settings
 
-from ringdim import Polynomial, PolynomialRing
+from ringdim import IdealPresentation, Polynomial, PolynomialRing
 
 settings.register_profile("ci", max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -32,3 +32,10 @@ def random_polynomial(
         p = Polynomial(ring, terms)
         if not nonzero or not p.is_zero():
             return p
+
+
+def same_ideal(a: IdealPresentation, b: IdealPresentation) -> bool:
+    """Two ideals of one ring are equal exactly when their reduced Groebner
+    bases are."""
+    assert a.ring == b.ring
+    return a.groebner_basis() == b.groebner_basis()

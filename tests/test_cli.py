@@ -308,3 +308,87 @@ def test_deep_nesting_is_a_parse_error(capsys):
     assert report["status"] == "user-error"
     # Quot( is the first level, so the offending '(' is number MAX_NESTING of the run
     assert (report["error"]["line"], report["error"]["column"]) == (1, len(prefix) + MAX_NESTING)
+
+
+def test_ring_changes_avoid_coefficient_field_names(capsys):
+    # the tag, Rabinowitsch and independence-check variables must not reuse
+    # a name of the coefficient field or of the ring
+    code, report = run_cli(capsys, "dim", "Loc(Poly(FunField(Q; Y); x); x)")
+    assert code == EXIT_OK
+    assert report["result"]["dimension"] == {"kind": "exact", "value": 1}
+    assert report["result"]["kernel_presentation"]["variables"] == ["x", "Y1"]
+    code, report = run_cli(capsys, "quotient", "Quot(Poly(FunField(Q; tagvar); x,y); x*y)", "x")
+    assert (code, report["result"]["generators"]) == (EXIT_OK, ["y"])
+    code, report = run_cli(capsys, "nzd", "Quot(Poly(FunField(Q; tagvar); x,y); x*y)", "x")
+    assert (code, report["result"]["status"]) == (EXIT_OK, "zero-divisor")
+    code, report = run_cli(capsys, "saturate", "Quot(Poly(FunField(Q; satvar); x,y); x^2*y)", "x")
+    assert (code, report["result"]["generators"]) == (EXIT_OK, ["y"])
+    code, report = run_cli(capsys, "chain", "--witnesses", "indepvar0", "--fresh", "X1", "Poly(Q;indepvar0)")
+    assert code == EXIT_OK
+    assert report["result"]["lower_bound"] == 1
+    assert report["result"]["verification"] == dict.fromkeys(
+        ("strictness", "avoidance", "substitution_transfer", "evaluation_witness"), True
+    )
+
+
+def test_zero_relation_is_not_a_generator(capsys):
+    code, report = run_cli(capsys, "dim", "Quot(Poly(Q;x,y); x, 0)")
+    assert code == EXIT_OK
+    assert report["result"]["kernel_presentation"]["generators"] == ["x"]
+    _, report = run_cli(capsys, "dim", "Poly(Q;x,y)")
+    assert report["result"]["kernel_presentation"]["generators"] == ["0"]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[1, 2]", "certificate must be an object, not an array"),
+        ('{"variables": []}', "certificate has no 'field' key"),
+        ('{"field": "Q", "variables": "u"}', "certificate['variables'] must be an array, not a string"),
+        (
+            '{"field": "Q", "variables": [], "witness_variables": [], "witnesses": [], "links": [], '
+            '"evidence": [{"strictness_witness": null, "primality": {"kind": "asserted", "substitutions": [["u"]]}}]}',
+            "certificate['evidence'][0]['primality']['substitutions'][0] must have 2 entries, not 1",
+        ),
+    ],
+    ids=["list", "no-field", "mistyped-variables", "short-substitution"],
+)
+def test_verify_rejects_malformed_certificate(capsys, tmp_path, content, message):
+    path = tmp_path / "cert.json"
+    path.write_text(content)
+    code, report = run_cli(capsys, "verify", str(path))
+    assert code == EXIT_USER_ERROR
+    assert report["status"] == "user-error"
+    assert report["error"]["message"] == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dim"], "the following arguments are required: expression"),
+        (["dim", "Q", "--bogus"], "unrecognized arguments: --bogus"),
+        (["gb", "Quot(Poly(Q;x); x)", "--budget", "notanint"], "argument --budget: invalid int value: 'notanint'"),
+    ],
+    ids=["missing-expression", "unknown-flag", "bad-budget"],
+)
+def test_usage_error_for_a_known_verb_is_a_user_error_report(capsys, argv, message):
+    code, report = run_cli(capsys, *argv)
+    assert code == EXIT_USER_ERROR
+    assert (report["command"], report["status"]) == (argv[0], "user-error")
+    assert report["error"]["message"] == message
+    assert report["input"] == {"argv": argv}
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate", "Q"]], ids=["missing-verb", "unknown-verb"])
+def test_usage_error_without_a_verb_writes_no_report(capsys, argv):
+    assert cli.main(argv) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ringdim: error:" in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["dim", "--help"])
+    assert info.value.code == 0
+    assert "usage: ringdim dim" in capsys.readouterr().out

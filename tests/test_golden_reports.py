@@ -1,0 +1,109 @@
+"""Pinned CLI reports, byte for byte apart from ``timing_ms``.
+
+The cases are the README CLI examples, a few argvs of other verbs, and
+every ring-expression string literal in ``tests/`` run as ``dim``.  Each
+report is compared in canonical form (``timing_ms`` removed, keys sorted)
+against ``golden_reports.json``, so a refactor that changes any answer,
+trace, citation or error message fails here.
+
+Regenerate the data file with ``python tests/test_golden_reports.py`` from
+the repository root (with ``src`` on ``PYTHONPATH``), and review the diff.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import json
+import os
+import re
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from ringdim import cli
+
+TESTS_DIR = Path(__file__).resolve().parent
+GOLDEN_PATH = TESTS_DIR / "golden_reports.json"
+
+ARGVS = [
+    # README CLI examples (chain writes cert.json, which verify reads back)
+    ["dim", "Tensor(Ext(Q;1),Ext(Q;2),Ext(Q;4))"],
+    ["dim", "Loc(Quot(Poly(Q; x,y); x*y); x+y)"],
+    ["nzd", "Quot(Poly(Q;x,y); x*y)", "x"],
+    ["gb", "Quot(Poly(Q;x,y,z); x^2 - y, x^3 - z)", "--order", "lex"],
+    ["eliminate", "Quot(Poly(Q;t,x,y); x - t, y - t^2)", "--keep", "x,y"],
+    ["quotient", "Quot(Poly(Q;x,y); x*y)", "x"],
+    ["saturate", "Quot(Poly(Q;x,y); x^2*y)", "x"],
+    ["trdeg", "Quot(Poly(Q;x,y); y^2 - x^3)", "--assert-domain"],
+    ["chain", "--witnesses", "u", "--fresh", "X1", "Poly(Q;u)", "--out", "cert.json"],
+    ["verify", "cert.json"],
+    # ring changes next to names a construction might pick for itself
+    ["dim", "Loc(Poly(FunField(Q; Y); x); x)"],
+    ["quotient", "Quot(Poly(FunField(Q; tagvar); x,y); x*y)", "x"],
+    ["nzd", "Quot(Poly(FunField(Q; tagvar); x,y); x*y)", "x"],
+    ["saturate", "Quot(Poly(FunField(Q; satvar); x,y); x^2*y)", "x"],
+    ["chain", "--witnesses", "indepvar0", "--fresh", "X1", "Poly(Q;indepvar0)"],
+    ["dim", "Quot(Poly(Q;x,y); x, 0)"],
+    ["dim", "Poly(Loc(Quot(Poly(Q;x); x); x); z)"],
+    ["dim", "Tensor(Loc(Quot(Poly(Q;x); x); x), Poly(Q;y))"],
+]
+
+_RING_EXPR = re.compile(r"(Q|Fp\(|FunField\(|Ext\(|Poly\(|Quot\(|Loc\(|LocSub\(|Tensor\(|Frac\()")
+
+
+def ring_expression_literals() -> list[str]:
+    """Every string literal in the test modules that reads as a ring
+    expression, in sorted order."""
+    found = set()
+    for path in TESTS_DIR.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and _RING_EXPR.match(node.value):
+                found.add(node.value)
+    return sorted(found)
+
+
+def golden_argvs() -> list[list[str]]:
+    argvs = list(ARGVS)
+    argvs += [["dim", text] for text in ring_expression_literals() if ["dim", text] not in argvs]
+    return argvs
+
+
+def canonical_report(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(list(argv))
+    report = json.loads(out.getvalue())
+    del report["timing_ms"]
+    return code, json.dumps(report, sort_keys=True)
+
+
+def run_all(workdir: Path) -> list[dict]:
+    """Run every case in ``workdir`` (chain and verify share cert.json)."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        rows = []
+        for argv in golden_argvs():
+            code, text = canonical_report(argv)
+            rows.append({"argv": argv, "exit_code": code, "report": text})
+        return rows
+    finally:
+        os.chdir(cwd)
+
+
+def test_golden_reports(tmp_path):
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    actual = run_all(tmp_path)
+    assert [row["argv"] for row in actual] == [row["argv"] for row in expected]
+    for got, want in zip(actual, expected):
+        assert (got["exit_code"], got["report"]) == (want["exit_code"], want["report"]), got["argv"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = run_all(Path(tmp))
+    lines = ",\n".join(json.dumps(row) for row in rows)
+    GOLDEN_PATH.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {len(rows)} reports to {GOLDEN_PATH}")

@@ -21,14 +21,13 @@ from ringdim import (
     RationalFunctionField,
     buchberger,
     eliminate,
-    ideal_membership,
     ideal_quotient,
     normal_form,
     saturate,
 )
 from ringdim.polynomials import monomial_divides
 
-from conftest import random_polynomial
+from conftest import random_polynomial, same_ideal
 from test_orderings import block_oracle, grevlex_oracle, lex_oracle
 
 ELIMINATE_X = BlockElimination(frozenset({0}))
@@ -202,10 +201,10 @@ def test_normal_form_against_basis(rxyz):
 def test_membership_examples(rxyz, rxy):
     x, y, z = (rxyz.variable(i) for i in range(3))
     I = IdealPresentation(rxyz, [x**2 - y, x**3 - z])
-    assert ideal_membership(y**3 - z**2, I)
+    assert I.contains(y**3 - z**2)
     xx = rxy.variable("x")
-    assert ideal_membership(xx**2, IdealPresentation(rxy, [xx]))
-    assert ideal_membership(rxy.one(), IdealPresentation(rxy, [xx - rxy.one(), xx]))
+    assert IdealPresentation(rxy, [xx]).contains(xx**2)
+    assert IdealPresentation(rxy, [xx - rxy.one(), xx]).contains(rxy.one())
 
 
 def test_eliminate_parabola_parametrization():
@@ -217,13 +216,13 @@ def test_eliminate_parabola_parametrization():
     for g in out.generators:
         assert g.support() <= {1, 2}
         assert g.substitute({1: t, 2: t**2}).is_zero()
-    assert out.same_ideal(IdealPresentation(ring, [y - x**2]))
+    assert same_ideal(out, IdealPresentation(ring, [y - x**2]))
 
 
 def test_eliminate_keep_everything(rxy):
     x = rxy.variable("x")
     I = IdealPresentation(rxy, [x])
-    assert eliminate(I, ["x", "y"]).same_ideal(I)
+    assert same_ideal(eliminate(I, ["x", "y"]), I)
 
 
 def test_eliminate_hyperbola_has_no_pure_x_members():
@@ -238,17 +237,13 @@ def test_eliminate_identity_invariant(rxyz):
     for _ in range(10):
         gens = [random_polynomial(rng, rxyz, nonzero=True) for _ in range(2)]
         I = IdealPresentation(rxyz, gens)
-        assert eliminate(I, rxyz.variables).same_ideal(I)
+        assert same_ideal(eliminate(I, rxyz.variables), I)
 
 
 def test_quotient_monomial_examples(rxy):
     x, y = rxy.variable("x"), rxy.variable("y")
-    assert ideal_quotient(IdealPresentation(rxy, [x * y]), x).same_ideal(
-        IdealPresentation(rxy, [y])
-    )
-    assert ideal_quotient(IdealPresentation(rxy, [x**2]), x).same_ideal(
-        IdealPresentation(rxy, [x])
-    )
+    assert same_ideal(ideal_quotient(IdealPresentation(rxy, [x * y]), x), IdealPresentation(rxy, [y]))
+    assert same_ideal(ideal_quotient(IdealPresentation(rxy, [x**2]), x), IdealPresentation(rxy, [x]))
 
 
 def brute_force_colon_check(rxy):
@@ -271,17 +266,13 @@ def test_quotient_by_nonzerodivisor_is_identity(rxy):
     brute_force_colon_check(rxy)
     x, y = rxy.variable("x"), rxy.variable("y")
     I = IdealPresentation(rxy, [x * y])
-    assert ideal_quotient(I, x + y).same_ideal(I)
+    assert same_ideal(ideal_quotient(I, x + y), I)
 
 
 def test_saturation_examples(rxy):
     x, y = rxy.variable("x"), rxy.variable("y")
-    assert saturate(IdealPresentation(rxy, [x**2 * y]), x).same_ideal(
-        IdealPresentation(rxy, [y])
-    )
-    assert saturate(IdealPresentation(rxy, [x * y]), x + y).same_ideal(
-        IdealPresentation(rxy, [x * y])
-    )
+    assert same_ideal(saturate(IdealPresentation(rxy, [x**2 * y]), x), IdealPresentation(rxy, [y]))
+    assert same_ideal(saturate(IdealPresentation(rxy, [x * y]), x + y), IdealPresentation(rxy, [x * y]))
     assert saturate(IdealPresentation(rxy, [x]), x).is_unit_ideal()
 
 
@@ -296,8 +287,8 @@ def test_nzd_quotient_saturation_agree(field):
         I = IdealPresentation(ring, gens)
         if I.is_unit_ideal() or I.contains(f):
             continue
-        quotient_fixes = ideal_quotient(I, f).same_ideal(I)
-        saturation_fixes = saturate(I, f).same_ideal(I)
+        quotient_fixes = same_ideal(ideal_quotient(I, f), I)
+        saturation_fixes = same_ideal(saturate(I, f), I)
         assert quotient_fixes == saturation_fixes
         checked += 1
 

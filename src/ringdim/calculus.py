@@ -215,19 +215,23 @@ class TraceEntry:
 
 @dataclass
 class DimensionResult:
-    """A dimension with its derivation trace and optional kernel witness."""
+    """A dimension with its derivation trace and optional kernel witness.
+
+    ``cross_checks`` holds the ``(name, detail)`` pairs of the comparisons
+    the evaluation made and passed: ``exact-rules-agree`` when an exact rule
+    met an earlier exact value, ``upper-bound-consistent`` when an upper
+    bound met an exact value already held.  A failed comparison raises
+    instead, so every recorded check agreed."""
 
     value: DimensionValue
     trace: tuple[TraceEntry, ...]
     flattened: AffineAlgebra | None = None
-
-
-def _entry(rule: str, detail: str = "") -> TraceEntry:
-    return TraceEntry(rule, CITATIONS[rule], detail)
+    cross_checks: tuple[tuple[str, str], ...] = ()
 
 
 class _Claims:
-    """Accumulates rule outcomes; raises on contradiction when finishing."""
+    """Accumulates rule outcomes and the cross-checks between them; raises
+    on contradiction."""
 
     def __init__(self):
         self.lo = 0
@@ -236,9 +240,15 @@ class _Claims:
         self.exact_rule = None
         self.empty = False
         self.trace: list[TraceEntry] = []
+        self.checks: list[tuple[str, str]] = []
 
     def note(self, rule: str, detail: str = ""):
-        self.trace.append(_entry(rule, detail))
+        self.trace.append(TraceEntry(rule, CITATIONS[rule], detail))
+
+    def merge(self, sub: DimensionResult):
+        """Take over a sub-result's trace and the checks it made."""
+        self.trace.extend(sub.trace)
+        self.checks.extend(sub.cross_checks)
 
     def lower(self, v, rule: str, detail: str = ""):
         self.note(rule, detail)
@@ -247,18 +257,22 @@ class _Claims:
 
     def upper(self, v, rule: str, detail: str = ""):
         self.note(rule, detail)
+        if self.exact is not None:
+            self.checks.append(("upper-bound-consistent", f"{self.exact_rule} within {rule}"))
         if v < self.hi:
             self.hi = v
 
     def exactly(self, v, rule: str, detail: str = ""):
         self.note(rule, detail)
-        if self.exact is not None and self.exact != v:
-            raise InconsistentBoundsError(
-                f"rules {self.exact_rule} and {rule} disagree: {self.exact} vs {v}"
-            )
         if self.exact is None:
             self.exact = v
             self.exact_rule = rule
+        elif self.exact != v:
+            raise InconsistentBoundsError(
+                f"rules {self.exact_rule} and {rule} disagree: {self.exact} vs {v}"
+            )
+        else:
+            self.checks.append(("exact-rules-agree", f"{self.exact_rule} = {rule}"))
         if v > self.lo:
             self.lo = v
         if v < self.hi:
@@ -270,7 +284,7 @@ class _Claims:
 
     def finish(self, flattened: AffineAlgebra | None = None) -> DimensionResult:
         if self.empty:
-            return DimensionResult(DimensionValue.empty_ring(), tuple(self.trace), flattened)
+            return self.result(DimensionValue.empty_ring(), flattened)
         if self.lo > self.hi:
             raise InconsistentBoundsError(
                 f"lower bound {self.lo} exceeds upper bound {self.hi}; trace: "
@@ -280,7 +294,10 @@ class _Claims:
             value = DimensionValue.infinite() if isinstance(self.exact, Infinity) else DimensionValue.exact(self.exact)
         else:
             value = DimensionValue.interval(self.lo, self.hi)
-        return DimensionResult(value, tuple(self.trace), flattened)
+        return self.result(value, flattened)
+
+    def result(self, value: DimensionValue, flattened: AffineAlgebra | None = None) -> DimensionResult:
+        return DimensionResult(value, tuple(self.trace), flattened, tuple(self.checks))
 
 
 # -- structural helpers ----------------------------------------------------------
@@ -501,7 +518,7 @@ def _eval_poly_ext(expr: PolyExt, budget: Budget) -> DimensionResult:
     if sub.value.kind == "empty":
         claims.mark_empty(detail="polynomials over the zero ring")
         return claims.finish()
-    claims.trace.extend(sub.trace)
+    claims.merge(sub)
     claims.lower(sub.value.lo + n, RULE_POLY_EXT, f"chains extend by {n} across the new variables")
     if noetherian_flag(expr.base) and not isinstance(sub.value.hi, Infinity):
         claims.upper(sub.value.hi + n, RULE_POLY_EXT, "Noetherian-flagged base")
@@ -521,7 +538,7 @@ def _eval_quotient(expr: Quotient, budget: Budget) -> DimensionResult:
     if sub.value.kind == "empty":
         claims.mark_empty(detail="quotient of the zero ring")
         return claims.finish()
-    claims.trace.extend(sub.trace)
+    claims.merge(sub)
     claims.upper(sub.value.hi, RULE_QUOT_UB, "no kernel presentation available")
     return claims.finish()
 
@@ -534,7 +551,7 @@ def _eval_loc_element(expr: LocElement, budget: Budget) -> DimensionResult:
         if sub.value.kind == "empty":
             claims.mark_empty(detail="localizing the zero ring")
             return claims.finish()
-        claims.trace.extend(sub.trace)
+        claims.merge(sub)
         claims.upper(sub.value.hi, RULE_LOC_UB)
         return claims.finish()
     f = expr.element
@@ -561,7 +578,7 @@ def _eval_loc_subring(expr: LocSubringComplement, budget: Budget) -> DimensionRe
     if sub.value.kind == "empty":
         claims.mark_empty(detail="localizing the zero ring")
         return claims.finish()
-    claims.trace.extend(sub.trace)
+    claims.merge(sub)
     gens = expr.subring_generators
     if gens and all(g.is_constant() and not g.is_zero() for g in gens):
         # subring generated inside the coefficient field: S consists of units
@@ -584,7 +601,7 @@ def _eval_frac(expr: FracField, budget: Budget) -> DimensionResult:
     if sub.value.kind == "empty":
         claims.mark_empty(detail="the zero ring has no fraction field")
         return claims.finish()
-    claims.trace.extend(sub.trace)
+    claims.merge(sub)
     claims.upper(sub.value.hi, RULE_LOC_UB, "total quotient ring; domain not certified")
     return claims.finish()
 
@@ -598,8 +615,9 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
     if len(expr.legs) == 1:
         # a one-factor tensor over the base field is the factor itself
         inner = _eval(expr.legs[0], budget)
-        trace = inner.trace + (_entry(RULE_TENSOR_UNIT),)
-        return DimensionResult(inner.value, trace, inner.flattened)
+        claims.merge(inner)
+        claims.note(RULE_TENSOR_UNIT)
+        return claims.result(inner.value, inner.flattened)
 
     subfields = [contained_subfield_trdeg(leg, over) for leg in expr.legs]
     infinite_legs = sum(1 for t in subfields if isinstance(t, Infinity))
@@ -609,7 +627,7 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
             "two factors contain countably infinite independent families",
         )
         claims.note(RULE_FFLAT, "enlarging the transcendental leg keeps every finite lower bound")
-        return DimensionResult(DimensionValue.infinite(), tuple(claims.trace))
+        return claims.result(DimensionValue.infinite())
 
     # trdeg over the base of each leg that is itself a field (None otherwise)
     field_legs = [
@@ -658,7 +676,7 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
         if noetherian_flag(rest_expr):
             sub_t = contained_subfield_trdeg(rest_expr, over)
             inner = _eval(rest_expr, budget)
-            claims.trace.extend(inner.trace)
+            claims.merge(inner)
             if inner.value.kind == "empty":
                 claims.mark_empty()
                 return claims.finish()

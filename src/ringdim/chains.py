@@ -231,15 +231,13 @@ def verify_avoidance_by_evaluation(cert: ChainCertificate, budget: Budget | None
             image = g.substitute(substitution)
             if not base_top.contains(image, budget=budget):
                 return False
-    base_ring_names = ring.variables[:n_base]
-    base_ring = PolynomialRing(ring.field, base_ring_names, unchecked=True)
+    # the base prime and the witnesses must live downstairs, without the X_i
+    base_indices = set(range(n_base))
+    if not all(p.support() <= base_indices for p in (*base_top.generators, *cert.witnesses)):
+        return False
+    base_ring = PolynomialRing(ring.field, ring.variables[:n_base], unchecked=True)
     algebra = AffineAlgebra(IdealPresentation(base_ring, [g.map_to(base_ring) for g in base_top.generators]))
-    lowered = []
-    for t in cert.witnesses:
-        if not t.support() <= set(range(n_base)):
-            return False
-        lowered.append(t.map_to(base_ring))
-    return verify_algebraic_independence(algebra, lowered, budget)
+    return verify_algebraic_independence(algebra, [t.map_to(base_ring) for t in cert.witnesses], budget)
 
 
 def verify_substitution_transfer(cert: PrimalityCertificate, extended: IdealPresentation, budget: Budget | None = None) -> bool:
@@ -289,11 +287,15 @@ def verify_chain(cert: ChainCertificate, budget: Budget | None = None) -> dict[s
     return results
 
 
-def certified_lower_bound(cert: ChainCertificate, budget: Budget | None = None) -> int:
+def certified_lower_bound(
+    cert: ChainCertificate, budget: Budget | None = None, results: dict[str, bool] | None = None
+) -> int:
     """Length of a fully verified chain: a dimension lower bound for the
     ring localized at the polynomials in the adjoined variables.  Refuses
-    to emit a number if any verification step fails."""
-    results = verify_chain(cert, budget)
+    to emit a number if any verification step fails; ``results`` is
+    ``verify_chain``'s outcome on ``cert`` when the caller already has it."""
+    if results is None:
+        results = verify_chain(cert, budget)
     failed = [name for name, ok in results.items() if not ok]
     if failed:
         raise CertificateError(f"chain verification failed: {', '.join(failed)}")

@@ -1,8 +1,11 @@
 """Command-line interface and report emission.
 
 One verb per invocation; every run emits a single report (JSON by default)
-echoing the input, the result, the rule trace with citations, kernel
-cross-check outcomes, and timing.  Exit codes: 0 success, 1 user error,
+echoing the input, the result, the rule trace with citations, the
+cross-checks the computation actually made, and timing.  Every verb is one
+row of ``_VERBS`` (handler, help, positional arguments, verb-only flags);
+the argparse parser is built from that table once, at import, and reused by
+every ``main`` call.  Exit codes: 0 success, 1 user error,
 2 budget exhausted, 3 internal inconsistency (two rules disagreed, which
 can only mean a bug), 4 internal error (any other exception; the report
 still carries the exception type and message, with no partial result).
@@ -20,21 +23,15 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .calculus import (
     CITATIONS,
     BaseField,
-    DimensionResult,
     FieldExt,
     Quotient,
     RULE_DOMAIN_TRDEG,
-    RULE_FIBER,
-    RULE_KERNEL,
-    RULE_LOC_NZD,
-    RULE_LOC_POLY,
-    RULE_TENSOR_EQ,
-    RULE_TENSOR_UB,
-    RULE_TRDEG_SUM,
+    TraceEntry,
     evaluate,
     flatten_affine,
 )
@@ -57,7 +54,6 @@ from .dimension import (
 from .errors import (
     BudgetExhaustedError,
     CertificateError,
-    EmptyRingError,
     InconsistentBoundsError,
     ParseError,
 )
@@ -71,13 +67,12 @@ from .ideals import (
 )
 from .orderings import GREVLEX, LEX
 from .parser import (
-    ambient_ring_of,
     format_field,
     parse_field,
     parse_polynomial,
     parse_ring_expr,
 )
-from .polynomials import PolynomialRing, format_polynomial
+from .polynomials import Polynomial, PolynomialRing, format_polynomial
 
 SCHEMA_VERSION = "ringdim-report/2"
 
@@ -101,40 +96,13 @@ def dimension_to_json(value: DimensionValue) -> dict:
     return {"kind": "interval", "lo": value.lo, "hi": hi}
 
 
-def trace_to_json(result: DimensionResult) -> list[dict]:
-    return [
-        {"rule": e.rule, "citation": e.citation, "detail": e.detail}
-        for e in result.trace
-    ]
+def trace_to_json(trace) -> list[dict]:
+    return [{"rule": e.rule, "citation": e.citation, "detail": e.detail} for e in trace]
 
 
-_EXACT_RULES = (RULE_KERNEL, RULE_FIBER, RULE_LOC_POLY, RULE_LOC_NZD, RULE_TRDEG_SUM, RULE_TENSOR_EQ)
-
-
-def cross_checks_of(result: DimensionResult) -> list[dict]:
-    """Agreements the evaluation already enforced: if two exact rules appear
-    in one trace they were checked against each other, and an upper bound in
-    the presence of an exact value was checked for consistency."""
-    rules = [e.rule for e in result.trace]
-    exact_rules = [r for r in rules if r in _EXACT_RULES]
-    checks = []
-    if len(exact_rules) >= 2:
-        checks.append(
-            {
-                "name": "exact-rules-agree",
-                "status": "agree",
-                "detail": " = ".join(dict.fromkeys(exact_rules)),
-            }
-        )
-    if RULE_TENSOR_UB in rules and exact_rules:
-        checks.append(
-            {
-                "name": "upper-bound-consistent",
-                "status": "agree",
-                "detail": f"{exact_rules[0]} within {RULE_TENSOR_UB}",
-            }
-        )
-    return checks
+def cross_checks_to_json(checks) -> list[dict]:
+    """``(name, detail)`` pairs of comparisons that were made and agreed."""
+    return [{"name": name, "status": "agree", "detail": detail} for name, detail in checks]
 
 
 def generators_to_json(polys) -> list[str]:
@@ -279,12 +247,23 @@ def certificate_from_json(blob) -> ChainCertificate:
 
 
 # -- verb handlers ------------------------------------------------------------------
+#
+# A handler takes the parsed arguments and the budget and returns
+# (result, trace entries, passed cross-checks as (name, detail) pairs).
 
-def _order_from_name(name: str):
-    return {"grevlex": GREVLEX, "lex": LEX}[name]
+_ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
 
-def _require_quotient_payload(text: str) -> tuple[Quotient, AffineAlgebra]:
+class _Rejected(CertificateError):
+    """An answer that is also a user error: the report keeps the handler's
+    outcome next to the message."""
+
+    def __init__(self, message: str, outcome: tuple):
+        super().__init__(message)
+        self.outcome = outcome
+
+
+def _quotient_payload(text: str) -> tuple[Quotient, AffineAlgebra]:
     expr = parse_ring_expr(text)
     if not isinstance(expr, Quotient):
         raise ParseError("this command expects a Quot(...) payload")
@@ -294,121 +273,67 @@ def _require_quotient_payload(text: str) -> tuple[Quotient, AffineAlgebra]:
     return expr, flat
 
 
-def _element_in(text: str, expr_text: str):
-    ring = ambient_ring_of(expr_text)
-    if ring is None:
-        raise ParseError("no polynomial context for this expression")
-    return parse_polynomial(text, ring)
+def _payload_and_element(args) -> tuple[AffineAlgebra, Polynomial]:
+    """The Quot(...) payload and the element, read in the payload's ring."""
+    expr, flat = _quotient_payload(args.expression)
+    return flat, parse_polynomial(args.element, expr.relations[0].ring)
 
 
-def _cmd_dim(args, report: dict, budget: Budget):
-    expr = parse_ring_expr(args.expression)
-    result = evaluate(expr, budget)
-    report["result"] = {"dimension": dimension_to_json(result.value)}
+def _cmd_dim(args, budget: Budget):
+    result = evaluate(parse_ring_expr(args.expression), budget)
+    answer = {"dimension": dimension_to_json(result.value)}
     if result.flattened is not None:
-        report["result"]["kernel_presentation"] = {
+        answer["kernel_presentation"] = {
             "variables": list(result.flattened.ring.variables),
             "generators": generators_to_json(result.flattened.presentation.generators),
         }
-    report["trace"] = trace_to_json(result)
-    report["cross_checks"] = cross_checks_of(result)
+    return answer, result.trace, result.cross_checks
 
 
-def _cmd_gb(args, report: dict, budget: Budget):
-    _, flat = _require_quotient_payload(args.expression)
-    order = _order_from_name(args.order)
-    basis = flat.presentation.groebner_basis(order, budget)
-    report["result"] = {
-        "order": args.order,
-        "basis": generators_to_json(basis),
-    }
-    report["trace"] = [
-        {
-            "rule": "reduced-groebner-basis",
-            "citation": "Buchberger completion with both classic pair criteria",
-            "detail": f"{len(basis)} basis elements",
-        }
-    ]
+def _cmd_gb(args, budget: Budget):
+    _, flat = _quotient_payload(args.expression)
+    basis = flat.presentation.groebner_basis(_ORDERS[args.order], budget)
+    step = TraceEntry(
+        "reduced-groebner-basis", "Buchberger completion with both classic pair criteria", f"{len(basis)} basis elements"
+    )
+    return {"order": args.order, "basis": generators_to_json(basis)}, (step,), ()
 
 
-def _cmd_eliminate(args, report: dict, budget: Budget):
-    _, flat = _require_quotient_payload(args.expression)
+def _cmd_eliminate(args, budget: Budget):
+    _, flat = _quotient_payload(args.expression)
     keep = [name.strip() for name in args.keep.split(",") if name.strip()]
     result = eliminate_ideal(flat.presentation, keep, budget)
-    report["result"] = {
-        "keep": keep,
-        "generators": generators_to_json(result.generators),
-    }
-    report["trace"] = [
-        {
-            "rule": "block-elimination",
-            "citation": "elimination ideals via a block order over the discarded variables",
-            "detail": "",
-        }
-    ]
+    step = TraceEntry("block-elimination", "elimination ideals via a block order over the discarded variables")
+    return {"keep": keep, "generators": generators_to_json(result.generators)}, (step,), ()
 
 
-def _cmd_quotient(args, report: dict, budget: Budget):
-    _, flat = _require_quotient_payload(args.expression)
-    f = _element_in(args.element, args.expression)
+def _cmd_quotient(args, budget: Budget):
+    flat, f = _payload_and_element(args)
     result = ideal_quotient(flat.presentation, f, budget)
-    report["result"] = {"generators": generators_to_json(result.generators)}
-    report["trace"] = [
-        {
-            "rule": "ideal-quotient",
-            "citation": "tag-variable intersection divided by the element",
-            "detail": "",
-        }
-    ]
+    step = TraceEntry("ideal-quotient", "tag-variable intersection divided by the element")
+    return {"generators": generators_to_json(result.generators)}, (step,), ()
 
 
-def _cmd_saturate(args, report: dict, budget: Budget):
-    _, flat = _require_quotient_payload(args.expression)
-    f = _element_in(args.element, args.expression)
+def _cmd_saturate(args, budget: Budget):
+    flat, f = _payload_and_element(args)
     result = saturate_ideal(flat.presentation, f, budget)
-    report["result"] = {"generators": generators_to_json(result.generators)}
-    report["trace"] = [
-        {
-            "rule": "saturation",
-            "citation": "contraction of the Rabinowitsch ideal",
-            "detail": "",
-        }
-    ]
+    step = TraceEntry("saturation", "contraction of the Rabinowitsch ideal")
+    return {"generators": generators_to_json(result.generators)}, (step,), ()
 
 
-def _cmd_nzd(args, report: dict, budget: Budget):
-    _, flat = _require_quotient_payload(args.expression)
-    f = _element_in(args.element, args.expression)
-    status = zero_divisor_status(flat, f, budget)
-    report["result"] = {
-        "status": status.value,
-        "is_zero_divisor": status is not ZeroDivisorStatus.NON_ZERO_DIVISOR,
-    }
-    report["trace"] = [
-        {
-            "rule": "zero-divisor-test",
-            "citation": "f is a non-zero-divisor iff (I : f) = I",
-            "detail": status.value,
-        }
-    ]
+def _cmd_nzd(args, budget: Budget):
+    status = zero_divisor_status(*_payload_and_element(args), budget)
+    step = TraceEntry("zero-divisor-test", "f is a non-zero-divisor iff (I : f) = I", status.value)
+    answer = {"status": status.value, "is_zero_divisor": status is not ZeroDivisorStatus.NON_ZERO_DIVISOR}
+    return answer, (step,), ()
 
 
-def _cmd_trdeg(args, report: dict, budget: Budget):
+def _cmd_trdeg(args, budget: Budget):
     expr = parse_ring_expr(args.expression)
     if isinstance(expr, (BaseField, FieldExt)):
         t = expr.descriptor.trdeg if isinstance(expr, FieldExt) else 0
-        report["result"] = {
-            "trdeg": "inf" if isinstance(t, Infinity) else t,
-            "certificate": {"kind": "declared", "flagged": False},
-        }
-        report["trace"] = [
-            {
-                "rule": "declared-trdeg",
-                "citation": "transcendence degree read off the chosen basis",
-                "detail": "",
-            }
-        ]
-        return
+        answer = {"trdeg": "inf" if isinstance(t, Infinity) else t, "certificate": {"kind": "declared", "flagged": False}}
+        return answer, (TraceEntry("declared-trdeg", "transcendence degree read off the chosen basis"),), ()
     flat = flatten_affine(expr)
     if flat is None:
         raise ParseError("trdeg needs a field extension or an affine domain")
@@ -419,19 +344,12 @@ def _cmd_trdeg(args, report: dict, budget: Budget):
     else:
         raise ParseError("pass --assert-domain to certify the quotient is a domain")
     t = trdeg_affine_domain(flat, budget)
-    report["result"] = {"trdeg": t, "certificate": {"kind": cert_kind, "flagged": flagged}}
-    report["trace"] = [
-        {
-            "rule": RULE_DOMAIN_TRDEG,
-            "citation": CITATIONS[RULE_DOMAIN_TRDEG],
-            "detail": f"domain certificate: {cert_kind}",
-        }
-    ]
+    step = TraceEntry(RULE_DOMAIN_TRDEG, CITATIONS[RULE_DOMAIN_TRDEG], f"domain certificate: {cert_kind}")
+    return {"trdeg": t, "certificate": {"kind": cert_kind, "flagged": flagged}}, (step,), ()
 
 
-def _cmd_chain(args, report: dict, budget: Budget):
-    expr = parse_ring_expr(args.expression)
-    flat = flatten_affine(expr)
+def _cmd_chain(args, budget: Budget):
+    flat = flatten_affine(parse_ring_expr(args.expression))
     if flat is None:
         raise ParseError("chain needs an affine expression")
     ring = flat.ring
@@ -441,67 +359,77 @@ def _cmd_chain(args, report: dict, budget: Budget):
         base_cert = PrimalityCertificate("zero-ideal-in-domain")
     else:
         base_cert = PrimalityCertificate("asserted", note="algebra assumed to be a domain")
-    cert = build_chain(
-        flat,
-        [IdealPresentation.zero_ideal(ring)],
-        witnesses,
-        fresh,
-        [base_cert],
-        budget,
-    )
-    bound = certified_lower_bound(cert, budget)
+    cert = build_chain(flat, [IdealPresentation.zero_ideal(ring)], witnesses, fresh, [base_cert], budget)
     checks = verify_chain(cert, budget)
-    report["result"] = {
+    bound = certified_lower_bound(cert, budget, checks)
+    answer = {
         "certificate": certificate_to_json(cert),
         "lower_bound": bound,
         "verification": checks,
         "flagged_assumptions": [e.primality.kind for e in cert.evidence if e.primality.flagged],
     }
-    report["trace"] = [
-        {
-            "rule": "chain-lower-bound",
-            "citation": "explicit prime chain over the adjoined indeterminates",
-            "detail": f"{bound} strict verified steps",
-        }
-    ]
-    report["cross_checks"] = [
-        {"name": name, "status": "agree" if ok else "fail", "detail": ""}
-        for name, ok in checks.items()
-    ]
+    step = TraceEntry("chain-lower-bound", "explicit prime chain over the adjoined indeterminates", f"{bound} strict verified steps")
+    # certified_lower_bound refused unless every check passed
+    return answer, (step,), tuple((name, "") for name in checks)
 
 
-def _cmd_verify(args, report: dict, budget: Budget):
+def _cmd_verify(args, budget: Budget):
     with open(args.certificate, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    cert = certificate_from_json(blob)
+        cert = certificate_from_json(json.load(fh))
     checks = verify_chain(cert, budget)
     verified = all(checks.values())
-    report["result"] = {
-        "verified": verified,
-        "verification": checks,
-        "length": cert.length(),
-    }
-    report["trace"] = [
-        {
-            "rule": "chain-verification",
-            "citation": "normal-form re-check of strictness, avoidance, and substitution transfer",
-            "detail": "all steps pass" if verified else "at least one step fails",
-        }
-    ]
+    step = TraceEntry(
+        "chain-verification",
+        "normal-form re-check of strictness, avoidance, and substitution transfer",
+        "all steps pass" if verified else "at least one step fails",
+    )
+    outcome = {"verified": verified, "verification": checks, "length": cert.length()}, (step,), ()
     if not verified:
-        raise CertificateError("certificate failed verification")
+        raise _Rejected("certificate failed verification", outcome)
+    return outcome
 
 
-_HANDLERS = {
-    "dim": _cmd_dim,
-    "gb": _cmd_gb,
-    "eliminate": _cmd_eliminate,
-    "quotient": _cmd_quotient,
-    "saturate": _cmd_saturate,
-    "nzd": _cmd_nzd,
-    "trdeg": _cmd_trdeg,
-    "chain": _cmd_chain,
-    "verify": _cmd_verify,
+class _Verb(NamedTuple):
+    """One CLI verb: its handler, help line, positional arguments (name to
+    help text) and the flags only it takes (flag to argparse options)."""
+
+    run: Callable
+    help: str
+    positionals: dict
+    flags: dict = {}
+
+
+_EXPRESSION = {"expression": None}
+_EXPRESSION_AND_ELEMENT = {"expression": None, "element": None}
+
+_VERBS = {
+    "dim": _Verb(_cmd_dim, "dimension of a ring expression", _EXPRESSION),
+    "gb": _Verb(_cmd_gb, "reduced Groebner basis of a Quot(...) payload", _EXPRESSION),
+    "eliminate": _Verb(
+        _cmd_eliminate,
+        "elimination ideal of a Quot(...) payload",
+        _EXPRESSION,
+        {"--keep": {"required": True, "help": "comma-separated variables to keep"}},
+    ),
+    "quotient": _Verb(_cmd_quotient, "ideal quotient (I : f)", _EXPRESSION_AND_ELEMENT),
+    "saturate": _Verb(_cmd_saturate, "saturation (I : f^inf)", _EXPRESSION_AND_ELEMENT),
+    "nzd": _Verb(_cmd_nzd, "zero-divisor test for an element of a quotient", _EXPRESSION_AND_ELEMENT),
+    "trdeg": _Verb(
+        _cmd_trdeg,
+        "transcendence degree of a field extension or affine domain",
+        _EXPRESSION,
+        {"--assert-domain": {"action": "store_true"}},
+    ),
+    "chain": _Verb(
+        _cmd_chain,
+        "build and verify a prime-chain certificate",
+        _EXPRESSION,
+        {
+            "--witnesses": {"required": True, "help": "comma-separated elements of the algebra"},
+            "--fresh": {"required": True, "help": "comma-separated fresh variable names"},
+        },
+    ),
+    "verify": _Verb(_cmd_verify, "re-verify a serialized chain certificate", {"certificate": "path to a certificate JSON file"}),
 }
 
 
@@ -532,79 +460,41 @@ class _UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         verb = self.prog.split()[-1]
-        raise _UsageError(verb if verb in _HANDLERS else None, message)
+        raise _UsageError(verb if verb in _VERBS else None, message)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def _build_arg_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="ringdim",
         description="Exact Krull dimensions of affine algebras, localizations, and tensor products of field extensions.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
-        p.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for positional, text in verb.positionals.items():
+            p.add_argument(positional, help=text)
+        for flag, options in verb.flags.items():
+            p.add_argument(flag, **options)
+        p.add_argument("--order", choices=tuple(_ORDERS), default="grevlex")
         p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET, help="pair-reduction cap")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file as well")
-
-    p = sub.add_parser("dim", help="dimension of a ring expression")
-    p.add_argument("expression")
-    common(p)
-
-    p = sub.add_parser("gb", help="reduced Groebner basis of a Quot(...) payload")
-    p.add_argument("expression")
-    common(p)
-
-    p = sub.add_parser("eliminate", help="elimination ideal of a Quot(...) payload")
-    p.add_argument("expression")
-    p.add_argument("--keep", required=True, help="comma-separated variables to keep")
-    common(p)
-
-    p = sub.add_parser("quotient", help="ideal quotient (I : f)")
-    p.add_argument("expression")
-    p.add_argument("element")
-    common(p)
-
-    p = sub.add_parser("saturate", help="saturation (I : f^inf)")
-    p.add_argument("expression")
-    p.add_argument("element")
-    common(p)
-
-    p = sub.add_parser("nzd", help="zero-divisor test for an element of a quotient")
-    p.add_argument("expression")
-    p.add_argument("element")
-    common(p)
-
-    p = sub.add_parser("trdeg", help="transcendence degree of a field extension or affine domain")
-    p.add_argument("expression")
-    p.add_argument("--assert-domain", action="store_true")
-    common(p)
-
-    p = sub.add_parser("chain", help="build and verify a prime-chain certificate")
-    p.add_argument("expression")
-    p.add_argument("--witnesses", required=True, help="comma-separated elements of the algebra")
-    p.add_argument("--fresh", required=True, help="comma-separated fresh variable names")
-    common(p)
-
-    p = sub.add_parser("verify", help="re-verify a serialized chain certificate")
-    p.add_argument("certificate", help="path to a certificate JSON file")
-    common(p)
-
     return parser
+
+
+_PARSER = _build_arg_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_arg_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
+        args, extra = _PARSER.parse_known_args(argv)
         if extra:
             raise _UsageError(args.verb, f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as exc:
         if exc.verb is None:
-            parser.print_usage(sys.stderr)
-            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            _PARSER.print_usage(sys.stderr)
+            print(f"{_PARSER.prog}: error: {exc}", file=sys.stderr)
             return EXIT_USER_ERROR
         report = make_report(exc.verb, {"argv": argv}, time.perf_counter())
         report.update(status="user-error", error={"message": str(exc)})
@@ -614,16 +504,14 @@ def main(argv=None) -> int:
     echo = {"expression": getattr(args, "expression", getattr(args, "certificate", ""))}
     if getattr(args, "element", None):
         echo["element"] = args.element
-    echo["options"] = {
-        "order": getattr(args, "order", "grevlex"),
-        "budget": getattr(args, "budget", DEFAULT_PAIR_BUDGET),
-    }
+    echo["options"] = {"order": args.order, "budget": args.budget}
     report = make_report(args.verb, echo, started)
-    budget = Budget(limit=args.budget)
+    outcome = None
     exit_code = EXIT_OK
     try:
-        _HANDLERS[args.verb](args, report, budget)
-    except (ParseError, ValueError, EmptyRingError, CertificateError, OSError, KeyError, json.JSONDecodeError) as exc:
+        outcome = _VERBS[args.verb].run(args, Budget(limit=args.budget))
+    except (ValueError, OSError) as exc:
+        outcome = exc.outcome if isinstance(exc, _Rejected) else None
         report["status"] = "user-error"
         report["error"] = {"message": str(exc)}
         if isinstance(exc, ParseError):
@@ -639,9 +527,13 @@ def main(argv=None) -> int:
         report["error"] = {"message": str(exc)}
         exit_code = EXIT_INCONSISTENT
     except Exception as exc:  # last resort: a bug still yields one valid report
-        report.update(status="internal-error", result=None, trace=[], cross_checks=[])
+        report["status"] = "internal-error"
         report["error"] = {"message": f"{type(exc).__name__}: {exc}"}
         exit_code = EXIT_INTERNAL_ERROR
+    if outcome is not None:
+        report["result"], trace, checks = outcome
+        report["trace"] = trace_to_json(trace)
+        report["cross_checks"] = cross_checks_to_json(checks)
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     rendered = (
         json.dumps(report, indent=2, sort_keys=True)

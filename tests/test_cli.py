@@ -6,7 +6,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ringdim import cli
+from ringdim import chains, cli
+from ringdim.chains import verify_chain
 from ringdim.cli import (
     EXIT_BUDGET,
     EXIT_INCONSISTENT,
@@ -81,6 +82,33 @@ def test_verify_rejects_tampered_certificate(capsys, tmp_path):
     assert report["status"] == "user-error"
 
 
+def test_verify_reports_a_base_prime_over_the_adjoined_variables(capsys, tmp_path):
+    out = tmp_path / "cert.json"
+    run_cli(capsys, "chain", "--witnesses", "u", "--fresh", "X1", "Poly(Q;u)", "--out", str(out))
+    blob = json.loads(out.read_text())
+    blob["result"]["certificate"]["evidence"][1]["primality"]["base_prime"] = ["X1"]
+    out.write_text(json.dumps(blob))
+    code, report = run_cli(capsys, "verify", str(out))
+    assert code == EXIT_USER_ERROR
+    assert report["error"]["message"] == "certificate failed verification"
+    assert report["result"]["verification"]["evaluation_witness"] is False
+
+
+def test_chain_verifies_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_verify_chain(cert, budget=None):
+        calls.append(cert)
+        return verify_chain(cert, budget)
+
+    # patched where the CLI and certified_lower_bound would look it up
+    monkeypatch.setattr(cli, "verify_chain", counting_verify_chain)
+    monkeypatch.setattr(chains, "verify_chain", counting_verify_chain)
+    code, report = run_cli(capsys, "chain", "--witnesses", "u,v", "--fresh", "X1,X2", "Poly(Q;u,v)")
+    assert (code, report["result"]["lower_bound"]) == (EXIT_OK, 2)
+    assert len(calls) == 1
+
+
 def test_certificate_serialization_round_trip(capsys, tmp_path):
     out = tmp_path / "cert.json"
     run_cli(capsys, "chain", "--witnesses", "u,v", "--fresh", "X1,X2", "Poly(Q;u,v)", "--out", str(out))
@@ -98,6 +126,17 @@ def test_gb_command(capsys):
         "-y^2 + x*z",
         "y^3 - z^2",
     }
+
+
+def test_parser_reuse_keeps_no_options_between_calls(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    payload = "Quot(Poly(Q;x,y,z); x^2 - y, x^3 - z)"
+    code, report = run_cli(capsys, "gb", payload, "--order", "lex", "--out", str(out))
+    assert (code, report["result"]["order"]) == (EXIT_OK, "lex")
+    out.unlink()
+    code, report = run_cli(capsys, "gb", payload)
+    assert (code, report["result"]["order"], report["input"]["options"]["order"]) == (EXIT_OK, "grevlex", "grevlex")
+    assert not out.exists()
 
 
 def test_eliminate_command(capsys):
@@ -164,17 +203,21 @@ def test_exit_code_internal_inconsistency(capsys, monkeypatch):
 
 
 def test_exit_code_internal_error(capsys, monkeypatch):
-    def broken_dim(args, report, budget):
-        # a half-written exact answer must not survive into the report
-        report["result"] = {"dimension": {"kind": "exact", "value": 0}}
-        raise RuntimeError("bug injected for the exit-code fixture")
+    # no user input raises KeyError, so a stray one is a bug like any other
+    for error, message in (
+        (RuntimeError("bug injected for the exit-code fixture"), "RuntimeError: bug injected for the exit-code fixture"),
+        (KeyError("field"), "KeyError: 'field'"),
+    ):
 
-    monkeypatch.setitem(cli._HANDLERS, "dim", broken_dim)
-    code, report = run_cli(capsys, "dim", "Q")
-    assert code == EXIT_INTERNAL_ERROR
-    assert report["status"] == "internal-error"
-    assert report["result"] is None
-    assert report["error"]["message"] == "RuntimeError: bug injected for the exit-code fixture"
+        def broken_dim(args, budget):
+            raise error
+
+        monkeypatch.setitem(cli._VERBS, "dim", cli._VERBS["dim"]._replace(run=broken_dim))
+        code, report = run_cli(capsys, "dim", "Q")
+        assert code == EXIT_INTERNAL_ERROR
+        assert report["status"] == "internal-error"
+        assert (report["result"], report["trace"], report["cross_checks"]) == (None, [], [])
+        assert report["error"]["message"] == message
 
 
 def test_text_format(capsys):
@@ -187,7 +230,7 @@ def test_text_format(capsys):
 
 def test_schema_file_matches_validator_constants():
     assert SCHEMA["properties"]["schema_version"]["const"] == cli.SCHEMA_VERSION
-    assert set(SCHEMA["properties"]["command"]["enum"]) == set(cli._HANDLERS)
+    assert set(SCHEMA["properties"]["command"]["enum"]) == set(cli._VERBS)
     assert set(SCHEMA["required"]) == {
         "schema_version",
         "command",
@@ -217,6 +260,11 @@ def test_dim_cross_checks_recorded(capsys):
     _, report = run_cli(capsys, "dim", "Loc(Quot(Poly(Q; x,y); x*y); x + y)")
     names = [c["name"] for c in report["cross_checks"]]
     assert "exact-rules-agree" in names
+    # the kernel value 1 belongs to the Poly leg, the equality rule gives 2:
+    # the two were never compared, so no agreement may be reported
+    _, report = run_cli(capsys, "dim", "Tensor(Ext(Q; 1), Poly(FunField(Q; u); y))")
+    assert report["result"]["dimension"] == {"kind": "exact", "value": 2}
+    assert "exact-rules-agree" not in [c["name"] for c in report["cross_checks"]]
 
 
 def test_dim_locsub_and_frac(capsys):

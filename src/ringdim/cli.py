@@ -97,7 +97,10 @@ def dimension_to_json(value: DimensionValue) -> dict:
 
 
 def trace_to_json(trace) -> list[dict]:
-    return [{"rule": e.rule, "citation": e.citation, "detail": e.detail} for e in trace]
+    return [
+        {"rule": e.rule, "citation": e.citation, "detail": e.detail}
+        for e in trace
+    ]
 
 
 def cross_checks_to_json(checks) -> list[dict]:
@@ -280,7 +283,8 @@ def _payload_and_element(args) -> tuple[AffineAlgebra, Polynomial]:
 
 
 def _cmd_dim(args, budget: Budget):
-    result = evaluate(parse_ring_expr(args.expression), budget)
+    expr = parse_ring_expr(args.expression)
+    result = evaluate(expr, budget)
     answer = {"dimension": dimension_to_json(result.value)}
     if result.flattened is not None:
         answer["kernel_presentation"] = {
@@ -294,9 +298,15 @@ def _cmd_gb(args, budget: Budget):
     _, flat = _quotient_payload(args.expression)
     basis = flat.presentation.groebner_basis(_ORDERS[args.order], budget)
     step = TraceEntry(
-        "reduced-groebner-basis", "Buchberger completion with both classic pair criteria", f"{len(basis)} basis elements"
+        "reduced-groebner-basis",
+        "Buchberger completion with both classic pair criteria",
+        f"{len(basis)} basis elements",
     )
-    return {"order": args.order, "basis": generators_to_json(basis)}, (step,), ()
+    answer = {
+        "order": args.order,
+        "basis": generators_to_json(basis),
+    }
+    return answer, (step,), ()
 
 
 def _cmd_eliminate(args, budget: Budget):
@@ -304,7 +314,11 @@ def _cmd_eliminate(args, budget: Budget):
     keep = [name.strip() for name in args.keep.split(",") if name.strip()]
     result = eliminate_ideal(flat.presentation, keep, budget)
     step = TraceEntry("block-elimination", "elimination ideals via a block order over the discarded variables")
-    return {"keep": keep, "generators": generators_to_json(result.generators)}, (step,), ()
+    answer = {
+        "keep": keep,
+        "generators": generators_to_json(result.generators),
+    }
+    return answer, (step,), ()
 
 
 def _cmd_quotient(args, budget: Budget):
@@ -324,7 +338,10 @@ def _cmd_saturate(args, budget: Budget):
 def _cmd_nzd(args, budget: Budget):
     status = zero_divisor_status(*_payload_and_element(args), budget)
     step = TraceEntry("zero-divisor-test", "f is a non-zero-divisor iff (I : f) = I", status.value)
-    answer = {"status": status.value, "is_zero_divisor": status is not ZeroDivisorStatus.NON_ZERO_DIVISOR}
+    answer = {
+        "status": status.value,
+        "is_zero_divisor": status is not ZeroDivisorStatus.NON_ZERO_DIVISOR,
+    }
     return answer, (step,), ()
 
 
@@ -332,7 +349,10 @@ def _cmd_trdeg(args, budget: Budget):
     expr = parse_ring_expr(args.expression)
     if isinstance(expr, (BaseField, FieldExt)):
         t = expr.descriptor.trdeg if isinstance(expr, FieldExt) else 0
-        answer = {"trdeg": "inf" if isinstance(t, Infinity) else t, "certificate": {"kind": "declared", "flagged": False}}
+        answer = {
+            "trdeg": "inf" if isinstance(t, Infinity) else t,
+            "certificate": {"kind": "declared", "flagged": False},
+        }
         return answer, (TraceEntry("declared-trdeg", "transcendence degree read off the chosen basis"),), ()
     flat = flatten_affine(expr)
     if flat is None:
@@ -349,7 +369,8 @@ def _cmd_trdeg(args, budget: Budget):
 
 
 def _cmd_chain(args, budget: Budget):
-    flat = flatten_affine(parse_ring_expr(args.expression))
+    expr = parse_ring_expr(args.expression)
+    flat = flatten_affine(expr)
     if flat is None:
         raise ParseError("chain needs an affine expression")
     ring = flat.ring
@@ -359,7 +380,14 @@ def _cmd_chain(args, budget: Budget):
         base_cert = PrimalityCertificate("zero-ideal-in-domain")
     else:
         base_cert = PrimalityCertificate("asserted", note="algebra assumed to be a domain")
-    cert = build_chain(flat, [IdealPresentation.zero_ideal(ring)], witnesses, fresh, [base_cert], budget)
+    cert = build_chain(
+        flat,
+        [IdealPresentation.zero_ideal(ring)],
+        witnesses,
+        fresh,
+        [base_cert],
+        budget,
+    )
     checks = verify_chain(cert, budget)
     bound = certified_lower_bound(cert, budget, checks)
     answer = {
@@ -368,14 +396,19 @@ def _cmd_chain(args, budget: Budget):
         "verification": checks,
         "flagged_assumptions": [e.primality.kind for e in cert.evidence if e.primality.flagged],
     }
-    step = TraceEntry("chain-lower-bound", "explicit prime chain over the adjoined indeterminates", f"{bound} strict verified steps")
+    step = TraceEntry(
+        "chain-lower-bound",
+        "explicit prime chain over the adjoined indeterminates",
+        f"{bound} strict verified steps",
+    )
     # certified_lower_bound refused unless every check passed
     return answer, (step,), tuple((name, "") for name in checks)
 
 
 def _cmd_verify(args, budget: Budget):
     with open(args.certificate, "r", encoding="utf-8") as fh:
-        cert = certificate_from_json(json.load(fh))
+        blob = json.load(fh)
+    cert = certificate_from_json(blob)
     checks = verify_chain(cert, budget)
     verified = all(checks.values())
     step = TraceEntry(
@@ -383,7 +416,12 @@ def _cmd_verify(args, budget: Budget):
         "normal-form re-check of strictness, avoidance, and substitution transfer",
         "all steps pass" if verified else "at least one step fails",
     )
-    outcome = {"verified": verified, "verification": checks, "length": cert.length()}, (step,), ()
+    answer = {
+        "verified": verified,
+        "verification": checks,
+        "length": cert.length(),
+    }
+    outcome = answer, (step,), ()
     if not verified:
         raise _Rejected("certificate failed verification", outcome)
     return outcome
@@ -429,7 +467,11 @@ _VERBS = {
             "--fresh": {"required": True, "help": "comma-separated fresh variable names"},
         },
     ),
-    "verify": _Verb(_cmd_verify, "re-verify a serialized chain certificate", {"certificate": "path to a certificate JSON file"}),
+    "verify": _Verb(
+        _cmd_verify,
+        "re-verify a serialized chain certificate",
+        {"certificate": "path to a certificate JSON file"},
+    ),
 }
 
 
@@ -504,7 +546,10 @@ def main(argv=None) -> int:
     echo = {"expression": getattr(args, "expression", getattr(args, "certificate", ""))}
     if getattr(args, "element", None):
         echo["element"] = args.element
-    echo["options"] = {"order": args.order, "budget": args.budget}
+    echo["options"] = {
+        "order": args.order,
+        "budget": args.budget,
+    }
     report = make_report(args.verb, echo, started)
     outcome = None
     exit_code = EXIT_OK

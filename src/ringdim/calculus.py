@@ -219,9 +219,9 @@ class DimensionResult:
 
     ``cross_checks`` holds the ``(name, detail)`` pairs of the comparisons
     the evaluation made and passed: ``exact-rules-agree`` when an exact rule
-    met an earlier exact value, ``upper-bound-consistent`` when an upper
-    bound met an exact value already held.  A failed comparison raises
-    instead, so every recorded check agreed."""
+    met an earlier exact value, ``upper-bound-consistent`` for each upper
+    bound the exact value was checked against, whichever was found first.
+    A failed comparison raises instead, so every recorded check agreed."""
 
     value: DimensionValue
     trace: tuple[TraceEntry, ...]
@@ -238,6 +238,7 @@ class _Claims:
         self.hi = INF
         self.exact = None
         self.exact_rule = None
+        self.upper_rules: list[str] = []
         self.empty = False
         self.trace: list[TraceEntry] = []
         self.checks: list[tuple[str, str]] = []
@@ -257,8 +258,7 @@ class _Claims:
 
     def upper(self, v, rule: str, detail: str = ""):
         self.note(rule, detail)
-        if self.exact is not None:
-            self.checks.append(("upper-bound-consistent", f"{self.exact_rule} within {rule}"))
+        self.upper_rules.append(rule)
         if v < self.hi:
             self.hi = v
 
@@ -291,6 +291,8 @@ class _Claims:
                 + "; ".join(e.rule for e in self.trace)
             )
         if self.exact is not None:
+            # the exact value sits in lo and passed the comparison above
+            self.checks.extend(("upper-bound-consistent", f"{self.exact_rule} within {rule}") for rule in self.upper_rules)
             value = DimensionValue.infinite() if isinstance(self.exact, Infinity) else DimensionValue.exact(self.exact)
         else:
             value = DimensionValue.interval(self.lo, self.hi)

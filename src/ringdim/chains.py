@@ -287,15 +287,11 @@ def verify_chain(cert: ChainCertificate, budget: Budget | None = None) -> dict[s
     return results
 
 
-def certified_lower_bound(
-    cert: ChainCertificate, budget: Budget | None = None, results: dict[str, bool] | None = None
-) -> int:
+def certified_lower_bound(cert: ChainCertificate, budget: Budget | None = None) -> int:
     """Length of a fully verified chain: a dimension lower bound for the
     ring localized at the polynomials in the adjoined variables.  Refuses
-    to emit a number if any verification step fails; ``results`` is
-    ``verify_chain``'s outcome on ``cert`` when the caller already has it."""
-    if results is None:
-        results = verify_chain(cert, budget)
+    to emit a number if any verification step fails."""
+    results = verify_chain(cert, budget)
     failed = [name for name, ok in results.items() if not ok]
     if failed:
         raise CertificateError(f"chain verification failed: {', '.join(failed)}")

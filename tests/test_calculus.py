@@ -351,6 +351,21 @@ def test_claims_detect_contradictions():
         claims2.finish()
 
 
+def test_claims_record_upper_bound_check_in_either_order():
+    expected = (("upper-bound-consistent", f"{RULE_KERNEL} within {RULE_TENSOR_UB}"),)
+    exact_first = _Claims()
+    exact_first.exactly(1, RULE_KERNEL)
+    exact_first.upper(2, RULE_TENSOR_UB)
+    upper_first = _Claims()
+    upper_first.upper(2, RULE_TENSOR_UB)
+    upper_first.exactly(1, RULE_KERNEL)
+    assert exact_first.finish().cross_checks == upper_first.finish().cross_checks == expected
+    bounds_only = _Claims()
+    bounds_only.lower(1, RULE_TENSOR_LB)
+    bounds_only.upper(2, RULE_TENSOR_UB)
+    assert bounds_only.finish().cross_checks == ()
+
+
 def test_tensor_infinite_applicability():
     # the countable rule needs two infinite families, one per factor
     r = evaluate(parse_ring_expr("Tensor(Ext(Q; inf), Ext(Q; 3))"))

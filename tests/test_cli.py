@@ -101,7 +101,7 @@ def test_chain_verifies_once(capsys, monkeypatch):
         calls.append(cert)
         return verify_chain(cert, budget)
 
-    # patched where the CLI and certified_lower_bound would look it up
+    # patched in both modules, so a call through certified_lower_bound counts too
     monkeypatch.setattr(cli, "verify_chain", counting_verify_chain)
     monkeypatch.setattr(chains, "verify_chain", counting_verify_chain)
     code, report = run_cli(capsys, "chain", "--witnesses", "u,v", "--fresh", "X1,X2", "Poly(Q;u,v)")
@@ -265,6 +265,9 @@ def test_dim_cross_checks_recorded(capsys):
     _, report = run_cli(capsys, "dim", "Tensor(Ext(Q; 1), Poly(FunField(Q; u); y))")
     assert report["result"]["dimension"] == {"kind": "exact", "value": 2}
     assert "exact-rules-agree" not in [c["name"] for c in report["cross_checks"]]
+    # the equality met the upper bound found before it, and that is recorded
+    assert {"name": "upper-bound-consistent", "detail": "tensor-trdeg-equality within tensor-upper-bound",
+            "status": "agree"} in report["cross_checks"]
 
 
 def test_dim_locsub_and_frac(capsys):

@@ -81,7 +81,6 @@ from .ideals import (
     eliminate,
     ideal_quotient,
     normal_form,
-    s_polynomial,
     saturate,
 )
 from .orderings import GREVLEX, LEX, BlockElimination, GrevLex, Lex, compare

@@ -6,31 +6,38 @@ selection, divisor order in reductions, and the final basis sort all follow
 fixed canonical orders so reruns are bit-identical and certificates can be
 re-checked externally.
 
-Speed comes from the reduction loop, not from changing the algorithm:
-``normal_form`` keeps the unreduced part as a dict plus a heap of its
-monomials under the order's ``descending_key`` (heap division, after
-Monagan & Pearce), screens divisors by support mask and degree before the
-exact divisibility test, and subtracts only the tail of each divisor
-multiple.  The divisor rule and every intermediate basis are those of the
-textbook loop.
+Speed comes from the representation and the reduction loop, not from
+changing the algorithm.  ``buchberger`` packs every monomial into one int
+(``orderings.PackedMonomials``: fixed-width fields with a guard bit each),
+so comparing monomials is int comparison, multiplying them is ``+`` and a
+divisibility test is one subtraction and one ``&``.  Division keeps the
+unreduced part as a dict plus a heap of its monomials (heap division,
+after Monagan & Pearce), subtracts only the tail of each divisor multiple,
+and over F_p does its coefficient arithmetic inline.  The starting width
+fits the inputs; a run that creates a monomial too wide for it starts
+again at twice the width, so no answer depends on the width.  The divisor
+rule, the pairs reduced and every intermediate basis are those of the
+textbook loop on exponent tuples.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, itemgetter, le, sub
+from heapq import heapify, heappop, heappush
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, RingMismatchError, ZeroPolynomialError
-from .orderings import GREVLEX, MonomialOrder
+from .fields import PrimeField
+from .orderings import GREVLEX, MonomialOrder, PackedMonomials, WidthOverflow
 from .polynomials import (
     Polynomial,
     PolynomialRing,
     exact_divide,
     fresh_variable,
     monomial_degree,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
@@ -52,96 +59,226 @@ class Budget:
             raise BudgetExhaustedError(self.used, self.limit)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf, cf = f.leading(order)
-    lg, cg = g.leading(order)
-    lcm = monomial_lcm(lf, lg)
-    field = f.ring.field
-    left = f.mul_term(field.inv(cf), monomial_div(lcm, lf))
-    right = g.mul_term(field.inv(cg), monomial_div(lcm, lg))
-    return left - right
+class _Kernel:
+    """Division on packed polynomials: dicts {packed monomial: coefficient}.
+
+    One kernel serves one run at one width.  Over ``PrimeField`` the
+    coefficient arithmetic is inline ints modulo p; every other field goes
+    through the field's methods.
+    """
+
+    __slots__ = ("field", "packing", "guard", "p")
+
+    def __init__(self, field, packing: PackedMonomials):
+        self.field = field
+        self.packing = packing
+        self.guard = packing.guard
+        self.p = field.p if isinstance(field, PrimeField) else None
+
+    def pack(self, f: Polynomial) -> dict:
+        pack = self.packing.pack
+        return {pack(m): c for m, c in f.terms.items()}
+
+    def unpack(self, ring: PolynomialRing, terms: dict) -> Polynomial:
+        unpack = self.packing.unpack
+        return Polynomial._raw(ring, {unpack(m): c for m, c in terms.items()})
+
+    def sort_key(self, terms: dict):
+        """``Polynomial.sort_key`` of the unpacked polynomial."""
+        unpack, key = self.packing.unpack, self.field.element_key
+        return tuple(sorted((unpack(m), key(c)) for m, c in terms.items()))
+
+    def monic(self, terms: dict) -> dict:
+        field = self.field
+        lc = terms[max(terms)]
+        if field.is_one(lc):
+            return terms
+        inv = field.inv(lc)
+        return {m: field.mul(inv, c) for m, c in terms.items()}
+
+    def divisor(self, terms: dict) -> tuple:
+        """(leading monomial, multiplier, tail) of a nonzero polynomial.
+
+        The multiplier turns a coefficient c into the quotient that cancels
+        it: over F_p, c * multiplier % p with multiplier = -1/lc; otherwise
+        -(c / lc), with None standing for lc = 1."""
+        lm = max(terms)
+        lc = terms[lm]
+        tail = [(m, c) for m, c in terms.items() if m != lm]
+        if self.p is not None:
+            return lm, -self.field.inv(lc) % self.p, tail
+        return lm, None if self.field.is_one(lc) else lc, tail
+
+    def s_polynomial(self, f: tuple, g: tuple, lcm: int) -> dict:
+        """S-polynomial of two monic divisors whose leading monomials
+        divide ``lcm``: the difference of their shifted tails."""
+        field = self.field
+        rest = {}
+        shift = lcm - f[0]
+        for m, c in f[2]:
+            rest[m + shift] = c
+        shift = lcm - g[0]
+        for m, c in g[2]:
+            t = m + shift
+            old = rest.get(t)
+            if old is None:
+                rest[t] = field.neg(c)
+            else:
+                total = field.add(old, field.neg(c))
+                if field.is_zero(total):
+                    del rest[t]
+                else:
+                    rest[t] = total
+        return rest
+
+    def reduce(self, rest: dict, divisors: Sequence[tuple]) -> dict:
+        """Remainder of ``rest`` (consumed) under ``divisors``, taken in the
+        given order: the first whose leading monomial divides the largest
+        unreduced monomial reduces it.  ``divisors`` is in descending
+        leading-monomial order, so the scan starts at the first leading
+        monomial not above the popped one.
+
+        Heap division (Monagan & Pearce): the unreduced part is a dict with
+        a heap of its negated monomials, so each step pops the largest one
+        and nothing is rescanned.  A monomial whose coefficient cancels
+        stays in the heap and is skipped when popped.  Only the tail of
+        q*m*g is added, since its leading term cancels the popped term.
+
+        Every monomial put into ``rest``, here or by ``s_polynomial``, is
+        the sum of two that fit the width: that can set a guard bit but not
+        carry past it.  So checking each popped monomial, before it is used
+        as a shift or kept, catches every overflow in one place.
+        """
+        guard = self.guard
+        keys = [-lm for lm, _, _ in divisors]  # ascending
+        heap = [-m for m in rest]
+        heapify(heap)
+        remainder = {}
+        if self.p is not None:
+            p = self.p
+            while heap:
+                m = -heappop(heap)
+                if m & guard:
+                    raise WidthOverflow(self.packing.width)
+                c = rest.pop(m, None)
+                if c is None:
+                    continue  # cancelled after it was pushed
+                for lm, scale, tail in islice(divisors, bisect_left(keys, -m), None):
+                    if not (m - lm) & guard:
+                        break
+                else:
+                    remainder[m] = c
+                    continue
+                q = c * scale % p
+                shift = m - lm
+                for gm, gc in tail:
+                    t = gm + shift
+                    old = rest.get(t)
+                    if old is None:
+                        rest[t] = q * gc % p
+                        heappush(heap, -t)
+                    else:
+                        total = (old + q * gc) % p
+                        if total:
+                            rest[t] = total
+                        else:
+                            del rest[t]
+            return remainder
+        field = self.field
+        cadd, cmul, is_zero = field.add, field.mul, field.is_zero
+        while heap:
+            m = -heappop(heap)
+            if m & guard:
+                raise WidthOverflow(self.packing.width)
+            c = rest.pop(m, None)
+            if c is None:
+                continue
+            for lm, lc, tail in islice(divisors, bisect_left(keys, -m), None):
+                if not (m - lm) & guard:
+                    break
+            else:
+                remainder[m] = c
+                continue
+            q = field.neg(c if lc is None else field.div(c, lc))
+            shift = m - lm
+            for gm, gc in tail:
+                t = gm + shift
+                prod = cmul(q, gc)
+                old = rest.get(t)
+                if old is None:
+                    rest[t] = prod
+                    heappush(heap, -t)
+                else:
+                    total = cadd(old, prod)
+                    if is_zero(total):
+                        del rest[t]
+                    else:
+                        rest[t] = total
+        return remainder
+
+    def divisors(self, polys: Iterable[dict]) -> list[tuple]:
+        """Divisor records in descending leading-monomial order, ties in the
+        given order."""
+        return sorted(map(self.divisor, polys), key=itemgetter(0), reverse=True)
+
+
+def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budget | None = None):
+    """``run(kernel)`` on a kernel whose field width fits every exponent of
+    ``polys`` with a guard bit to spare (at least 16 bits).  When a run
+    creates a monomial that outgrows the width, it starts again at twice
+    the width with ``budget.used`` as it was, so the outcome does not
+    depend on the width."""
+    ring = polys[0].ring
+    degree = max((p.total_degree() for p in polys if p), default=0)
+    width = max(16, degree.bit_length() + 1)
+    used = budget.used if budget is not None else 0
+    while True:
+        try:
+            return run(_Kernel(ring.field, PackedMonomials(order, ring.arity, width)))
+        except WidthOverflow:
+            if budget is not None:
+                budget.used = used
+            width *= 2
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     """Fully reduce f modulo basis: no term of the result is divisible by
     any basis leading term.
 
-    Divisors are tried by leading term, descending, so the result is
-    deterministic for a fixed basis.
-
-    The unreduced part lives in a dict with a heap of its monomials
-    (Monagan & Pearce's heap division): each step pops the largest
-    monomial, so the remainder is never rescanned or rebuilt.  A monomial
-    whose coefficient cancels stays in the heap and is skipped when popped.
-    Only the tail of q*m*g is subtracted, since its leading term cancels the
-    popped term exactly.
+    Divisors are tried by leading term, descending (ties in basis order),
+    so the result is deterministic for a fixed basis.  The polynomials are
+    packed, divided by the kernel ``buchberger`` uses, and the remainder is
+    unpacked.
     """
     ring = f.ring
-    field = ring.field
-    key = order.descending_key
-    divisors = []
     for g in basis:
         if g.ring != ring:
             raise RingMismatchError("basis element in a different ring")
-        lm, lc = g.leading(order)
-        divisors.append((key(lm), lm, None if field.is_one(lc) else lc, _support_mask(lm), sum(lm), g.terms))
-    divisors.sort(key=itemgetter(0))
-    cadd, cmul, is_zero = field.add, field.mul, field.is_zero
-    rest = dict(f.terms)
-    heap = [(key(m), m) for m in rest]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = rest.pop(m, None)
-        if c is None:
-            continue  # cancelled after it was pushed
-        mask, degree = _support_mask(m), sum(m)
-        for _, lm, lc, lmask, ldegree, terms in divisors:
-            if ldegree <= degree and not lmask & ~mask and all(map(le, lm, m)):
-                break
-        else:
-            remainder[m] = c
-            continue
-        q = field.neg(c if lc is None else field.div(c, lc))
-        shift = tuple(map(sub, m, lm))
-        for gm, gc in terms.items():
-            if gm == lm:
-                continue
-            t = tuple(map(add, gm, shift))
-            prod = cmul(q, gc)
-            old = rest.get(t)
-            if old is None:
-                rest[t] = prod
-                heapq.heappush(heap, (key(t), t))
-            else:
-                total = cadd(old, prod)
-                if is_zero(total):
-                    del rest[t]
-                else:
-                    rest[t] = total
-    return Polynomial._raw(ring, remainder)
+        if g.is_zero():
+            raise ZeroPolynomialError("zero polynomial has no leading term")
+
+    def run(kernel: _Kernel) -> Polynomial:
+        divisors = kernel.divisors(kernel.pack(g) for g in basis)
+        return kernel.unpack(ring, kernel.reduce(kernel.pack(f), divisors))
+
+    return _packed([f, *basis], order, run)
 
 
-def _support_mask(m: tuple[int, ...]) -> int:
-    return sum(1 << i for i, e in enumerate(m) if e)
-
-
-def _inter_reduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    current = sorted((p for p in polys if not p.is_zero()), key=Polynomial.sort_key)
+def _inter_reduce(kernel: _Kernel, polys: list[dict]) -> list[dict]:
+    current = sorted(polys, key=kernel.sort_key)
     while True:
         changed = False
-        result: list[Polynomial] = []
+        result: list[dict] = []
         for i, p in enumerate(current):
             others = result + current[i + 1:]
-            r = normal_form(p, others, order) if others else p
+            r = kernel.reduce(dict(p), kernel.divisors(others)) if others else p
             if r != p:
                 changed = True
-            if not r.is_zero():
-                result.append(r.monic(order))
+            if r:
+                result.append(kernel.monic(r))
         if not changed:
             return result
-        current = sorted(result, key=Polynomial.sort_key)
+        current = sorted(result, key=kernel.sort_key)
 
 
 def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: Budget | None = None) -> tuple[Polynomial, ...]:
@@ -149,12 +286,32 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
 
     Normal selection strategy (smallest lcm degree first) with both classic
     pair criteria; the zero ideal yields the empty basis.
+
+    The generators are packed once (``PackedMonomials``, at the narrowest
+    width their degrees allow); inter-reduction, S-polynomials, division
+    and the final tail reduction run on packed polynomials, and only the
+    reduced basis is unpacked.  Pair selection and both criteria work on
+    exponent tuples.  A run that outgrows the width starts again at twice
+    the width with the budget as it was at entry, so the pairs reduced,
+    ``budget.used`` and the basis do not depend on the width.
     """
     budget = budget or Budget()
-    basis = _inter_reduce(list(generators), order)
-    if not basis:
+    generators = [g for g in generators if not g.is_zero()]
+    if not generators:
         return ()
-    leads = [g.leading(order)[0] for g in basis]
+    ring = generators[0].ring
+    for g in generators:
+        if g.ring != ring:
+            raise RingMismatchError("generators in different rings")
+    return _packed(generators, order, lambda kernel: _buchberger(kernel, ring, generators, budget), budget)
+
+
+def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomial], budget: Budget) -> tuple[Polynomial, ...]:
+    basis = _inter_reduce(kernel, [kernel.pack(g) for g in generators])
+    records = list(map(kernel.divisor, basis))
+    divisors = sorted(records, key=itemgetter(0), reverse=True)
+    unpack = kernel.packing.unpack
+    leads = [unpack(lm) for lm, _, _ in records]
 
     def pair_key(i: int, j: int):
         lcm = monomial_lcm(leads[i], leads[j])
@@ -163,11 +320,11 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     heap: list = []
     for j in range(len(basis)):
         for i in range(j):
-            heapq.heappush(heap, (*pair_key(i, j), i, j))
+            heappush(heap, (*pair_key(i, j), i, j))
     done: set[tuple[int, int]] = set()
 
     while heap:
-        *_, i, j = heapq.heappop(heap)
+        *_, i, j = heappop(heap)
         lcm = monomial_lcm(leads[i], leads[j])
         if lcm == monomial_mul(leads[i], leads[j]):
             done.add((i, j))  # coprime leading terms reduce to zero
@@ -185,30 +342,33 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
             done.add((i, j))
             continue
         budget.spend()
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        s = kernel.s_polynomial(records[i], records[j], kernel.packing.pack(lcm))
+        r = kernel.reduce(s, divisors)
         done.add((i, j))
-        if not r.is_zero():
-            basis.append(r.monic(order))
-            leads.append(basis[-1].leading(order)[0])
+        if r:
+            basis.append(kernel.monic(r))
+            records.append(kernel.divisor(basis[-1]))
+            divisors.append(records[-1])
+            divisors.sort(key=itemgetter(0), reverse=True)
+            leads.append(unpack(records[-1][0]))
             new = len(basis) - 1
             for k in range(new):
-                heapq.heappush(heap, (*pair_key(k, new), k, new))
+                heappush(heap, (*pair_key(k, new), k, new))
 
-    # minimalize: keep only elements whose leading term no other divides
-    order_key = order.descending_key
-    indexed = sorted(range(len(basis)), key=lambda i: order_key(leads[i]), reverse=True)
+    # minimalize: keep only elements whose leading term no other divides,
+    # scanning leading terms in ascending order
+    guard = kernel.guard
     kept: list[int] = []
-    for i in indexed:
-        if not any(monomial_divides(leads[k], leads[i]) for k in kept):
+    for i in sorted(range(len(basis)), key=lambda i: records[i][0]):
+        if all((records[i][0] - records[k][0]) & guard for k in kept):
             kept.append(i)
-    minimal = [basis[i] for i in kept]
     # tail-reduce each against the rest: the unique reduced basis
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        reduced.append(normal_form(g, others, order).monic(order) if others else g.monic(order))
-    reduced.sort(key=lambda g: order_key(g.leading(order)[0]), reverse=True)
-    return tuple(reduced)
+    for i in kept:
+        others = kernel.divisors(basis[k] for k in kept if k != i)
+        reduced.append(kernel.monic(kernel.reduce(dict(basis[i]), others)))
+    reduced.sort(key=max)
+    return tuple(kernel.unpack(ring, g) for g in reduced)
 
 
 class IdealPresentation:

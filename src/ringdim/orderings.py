@@ -5,17 +5,23 @@ variable.  Every order here is global (the unit monomial is minimal) and
 multiplicative (u < v implies uw < vw), which is what the Groebner engine
 relies on.
 
-Each order is defined once, by ``descending_key(u)``: a plain tuple whose
-natural ascending order is the monomial order, descending.  The engine
-sorts and heaps by the key, so a monomial costs one key build instead of a
-Python comparison call per comparison.  ``compare(u, v)``, the sign of
-u - v in the order, is derived from the key.
+Each order is defined by ``descending_key(u)``: a plain tuple whose
+natural ascending order is the monomial order, descending.  Sorting by the
+key costs one key build per monomial instead of a Python comparison call
+per comparison.  ``compare(u, v)``, the sign of u - v in the order, is
+derived from the key.
+
+Each order also reads as a nonnegative integer weight matrix M
+(``weights``): u > v exactly when (M·u, u) > (M·v, v) lexicographically.
+``PackedMonomials`` uses that reading to pack a monomial into one int on
+which the order, multiplication and divisibility are plain int operations;
+the Groebner engine works on packed monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from operator import mul, neg
 
 from .errors import ArityMismatchError
 
@@ -23,6 +29,13 @@ from .errors import ArityMismatchError
 def _grevlex_key(u: tuple[int, ...]) -> tuple:
     # higher degree first; then the smaller rightmost differing exponent
     return (-sum(u), u[::-1])
+
+
+def _grevlex_weights(variables: list[int], arity: int) -> list[tuple[int, ...]]:
+    # the degree in the variables, then that degree without the last one,
+    # without the last two, ...: a larger prefix sum means a smaller
+    # rightmost differing exponent
+    return [tuple(int(i in variables[:k]) for i in range(arity)) for k in range(len(variables), 0, -1)]
 
 
 def _compare_by_key(order, u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -40,6 +53,9 @@ class Lex:
     def descending_key(self, u: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(neg, u))
 
+    def weights(self, arity: int) -> list[tuple[int, ...]]:
+        return [tuple(int(i == j) for j in range(arity)) for i in range(arity)]
+
 
 @dataclass(frozen=True)
 class GrevLex:
@@ -47,6 +63,9 @@ class GrevLex:
 
     compare = _compare_by_key
     descending_key = staticmethod(_grevlex_key)
+
+    def weights(self, arity: int) -> list[tuple[int, ...]]:
+        return _grevlex_weights(list(range(arity)), arity)
 
 
 @dataclass(frozen=True)
@@ -68,6 +87,11 @@ class BlockElimination:
         outside = tuple(e - b for e, b in zip(u, inside))
         return _grevlex_key(inside) + _grevlex_key(outside)
 
+    def weights(self, arity: int) -> list[tuple[int, ...]]:
+        inside = [i for i in range(arity) if i in self.block]
+        outside = [i for i in range(arity) if i not in self.block]
+        return _grevlex_weights(inside, arity) + _grevlex_weights(outside, arity)
+
 
 LEX = Lex()
 GREVLEX = GrevLex()
@@ -81,3 +105,52 @@ def compare(u: tuple[int, ...], v: tuple[int, ...], order: MonomialOrder) -> int
         raise ArityMismatchError(f"cannot compare arities {len(u)} and {len(v)}")
     return order.compare(u, v)
 
+
+
+class WidthOverflow(Exception):
+    """A packed exponent field outgrew its width."""
+
+
+class PackedMonomials:
+    """Exponent vectors of one arity packed into ints that compare like ``order``.
+
+    A monomial u becomes the fields of M·u (M the order's ``weights``)
+    followed by those of u, most significant first, each ``width`` bits wide
+    with its top bit a guard that a valid monomial leaves clear.  Then, for
+    packed monomials that fit:
+
+    * ``m < n`` as ints exactly when m < n in the order;
+    * ``m + n`` is the packed product (every field is linear in u);
+    * ``(m - l) & guard == 0`` exactly when l divides m: a negative field
+      difference borrows and sets that field's guard bit;
+    * a sum whose field outgrew ``width - 1`` bits has that guard bit set,
+      so it can never equal a valid monomial.
+
+    ``pack`` raises ``WidthOverflow`` for a monomial that does not fit;
+    callers that create monomials by addition test ``& guard`` themselves
+    and start again at a larger width.
+    """
+
+    __slots__ = ("rows", "width", "guard", "_limit", "_shifts", "_mask")
+
+    def __init__(self, order: MonomialOrder, arity: int, width: int):
+        identity = [tuple(int(i == j) for j in range(arity)) for i in range(arity)]
+        self.rows = order.weights(arity) + identity
+        self.width = width
+        self._limit = 1 << (width - 1)
+        self.guard = sum(self._limit << (width * k) for k in range(len(self.rows)))
+        self._shifts = [width * (arity - 1 - i) for i in range(arity)]
+        self._mask = (1 << width) - 1
+
+    def pack(self, u: tuple[int, ...]) -> int:
+        packed = 0
+        for row in self.rows:
+            value = sum(map(mul, row, u))
+            if value >= self._limit:
+                raise WidthOverflow(self.width)
+            packed = packed << self.width | value
+        return packed
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        mask = self._mask
+        return tuple(m >> shift & mask for shift in self._shifts)

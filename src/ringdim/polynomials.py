@@ -90,6 +90,8 @@ class PolynomialRing:
         return len(self.variables)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PolynomialRing)
             and self.field == other.field

@@ -5,7 +5,8 @@ correct engine prints exactly these strings: a change in term order,
 coefficient or basis element is a regression in the engine or in
 ``format_polynomial``.  The systems are katsura-3, katsura-4 and cyclic-4
 over F_32003, under grevlex and lex, plus the elimination of x0, x1 from
-cyclic-4.
+cyclic-4.  The number of S-pairs reduced on the way is pinned too: it fixes
+which pairs the criteria let through, which no basis text shows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 
 import pytest
 
-from ringdim import cli
+from ringdim import GREVLEX, LEX, Budget, buchberger, cli, parse_ring_expr
 
 KATSURA_3 = (
     "Quot(Poly(Fp(32003); x0,x1,x2,x3); x0 + 2*x1 + 2*x2 + 2*x3 - 1, "
@@ -112,3 +113,21 @@ def test_reduced_basis_text_is_pinned(case, capsys):
     assert code == cli.EXIT_OK, report
     result = report["result"]
     assert result.get("basis", result.get("generators")) == EXPECTED[case]
+
+
+PAIR_REDUCTIONS = {
+    "katsura-3/grevlex": 8,
+    "katsura-3/lex": 20,
+    "katsura-4/grevlex": 26,
+    "katsura-4/lex": 176,
+    "cyclic-4/grevlex": 8,
+    "cyclic-4/lex": 11,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_REDUCTIONS))
+def test_pair_reductions_are_pinned(case):
+    system, _, how = case.partition("/")
+    budget = Budget()
+    buchberger(parse_ring_expr(SYSTEMS[system]).relations, {"grevlex": GREVLEX, "lex": LEX}[how], budget)
+    assert budget.used == PAIR_REDUCTIONS[case]

@@ -5,7 +5,7 @@ from functools import cmp_to_key
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ringdim import (
     BlockElimination,
@@ -139,7 +139,13 @@ DIVISION_FIELDS = [
 def division_problems(draw):
     field, pool = draw(st.sampled_from(DIVISION_FIELDS))
     ring = PolynomialRing(field, ("x", "y", "z"))
-    monomials = st.tuples(*[st.integers(0, 2)] * ring.arity)
+    # Sometimes z has only the exponents 0 and 2^40, so that reductions
+    # create monomials too wide for the engine's first field width.  Huge
+    # exponents that are all one multiple of 2^40 keep the number of
+    # division steps small; arbitrary ones could ask for 2^40 steps
+    # (z^(2^40) divided by z^2 + z).
+    z = draw(st.sampled_from([st.integers(0, 2), st.sampled_from([0, 2**40])]))
+    monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), z)
 
     def polynomial(min_size: int) -> Polynomial:
         return Polynomial(ring, draw(st.dictionaries(monomials, st.sampled_from(pool), min_size=min_size, max_size=4)))
@@ -149,7 +155,17 @@ def division_problems(draw):
     return f, basis, draw(st.sampled_from(list(ORACLES)))
 
 
+def _outgrowing_width(field) -> tuple:
+    # x^3*z^(2^40) reduced by x - z^(2^40) under lex is z^(2^42): it does
+    # not fit the width the inputs ask for, not even with the guard bit
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    x, z = ring.variable("x"), ring.monomial((0, 0, 2**40))
+    return x**3 * z, [x - z], LEX
+
+
 @given(division_problems())
+@example(_outgrowing_width(PrimeField(7)))
+@example(_outgrowing_width(QQ))
 def test_normal_form_matches_reference_division(problem):
     f, basis, order = problem
     expected = ref_normal_form(f.ring.field, f.terms, [g.terms for g in basis], ORACLES[order])
@@ -301,6 +317,21 @@ def test_reduced_basis_unique_under_generator_permutation(rxyz):
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert buchberger(shuffled, GREVLEX) == basis
+
+
+def test_basis_outgrowing_the_first_width(rxyz):
+    # Degree 17000 in the input starts the run at 16-bit fields; the lex
+    # basis holds z^34000 - z^17001, so the run overflows after 6 pairs and
+    # starts again at 32 bits.  Restoring the budget keeps the count at 10,
+    # not 16.
+    x, y, z = (rxyz.variable(i) for i in range(3))
+    gens = [x * y - z**17000, x**2 - y, y**2 - x * z]
+    first, second = Budget(), Budget(used=5)
+    basis = buchberger(gens, LEX, first)
+    assert buchberger(gens, LEX, second) == basis
+    assert (first.used, second.used) == (10, 15)
+    assert max(g.total_degree() for g in basis) == 34000
+    assert_is_reduced_groebner_basis(basis, gens, LEX)
 
 
 def test_groebner_cache_reuse(rxy):

@@ -6,6 +6,8 @@ import pytest
 
 from ringdim import GREVLEX, LEX, BlockElimination, compare
 from ringdim.errors import ArityMismatchError
+from ringdim.orderings import PackedMonomials, WidthOverflow
+from ringdim.polynomials import monomial_divides, monomial_mul
 
 
 def monomials_up_to(degree: int, arity: int) -> list[tuple[int, ...]]:
@@ -114,3 +116,30 @@ def test_block_elimination_ranks_block_above_rest():
     # any monomial touching x ranks above every x-free monomial
     for v_free in [(0, 3, 0), (0, 0, 4), (0, 2, 2)]:
         assert compare((1, 0, 0), v_free, order) > 0
+
+
+@pytest.mark.parametrize(
+    "order",
+    [LEX, GREVLEX, BlockElimination(frozenset({1}))],
+    ids=["lex", "grevlex", "block1"],
+)
+def test_packed_monomials_follow_the_order_and_divisibility(order):
+    monos = monomials_up_to(4, 3)
+    packing = PackedMonomials(order, 3, 8)
+    packed = {u: packing.pack(u) for u in monos}
+    assert all(packing.unpack(m) == u for u, m in packed.items())
+    by_int = sorted(monos, key=packed.__getitem__, reverse=True)
+    assert by_int == sorted(monos, key=order.descending_key)
+    for u in monos:
+        for v in monos:
+            assert (not (packed[v] - packed[u]) & packing.guard) == monomial_divides(u, v)
+            assert packed[u] + packed[v] == packing.pack(monomial_mul(u, v))
+
+
+def test_packed_monomial_outgrowing_its_width_sets_a_guard_bit():
+    packing = PackedMonomials(GREVLEX, 2, 8)
+    with pytest.raises(WidthOverflow):
+        packing.pack((100, 28))  # degree 128 needs a ninth bit
+    big = packing.pack((0, 127))
+    assert not big & packing.guard
+    assert (big + packing.pack((0, 1))) & packing.guard

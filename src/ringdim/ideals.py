@@ -221,6 +221,24 @@ class _Kernel:
         given order."""
         return sorted(map(self.divisor, polys), key=itemgetter(0), reverse=True)
 
+    def inter_reduce(self, polys: list[dict]) -> list[dict]:
+        """Reduce each polynomial by the others, in ``Polynomial.sort_key``
+        order, until a round changes nothing; the survivors are monic."""
+        current = sorted(polys, key=self.sort_key)
+        while True:
+            changed = False
+            result: list[dict] = []
+            for i, p in enumerate(current):
+                others = result + current[i + 1:]
+                r = self.reduce(dict(p), self.divisors(others)) if others else p
+                if r != p:
+                    changed = True
+                if r:
+                    result.append(self.monic(r))
+            if not changed:
+                return result
+            current = sorted(result, key=self.sort_key)
+
 
 def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budget | None = None):
     """``run(kernel)`` on a kernel whose field width fits every exponent of
@@ -264,23 +282,6 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     return _packed([f, *basis], order, run)
 
 
-def _inter_reduce(kernel: _Kernel, polys: list[dict]) -> list[dict]:
-    current = sorted(polys, key=kernel.sort_key)
-    while True:
-        changed = False
-        result: list[dict] = []
-        for i, p in enumerate(current):
-            others = result + current[i + 1:]
-            r = kernel.reduce(dict(p), kernel.divisors(others)) if others else p
-            if r != p:
-                changed = True
-            if r:
-                result.append(kernel.monic(r))
-        if not changed:
-            return result
-        current = sorted(result, key=kernel.sort_key)
-
-
 def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: Budget | None = None) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the ideal the generators span.
 
@@ -307,7 +308,7 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
 
 
 def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomial], budget: Budget) -> tuple[Polynomial, ...]:
-    basis = _inter_reduce(kernel, [kernel.pack(g) for g in generators])
+    basis = kernel.inter_reduce([kernel.pack(g) for g in generators])
     records = list(map(kernel.divisor, basis))
     divisors = sorted(records, key=itemgetter(0), reverse=True)
     unpack = kernel.packing.unpack

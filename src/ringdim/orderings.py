@@ -31,6 +31,10 @@ def _grevlex_key(u: tuple[int, ...]) -> tuple:
     return (-sum(u), u[::-1])
 
 
+def _unit_rows(arity: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(arity)) for i in range(arity)]
+
+
 def _grevlex_weights(variables: list[int], arity: int) -> list[tuple[int, ...]]:
     # the degree in the variables, then that degree without the last one,
     # without the last two, ...: a larger prefix sum means a smaller
@@ -54,7 +58,7 @@ class Lex:
         return tuple(map(neg, u))
 
     def weights(self, arity: int) -> list[tuple[int, ...]]:
-        return [tuple(int(i == j) for j in range(arity)) for i in range(arity)]
+        return _unit_rows(arity)
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,6 @@ def compare(u: tuple[int, ...], v: tuple[int, ...], order: MonomialOrder) -> int
     return order.compare(u, v)
 
 
-
 class WidthOverflow(Exception):
     """A packed exponent field outgrew its width."""
 
@@ -123,28 +126,28 @@ class PackedMonomials:
     * ``m + n`` is the packed product (every field is linear in u);
     * ``(m - l) & guard == 0`` exactly when l divides m: a negative field
       difference borrows and sets that field's guard bit;
-    * a sum whose field outgrew ``width - 1`` bits has that guard bit set,
-      so it can never equal a valid monomial.
+    * in a sum of two packed monomials, a field that outgrew ``width - 1``
+      bits sets its guard bit and carries no further, so the sum can never
+      equal a valid monomial.
 
     ``pack`` raises ``WidthOverflow`` for a monomial that does not fit;
     callers that create monomials by addition test ``& guard`` themselves
     and start again at a larger width.
     """
 
-    __slots__ = ("rows", "width", "guard", "_limit", "_shifts", "_mask")
+    __slots__ = ("width", "guard", "_rows", "_limit", "_shifts", "_mask")
 
     def __init__(self, order: MonomialOrder, arity: int, width: int):
-        identity = [tuple(int(i == j) for j in range(arity)) for i in range(arity)]
-        self.rows = order.weights(arity) + identity
+        self._rows = order.weights(arity) + _unit_rows(arity)
         self.width = width
         self._limit = 1 << (width - 1)
-        self.guard = sum(self._limit << (width * k) for k in range(len(self.rows)))
+        self.guard = sum(self._limit << (width * k) for k in range(len(self._rows)))
         self._shifts = [width * (arity - 1 - i) for i in range(arity)]
         self._mask = (1 << width) - 1
 
     def pack(self, u: tuple[int, ...]) -> int:
         packed = 0
-        for row in self.rows:
+        for row in self._rows:
             value = sum(map(mul, row, u))
             if value >= self._limit:
                 raise WidthOverflow(self.width)

@@ -39,7 +39,7 @@ from .fields import (
     merged_function_field,
 )
 from .ideals import Budget, IdealPresentation
-from .polynomials import Polynomial, PolynomialRing
+from .polynomials import Polynomial, PolynomialRing, fresh_variable
 
 # rule identifiers (stable strings: they appear in reports and tests)
 RULE_FIELD = "field-dim-zero"
@@ -147,10 +147,6 @@ class FieldExtensionDescriptor:
     @property
     def ambient_ring(self) -> PolynomialRing:
         return PolynomialRing(self.flat_field, tuple(s for s, _ in self.algebraic_part), unchecked=True)
-
-    @property
-    def is_purely_transcendental(self) -> bool:
-        return not self.algebraic_part
 
 
 class RingExpr:
@@ -418,22 +414,18 @@ def flatten_affine(expr: RingExpr) -> AffineAlgebra | None:
 
 def tensor_flatten_affine(a: AffineAlgebra, b: AffineAlgebra) -> AffineAlgebra:
     """Tensor over the shared base field, realized by juxtaposing variables
-    (renamed canonically on collision) and uniting the two generator sets."""
+    and uniting the two generator sets.  A variable of ``b`` that ``a``
+    already names gets a ``fresh_variable`` name, which avoids every name of
+    ``b`` as well, so it cannot collide with a later variable of ``b``."""
     if a.field != b.field:
         raise ValueError(f"tensor legs over different base fields: {a.field!r} vs {b.field!r}")
-    names = list(a.ring.variables)
-    b_names = []
-    taken = set(names) | set(a.field.function_variables)
+    b_names: list[str] = []
     for name in b.ring.variables:
-        candidate = name
-        k = 1
-        while candidate in taken:
-            candidate = f"{name}_{k}"
-            k += 1
-        taken.add(candidate)
-        b_names.append(candidate)
-    ring = PolynomialRing(a.field, tuple(names + b_names), unchecked=True)
-    b_map = {i: len(names) + i for i in range(b.ring.arity)}
+        if name in a.ring.variables or name in a.field.function_variables:
+            name = fresh_variable(name, a.ring, (*b.ring.variables, *b_names))
+        b_names.append(name)
+    ring = a.ring.extend(b_names)
+    b_map = {i: a.ring.arity + i for i in range(b.ring.arity)}
     gens = [g.map_to(ring) for g in a.presentation.generators]
     gens += [g.map_to(ring, b_map) for g in b.presentation.generators]
     return AffineAlgebra(IdealPresentation(ring, gens))

@@ -14,6 +14,12 @@ strict step per witness.  Every step carries three pieces of evidence:
                    is an isomorphism onto the base quotient, so primality
                    travels down to the base prime's own certificate.
 
+``build_chain`` only builds: it returns the links and this evidence as data.
+``verify_chain`` makes every check, each exactly once: ``verify_strictness``,
+``verify_avoidance`` (elimination), ``verify_substitution_transfer`` and
+``verify_avoidance_by_evaluation``.  ``certified_lower_bound`` runs
+``verify_chain`` itself and gives a number only when every check passes.
+
 A fully verified chain of k strict steps certifies dimension >= k for the
 ring localized away from the pure-X polynomials, which is exactly the lower
 bound the tensor rules consume.
@@ -109,7 +115,10 @@ def build_chain(
 
     The base chain's primality certificates are taken as given (or asserted);
     each new link gets a substitution-transfer certificate referring to the
-    top base prime.  Strictness of every step is verified on the spot.
+    top base prime, and its relation X_i - t_i as strictness witness.  A base
+    link past the first gets the first of its generators outside the link
+    below, and a base chain with no such generator raises.  Nothing else is
+    checked here: ``verify_chain`` makes every check, once.
     """
     if len(witnesses) != len(fresh_variables):
         raise ValueError("one fresh variable per witness")
@@ -142,15 +151,23 @@ def build_chain(
             raise ValueError("base chain links must live in the algebra's ring")
         # the algebra's own relations are part of every link upstairs
         gens = [g.map_to(ext) for g in link.generators + A.presentation.generators]
-        links.append(IdealPresentation(ext, gens))
-        evidence.append(ChainStepEvidence(None, False, cert))
+        upstairs = IdealPresentation(ext, gens)
+        witness = None
+        if links:
+            witness = _strictness_witness(upstairs, links[-1], budget)
+            if witness is None:
+                raise CertificateError(f"chain step {len(links)} is not strict")
+        links.append(upstairs)
+        evidence.append(ChainStepEvidence(witness, False, cert))
 
-    top_base = links[len(base_chain) - 1]
+    top_base = links[-1]
     relations: list[Polynomial] = []
     substitutions: list[tuple[int, Polynomial]] = []
-    for k, (name, t_ext) in enumerate(zip(fresh_variables, lifted_witnesses)):
+    for k, t_ext in enumerate(lifted_witnesses):
         idx = ring.arity + k
-        relations.append(ext.variable(idx) - t_ext)
+        # the relation is the one generator the previous link lacks
+        relation = ext.variable(idx) - t_ext
+        relations.append(relation)
         substitutions.append((idx, t_ext))
         links.append(IdealPresentation(ext, top_base.generators + tuple(relations)))
         cert = PrimalityCertificate(
@@ -158,23 +175,8 @@ def build_chain(
             base_prime=top_base,
             substitutions=tuple(substitutions),
         )
-        evidence.append(ChainStepEvidence(None, False, cert))
-
-    # verify strictness and record witnesses
-    checked: list[ChainStepEvidence] = [evidence[0]]
-    for i in range(1, len(links)):
-        witness = _strictness_witness(links[i], links[i - 1], budget)
-        if witness is None:
-            raise CertificateError(f"chain step {i} is not strict")
-        checked.append(ChainStepEvidence(witness, False, evidence[i].primality))
-
-    cert = ChainCertificate(ext, tuple(links), tuple(checked), tuple(fresh_variables), lifted_witnesses)
-    if not verify_avoidance(cert, fresh_variables, budget=budget):
-        raise CertificateError("chain meets the multiplicative set: avoidance failed")
-    verified = tuple(
-        ChainStepEvidence(e.strictness_witness, True, e.primality) for e in cert.evidence
-    )
-    return ChainCertificate(ext, tuple(links), verified, tuple(fresh_variables), lifted_witnesses)
+        evidence.append(ChainStepEvidence(relation, False, cert))
+    return ChainCertificate(ext, tuple(links), tuple(evidence), tuple(fresh_variables), lifted_witnesses)
 
 
 def _strictness_witness(bigger: IdealPresentation, smaller: IdealPresentation, budget: Budget | None) -> Polynomial | None:

@@ -5,7 +5,10 @@ echoing the input, the result, the rule trace with citations, the
 cross-checks the computation actually made, and timing.  Every verb is one
 row of ``_VERBS`` (handler, help, positional arguments, verb-only flags);
 the argparse parser is built from that table once, at import, and reused by
-every ``main`` call.  Exit codes: 0 success, 1 user error,
+every ``main`` call.  The report's ``input`` echoes the verb's positionals
+and the options it read: ``--budget`` for every verb, ``--order`` for
+``gb``, the one verb whose answer depends on a monomial order.  Every verb
+also takes ``--format`` and ``--out``.  Exit codes: 0 success, 1 user error,
 2 budget exhausted, 3 internal inconsistency (two rules disagreed, which
 can only mean a bug), 4 internal error (any other exception; the report
 still carries the exception type and message, with no partial result).
@@ -23,6 +26,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 from .calculus import (
@@ -391,6 +395,8 @@ def _cmd_chain(args, budget: Budget):
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise CertificateError(f"chain verification failed: {', '.join(failed)}")
+    # verify_chain's one avoidance pass covered every step
+    cert = replace(cert, evidence=tuple(replace(e, avoidance_checked=True) for e in cert.evidence))
     bound = cert.length()
     answer = {
         "certificate": certificate_to_json(cert),
@@ -443,7 +449,12 @@ _EXPRESSION_AND_ELEMENT = {"expression": None, "element": None}
 
 _VERBS = {
     "dim": _Verb(_cmd_dim, "dimension of a ring expression", _EXPRESSION),
-    "gb": _Verb(_cmd_gb, "reduced Groebner basis of a Quot(...) payload", _EXPRESSION),
+    "gb": _Verb(
+        _cmd_gb,
+        "reduced Groebner basis of a Quot(...) payload",
+        _EXPRESSION,
+        {"--order": {"choices": tuple(_ORDERS), "default": "grevlex"}},
+    ),
     "eliminate": _Verb(
         _cmd_eliminate,
         "elimination ideal of a Quot(...) payload",
@@ -518,7 +529,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument(positional, help=text)
         for flag, options in verb.flags.items():
             p.add_argument(flag, **options)
-        p.add_argument("--order", choices=tuple(_ORDERS), default="grevlex")
         p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET, help="pair-reduction cap")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file as well")
@@ -544,18 +554,16 @@ def main(argv=None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_USER_ERROR
     started = time.perf_counter()
-    echo = {"expression": getattr(args, "expression", getattr(args, "certificate", ""))}
-    if getattr(args, "element", None):
-        echo["element"] = args.element
-    echo["options"] = {
-        "order": args.order,
-        "budget": args.budget,
-    }
+    verb = _VERBS[args.verb]
+    echo = {name: getattr(args, name) for name in verb.positionals}
+    echo["options"] = {"budget": args.budget}
+    if "--order" in verb.flags:
+        echo["options"]["order"] = args.order
     report = make_report(args.verb, echo, started)
     outcome = None
     exit_code = EXIT_OK
     try:
-        outcome = _VERBS[args.verb].run(args, Budget(limit=args.budget))
+        outcome = verb.run(args, Budget(limit=args.budget))
     except (ValueError, OSError) as exc:
         outcome = exc.outcome if isinstance(exc, _Rejected) else None
         report["status"] = "user-error"

@@ -195,9 +195,6 @@ class RatFunc:
         r.num, r.den = num, den
         return r
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     def __eq__(self, other):
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
 
@@ -260,9 +257,6 @@ class RationalFunctionField:
     def from_base(self, c) -> RatFunc:
         ring = self.poly_ring
         return RatFunc._reduced(ring.constant(c), ring.one())
-
-    def from_polynomial(self, num: Polynomial, den: Polynomial | None = None) -> RatFunc:
-        return RatFunc(num, den if den is not None else num.ring.one())
 
     def generator(self, name: str) -> RatFunc:
         ring = self.poly_ring

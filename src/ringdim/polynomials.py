@@ -16,7 +16,7 @@ idempotent and changes no value a caller can observe.
 
 from __future__ import annotations
 
-from operator import add, le
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -40,13 +40,6 @@ def monomial_mul(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
 
 def monomial_divides(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return all(map(le, u, v))
-
-
-def monomial_div(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    quotient = tuple(a - b for a, b in zip(u, v))
-    if any(e < 0 for e in quotient):
-        raise ArityMismatchError(f"monomial {v} does not divide {u}")
-    return quotient
 
 
 def monomial_lcm(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -305,8 +298,8 @@ class Polynomial:
             {monomial_mul(e, exps): field.mul(coeff, c) for e, c in self.terms.items()},
         )
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        _, lc = self.leading(order)
+    def monic(self) -> "Polynomial":
+        _, lc = self.leading(GREVLEX)
         if self.ring.field.is_one(lc):
             return self
         return self.scale(self.ring.field.inv(lc))
@@ -431,7 +424,7 @@ def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
         lr, cr = rest.leading(GREVLEX)
         if not monomial_divides(lq, lr):
             return None
-        exps = monomial_div(lr, lq)
+        exps = tuple(map(sub, lr, lq))
         coeff = field.div(cr, cq)
         quotient[exps] = coeff
         rest = rest - q.mul_term(coeff, exps)

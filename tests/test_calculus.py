@@ -215,7 +215,10 @@ def test_tensor_flatten_polynomial_rings():
 def test_tensor_flatten_renames_collisions():
     a = flatten_affine(parse_ring_expr("Poly(Q; x)"))
     combined = tensor_flatten_affine(a, a)
-    assert combined.ring.variables == ("x", "x_1")
+    assert combined.ring.variables == ("x", "x1")
+    # the renamed x must not take the name of the second leg's own x1
+    b = flatten_affine(parse_ring_expr("Poly(Q; x, x1)"))
+    assert tensor_flatten_affine(a, b).ring.variables == ("x", "x2", "x1")
 
 
 def test_tensor_flatten_field_mismatch():

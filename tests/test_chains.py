@@ -154,11 +154,14 @@ def test_verify_algebraic_independence():
 
 
 def test_dependent_witnesses_fail_avoidance():
-    # with t1 = t2 = u the difference X1 - X2 is a pure-X member of the chain
+    # with t1 = t2 = u the difference X1 - X2 is a pure-X member of the chain;
+    # build_chain builds it, and verification refuses it
     A = polynomial_ring_algebra("u")
     u = A.ring.variable("u")
+    cert = build_chain(A, zero_chain(A), [u, u], ["X1", "X2"])
+    assert verify_chain(cert)["avoidance"] is False
     with pytest.raises(CertificateError):
-        build_chain(A, zero_chain(A), [u, u], ["X1", "X2"])
+        certified_lower_bound(cert)
 
 
 def test_non_strict_base_chain_raises():

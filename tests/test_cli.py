@@ -18,6 +18,7 @@ from ringdim.cli import (
     certificate_to_json,
 )
 from ringdim.errors import InconsistentBoundsError
+from ringdim.ideals import eliminate
 from ringdim.parser import MAX_NESTING
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "ringdim" / "report_schema.json"
@@ -107,6 +108,26 @@ def test_chain_verifies_once(capsys, monkeypatch):
     code, report = run_cli(capsys, "chain", "--witnesses", "u,v", "--fresh", "X1,X2", "Poly(Q;u,v)")
     assert (code, report["result"]["lower_bound"]) == (EXIT_OK, 2)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "witnesses, fresh, expression, expected",
+    [("u,v", "X1,X2", "Poly(Q;u,v)", 4), ("u,v,w", "X1,X2,X3", "Poly(Q;u,v,w)", 5)],
+    ids=["two-witnesses", "three-witnesses"],
+)
+def test_chain_eliminates_once_per_link_plus_independence(capsys, monkeypatch, witnesses, fresh, expression, expected):
+    # one elimination per link for avoidance, one for the witnesses'
+    # algebraic independence; building the chain eliminates nothing
+    calls = []
+
+    def counting_eliminate(ideal, keep, budget=None):
+        calls.append(keep)
+        return eliminate(ideal, keep, budget)
+
+    monkeypatch.setattr(chains, "eliminate", counting_eliminate)
+    code, _ = run_cli(capsys, "chain", "--witnesses", witnesses, "--fresh", fresh, expression)
+    assert code == EXIT_OK
+    assert len(calls) == expected
 
 
 def test_certificate_serialization_round_trip(capsys, tmp_path):
@@ -419,8 +440,9 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path, content, message
         (["dim"], "the following arguments are required: expression"),
         (["dim", "Q", "--bogus"], "unrecognized arguments: --bogus"),
         (["gb", "Quot(Poly(Q;x); x)", "--budget", "notanint"], "argument --budget: invalid int value: 'notanint'"),
+        (["dim", "Q", "--order", "lex"], "unrecognized arguments: --order lex"),
     ],
-    ids=["missing-expression", "unknown-flag", "bad-budget"],
+    ids=["missing-expression", "unknown-flag", "bad-budget", "order-on-dim"],
 )
 def test_usage_error_for_a_known_verb_is_a_user_error_report(capsys, argv, message):
     code, report = run_cli(capsys, *argv)

@@ -13,7 +13,6 @@ from .calculus import (
     BaseField,
     DimensionResult,
     FieldExt,
-    FieldExtensionDescriptor,
     FracField,
     LocElement,
     LocSubringComplement,
@@ -42,7 +41,6 @@ from .chains import (
 )
 from .dimension import (
     INF,
-    AffineAlgebra,
     DimensionValue,
     Infinity,
     ZeroDivisorStatus,
@@ -50,7 +48,6 @@ from .dimension import (
     dim_generic_fiber,
     height_of_prime,
     independent_set_dimension,
-    rabinowitsch_presentation,
     trdeg_affine_domain,
     zero_divisor_status,
 )

@@ -7,7 +7,9 @@ the classical fact behind it.  Whenever the expression flattens to an affine
 presentation the Groebner kernel computes the dimension outright and the
 closed rules become cross-checks; a disagreement raises
 ``InconsistentBoundsError`` (exit code 3 in the CLI), because it can only
-mean a bug.
+mean a bug.  An affine algebra K[X]/I is passed as the ``IdealPresentation``
+of I: ``flatten_affine`` returns one, and ``DimensionResult.flattened``
+holds one.
 
 Interval results are first-class: when the hypotheses of an equality rule
 fail, the best provable bounds are reported with their citations instead of
@@ -21,12 +23,10 @@ from typing import Sequence
 
 from .dimension import (
     INF,
-    AffineAlgebra,
     DimensionValue,
     Infinity,
     dim_affine,
     dim_generic_fiber,
-    rabinowitsch_presentation,
     zero_divisor_status,
     ZeroDivisorStatus,
 )
@@ -38,7 +38,7 @@ from .fields import (
     RationalFunctionField,
     merged_function_field,
 )
-from .ideals import Budget, IdealPresentation
+from .ideals import Budget, IdealPresentation, rabinowitsch
 from .polynomials import Polynomial, PolynomialRing, fresh_variable
 
 # rule identifiers (stable strings: they appear in reports and tests)
@@ -93,8 +93,19 @@ CITATIONS = {
 
 # -- expression tree -----------------------------------------------------------
 
+class RingExpr:
+    """Base class for ring-construction syntax trees."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class FieldExtensionDescriptor:
+class BaseField(RingExpr):
+    coefficients: CoefficientField
+
+
+@dataclass(frozen=True)
+class FieldExt(RingExpr):
     """A field extension given by a chosen transcendence basis plus monic
     algebraic relations adjoined afterwards.
 
@@ -104,7 +115,7 @@ class FieldExtensionDescriptor:
     double as the integrality certificate for the algebraic part.
     """
 
-    base: CoefficientField
+    over: CoefficientField
     trdeg: object  # int or INF
     basis_names: tuple[str, ...] = ()
     algebraic_part: tuple[tuple[str, Polynomial], ...] = ()
@@ -141,28 +152,12 @@ class FieldExtensionDescriptor:
         if isinstance(self.trdeg, Infinity):
             raise ValueError("infinite extensions have no flat coefficient field")
         if not self.basis_names:
-            return self.base
-        return merged_function_field(self.base, self.basis_names)
+            return self.over
+        return merged_function_field(self.over, self.basis_names)
 
     @property
     def ambient_ring(self) -> PolynomialRing:
         return PolynomialRing(self.flat_field, tuple(s for s, _ in self.algebraic_part), unchecked=True)
-
-
-class RingExpr:
-    """Base class for ring-construction syntax trees."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class BaseField(RingExpr):
-    coefficients: CoefficientField
-
-
-@dataclass(frozen=True)
-class FieldExt(RingExpr):
-    descriptor: FieldExtensionDescriptor
 
 
 @dataclass(frozen=True)
@@ -221,7 +216,7 @@ class DimensionResult:
 
     value: DimensionValue
     trace: tuple[TraceEntry, ...]
-    flattened: AffineAlgebra | None = None
+    flattened: IdealPresentation | None = None
     cross_checks: tuple[tuple[str, str], ...] = ()
 
 
@@ -278,7 +273,7 @@ class _Claims:
         self.note(rule, detail)
         self.empty = True
 
-    def finish(self, flattened: AffineAlgebra | None = None) -> DimensionResult:
+    def finish(self, flattened: IdealPresentation | None = None) -> DimensionResult:
         if self.empty:
             return self.result(DimensionValue.empty_ring(), flattened)
         if self.lo > self.hi:
@@ -294,7 +289,7 @@ class _Claims:
             value = DimensionValue.interval(self.lo, self.hi)
         return self.result(value, flattened)
 
-    def result(self, value: DimensionValue, flattened: AffineAlgebra | None = None) -> DimensionResult:
+    def result(self, value: DimensionValue, flattened: IdealPresentation | None = None) -> DimensionResult:
         return DimensionResult(value, tuple(self.trace), flattened, tuple(self.checks))
 
 
@@ -327,10 +322,10 @@ def contained_subfield_trdeg(expr: RingExpr, over: CoefficientField):
     if isinstance(expr, BaseField):
         return field_trdeg_over(expr.coefficients, over)
     if isinstance(expr, FieldExt):
-        base_t = field_trdeg_over(expr.descriptor.base, over)
+        base_t = field_trdeg_over(expr.over, over)
         if base_t is None:
             return None
-        return base_t + expr.descriptor.trdeg
+        return base_t + expr.trdeg
     if isinstance(expr, Quotient):
         if any(r.is_constant() and not r.is_zero() for r in expr.relations):
             return None  # visibly the zero ring: it contains no field at all
@@ -350,7 +345,7 @@ def noetherian_flag(expr: RingExpr) -> bool:
     if isinstance(expr, BaseField):
         return True
     if isinstance(expr, FieldExt):
-        return not isinstance(expr.descriptor.trdeg, Infinity)
+        return not isinstance(expr.trdeg, Infinity)
     if isinstance(expr, (PolyExt, Quotient, LocElement, LocSubringComplement, FracField)):
         return noetherian_flag(expr.base)
     if isinstance(expr, Tensor):
@@ -370,39 +365,38 @@ def structurally_domain(expr: RingExpr) -> bool:
     return False
 
 
-def flatten_affine(expr: RingExpr) -> AffineAlgebra | None:
+def flatten_affine(expr: RingExpr) -> IdealPresentation | None:
     """An affine presentation of the expression over its own coefficient
     field, when one exists within tower limits."""
     if isinstance(expr, BaseField):
         if isinstance(expr.coefficients, (RationalField, PrimeField, RationalFunctionField)):
-            return AffineAlgebra.polynomial_ring(PolynomialRing(expr.coefficients, ()))
+            return IdealPresentation.zero_ideal(PolynomialRing(expr.coefficients, ()))
         return None
     if isinstance(expr, FieldExt):
-        d = expr.descriptor
-        if isinstance(d.trdeg, Infinity):
+        if isinstance(expr.trdeg, Infinity):
             return None
-        return AffineAlgebra(IdealPresentation(d.ambient_ring, [p for _, p in d.algebraic_part]))
+        return IdealPresentation(expr.ambient_ring, [p for _, p in expr.algebraic_part])
     if isinstance(expr, PolyExt):
         inner = flatten_affine(expr.base)
         if inner is None:
             return None
         ext = inner.ring.extend(expr.variables)
-        return AffineAlgebra(IdealPresentation(ext, [g.map_to(ext) for g in inner.presentation.generators]))
+        return IdealPresentation(ext, [g.map_to(ext) for g in inner.generators])
     if isinstance(expr, Quotient):
         inner = flatten_affine(expr.base)
         if inner is None:
             return None
-        return AffineAlgebra(IdealPresentation(inner.ring, (*inner.presentation.generators, *expr.relations)))
+        return IdealPresentation(inner.ring, (*inner.generators, *expr.relations))
     if isinstance(expr, LocElement):
         inner = flatten_affine(expr.base)
         if inner is None:
             return None
-        return rabinowitsch_presentation(inner, expr.element)
+        return rabinowitsch(inner, expr.element)
     if isinstance(expr, Tensor):
         flats = []
         for leg in expr.legs:
             flat = flatten_affine(leg)
-            if flat is None or flat.field != expr.over:
+            if flat is None or flat.ring.field != expr.over:
                 return None
             flats.append(flat)
         combined = flats[0]
@@ -412,23 +406,23 @@ def flatten_affine(expr: RingExpr) -> AffineAlgebra | None:
     return None
 
 
-def tensor_flatten_affine(a: AffineAlgebra, b: AffineAlgebra) -> AffineAlgebra:
+def tensor_flatten_affine(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
     """Tensor over the shared base field, realized by juxtaposing variables
     and uniting the two generator sets.  A variable of ``b`` that ``a``
     already names gets a ``fresh_variable`` name, which avoids every name of
     ``b`` as well, so it cannot collide with a later variable of ``b``."""
-    if a.field != b.field:
-        raise ValueError(f"tensor legs over different base fields: {a.field!r} vs {b.field!r}")
+    if a.ring.field != b.ring.field:
+        raise ValueError(f"tensor legs over different base fields: {a.ring.field!r} vs {b.ring.field!r}")
     b_names: list[str] = []
     for name in b.ring.variables:
-        if name in a.ring.variables or name in a.field.function_variables:
+        if name in a.ring.variables or name in a.ring.field.function_variables:
             name = fresh_variable(name, a.ring, (*b.ring.variables, *b_names))
         b_names.append(name)
     ring = a.ring.extend(b_names)
     b_map = {i: a.ring.arity + i for i in range(b.ring.arity)}
-    gens = [g.map_to(ring) for g in a.presentation.generators]
-    gens += [g.map_to(ring, b_map) for g in b.presentation.generators]
-    return AffineAlgebra(IdealPresentation(ring, gens))
+    gens = [g.map_to(ring) for g in a.generators]
+    gens += [g.map_to(ring, b_map) for g in b.generators]
+    return IdealPresentation(ring, gens)
 
 
 # -- closed rules -----------------------------------------------------------------
@@ -452,11 +446,11 @@ def field_tensor_dimension(trdegs: Sequence[object]) -> DimensionValue:
 def integral_extension_rule(claims: _Claims, leg: RingExpr) -> None:
     """Dimension-equality rule across an integral extension; the syntactic
     certificate is the monic shape of the adjoined minimal polynomials,
-    which descriptor construction already enforced.  Applies only to field
+    which ``FieldExt`` construction already enforced.  Applies only to field
     extension legs with something algebraic to cross."""
-    if not isinstance(leg, FieldExt) or not leg.descriptor.algebraic_part:
+    if not isinstance(leg, FieldExt) or not leg.algebraic_part:
         return
-    names = ",".join(s for s, _ in leg.descriptor.algebraic_part)
+    names = ",".join(s for s, _ in leg.algebraic_part)
     claims.note(RULE_INTEGRAL, f"algebraic part ({names}) crossed without changing dimension")
 
 
@@ -473,7 +467,7 @@ def _eval(expr: RingExpr, budget: Budget) -> DimensionResult:
         claims = _Claims()
         detail = ""
         if isinstance(expr, FieldExt):
-            detail = f"trdeg {expr.descriptor.trdeg} extension; a field as a ring"
+            detail = f"trdeg {expr.trdeg} extension; a field as a ring"
         claims.exactly(0, RULE_FIELD, detail)
         return claims.finish(flatten_affine(expr))
 
@@ -492,7 +486,7 @@ def _eval(expr: RingExpr, budget: Budget) -> DimensionResult:
     raise TypeError(f"unknown ring expression {expr!r}")
 
 
-def _kernel_exact(claims: _Claims, flat: AffineAlgebra, budget: Budget, rule: str = RULE_KERNEL, detail: str = ""):
+def _kernel_exact(claims: _Claims, flat: IdealPresentation, budget: Budget, rule: str = RULE_KERNEL, detail: str = ""):
     d = dim_affine(flat, budget=budget)
     if d.kind == "empty":
         claims.mark_empty(detail="the presented ideal is the unit ideal")
@@ -549,11 +543,11 @@ def _eval_loc_element(expr: LocElement, budget: Budget) -> DimensionResult:
         claims.upper(sub.value.hi, RULE_LOC_UB)
         return claims.finish()
     f = expr.element
-    if base_flat.presentation.contains(f, budget=budget):
+    if base_flat.contains(f, budget=budget):
         claims.mark_empty(RULE_LOC_ZERO, "the element is zero in the algebra")
         return claims.finish(base_flat)
-    flat = rabinowitsch_presentation(base_flat, f)
-    if base_flat.presentation.is_zero_ideal():
+    flat = rabinowitsch(base_flat, f)
+    if base_flat.is_zero_ideal():
         n = base_flat.ring.arity
         claims.exactly(n, RULE_LOC_POLY, f"polynomial ring in {n} variables")
         _kernel_exact(claims, flat, budget, detail="Rabinowitsch cross-check")
@@ -650,7 +644,7 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
         t = field_legs[i]
         rest = [leg for j, leg in enumerate(expr.legs) if j != i]
         rest_flat = [flatten_affine(leg) for leg in rest]
-        if all(f is not None and f.field == over for f in rest_flat):
+        if all(f is not None and f.ring.field == over for f in rest_flat):
             combined = rest_flat[0]
             for other in rest_flat[1:]:
                 combined = tensor_flatten_affine(combined, other)

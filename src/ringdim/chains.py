@@ -1,9 +1,10 @@
 """Explicit prime-ideal chains as machine-checkable lower-bound certificates.
 
-Given an affine algebra A, a base chain of primes, and elements t_1..t_n of
-A that are algebraically independent over the coefficient field, adjoining
-fresh indeterminates X_i and the relations X_i - t_i extends the chain one
-strict step per witness.  Every step carries three pieces of evidence:
+Given an affine algebra A = K[X]/I (passed as the ``IdealPresentation`` of
+I), a base chain of primes, and elements t_1..t_n of A that are
+algebraically independent over the coefficient field, adjoining fresh
+indeterminates X_i and the relations X_i - t_i extends the chain one strict
+step per witness.  Every step carries three pieces of evidence:
 
   * strictness  -- a generator of the next link with nonzero normal form
                    modulo the previous one;
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dimension import AffineAlgebra
 from .errors import CertificateError
 from .ideals import Budget, IdealPresentation, eliminate
 from .polynomials import Polynomial, PolynomialRing, fresh_variable
@@ -83,18 +83,18 @@ class ChainCertificate:
         return len(self.links) - 1
 
 
-def verify_algebraic_independence(A: AffineAlgebra, elements: Sequence[Polynomial], budget: Budget | None = None) -> bool:
+def verify_algebraic_independence(ideal: IdealPresentation, elements: Sequence[Polynomial], budget: Budget | None = None) -> bool:
     """True when no nonzero polynomial relation over the coefficient field
-    holds among the elements in A: the kernel of K[W] -> A is zero,
-    computed by eliminating A's variables from I + (W_i - t_i)."""
+    holds among the elements in A = K[X]/I: the kernel of K[W] -> A is
+    zero, computed by eliminating the X from I + (W_i - t_i)."""
     if not elements:
         return True
-    ring = A.ring
+    ring = ideal.ring
     tags: list[str] = []
     for _ in elements:
         tags.append(fresh_variable("W", ring, tags))
     ext = ring.extend(tags)
-    gens = [g.map_to(ext) for g in A.presentation.generators]
+    gens = [g.map_to(ext) for g in ideal.generators]
     for k, t in enumerate(elements):
         if t.ring != ring:
             raise CertificateError("witness outside the algebra's ring")
@@ -103,15 +103,15 @@ def verify_algebraic_independence(A: AffineAlgebra, elements: Sequence[Polynomia
 
 
 def build_chain(
-    A: AffineAlgebra,
+    ideal: IdealPresentation,
     base_chain: Sequence[IdealPresentation],
     witnesses: Sequence[Polynomial],
     fresh_variables: Sequence[str],
     base_certificates: Sequence[PrimalityCertificate] | None = None,
     budget: Budget | None = None,
 ) -> ChainCertificate:
-    """Extend a strictly ascending chain of primes of A by one link per
-    witness, adjoining X_i - t_i in A[X_1..X_n].
+    """Extend a strictly ascending chain of primes of A = K[X]/I by one link
+    per witness, adjoining X_i - t_i in A[X_1..X_n].
 
     The base chain's primality certificates are taken as given (or asserted);
     each new link gets a substitution-transfer certificate referring to the
@@ -124,7 +124,7 @@ def build_chain(
         raise ValueError("one fresh variable per witness")
     if not base_chain:
         raise ValueError("base chain must contain at least one prime (possibly the zero ideal)")
-    ring = A.ring
+    ring = ideal.ring
     for name in fresh_variables:
         if name in ring.variables:
             raise ValueError(f"fresh variable {name} already in the ring")
@@ -150,7 +150,7 @@ def build_chain(
         if link.ring != ring:
             raise ValueError("base chain links must live in the algebra's ring")
         # the algebra's own relations are part of every link upstairs
-        gens = [g.map_to(ext) for g in link.generators + A.presentation.generators]
+        gens = [g.map_to(ext) for g in link.generators + ideal.generators]
         upstairs = IdealPresentation(ext, gens)
         witness = None
         if links:
@@ -238,8 +238,8 @@ def verify_avoidance_by_evaluation(cert: ChainCertificate, budget: Budget | None
     if not all(p.support() <= base_indices for p in (*base_top.generators, *cert.witnesses)):
         return False
     base_ring = PolynomialRing(ring.field, ring.variables[:n_base], unchecked=True)
-    algebra = AffineAlgebra(IdealPresentation(base_ring, [g.map_to(base_ring) for g in base_top.generators]))
-    return verify_algebraic_independence(algebra, [t.map_to(base_ring) for t in cert.witnesses], budget)
+    base_ideal = IdealPresentation(base_ring, [g.map_to(base_ring) for g in base_top.generators])
+    return verify_algebraic_independence(base_ideal, [t.map_to(base_ring) for t in cert.witnesses], budget)
 
 
 def verify_substitution_transfer(cert: PrimalityCertificate, extended: IdealPresentation, budget: Budget | None = None) -> bool:

@@ -47,7 +47,6 @@ from .chains import (
     verify_chain,
 )
 from .dimension import (
-    AffineAlgebra,
     DimensionValue,
     Infinity,
     trdeg_affine_domain,
@@ -269,7 +268,7 @@ class _Rejected(CertificateError):
         self.outcome = outcome
 
 
-def _quotient_payload(text: str) -> tuple[Quotient, AffineAlgebra]:
+def _quotient_payload(text: str) -> tuple[Quotient, IdealPresentation]:
     expr = parse_ring_expr(text)
     if not isinstance(expr, Quotient):
         raise ParseError("this command expects a Quot(...) payload")
@@ -279,7 +278,7 @@ def _quotient_payload(text: str) -> tuple[Quotient, AffineAlgebra]:
     return expr, flat
 
 
-def _payload_and_element(args) -> tuple[AffineAlgebra, Polynomial]:
+def _payload_and_element(args) -> tuple[IdealPresentation, Polynomial]:
     """The Quot(...) payload and the element, read in the payload's ring."""
     expr, flat = _quotient_payload(args.expression)
     return flat, parse_polynomial(args.element, expr.relations[0].ring)
@@ -292,14 +291,14 @@ def _cmd_dim(args, budget: Budget):
     if result.flattened is not None:
         answer["kernel_presentation"] = {
             "variables": list(result.flattened.ring.variables),
-            "generators": generators_to_json(result.flattened.presentation.generators),
+            "generators": generators_to_json(result.flattened.generators),
         }
     return answer, result.trace, result.cross_checks
 
 
 def _cmd_gb(args, budget: Budget):
     _, flat = _quotient_payload(args.expression)
-    basis = flat.presentation.groebner_basis(_ORDERS[args.order], budget)
+    basis = flat.groebner_basis(_ORDERS[args.order], budget)
     step = TraceEntry(
         "reduced-groebner-basis",
         "Buchberger completion with both classic pair criteria",
@@ -315,7 +314,7 @@ def _cmd_gb(args, budget: Budget):
 def _cmd_eliminate(args, budget: Budget):
     _, flat = _quotient_payload(args.expression)
     keep = [name.strip() for name in args.keep.split(",") if name.strip()]
-    result = eliminate_ideal(flat.presentation, keep, budget)
+    result = eliminate_ideal(flat, keep, budget)
     step = TraceEntry("block-elimination", "elimination ideals via a block order over the discarded variables")
     answer = {
         "keep": keep,
@@ -326,14 +325,14 @@ def _cmd_eliminate(args, budget: Budget):
 
 def _cmd_quotient(args, budget: Budget):
     flat, f = _payload_and_element(args)
-    result = ideal_quotient(flat.presentation, f, budget)
+    result = ideal_quotient(flat, f, budget)
     step = TraceEntry("ideal-quotient", "tag-variable intersection divided by the element")
     return {"generators": generators_to_json(result.generators)}, (step,), ()
 
 
 def _cmd_saturate(args, budget: Budget):
     flat, f = _payload_and_element(args)
-    result = saturate_ideal(flat.presentation, f, budget)
+    result = saturate_ideal(flat, f, budget)
     step = TraceEntry("saturation", "contraction of the Rabinowitsch ideal")
     return {"generators": generators_to_json(result.generators)}, (step,), ()
 
@@ -351,7 +350,7 @@ def _cmd_nzd(args, budget: Budget):
 def _cmd_trdeg(args, budget: Budget):
     expr = parse_ring_expr(args.expression)
     if isinstance(expr, (BaseField, FieldExt)):
-        t = expr.descriptor.trdeg if isinstance(expr, FieldExt) else 0
+        t = expr.trdeg if isinstance(expr, FieldExt) else 0
         answer = {
             "trdeg": "inf" if isinstance(t, Infinity) else t,
             "certificate": {"kind": "declared", "flagged": False},
@@ -360,7 +359,7 @@ def _cmd_trdeg(args, budget: Budget):
     flat = flatten_affine(expr)
     if flat is None:
         raise ParseError("trdeg needs a field extension or an affine domain")
-    if flat.presentation.is_zero_ideal():
+    if flat.is_zero_ideal():
         cert_kind, flagged = "zero-ideal-in-domain", False
     elif args.assert_domain:
         cert_kind, flagged = "asserted", True
@@ -379,7 +378,7 @@ def _cmd_chain(args, budget: Budget):
     ring = flat.ring
     witnesses = [parse_polynomial(t.strip(), ring) for t in args.witnesses.split(",") if t.strip()]
     fresh = [name.strip() for name in args.fresh.split(",") if name.strip()]
-    if flat.presentation.is_zero_ideal():
+    if flat.is_zero_ideal():
         base_cert = PrimalityCertificate("zero-ideal-in-domain")
     else:
         base_cert = PrimalityCertificate("asserted", note="algebra assumed to be a domain")

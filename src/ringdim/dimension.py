@@ -5,6 +5,9 @@ largest variable subset meeting the leading-term ideal of I only in zero.
 The subset scan is exhaustive, which the global variable cap keeps cheap,
 and it is certifiable: tests re-derive it with an independent brute-force
 oracle straight from monomial generators.
+
+An affine algebra K[X]/I is passed as the ``IdealPresentation`` of I, which
+carries the polynomial ring K[X] as ``ring``.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import EmptyRingError
-from .fields import CoefficientField, embed_coefficient, merged_function_field
-from .ideals import Budget, IdealPresentation, ideal_quotient, rabinowitsch
+from .fields import embed_coefficient, merged_function_field
+from .ideals import Budget, IdealPresentation, ideal_quotient
 from .orderings import GREVLEX, MonomialOrder
 from .polynomials import Polynomial, PolynomialRing, fresh_variable
 
@@ -120,28 +123,6 @@ class DimensionValue:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class AffineAlgebra:
-    """K[X_1..X_n]/I, presented by an ideal in an explicit polynomial ring."""
-
-    presentation: IdealPresentation
-
-    @property
-    def ring(self) -> PolynomialRing:
-        return self.presentation.ring
-
-    @property
-    def field(self) -> CoefficientField:
-        return self.presentation.ring.field
-
-    @classmethod
-    def polynomial_ring(cls, ring: PolynomialRing) -> "AffineAlgebra":
-        return cls(IdealPresentation.zero_ideal(ring))
-
-    def __repr__(self):
-        return f"AffineAlgebra({self.ring.variables} over {self.field!r} mod {self.presentation!r})"
-
-
 def independent_set_dimension(leading_monomials: Iterable[tuple[int, ...]], arity: int) -> int:
     """Largest subset U of variables such that no monomial's support fits
     inside U; scanning sizes top-down makes the common cases quick."""
@@ -156,21 +137,16 @@ def independent_set_dimension(leading_monomials: Iterable[tuple[int, ...]], arit
     raise AssertionError("unreachable: the empty subset is always independent")
 
 
-def dim_affine(A: AffineAlgebra, order: MonomialOrder = GREVLEX, budget: Budget | None = None) -> DimensionValue:
-    """Exact Krull dimension via independent sets of the leading-term ideal."""
-    basis = A.presentation.groebner_basis(order, budget)
+def dim_affine(ideal: IdealPresentation, order: MonomialOrder = GREVLEX, budget: Budget | None = None) -> DimensionValue:
+    """Exact Krull dimension of K[X]/I via independent sets of the
+    leading-term ideal."""
+    basis = ideal.groebner_basis(order, budget)
     if not basis:
-        return DimensionValue.exact(A.ring.arity)
+        return DimensionValue.exact(ideal.ring.arity)
     if len(basis) == 1 and basis[0].is_constant():
         return DimensionValue.empty_ring()
     leads = [g.leading(order)[0] for g in basis]
-    return DimensionValue.exact(independent_set_dimension(leads, A.ring.arity))
-
-
-def rabinowitsch_presentation(A: AffineAlgebra, f: Polynomial) -> AffineAlgebra:
-    """The localization A[1/f] presented as K[X, Y]/(I, f*Y - 1); the zero
-    ring (the unit ideal) when f is zero in A."""
-    return AffineAlgebra(rabinowitsch(A.presentation, f))
+    return DimensionValue.exact(independent_set_dimension(leads, ideal.ring.arity))
 
 
 class ZeroDivisorStatus(Enum):
@@ -179,16 +155,16 @@ class ZeroDivisorStatus(Enum):
     ZERO_ELEMENT = "zero-element"
 
 
-def zero_divisor_status(A: AffineAlgebra, f: Polynomial, budget: Budget | None = None) -> ZeroDivisorStatus:
-    """Three-way test: f may be a unit-of-nothing (zero in A), a genuine
+def zero_divisor_status(ideal: IdealPresentation, f: Polynomial, budget: Budget | None = None) -> ZeroDivisorStatus:
+    """Three-way test: f may be a unit-of-nothing (zero in K[X]/I), a genuine
     zero-divisor, or a non-zero-divisor, decided by whether (I : f) = I."""
-    if f.ring != A.ring:
+    if f.ring != ideal.ring:
         raise ValueError("element must live in the algebra's ring")
-    if f.is_zero() or A.presentation.contains(f, budget=budget):
+    if f.is_zero() or ideal.contains(f, budget=budget):
         return ZeroDivisorStatus.ZERO_ELEMENT
-    quotient = ideal_quotient(A.presentation, f, budget)
+    quotient = ideal_quotient(ideal, f, budget)
     # I is always contained in (I : f); equality needs only the reverse check
-    if all(A.presentation.contains(g, budget=budget) for g in quotient.generators):
+    if all(ideal.contains(g, budget=budget) for g in quotient.generators):
         return ZeroDivisorStatus.NON_ZERO_DIVISOR
     return ZeroDivisorStatus.ZERO_DIVISOR
 
@@ -199,14 +175,14 @@ def height_of_prime(P: IdealPresentation, budget: Budget | None = None) -> int:
     Primality is the caller's obligation (see chains for certificate forms);
     the formula needs it, this function does not re-verify it.
     """
-    dim = dim_affine(AffineAlgebra(P), budget=budget)
+    dim = dim_affine(P, budget=budget)
     if dim.kind == "empty":
         raise EmptyRingError("the unit ideal has no height")
     return P.ring.arity - dim.value
 
 
-def dim_generic_fiber(A: AffineAlgebra, n: int, budget: Budget | None = None) -> DimensionValue:
-    """dim of K(T_1..T_n) tensor A over K: the same presentation re-read with
+def dim_generic_fiber(ideal: IdealPresentation, n: int, budget: Budget | None = None) -> DimensionValue:
+    """dim of K(T_1..T_n) tensor K[X]/I over K: the same presentation re-read with
     n fresh transcendentals adjoined to the coefficient field.
 
     An existing rational-function layer is merged rather than stacked, so
@@ -215,24 +191,25 @@ def dim_generic_fiber(A: AffineAlgebra, n: int, budget: Budget | None = None) ->
     if n < 0:
         raise ValueError("negative transcendental count")
     if n == 0:
-        return dim_affine(A, budget=budget)
+        return dim_affine(ideal, budget=budget)
     fresh: list[str] = []
     for _ in range(n):
-        fresh.append(fresh_variable("T", A.ring, fresh))
-    target_field = merged_function_field(A.field, tuple(fresh))
-    lift = embed_coefficient(A.field, target_field)
-    new_ring = PolynomialRing(target_field, A.ring.variables, unchecked=True)
-    gens = [g.map_to(new_ring, coeff_map=lift) for g in A.presentation.generators]
-    return dim_affine(AffineAlgebra(IdealPresentation(new_ring, gens)), budget=budget)
+        fresh.append(fresh_variable("T", ideal.ring, fresh))
+    target_field = merged_function_field(ideal.ring.field, tuple(fresh))
+    lift = embed_coefficient(ideal.ring.field, target_field)
+    new_ring = PolynomialRing(target_field, ideal.ring.variables, unchecked=True)
+    gens = [g.map_to(new_ring, coeff_map=lift) for g in ideal.generators]
+    return dim_affine(IdealPresentation(new_ring, gens), budget=budget)
 
 
-def trdeg_affine_domain(A: AffineAlgebra, budget: Budget | None = None) -> int:
-    """Transcendence degree of Frac(A) over the base field, for A a domain.
+def trdeg_affine_domain(ideal: IdealPresentation, budget: Budget | None = None) -> int:
+    """Transcendence degree of Frac(A) over the base field, for A = K[X]/I
+    a domain.
 
     Equal to dim A; the domain certificate travels with the caller and is
     surfaced in reports, not re-derived here.
     """
-    dim = dim_affine(A, budget=budget)
+    dim = dim_affine(ideal, budget=budget)
     if dim.kind == "empty":
         raise EmptyRingError("the zero ring has no fraction field")
     return dim.value

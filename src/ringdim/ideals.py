@@ -375,6 +375,8 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
 class IdealPresentation:
     """An ideal given by generators, with cached reduced Groebner bases.
 
+    An ideal I of ``ring`` = K[X] also presents the affine algebra K[X]/I:
+    every function that works on such an algebra takes its presentation.
     Zero generators are dropped on construction, so the zero ideal is the
     presentation with no generators.  Presentations are immutable apart from
     the basis cache, whose fill is idempotent, so sharing across threads is

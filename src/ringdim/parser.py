@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .calculus import (
     BaseField,
     FieldExt,
-    FieldExtensionDescriptor,
     FracField,
     LocElement,
     LocSubringComplement,
@@ -336,8 +335,7 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
     if isinstance(trdeg, Infinity):
         if minpoly_asts:
             raise ParseError("infinite extensions take no minimal polynomials", open_tok.line, open_tok.column)
-        descriptor = FieldExtensionDescriptor(base, INF)
-        return FieldExt(descriptor), None
+        return FieldExt(base, INF), None
     basis = tuple(f"s{i + 1}" for i in range(trdeg))
     known = set(basis) | set(base.function_variables)
     symbols: list[str] = []
@@ -356,19 +354,17 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
         (name, poly_ast_to_polynomial(ast, ring)) for name, ast in zip(symbols, minpoly_asts)
     )
     try:
-        descriptor = FieldExtensionDescriptor(base, trdeg, basis, minpolys)
+        ext = FieldExt(base, trdeg, basis, minpolys)
     except ValueError as exc:
         raise ParseError(str(exc), open_tok.line, open_tok.column) from None
-    return FieldExt(descriptor), descriptor.ambient_ring
+    return ext, ext.ambient_ring
 
 
 def _field_chain(expr: RingExpr) -> list[CoefficientField]:
     """Fields the expression is naturally an algebra over, outermost first."""
     if isinstance(expr, BaseField):
         chain = [expr.coefficients]
-    elif isinstance(expr, FieldExt):
-        chain = [expr.descriptor.base]
-    elif isinstance(expr, Tensor):
+    elif isinstance(expr, (FieldExt, Tensor)):
         chain = [expr.over]
     else:
         return _field_chain(expr.base)
@@ -403,7 +399,7 @@ def _parse_expr(cur: _Cursor) -> tuple[RingExpr, PolynomialRing | None]:
         if ambient is None and isinstance(base, FieldExt):
             # polynomials over an infinite extension parse with coefficients
             # in the extension's base field; the tree stays symbolic
-            ambient = PolynomialRing(base.descriptor.base, ())
+            ambient = PolynomialRing(base.over, ())
         if ambient is not None:
             try:
                 new_ambient = PolynomialRing(ambient.field, ambient.variables + tuple(names))
@@ -519,12 +515,11 @@ def format_ring_expr(expr: RingExpr) -> str:
     if isinstance(expr, BaseField):
         return format_field(expr.coefficients)
     if isinstance(expr, FieldExt):
-        d = expr.descriptor
-        trdeg = "inf" if isinstance(d.trdeg, Infinity) else str(d.trdeg)
-        if not d.algebraic_part:
-            return f"Ext({format_field(d.base)}; {trdeg})"
-        polys = ", ".join(format_polynomial(p) for _, p in d.algebraic_part)
-        return f"Ext({format_field(d.base)}; {trdeg}; {polys})"
+        trdeg = "inf" if isinstance(expr.trdeg, Infinity) else str(expr.trdeg)
+        if not expr.algebraic_part:
+            return f"Ext({format_field(expr.over)}; {trdeg})"
+        polys = ", ".join(format_polynomial(p) for _, p in expr.algebraic_part)
+        return f"Ext({format_field(expr.over)}; {trdeg}; {polys})"
     if isinstance(expr, PolyExt):
         return f"Poly({format_ring_expr(expr.base)}; {','.join(expr.variables)})"
     if isinstance(expr, Quotient):

@@ -18,7 +18,6 @@ import jsonschema
 
 from ringdim import (
     INF,
-    AffineAlgebra,
     BaseField,
     DimensionValue,
     IdealPresentation,
@@ -127,10 +126,9 @@ def _random_affine_instances(rng, wanted: int):
             random_polynomial(rng, ring, max_degree=3, max_terms=3, nonzero=True)
             for _ in range(rng.randint(1, 2))
         ]
-        presentation = IdealPresentation(ring, gens)
-        algebra = AffineAlgebra(presentation)
+        algebra = IdealPresentation(ring, gens)
         f = random_polynomial(rng, ring, max_degree=2, max_terms=2, nonzero=True)
-        if presentation.is_unit_ideal() or presentation.contains(f):
+        if algebra.is_unit_ideal() or algebra.contains(f):
             continue
         if zero_divisor_status(algebra, f) is not ZeroDivisorStatus.NON_ZERO_DIVISOR:
             continue
@@ -172,7 +170,7 @@ def test_criterion_3_nzd_localization_suite():
     with criterion(3, "non-zero-divisor localization"):
         rng = random.Random(26_08_02)
         for algebra, f in _random_affine_instances(rng, 100):
-            loc = evaluate(_localization(algebra.ring, algebra.presentation.generators, f))
+            loc = evaluate(_localization(algebra.ring, algebra.generators, f))
             assert loc.value == dim_affine(algebra), (algebra, f)
             assert dim_affine(loc.flattened) == dim_affine(algebra), (algebra, f)
         for prime, _, f in _prime_instances(rng, 20):
@@ -223,7 +221,7 @@ def test_criterion_4_tensor_equality_cross_check():
 
 def _standard_chain(k: int) -> ChainCertificate:
     ring = PolynomialRing(QQ, tuple(f"u{i+1}" for i in range(k)))
-    algebra = AffineAlgebra.polynomial_ring(ring)
+    algebra = IdealPresentation.zero_ideal(ring)
     witnesses = [ring.variable(i) for i in range(k)]
     fresh = [f"X{i+1}" for i in range(k)]
     return build_chain(algebra, [IdealPresentation.zero_ideal(ring)], witnesses, fresh)
@@ -288,23 +286,23 @@ def test_criterion_6_dimension_oracle_equivalence():
                 for _ in range(rng.randint(1, 3)):
                     exps[rng.randrange(6)] += 1
                 gens.append(ring6.monomial(tuple(exps)))
-            algebra = AffineAlgebra(IdealPresentation(ring6, gens))
+            algebra = IdealPresentation(ring6, gens)
             expected = subset_dimension_oracle([g.leading(GREVLEX)[0] for g in gens], 6)
             assert dim_affine(algebra) == DimensionValue.exact(expected)
         # fixture set
         for n in range(5):
             ring = PolynomialRing(QQ, tuple(f"x{i}" for i in range(n)))
-            assert dim_affine(AffineAlgebra.polynomial_ring(ring)) == DimensionValue.exact(n)
+            assert dim_affine(IdealPresentation.zero_ideal(ring)) == DimensionValue.exact(n)
         rxyz = PolynomialRing(QQ, ("x", "y", "z"))
         x, y, z = (rxyz.variable(i) for i in range(3))
-        assert dim_affine(AffineAlgebra(IdealPresentation(rxyz, [x * z, y * z]))).value == 2
+        assert dim_affine(IdealPresentation(rxyz, [x * z, y * z])).value == 2
         rxy = PolynomialRing(QQ, ("x", "y"))
         xx, yy = rxy.variable("x"), rxy.variable("y")
-        assert dim_affine(AffineAlgebra(IdealPresentation(rxy, [xx * yy - rxy.one()]))).value == 1
+        assert dim_affine(IdealPresentation(rxy, [xx * yy - rxy.one()])).value == 1
         rab = PolynomialRing(QQ, ("a", "b"))
         a, b = rab.variable("a"), rab.variable("b")
         quad = IdealPresentation(rab, [a**2 - rab.from_int(2), b**2 - rab.from_int(2)])
-        assert dim_affine(AffineAlgebra(quad)).value == 0
+        assert dim_affine(quad).value == 0
 
 
 # -- 7. infinite results carry the right rules --------------------------------------

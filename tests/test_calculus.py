@@ -209,7 +209,7 @@ def test_tensor_flatten_polynomial_rings():
     b = flatten_affine(parse_ring_expr("Poly(Q; y)"))
     combined = tensor_flatten_affine(a, b)
     assert combined.ring.variables == ("x", "y")
-    assert combined.presentation.is_zero_ideal()
+    assert combined.is_zero_ideal()
 
 
 def test_tensor_flatten_renames_collisions():

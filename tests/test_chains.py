@@ -5,7 +5,6 @@ import random
 import pytest
 
 from ringdim import (
-    AffineAlgebra,
     CertificateError,
     ChainCertificate,
     ChainStepEvidence,
@@ -29,7 +28,7 @@ from conftest import same_ideal
 
 
 def polynomial_ring_algebra(*names):
-    return AffineAlgebra.polynomial_ring(PolynomialRing(QQ, names))
+    return IdealPresentation.zero_ideal(PolynomialRing(QQ, names))
 
 
 def zero_chain(A):
@@ -147,9 +146,7 @@ def test_verify_algebraic_independence():
     assert verify_algebraic_independence(A, [])
     # in a proper quotient, a relation kills independence
     ring = PolynomialRing(QQ, ("x", "y"))
-    circle = AffineAlgebra(
-        IdealPresentation(ring, [ring.variable("x") ** 2 + ring.variable("y") ** 2 - ring.one()])
-    )
+    circle = IdealPresentation(ring, [ring.variable("x") ** 2 + ring.variable("y") ** 2 - ring.one()])
     assert not verify_algebraic_independence(circle, [ring.variable("x"), ring.variable("y")])
 
 
@@ -284,7 +281,7 @@ def test_chain_over_proper_quotient_algebra():
     # transcendental over the base and carry a one-step chain
     ring = PolynomialRing(QQ, ("u", "v"))
     u, v = ring.variable("u"), ring.variable("v")
-    A = AffineAlgebra(IdealPresentation(ring, [v**2 - u]))
+    A = IdealPresentation(ring, [v**2 - u])
     for witness in (u, v):
         cert = build_chain(A, [IdealPresentation.zero_ideal(ring)], [witness], ["X1"])
         assert certified_lower_bound(cert) == 1

@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from ringdim import (
-    AffineAlgebra,
     DimensionValue,
     EmptyRingError,
     GREVLEX,
@@ -22,11 +21,11 @@ from ringdim import (
     evaluate,
     height_of_prime,
     parse_ring_expr,
-    rabinowitsch_presentation,
     trdeg_affine_domain,
     zero_divisor_status,
     eliminate,
 )
+from ringdim.ideals import rabinowitsch
 
 from conftest import random_polynomial
 
@@ -60,26 +59,26 @@ def random_monomial_ideal(rng, ring, max_gens=6, max_degree=3):
 def test_dim_polynomial_rings():
     for n in range(7):
         ring = PolynomialRing(QQ, tuple(f"x{i}" for i in range(n)))
-        A = AffineAlgebra.polynomial_ring(ring)
+        A = IdealPresentation.zero_ideal(ring)
         assert dim_affine(A) == DimensionValue.exact(n)
 
 
 def test_dim_fixture_set():
     rxyz = PolynomialRing(QQ, ("x", "y", "z"))
     x, y, z = (rxyz.variable(i) for i in range(3))
-    assert dim_affine(AffineAlgebra(IdealPresentation(rxyz, [x * z, y * z]))).value == 2
+    assert dim_affine(IdealPresentation(rxyz, [x * z, y * z])).value == 2
     rxy = PolynomialRing(QQ, ("x", "y"))
     xx, yy = rxy.variable("x"), rxy.variable("y")
-    assert dim_affine(AffineAlgebra(IdealPresentation(rxy, [xx * yy - rxy.one()]))).value == 1
+    assert dim_affine(IdealPresentation(rxy, [xx * yy - rxy.one()])).value == 1
     rab = PolynomialRing(QQ, ("a", "b"))
     a, b = rab.variable("a"), rab.variable("b")
     two = rab.from_int(2)
-    assert dim_affine(AffineAlgebra(IdealPresentation(rab, [a**2 - two, b**2 - two]))).value == 0
+    assert dim_affine(IdealPresentation(rab, [a**2 - two, b**2 - two])).value == 0
 
 
 def test_dim_empty_ring_is_distinct():
     rxy = PolynomialRing(QQ, ("x", "y"))
-    A = AffineAlgebra(IdealPresentation(rxy, [rxy.one()]))
+    A = IdealPresentation(rxy, [rxy.one()])
     assert dim_affine(A) == DimensionValue.empty_ring()
 
 
@@ -88,7 +87,7 @@ def test_dim_matches_monomial_oracle_random():
     ring = PolynomialRing(QQ, tuple(f"x{i}" for i in range(5)))
     for _ in range(60):
         gens = random_monomial_ideal(rng, ring)
-        A = AffineAlgebra(IdealPresentation(ring, gens))
+        A = IdealPresentation(ring, gens)
         expected = monomial_ideal_dim_oracle([g.leading(GREVLEX)[0] for g in gens], ring.arity)
         assert dim_affine(A).value == expected
 
@@ -98,7 +97,7 @@ def test_dim_order_invariance():
     ring = PolynomialRing(QQ, ("x", "y", "z"))
     for _ in range(15):
         gens = [random_polynomial(rng, ring, nonzero=True) for _ in range(2)]
-        A = AffineAlgebra(IdealPresentation(ring, gens))
+        A = IdealPresentation(ring, gens)
         assert dim_affine(A, order=GREVLEX) == dim_affine(A, order=LEX)
 
 
@@ -115,27 +114,27 @@ def test_dim_poly_localization_examples():
 
 def test_rabinowitsch_presentation_shape():
     r1 = PolynomialRing(QQ, ("x",))
-    A = AffineAlgebra.polynomial_ring(r1)
-    loc = rabinowitsch_presentation(A, r1.variable("x"))
+    A = IdealPresentation.zero_ideal(r1)
+    loc = rabinowitsch(A, r1.variable("x"))
     assert loc.ring.variables == ("x", "Y")
     x, Y = loc.ring.variable(0), loc.ring.variable(1)
-    assert loc.presentation.generators == (x * Y - loc.ring.one(),)
+    assert loc.generators == (x * Y - loc.ring.one(),)
     # contraction consistency: eliminating Y recovers the zero ideal
-    assert eliminate(loc.presentation, ["x"]).is_zero_ideal()
+    assert eliminate(loc, ["x"]).is_zero_ideal()
 
 
 def test_rabinowitsch_of_an_element_of_the_ideal_is_the_unit_ideal():
     rxy = PolynomialRing(QQ, ("x", "y"))
     x, y = rxy.variable("x"), rxy.variable("y")
-    A = AffineAlgebra(IdealPresentation(rxy, [x * y]))
-    loc = rabinowitsch_presentation(A, x * y)
-    assert loc.presentation.is_unit_ideal()
+    A = IdealPresentation(rxy, [x * y])
+    loc = rabinowitsch(A, x * y)
+    assert loc.is_unit_ideal()
     assert dim_affine(loc) == DimensionValue.empty_ring()
 
 
 def test_rabinowitsch_variable_avoids_coefficient_field_names():
     ring = PolynomialRing(RationalFunctionField(QQ, ("Y",)), ("x",))
-    loc = rabinowitsch_presentation(AffineAlgebra.polynomial_ring(ring), ring.variable("x"))
+    loc = rabinowitsch(IdealPresentation.zero_ideal(ring), ring.variable("x"))
     assert loc.ring.variables == ("x", "Y1")
     assert dim_affine(loc) == DimensionValue.exact(1)
 
@@ -156,11 +155,11 @@ def test_localizing_at_zero_inside_a_construction_gives_the_zero_ring():
 def test_zero_divisor_status():
     rxy = PolynomialRing(QQ, ("x", "y"))
     x, y = rxy.variable("x"), rxy.variable("y")
-    A = AffineAlgebra(IdealPresentation(rxy, [x * y]))
+    A = IdealPresentation(rxy, [x * y])
     assert zero_divisor_status(A, x) is ZeroDivisorStatus.ZERO_DIVISOR
     assert zero_divisor_status(A, x + y) is ZeroDivisorStatus.NON_ZERO_DIVISOR
     assert zero_divisor_status(A, x * y) is ZeroDivisorStatus.ZERO_ELEMENT
-    domain = AffineAlgebra.polynomial_ring(PolynomialRing(QQ, ("x",)))
+    domain = IdealPresentation.zero_ideal(PolynomialRing(QQ, ("x",)))
     f = domain.ring.variable("x") + domain.ring.one()
     assert zero_divisor_status(domain, f) is ZeroDivisorStatus.NON_ZERO_DIVISOR
 
@@ -171,11 +170,11 @@ def test_localization_never_raises_dimension():
     checked = 0
     while checked < 20:
         gens = [random_polynomial(rng, ring, nonzero=True)]
-        A = AffineAlgebra(IdealPresentation(ring, gens))
+        A = IdealPresentation(ring, gens)
         f = random_polynomial(rng, ring, max_degree=2, nonzero=True)
-        if A.presentation.is_unit_ideal() or A.presentation.contains(f):
+        if A.is_unit_ideal() or A.contains(f):
             continue
-        loc = dim_affine(rabinowitsch_presentation(A, f))
+        loc = dim_affine(rabinowitsch(A, f))
         if loc.kind == "empty":
             continue
         assert loc.value <= dim_affine(A).value
@@ -195,12 +194,12 @@ def test_height_examples():
 
 def test_generic_fiber_examples():
     ry = PolynomialRing(QQ, ("y",))
-    assert dim_generic_fiber(AffineAlgebra.polynomial_ring(ry), 1).value == 1
+    assert dim_generic_fiber(IdealPresentation.zero_ideal(ry), 1).value == 1
     rxy = PolynomialRing(QQ, ("x", "y"))
     x, y = rxy.variable("x"), rxy.variable("y")
-    assert dim_generic_fiber(AffineAlgebra(IdealPresentation(rxy, [x * y])), 1).value == 1
+    assert dim_generic_fiber(IdealPresentation(rxy, [x * y]), 1).value == 1
     r0 = PolynomialRing(QQ, ())
-    assert dim_generic_fiber(AffineAlgebra.polynomial_ring(r0), 3).value == 0
+    assert dim_generic_fiber(IdealPresentation.zero_ideal(r0), 3).value == 0
 
 
 def test_generic_fiber_preserves_dimension_randomized():
@@ -210,7 +209,7 @@ def test_generic_fiber_preserves_dimension_randomized():
         checked = 0
         while checked < 10:
             gens = [random_polynomial(rng, ring, nonzero=True)]
-            A = AffineAlgebra(IdealPresentation(ring, gens))
+            A = IdealPresentation(ring, gens)
             base = dim_affine(A)
             if base.kind == "empty":
                 continue
@@ -221,7 +220,7 @@ def test_generic_fiber_preserves_dimension_randomized():
 def test_generic_fiber_merges_existing_function_field():
     field = RationalFunctionField(QQ, ("u",))
     ring = PolynomialRing(field, ("y",))
-    A = AffineAlgebra.polynomial_ring(ring)
+    A = IdealPresentation.zero_ideal(ring)
     fiber = dim_generic_fiber(A, 2)
     assert fiber.value == 1  # base extension leaves the affine dimension alone
 
@@ -229,15 +228,15 @@ def test_generic_fiber_merges_existing_function_field():
 def test_trdeg_affine_domain_examples():
     rxy = PolynomialRing(QQ, ("x", "y"))
     x, y = rxy.variable("x"), rxy.variable("y")
-    cusp = AffineAlgebra(IdealPresentation(rxy, [y**2 - x**3]))
+    cusp = IdealPresentation(rxy, [y**2 - x**3])
     assert trdeg_affine_domain(cusp) == 1
     r4 = PolynomialRing(QQ, tuple(f"x{i}" for i in range(4)))
-    assert trdeg_affine_domain(AffineAlgebra.polynomial_ring(r4)) == 4
+    assert trdeg_affine_domain(IdealPresentation.zero_ideal(r4)) == 4
     r1 = PolynomialRing(QQ, ("x",))
-    quad = AffineAlgebra(IdealPresentation(r1, [r1.variable("x") ** 2 - r1.from_int(2)]))
+    quad = IdealPresentation(r1, [r1.variable("x") ** 2 - r1.from_int(2)])
     assert trdeg_affine_domain(quad) == 0
     with pytest.raises(EmptyRingError):
-        trdeg_affine_domain(AffineAlgebra(IdealPresentation(r1, [r1.one()])))
+        trdeg_affine_domain(IdealPresentation(r1, [r1.one()]))
 
 
 def test_interval_collapses_and_validates():

@@ -104,7 +104,7 @@ def test_grammar_examples():
     legs = e.legs
     from ringdim import INF
 
-    assert legs[0].descriptor.trdeg == INF
+    assert legs[0].trdeg == INF
 
 
 def test_field_forms():
@@ -124,9 +124,8 @@ def test_field_forms():
 
 def test_ext_with_minimal_polynomials():
     e = parse_ring_expr("Ext(Q; 1; a^2 - s1)")
-    d = e.descriptor
-    assert d.trdeg == 1 and d.basis_names == ("s1",)
-    assert [name for name, _ in d.algebraic_part] == ["a"]
+    assert e.over == QQ and e.trdeg == 1 and e.basis_names == ("s1",)
+    assert [name for name, _ in e.algebraic_part] == ["a"]
     with pytest.raises(ParseError):
         parse_ring_expr("Ext(Q; 0; 2*a^2 - 1)")  # not monic
     with pytest.raises(ParseError):

@@ -47,7 +47,7 @@ from .fields import (
     RationalFunctionField,
     merged_function_field,
 )
-from .polynomials import Polynomial, PolynomialRing, format_polynomial
+from .polynomials import Polynomial, PolynomialRing, check_variable_cap, format_polynomial
 
 
 # -- lexing ---------------------------------------------------------------------
@@ -336,6 +336,8 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
         if minpoly_asts:
             raise ParseError("infinite extensions take no minimal polynomials", open_tok.line, open_tok.column)
         return FieldExt(base, INF), None
+    # the count PolynomialRing makes below, taken before any name is built
+    check_variable_cap(trdeg + len(base.function_variables) + len(minpoly_asts))
     basis = tuple(f"s{i + 1}" for i in range(trdeg))
     known = set(basis) | set(base.function_variables)
     symbols: list[str] = []

@@ -32,6 +32,15 @@ from .orderings import GREVLEX, MonomialOrder
 MAX_TOTAL_VARIABLES = 12
 
 
+def check_variable_cap(total: int) -> None:
+    """Refuse ``total`` ring plus coefficient-field variables past the cap."""
+    if total > MAX_TOTAL_VARIABLES:
+        raise VariableCapError(
+            f"{total} variables exceed the cap of {MAX_TOTAL_VARIABLES}; "
+            "construct with unchecked=True to override"
+        )
+
+
 # -- exponent-vector helpers -------------------------------------------------
 
 def monomial_mul(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -70,12 +79,8 @@ class PolynomialRing:
         clash = set(self.variables) & set(function_vars)
         if clash:
             raise ValueError(f"ring variables shadow coefficient-field variables: {sorted(clash)}")
-        total = len(self.variables) + len(function_vars)
-        if not unchecked and total > MAX_TOTAL_VARIABLES:
-            raise VariableCapError(
-                f"{total} variables exceed the cap of {MAX_TOTAL_VARIABLES}; "
-                "construct with unchecked=True to override"
-            )
+        if not unchecked:
+            check_variable_cap(len(self.variables) + len(function_vars))
         self._index = {name: i for i, name in enumerate(self.variables)}
 
     @property

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -363,6 +364,13 @@ def test_validator_rejects_unjustified_exact_dimension():
     jsonschema.validate(base, SCHEMA)
 
 
+def test_prime_modulus_from_two_to_the_64_is_a_user_error(capsys):
+    code, report = run_cli(capsys, "dim", f"Fp({2**64 + 13})")
+    assert code == EXIT_USER_ERROR
+    assert report["status"] == "user-error"
+    assert report["error"]["message"] == f"prime modulus {2**64 + 13} is not below 2^64 (line 1, column 4)"
+
+
 def test_dim_nilpotent_localization_is_the_zero_ring(capsys):
     # x is nilpotent, so inverting it gives the zero ring
     code, report = run_cli(capsys, "dim", "Loc(Quot(Poly(Q;x,y); x^2); x)")
@@ -465,3 +473,23 @@ def test_help_still_exits_zero(capsys):
         cli.main(["dim", "--help"])
     assert info.value.code == 0
     assert "usage: ringdim dim" in capsys.readouterr().out
+
+
+def test_perfbench_tracer_restores_every_binding_it_replaces(capsys):
+    # the benchmark's tracer wraps ringdim functions and methods by name, so
+    # a rename that breaks `perfbench/run.py --trace 1` fails here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        replaced = list(tracer._undo)
+        assert cli.main(["dim", "Q"]) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert any(span[0] == "cli.main" for span in tracer.spans)
+    for owner, attr, original in replaced:
+        assert vars(owner)[attr] is original, (owner, attr)

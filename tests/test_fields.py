@@ -91,6 +91,36 @@ def test_prime_field_arithmetic():
         PrimeField(6)
 
 
+def _accepted_as_prime(n: int) -> bool:
+    try:
+        PrimeField(n)
+    except ValueError:
+        return False
+    return True
+
+
+def test_prime_field_accepts_exactly_the_primes_below_ten_thousand():
+    limit = 10_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, 100):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, limit, i))
+    assert [n for n in range(limit) if _accepted_as_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+# a Carmichael number, then strong pseudoprimes to base 2, to bases 2..7,
+# and to every prime base up to 23
+@pytest.mark.parametrize("n", [561, 2047, 3215031751, 3825123056546413051])
+def test_prime_field_rejects_pseudoprimes(n):
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(n)
+
+
+def test_prime_field_takes_a_large_prime():
+    p = 2**61 - 1
+    assert PrimeField(p).mul(2**60, 2) == 1
+
+
 def test_tower_depth_limited(qt):
     with pytest.raises(TowerDepthError):
         RationalFunctionField(qt, ("u",))

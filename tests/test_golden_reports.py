@@ -53,11 +53,19 @@ _RING_EXPR = re.compile(r"(Q|Fp\(|FunField\(|Ext\(|Poly\(|Quot\(|Loc\(|LocSub\(|
 
 def ring_expression_literals() -> list[str]:
     """Every string literal in the test modules that reads as a ring
-    expression, in sorted order."""
+    expression, in sorted order.  The constant pieces of an f-string are
+    fragments, not expressions, so they are skipped."""
     found = set()
     for path in TESTS_DIR.glob("test_*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str) and _RING_EXPR.match(node.value):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fragments = {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr) for part in node.values}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in fragments
+                and _RING_EXPR.match(node.value)
+            ):
                 found.add(node.value)
     return sorted(found)
 

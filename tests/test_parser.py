@@ -20,6 +20,8 @@ from ringdim import (
     parse_polynomial,
     parse_ring_expr,
 )
+from ringdim import parser
+from ringdim.errors import VariableCapError
 from ringdim.parser import MAX_NESTING
 
 
@@ -132,6 +134,15 @@ def test_ext_with_minimal_polynomials():
         parse_ring_expr("Ext(Q; inf; a^2 - 2)")  # no algebraic part over inf
     with pytest.raises(ParseError):
         parse_ring_expr("Ext(Q; 0; a*b - 1)")  # two new symbols at once
+
+
+def test_ext_past_the_variable_cap_is_refused_before_naming_its_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the basis was built before the cap was checked")
+
+    monkeypatch.setattr(parser, "merged_function_field", refuse)
+    with pytest.raises(VariableCapError, match="^1000000 variables exceed the cap of 12;"):
+        parse_ring_expr(f"Ext(Q; {10**6})")
 
 
 def test_tensor_base_inference_and_validation():

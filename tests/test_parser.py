@@ -13,6 +13,7 @@ from ringdim import (
     Quotient,
     RationalFunctionField,
     Tensor,
+    VariableCapError,
     format_field,
     format_polynomial,
     format_ring_expr,
@@ -21,7 +22,6 @@ from ringdim import (
     parse_ring_expr,
 )
 from ringdim import parser
-from ringdim.errors import VariableCapError
 from ringdim.parser import MAX_NESTING
 
 

@@ -5,6 +5,9 @@ Element representations are deliberately plain: ``Fraction`` for Q, canonical
 ints in [0, p) for F_p, and gcd-reduced numerator/denominator polynomial
 pairs for rational function fields.  Field objects mediate all arithmetic so
 the polynomial layer never needs to know which representation it is holding.
+Rational-function sums and products stay reduced by Henrici's formulas, which
+take gcds only of denominators and cross terms; only construction, ``inv``
+and ``div`` run the full normalization.
 
 Every field object provides:
     zero, one, characteristic, function_variables
@@ -175,9 +178,11 @@ class PrimeField:
 def normalize_rational_function(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Canonical form of num/den: gcd-reduced, denominator monic (grevlex).
 
-    Canonicality makes rational-function equality a syntactic check, and the
-    reduction after every operation keeps Groebner runs over function fields
-    from drowning in coefficient growth.
+    Canonicality makes rational-function equality a syntactic check, and
+    keeping every value reduced keeps Groebner runs over function fields from
+    drowning in coefficient growth.  This full gcd runs when a ``RatFunc`` is
+    built and for ``inv`` and ``div``; sums and products of reduced operands
+    stay reduced by Henrici's formulas instead (see ``RationalFunctionField``).
     """
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
@@ -196,8 +201,40 @@ def normalize_rational_function(num: Polynomial, den: Polynomial) -> tuple[Polyn
     return num, den
 
 
+def _is_constant(p: Polynomial) -> bool:
+    """True when ``p`` is a nonzero constant.  For a monic polynomial (a
+    denominator, a gcd) that means ``p`` is 1; a numerator such as -1 or 1/2
+    is constant without being 1."""
+    terms = p.terms
+    return len(terms) == 1 and not any(next(iter(terms)))
+
+
+def _times(p: Polynomial, m: Polynomial) -> Polynomial:
+    """p*m for a monic ``m``, skipping m = 1."""
+    return p if _is_constant(m) else p * m
+
+
+def _monic_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p*q for monic ``p`` and ``q``, skipping a factor 1."""
+    return q if _is_constant(p) else _times(p, q)
+
+
+def _gcd(p: Polynomial, q: Polynomial) -> Polynomial | None:
+    """gcd(p, q) of nonzero ``p`` and ``q``, or None when it is 1; a constant
+    operand skips the gcd."""
+    if _is_constant(q) or _is_constant(p):
+        return None
+    g = polynomial_gcd(p, q)
+    return None if _is_constant(g) else g
+
+
 class RatFunc:
-    """A reduced fraction of polynomials in the function-field variables."""
+    """A reduced fraction of polynomials in the function-field variables.
+
+    ``RatFunc(num, den)`` normalizes; the field's sums and products keep
+    their results reduced by Henrici's formulas and build them with
+    ``_reduced``, which trusts its arguments.
+    """
 
     __slots__ = ("num", "den")
 
@@ -277,14 +314,44 @@ class RationalFunctionField:
         ring = self.poly_ring
         return RatFunc._reduced(ring.variable(name), ring.one())
 
+    # Henrici's formulas (Knuth, TAOCP vol. 2, 4.5.1): the operands are
+    # reduced with monic denominators, so only gcds of denominators and of
+    # cross terms are needed, and a quotient or product of monic polynomials
+    # is monic under grevlex.
+
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+        return self._combine(a, b.num, b.den, Polynomial.__add__)
 
     def sub(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
+        return self._combine(a, b.num, b.den, Polynomial.__sub__)
+
+    def _combine(self, a: RatFunc, c: Polynomial, d: Polynomial, op) -> RatFunc:
+        """a.num/a.den op c/d, for op addition or subtraction."""
+        n, b = a.num, a.den
+        g = _gcd(b, d)
+        if g is None:
+            # coprime denominators: the result is already reduced
+            return RatFunc._reduced(op(_times(n, d), _times(c, b)), _monic_product(b, d))
+        b_g, d_g = exact_divide(b, g), exact_divide(d, g)
+        t = op(_times(n, d_g), _times(c, b_g))
+        if t.is_zero():
+            return self.zero
+        g2 = _gcd(t, g)
+        if g2 is not None:
+            t, d = exact_divide(t, g2), exact_divide(d, g2)
+        return RatFunc._reduced(t, _monic_product(b_g, d))
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return RatFunc(a.num * b.num, a.den * b.den)
+        n, d, m, e = a.num, a.den, b.num, b.den
+        if n.is_zero() or m.is_zero():
+            return self.zero
+        g1 = _gcd(n, e)
+        if g1 is not None:
+            n, e = exact_divide(n, g1), exact_divide(e, g1)
+        g2 = _gcd(m, d)
+        if g2 is not None:
+            m, d = exact_divide(m, g2), exact_divide(d, g2)
+        return RatFunc._reduced(n * m, _monic_product(d, e))
 
     def neg(self, a: RatFunc) -> RatFunc:
         return RatFunc._reduced(-a.num, a.den)
@@ -301,7 +368,7 @@ class RationalFunctionField:
         return a.num.is_zero()
 
     def is_one(self, a: RatFunc) -> bool:
-        return a.num == a.num.ring.one() and a.den == a.den.ring.one()
+        return _is_constant(a.den) and _is_constant(a.num) and self.base.is_one(a.num.constant_value())
 
     def element_key(self, a: RatFunc):
         return ("rf", a.num.sort_key(), a.den.sort_key())

@@ -24,6 +24,7 @@ one new symbol they introduce.  Printing and parsing round-trip exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .calculus import (
@@ -110,6 +111,9 @@ def tokenize(text: str) -> list[Token]:
             start = i
             while i < len(text) and text[i].isdigit():
                 i += 1
+            digits, limit = i - start, sys.get_int_max_str_digits()
+            if limit and digits > limit:
+                raise ParseError(f"integer literal has {digits} digits; at most {limit} are accepted", line, col)
             tokens.append(Token("INT", text[start:i], line, col))
             col += i - start
             continue

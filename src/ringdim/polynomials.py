@@ -460,8 +460,12 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
 def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Multivariate gcd over a field, by primitive pseudo-remainder sequences.
 
-    The result is monic under grevlex, so it is canonical.  Only what
-    rational-function normalization needs: operands stay small here.
+    The result is monic under grevlex, so it is canonical.  When either
+    operand is a single term c*x^a, every divisor of it is a monomial and the
+    gcd is x^m, m the least exponent of each variable over the terms of both
+    operands; that base case (a constant operand included) skips the content
+    recursion.  Only what rational-function arithmetic needs: operands stay
+    small here.
     """
     if f.is_zero() and g.is_zero():
         return f
@@ -470,10 +474,10 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         return f.monic()
     f._check_ring(g)
-    occurring = f.support() | g.support()
-    if not occurring:
-        return f.ring.one()
-    i = max(occurring)
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        exps = tuple(map(min, *f.terms, *g.terms))
+        return Polynomial._raw(f.ring, {exps: f.ring.field.one})
+    i = max(f.support() | g.support())  # two terms or more: some variable occurs
     if f.degree_in(i) < g.degree_in(i):
         f, g = g, f
     cf, cg = _content(f, i), _content(g, i)

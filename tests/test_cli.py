@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -388,6 +389,31 @@ def test_deep_nesting_is_a_parse_error(capsys):
     assert report["status"] == "user-error"
     # Quot( is the first level, so the offending '(' is number MAX_NESTING of the run
     assert (report["error"]["line"], report["error"]["column"]) == (1, len(prefix) + MAX_NESTING)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        (f"Ext(Q; {'9' * 5000})", 8),
+        (f"Fp({'9' * 5000})", 4),
+        (f"Quot(Poly(Q;x); {'9' * 5000}*x)", 17),
+    ],
+    ids=["transcendence-degree", "prime", "coefficient"],
+)
+def test_over_long_integer_literal_is_a_parse_error(capsys, text, column):
+    limit = sys.get_int_max_str_digits()
+    code, report = run_cli(capsys, "dim", text)
+    assert code == EXIT_USER_ERROR
+    assert report["status"] == "user-error"
+    assert (report["error"]["line"], report["error"]["column"]) == (1, column)
+    assert report["error"]["message"].startswith(f"integer literal has 5000 digits; at most {limit} are accepted")
+
+
+def test_integer_literal_at_the_digit_limit_is_a_coefficient(capsys):
+    n = "9" * sys.get_int_max_str_digits()
+    code, report = run_cli(capsys, "gb", f"Quot(Poly(Q;x,y); {n}*x - y)")
+    assert code == EXIT_OK
+    assert report["result"]["basis"] == [f"x - 1/{n}*y"]
 
 
 def test_ring_changes_avoid_coefficient_field_names(capsys):

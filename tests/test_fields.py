@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringdim import (
+    GREVLEX,
     PolynomialRing,
     PrimeField,
     QQ,
@@ -13,6 +15,7 @@ from ringdim import (
     RationalFunctionField,
     TowerDepthError,
     normalize_rational_function,
+    polynomial_gcd,
 )
 
 from conftest import random_polynomial
@@ -139,3 +142,154 @@ def test_multi_variable_function_field_gcd_reduction():
     r = RatFunc((u + v) * (u - v), u + v)
     assert r.num == u - v
     assert r.den == ring.one()
+
+
+# -- sums and products against the schoolbook formulas --------------------------------
+
+QT = RationalFunctionField(QQ, ("t",))
+F7UV = RationalFunctionField(PrimeField(7), ("u", "v"))
+
+
+def _linear_factors(field):
+    """Pairwise coprime irreducible polynomials to build denominators from."""
+    ring = field.poly_ring
+    one = ring.one()
+    if field is QT:
+        t = ring.variable("t")
+        return [t, t + one, t - ring.from_int(2), t.scale(QQ.from_int(2)) + ring.from_int(3)]
+    u, v = ring.variable("u"), ring.variable("v")
+    return [u, v, u + v, v + ring.from_int(2), u - v + one]
+
+
+def _operand_pair(rng, field):
+    """Two reduced operands whose denominators are both 1, equal, coprime or
+    partly shared, with numerators that are often constants other than 1."""
+    ring = field.poly_ring
+    base = field.base
+    factors = _linear_factors(field)
+
+    def product(picks):
+        p = ring.one()
+        for i in picks:
+            p = p * factors[i]
+        return p
+
+    shape = rng.choice(["one", "one-sided", "equal", "coprime", "shared", "random"])
+    picks = rng.sample(range(len(factors)), len(factors))
+    if shape == "one":
+        dens = [ring.one(), ring.one()]
+    elif shape == "one-sided":
+        dens = [ring.one(), product(picks[:2])]
+    elif shape == "equal":
+        dens = [product(picks[:2])] * 2
+    elif shape == "coprime":
+        dens = [product(picks[:2]), product(picks[2:4]) * factors[picks[2]]]
+    elif shape == "shared":
+        dens = [product(picks[:2]), product(picks[1:3])]
+    else:
+        dens = [random_polynomial(rng, ring, max_degree=2, max_terms=3, nonzero=True) for _ in range(2)]
+    rng.shuffle(dens)
+    constants = [base.from_int(-1), base.inv(base.from_int(2)), base.from_int(3)]
+    operands = []
+    for den in dens:
+        if rng.random() < 0.4:
+            num = ring.constant(rng.choice(constants))
+        else:
+            num = random_polynomial(rng, ring, max_degree=2, max_terms=3)
+        operands.append(RatFunc(num, den))
+    return operands
+
+
+def _dense(p):
+    """Coefficients of a polynomial in Q[t], constant term first."""
+    out = [Fraction(0)] * (max((e for (e,) in p.terms), default=-1) + 1)
+    for (e,), c in p.terms.items():
+        out[e] = c
+    return out
+
+
+def _euclid_degree(f, g):
+    """Degree of gcd(f, g) in Q[t] by the Euclidean algorithm on dense lists."""
+    while g:
+        while len(f) >= len(g):
+            q = f[-1] / g[-1]
+            shift = len(f) - len(g)
+            f = [c - q * g[i - shift] if i >= shift else c for i, c in enumerate(f)]
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _check_result(field, r, num, den):
+    ring = field.poly_ring
+    assert r.num * den == num * r.den
+    _, lc = r.den.leading(GREVLEX)
+    assert field.base.is_one(lc)
+    if r.num.is_zero():
+        assert r.den == ring.one()
+    assert r == RatFunc(num, den)
+    if field is QT and not r.num.is_zero():
+        assert _euclid_degree(_dense(r.num), _dense(r.den)) == 0
+
+
+@pytest.mark.parametrize("field", [QT, F7UV], ids=["rational-t", "f7-uv"])
+@settings(max_examples=80)
+@given(seed=st.integers(0, 10**9))
+def test_arithmetic_matches_the_schoolbook_formulas(field, seed):
+    rng = random.Random(seed)
+    a, b = _operand_pair(rng, field)
+    if rng.random() < 0.15:
+        b = a
+    cases = [
+        (field.add(a, b), a.num * b.den + b.num * a.den, a.den * b.den),
+        (field.sub(a, b), a.num * b.den - b.num * a.den, a.den * b.den),
+        (field.mul(a, b), a.num * b.num, a.den * b.den),
+        (field.sub(a, a), field.poly_ring.zero(), a.den),
+        (field.add(a, field.neg(a)), field.poly_ring.zero(), a.den),
+    ]
+    if not field.is_zero(b):
+        cases.append((field.div(a, b), a.num * b.den, a.den * b.num))
+        cases.append((field.inv(b), b.den, b.num))
+        assert field.is_one(field.mul(b, field.inv(b)))
+    for r, num, den in cases:
+        _check_result(field, r, num, den)
+    zero = field.sub(a, a)
+    assert (zero.num, zero.den) == (field.poly_ring.zero(), field.poly_ring.one())
+
+
+def test_constant_numerators_are_not_one():
+    # -1, 1/2 and 3 are constants but not 1: multiplying by them must scale
+    ring = QT.poly_ring
+    t = QT.generator("t")
+    for c in (QQ.from_int(-1), QQ.div(QQ.one, QQ.from_int(2)), QQ.from_int(3)):
+        k = QT.from_base(c)
+        assert QT.mul(k, t).num == ring.variable("t").scale(c)
+        assert not QT.is_one(k)
+        assert QT.is_zero(QT.sub(QT.mul(k, t), QT.mul(t, k)))
+    assert QT.is_one(QT.one) and not QT.is_one(QT.zero) and not QT.is_one(t)
+
+
+def _least_exponents(f, g):
+    """The monomial x^m, m the least exponent of each variable over every
+    term of f and g: the gcd when either is a single term."""
+    ring = f.ring
+    exps = [min(e[i] for e in list(f.terms) + list(g.terms)) for i in range(ring.arity)]
+    return ring.monomial(tuple(exps))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["rationals", "f7"])
+@settings(max_examples=80)
+@given(seed=st.integers(0, 10**9))
+def test_gcd_with_a_single_term_is_the_least_exponent_monomial(field, seed):
+    rng = random.Random(seed)
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    exps = tuple(rng.randint(0, 3) for _ in range(ring.arity))
+    if rng.random() < 0.2:
+        exps = (0, 0, 0)  # a constant operand
+    term = ring.monomial(exps, field.from_int(rng.choice([-2, 1, 3])))
+    other = random_polynomial(rng, ring, max_degree=5, max_terms=5, nonzero=True)
+    if rng.random() < 0.5:
+        other = other * ring.monomial((1, 2, 0))  # several variables in every term
+    for f, g in ((term, other), (other, term)):
+        assert polynomial_gcd(f, g) == _least_exponents(f, g)

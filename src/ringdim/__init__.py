@@ -80,7 +80,7 @@ from .ideals import (
     normal_form,
     saturate,
 )
-from .orderings import GREVLEX, LEX, BlockElimination, GrevLex, Lex, compare
+from .orderings import GREVLEX, LEX, BlockElimination, GrevLex, Lex
 from .parser import (
     format_field,
     format_ring_expr,

@@ -643,11 +643,8 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
         i = trans[0]
         t = field_legs[i]
         rest = [leg for j, leg in enumerate(expr.legs) if j != i]
-        rest_flat = [flatten_affine(leg) for leg in rest]
-        if all(f is not None and f.ring.field == over for f in rest_flat):
-            combined = rest_flat[0]
-            for other in rest_flat[1:]:
-                combined = tensor_flatten_affine(combined, other)
+        combined = flatten_affine(Tensor(tuple(rest), over))
+        if combined is not None:
             integral_extension_rule(claims, expr.legs[i])
             fiber = dim_generic_fiber(combined, t, budget)
             if fiber.kind == "empty":

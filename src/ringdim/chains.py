@@ -42,7 +42,6 @@ class PrimalityCertificate:
 
     kind is one of:
       zero-ideal-in-domain   -- the zero ideal of a polynomial ring
-      principal-irreducible  -- one generator plus irreducibility evidence
       substitution-transfer  -- base prime plus relations X_i - t_i
       asserted               -- caller-supplied, always flagged in reports
     """
@@ -50,10 +49,9 @@ class PrimalityCertificate:
     kind: str
     base_prime: IdealPresentation | None = None
     substitutions: tuple[tuple[int, Polynomial], ...] = ()  # (variable index, value)
-    generator: Polynomial | None = None
     note: str = ""
 
-    KINDS = ("zero-ideal-in-domain", "principal-irreducible", "substitution-transfer", "asserted")
+    KINDS = ("zero-ideal-in-domain", "substitution-transfer", "asserted")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:

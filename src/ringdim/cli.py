@@ -142,8 +142,6 @@ def certificate_to_json(cert: ChainCertificate) -> dict:
                 [cert.ring.variables[idx], format_polynomial(value)]
                 for idx, value in p.substitutions
             ]
-        if p.generator is not None:
-            blob["generator"] = format_polynomial(p.generator)
         return blob
 
     return {
@@ -177,7 +175,7 @@ _CERTIFICATE_SHAPE = {
         {
             "strictness_witness": (str, type(None)),
             "avoidance_checked?": bool,
-            "primality": {"kind": str, "note?": str, "base_prime?": [str], "substitutions?": [[str, str]], "generator?": str},
+            "primality": {"kind": str, "note?": str, "base_prime?": [str], "substitutions?": [[str, str]]},
         }
     ],
 }
@@ -230,10 +228,7 @@ def certificate_from_json(blob) -> ChainCertificate:
         substitutions = tuple(
             (ring.variable_index(name), poly(value)) for name, value in p.get("substitutions", [])
         )
-        generator = poly(p["generator"]) if "generator" in p else None
-        cert = PrimalityCertificate(
-            p["kind"], base_prime=base_prime, substitutions=substitutions, generator=generator, note=p.get("note", "")
-        )
+        cert = PrimalityCertificate(p["kind"], base_prime=base_prime, substitutions=substitutions, note=p.get("note", ""))
         witness = e["strictness_witness"]
         evidence.append(
             ChainStepEvidence(

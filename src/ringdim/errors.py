@@ -8,7 +8,7 @@ class RingMismatchError(ValueError):
 
 
 class ArityMismatchError(ValueError):
-    """Exponent vectors of different lengths were compared."""
+    """A monomial's exponent vector does not match its ring's arity."""
 
 
 class ZeroPolynomialError(ValueError):

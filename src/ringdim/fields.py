@@ -10,7 +10,7 @@ take gcds only of denominators and cross terms; only construction, ``inv``
 and ``div`` run the full normalization.
 
 Every field object provides:
-    zero, one, characteristic, function_variables
+    zero, one, function_variables
     from_int, add, sub, mul, neg, inv, div, is_zero, is_one
     element_key      -- hashable/sortable canonical key
     display_split    -- (is_negative, unsigned text) for the printer
@@ -19,6 +19,7 @@ Every field object provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import TowerDepthError
@@ -60,7 +61,6 @@ def _is_prime(n: int) -> bool:
 class RationalField:
     """The field Q, with Fraction elements."""
 
-    characteristic = 0
     function_variables: tuple[str, ...] = ()
 
     @property
@@ -104,7 +104,10 @@ class RationalField:
         return ("q", a)
 
     def display_split(self, a) -> tuple[bool, str]:
-        return a < 0, str(abs(a))
+        # Decimal prints every digit: str(int) refuses past
+        # sys.get_int_max_str_digits(), and powers build such coefficients
+        num, den = Decimal(abs(a.numerator)), a.denominator
+        return a < 0, str(num) if den == 1 else f"{num}/{Decimal(den)}"
 
     def __repr__(self):
         return "Q"
@@ -123,10 +126,6 @@ class PrimeField:
     def __post_init__(self):
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
 
     @property
     def zero(self):
@@ -279,10 +278,6 @@ class RationalFunctionField:
             raise ValueError(f"duplicate function-field variables {self.variables}")
         if not self.variables:
             raise ValueError("a rational function field needs at least one variable")
-
-    @property
-    def characteristic(self) -> int:
-        return self.base.characteristic
 
     @property
     def function_variables(self) -> tuple[str, ...]:

@@ -37,10 +37,7 @@ from .polynomials import (
     PolynomialRing,
     exact_divide,
     fresh_variable,
-    monomial_degree,
-    monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 
 DEFAULT_PAIR_BUDGET = 50_000
@@ -291,10 +288,13 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     The generators are packed once (``PackedMonomials``, at the narrowest
     width their degrees allow); inter-reduction, S-polynomials, division
     and the final tail reduction run on packed polynomials, and only the
-    reduced basis is unpacked.  Pair selection and both criteria work on
-    exponent tuples.  A run that outgrows the width starts again at twice
-    the width with the budget as it was at entry, so the pairs reduced,
-    ``budget.used`` and the basis do not depend on the width.
+    reduced basis is unpacked.  The pair heap is ordered by (lcm degree,
+    lcm exponent tuple, i, j); the coprimality test ``lcm == lm_i + lm_j``
+    and the chain criterion ``(lcm - lm_k) & guard`` use the packed lcm and
+    leads.  A run that outgrows the width, in a reduction or in a popped
+    lcm, starts again at twice the width with the budget as it was at
+    entry, so the pairs reduced, ``budget.used`` and the basis do not
+    depend on the width.
     """
     budget = budget or Budget()
     generators = [g for g in generators if not g.is_zero()]
@@ -311,50 +311,41 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
     basis = kernel.inter_reduce([kernel.pack(g) for g in generators])
     records = list(map(kernel.divisor, basis))
     divisors = sorted(records, key=itemgetter(0), reverse=True)
-    unpack = kernel.packing.unpack
-    leads = [unpack(lm) for lm, _, _ in records]
-
-    def pair_key(i: int, j: int):
-        lcm = monomial_lcm(leads[i], leads[j])
-        return (monomial_degree(lcm), lcm, i, j)
-
+    pack, unpack, guard = kernel.packing.pack, kernel.packing.unpack, kernel.guard
+    leads = [unpack(lm) for lm, _, _ in records]  # orders the pair heap
     heap: list = []
-    for j in range(len(basis)):
-        for i in range(j):
-            heappush(heap, (*pair_key(i, j), i, j))
     done: set[tuple[int, int]] = set()
 
+    def push_pairs(j: int):
+        for i in range(j):
+            lcm = monomial_lcm(leads[i], leads[j])
+            heappush(heap, (sum(lcm), lcm, i, j))
+
+    def chained(i: int, j: int, lcm: int) -> bool:
+        # some other lead divides the lcm and both its pairs with i and j are done
+        return any(
+            k != i and k != j and not (lcm - lm) & guard
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k, (lm, _, _) in enumerate(records)
+        )
+
+    for j in range(len(basis)):
+        push_pairs(j)
     while heap:
-        *_, i, j = heappop(heap)
-        lcm = monomial_lcm(leads[i], leads[j])
-        if lcm == monomial_mul(leads[i], leads[j]):
-            done.add((i, j))  # coprime leading terms reduce to zero
-            continue
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(leads[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
-            done.add((i, j))
-            continue
-        budget.spend()
-        s = kernel.s_polynomial(records[i], records[j], kernel.packing.pack(lcm))
-        r = kernel.reduce(s, divisors)
+        _, lcm, i, j = heappop(heap)
         done.add((i, j))
+        lcm = pack(lcm)
+        if lcm == records[i][0] + records[j][0] or chained(i, j, lcm):
+            continue  # coprime leading terms, or the chain criterion
+        budget.spend()
+        r = kernel.reduce(kernel.s_polynomial(records[i], records[j], lcm), divisors)
         if r:
             basis.append(kernel.monic(r))
             records.append(kernel.divisor(basis[-1]))
             divisors.append(records[-1])
             divisors.sort(key=itemgetter(0), reverse=True)
             leads.append(unpack(records[-1][0]))
-            new = len(basis) - 1
-            for k in range(new):
-                heappush(heap, (*pair_key(k, new), k, new))
+            push_pairs(len(basis) - 1)
 
     # minimalize: keep only elements whose leading term no other divides,
     # scanning leading terms in ascending order
@@ -418,8 +409,8 @@ class IdealPresentation:
             self._gb_cache[order] = cached
         return cached
 
-    def contains(self, f: Polynomial, order: MonomialOrder = GREVLEX, budget: Budget | None = None) -> bool:
-        return normal_form(f, self.groebner_basis(order, budget), order).is_zero()
+    def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
+        return normal_form(f, self.groebner_basis(GREVLEX, budget), GREVLEX).is_zero()
 
     def is_zero_ideal(self) -> bool:
         return not self.generators

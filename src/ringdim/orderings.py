@@ -8,8 +8,8 @@ relies on.
 Each order is defined by ``descending_key(u)``: a plain tuple whose
 natural ascending order is the monomial order, descending.  Sorting by the
 key costs one key build per monomial instead of a Python comparison call
-per comparison.  ``compare(u, v)``, the sign of u - v in the order, is
-derived from the key.
+per comparison.  Each order's ``compare(u, v)`` method, the sign of
+u - v in the order, is derived from the key.
 
 Each order also reads as a nonnegative integer weight matrix M
 (``weights``): u > v exactly when (M·u, u) > (M·v, v) lexicographically.
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul, neg
-
-from .errors import ArityMismatchError
 
 
 def _grevlex_key(u: tuple[int, ...]) -> tuple:
@@ -101,13 +99,6 @@ LEX = Lex()
 GREVLEX = GrevLex()
 
 MonomialOrder = Lex | GrevLex | BlockElimination
-
-
-def compare(u: tuple[int, ...], v: tuple[int, ...], order: MonomialOrder) -> int:
-    """Total-order comparison of two exponent vectors of equal arity."""
-    if len(u) != len(v):
-        raise ArityMismatchError(f"cannot compare arities {len(u)} and {len(v)}")
-    return order.compare(u, v)
 
 
 class WidthOverflow(Exception):

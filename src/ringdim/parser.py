@@ -17,15 +17,17 @@ Ring expressions follow a small constructor grammar, one form per node:
     field := Q | Fp(prime) | FunField(field; vars)
     trdeg := integer | inf
 
-`Ext` auto-names its transcendence basis s1..sk; minimal polynomials may
-mention those names and earlier adjoined symbols, and must be monic in the
-one new symbol they introduce.  Printing and parsing round-trip exactly.
+`Ext` auto-names its transcendence basis with the first k of s1, s2, ..
+that the base field does not already use; minimal polynomials may mention
+those names and earlier adjoined symbols, and must be monic in the one new
+symbol they introduce.  Printing and parsing round-trip exactly.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .calculus import (
     BaseField,
@@ -107,9 +109,9 @@ def tokenize(text: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
             digits, limit = i - start, sys.get_int_max_str_digits()
             if limit and digits > limit:
@@ -342,7 +344,8 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
         return FieldExt(base, INF), None
     # the count PolynomialRing makes below, taken before any name is built
     check_variable_cap(trdeg + len(base.function_variables) + len(minpoly_asts))
-    basis = tuple(f"s{i + 1}" for i in range(trdeg))
+    unused = (name for name in map("s{}".format, count(1)) if name not in base.function_variables)
+    basis = tuple(islice(unused, trdeg))
     known = set(basis) | set(base.function_variables)
     symbols: list[str] = []
     for ast in minpoly_asts:

@@ -8,10 +8,9 @@ ints, rational functions are reduced numerator/denominator pairs.
 
 Polynomials are immutable values; every operation returns a fresh one.
 That is what makes it safe for ideal presentations to cache Groebner bases
-and for concurrent evaluations to share structures.  The leading term is
-computed lazily and cached on the polynomial for the last order asked for;
-the cache is a pure function of the (immutable) terms, so filling it is
-idempotent and changes no value a caller can observe.
+and for concurrent evaluations to share structures.  A polynomial holds
+nothing but its ring and its terms: the Groebner engine works on packed
+copies (see ``ideals``), so nothing here is cached.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def fresh_variable(stem: str, ring: PolynomialRing, taken: Iterable[str] = ()) -
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_hash", "_leading")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolynomialRing, terms: Mapping[tuple[int, ...], object]):
         is_zero = ring.field.is_zero
@@ -158,8 +157,6 @@ class Polynomial:
                 clean[tuple(exps)] = c
         self.ring = ring
         self.terms = clean
-        self._hash = None
-        self._leading = None
 
     @classmethod
     def _raw(cls, ring: PolynomialRing, terms: dict) -> "Polynomial":
@@ -167,8 +164,6 @@ class Polynomial:
         p = object.__new__(cls)
         p.ring = ring
         p.terms = terms
-        p._hash = None
-        p._leading = None
         return p
 
     # -- structure ----------------------------------------------------------
@@ -204,22 +199,11 @@ class Polynomial:
         return max((exps[i] for exps in self.terms), default=0)
 
     def leading(self, order: MonomialOrder) -> tuple[tuple[int, ...], object]:
-        """Leading (monomial, coefficient) under ``order``.
-
-        Cached for the last order object asked for; a single term needs no
-        cache."""
-        cached = self._leading
-        if cached is not None and cached[0] is order:
-            return cached[1]
-        terms = self.terms
-        if len(terms) == 1:
-            return next(iter(terms.items()))
-        if not terms:
+        """Leading (monomial, coefficient) under ``order``."""
+        if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        best = min(terms, key=order.descending_key)
-        lead = (best, terms[best])
-        self._leading = (order, lead)
-        return lead
+        best = min(self.terms, key=order.descending_key)
+        return best, self.terms[best]
 
     def coefficient_of(self, i: int, d: int) -> "Polynomial":
         """Coefficient of x_i^d, as a polynomial with x_i cleared."""
@@ -366,10 +350,8 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            key = self.ring.field.element_key
-            self._hash = hash((self.ring, frozenset((e, key(c)) for e, c in self.terms.items())))
-        return self._hash
+        key = self.ring.field.element_key
+        return hash((self.ring, frozenset((e, key(c)) for e, c in self.terms.items())))
 
     def __repr__(self):
         return format_polynomial(self)

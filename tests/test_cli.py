@@ -85,6 +85,19 @@ def test_verify_rejects_tampered_certificate(capsys, tmp_path):
     assert report["status"] == "user-error"
 
 
+def test_verify_refuses_a_principal_irreducible_certificate(capsys, tmp_path):
+    # no check exists for this kind, so a certificate naming it is refused
+    # rather than passed unchecked
+    out = tmp_path / "cert.json"
+    run_cli(capsys, "chain", "--witnesses", "u", "--fresh", "X1", "Poly(Q;u)", "--out", str(out))
+    blob = json.loads(out.read_text())
+    blob["result"]["certificate"]["evidence"][0]["primality"] = {"kind": "principal-irreducible", "generator": "u"}
+    out.write_text(json.dumps(blob))
+    code, report = run_cli(capsys, "verify", str(out))
+    assert code == EXIT_USER_ERROR
+    assert report["error"]["message"] == "unknown primality certificate kind 'principal-irreducible'"
+
+
 def test_verify_reports_a_base_prime_over_the_adjoined_variables(capsys, tmp_path):
     out = tmp_path / "cert.json"
     run_cli(capsys, "chain", "--witnesses", "u", "--fresh", "X1", "Poly(Q;u)", "--out", str(out))
@@ -414,6 +427,43 @@ def test_integer_literal_at_the_digit_limit_is_a_coefficient(capsys):
     code, report = run_cli(capsys, "gb", f"Quot(Poly(Q;x,y); {n}*x - y)")
     assert code == EXIT_OK
     assert report["result"]["basis"] == [f"x - 1/{n}*y"]
+
+
+@pytest.mark.parametrize(
+    "text, basis",
+    [
+        ("Quot(Poly(Q;x); x - 10^5000)", "x - 1" + "0" * 5000),
+        ("Quot(Poly(Q;x); 10^4400*x - 1)", "x - 1/1" + "0" * 4400),
+        ("Quot(Poly(FunField(Q;t);x); x - 10^5000*t)", "x - (1" + "0" * 5000 + "*t)"),
+    ],
+    ids=["integer", "denominator", "function-field"],
+)
+def test_coefficient_past_the_digit_limit_prints_in_full(capsys, text, basis):
+    # the lexer caps literals, but powers build coefficients of any size
+    code, report = run_cli(capsys, "gb", text)
+    assert code == EXIT_OK
+    assert report["result"]["basis"] == [basis]
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("Tensor(Ext(Q;1), Quot(Poly(Q;x); 1))", "affine legs present the zero ring"),
+        ("Poly(Tensor(Ext(Q;1), Quot(Poly(Q;x); 1)); y)", "polynomials over the zero ring"),
+        ("LocSub(Quot(Poly(Q;x); 1); x)", "localizing the zero ring"),
+        ("Quot(LocSub(Quot(Poly(Q;x); 1); x); x)", "quotient of the zero ring"),
+        ("Loc(LocSub(Quot(Poly(Q;x); 1); x); x)", "localizing the zero ring"),
+        ("Frac(Quot(Poly(Q;x); 1))", "the zero ring has no fraction field"),
+    ],
+    ids=["tensor-fiber", "poly", "locsub", "quot", "loc", "frac"],
+)
+def test_symbolic_constructions_over_the_zero_ring_are_empty(capsys, text, detail):
+    # none of these flattens to one affine presentation, so the emptiness of
+    # the inner zero ring has to reach the outer rule
+    code, report = run_cli(capsys, "dim", text)
+    assert code == EXIT_OK
+    assert report["result"]["dimension"] == {"kind": "empty-ring"}
+    assert [(e["rule"], e["detail"]) for e in report["trace"]] == [("empty-ring", detail)]
 
 
 def test_ring_changes_avoid_coefficient_field_names(capsys):

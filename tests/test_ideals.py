@@ -334,6 +334,17 @@ def test_basis_outgrowing_the_first_width(rxyz):
     assert_is_reduced_groebner_basis(basis, gens, LEX)
 
 
+def test_pair_whose_lcm_outgrows_the_first_width(rxy):
+    # Each lead fits the 16-bit fields that degree 20000 asks for, but the
+    # lcm x^20000*y^20000 of the coprime pair has degree 40000: packing it on
+    # pop starts the run again at 32 bits, and no pair is reduced.
+    x, y = rxy.variable("x"), rxy.variable("y")
+    gens = [x**20000 - rxy.one(), y**20000 - rxy.one()]
+    budget = Budget(used=3)
+    assert buchberger(gens, GREVLEX, budget) == (gens[1], gens[0])
+    assert budget.used == 3
+
+
 def test_groebner_cache_reuse(rxy):
     x, y = rxy.variable("x"), rxy.variable("y")
     I = IdealPresentation(rxy, [x**2 - y])

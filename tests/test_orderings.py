@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ringdim import GREVLEX, LEX, BlockElimination, compare
+from ringdim import GREVLEX, LEX, BlockElimination, PolynomialRing, QQ
 from ringdim.errors import ArityMismatchError
 from ringdim.orderings import PackedMonomials, WidthOverflow
 from ringdim.polynomials import monomial_divides, monomial_mul
@@ -12,6 +12,13 @@ from ringdim.polynomials import monomial_divides, monomial_mul
 
 def monomials_up_to(degree: int, arity: int) -> list[tuple[int, ...]]:
     return [m for m in product(range(degree + 1), repeat=arity) if sum(m) <= degree]
+
+
+def compare(u: tuple[int, ...], v: tuple[int, ...], order) -> int:
+    """The sign of u - v in the order, read off ``descending_key``: the
+    greater monomial has the smaller key."""
+    ku, kv = order.descending_key(u), order.descending_key(v)
+    return (kv > ku) - (kv < ku)
 
 
 def grevlex_oracle(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -65,8 +72,9 @@ def test_lex_examples():
 
 
 def test_arity_mismatch_rejected():
+    ring = PolynomialRing(QQ, ("x", "y"))
     with pytest.raises(ArityMismatchError):
-        compare((1, 0), (1, 0, 0), LEX)
+        ring.monomial((1, 0, 0))
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,20 @@ def test_parse_syntax_error_position():
         parse_polynomial("x ? 1", ring)
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("Quot(Poly(Q;x); x^\u00b2)", 19), ("Quot(Poly(Q;x); 12\u00b2*x)", 19), ("Fp(\u0667)", 4)],
+    ids=["superscript-exponent", "superscript-after-digits", "arabic-indic-prime"],
+)
+def test_only_ascii_digits_make_a_number(text, column):
+    # str.isdigit() also holds for characters int() cannot read; each of
+    # them is an unexpected character at its own position
+    with pytest.raises(ParseError) as err:
+        parse_ring_expr(text)
+    assert err.value.message == f"unexpected character {text[column - 1]!r}"
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_nesting_cap():
     ring = PolynomialRing(QQ, ("x",))
     at_cap = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
@@ -136,6 +150,16 @@ def test_ext_with_minimal_polynomials():
         parse_ring_expr("Ext(Q; 0; a*b - 1)")  # two new symbols at once
 
 
+def test_ext_basis_skips_names_the_base_field_uses():
+    e = parse_ring_expr("Ext(FunField(Q; s1); 2)")
+    assert e.basis_names == ("s2", "s3")
+    e = parse_ring_expr("Ext(FunField(Q; s1,s3); 3; a^2 - s1*s2)")
+    assert e.basis_names == ("s2", "s4", "s5")
+    assert parse_ring_expr(format_ring_expr(e)) == e
+    # a base field without s-names keeps s1..sk
+    assert parse_ring_expr("Ext(FunField(Q; t); 2)").basis_names == ("s1", "s2")
+
+
 def test_ext_past_the_variable_cap_is_refused_before_naming_its_basis(monkeypatch):
     def refuse(*args):
         raise AssertionError("the basis was built before the cap was checked")
@@ -182,6 +206,7 @@ def test_round_trip_corpus():
         "Ext(Q; 1; a^2 - 2)",
         "Ext(Q; 1; a^2 - s1)",
         "Ext(Q; 2; a^2 - s1, b^3 - a)",
+        "Ext(FunField(Q; s1); 2)",
         "Poly(Q; x)",
         "Poly(Q; x,y)",
         "Poly(Q; x,y,z)",

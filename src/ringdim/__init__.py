@@ -25,7 +25,6 @@ from .calculus import (
     field_tensor_dimension,
     flatten_affine,
     integral_extension_rule,
-    tensor_flatten_affine,
 )
 from .chains import (
     ChainCertificate,
@@ -46,7 +45,6 @@ from .dimension import (
     ZeroDivisorStatus,
     dim_affine,
     dim_generic_fiber,
-    height_of_prime,
     independent_set_dimension,
     trdeg_affine_domain,
     zero_divisor_status,
@@ -59,7 +57,6 @@ from .errors import (
     ParseError,
     RingMismatchError,
     TowerDepthError,
-    VariableCapError,
     ZeroPolynomialError,
 )
 from .fields import (
@@ -82,6 +79,7 @@ from .ideals import (
 )
 from .orderings import GREVLEX, LEX, BlockElimination, GrevLex, Lex
 from .parser import (
+    MAX_TOTAL_VARIABLES,
     format_field,
     format_ring_expr,
     parse_field,
@@ -89,7 +87,6 @@ from .parser import (
     parse_ring_expr,
 )
 from .polynomials import (
-    MAX_TOTAL_VARIABLES,
     Polynomial,
     PolynomialRing,
     exact_divide,

@@ -30,11 +30,9 @@ from .dimension import (
     zero_divisor_status,
     ZeroDivisorStatus,
 )
-from .errors import InconsistentBoundsError
+from .errors import InconsistentBoundsError, RingMismatchError
 from .fields import (
     CoefficientField,
-    PrimeField,
-    RationalField,
     RationalFunctionField,
     merged_function_field,
 )
@@ -157,7 +155,7 @@ class FieldExt(RingExpr):
 
     @property
     def ambient_ring(self) -> PolynomialRing:
-        return PolynomialRing(self.flat_field, tuple(s for s, _ in self.algebraic_part), unchecked=True)
+        return PolynomialRing(self.flat_field, tuple(s for s, _ in self.algebraic_part))
 
 
 @dataclass(frozen=True)
@@ -241,6 +239,17 @@ class _Claims:
         """Take over a sub-result's trace and the checks it made."""
         self.trace.extend(sub.trace)
         self.checks.extend(sub.cross_checks)
+
+    def eval_base(self, expr: RingExpr, budget: Budget, detail: str) -> DimensionResult | None:
+        """Evaluate a construction's base ring and take over its trace; when
+        the base is the zero ring, mark this ring empty with ``detail`` and
+        return None instead."""
+        sub = _eval(expr, budget)
+        if sub.value.kind == "empty":
+            self.mark_empty(detail=detail)
+            return None
+        self.merge(sub)
+        return sub
 
     def lower(self, v, rule: str, detail: str = ""):
         self.note(rule, detail)
@@ -367,62 +376,69 @@ def structurally_domain(expr: RingExpr) -> bool:
 
 def flatten_affine(expr: RingExpr) -> IdealPresentation | None:
     """An affine presentation of the expression over its own coefficient
-    field, when one exists within tower limits."""
-    if isinstance(expr, BaseField):
-        if isinstance(expr.coefficients, (RationalField, PrimeField, RationalFunctionField)):
-            return IdealPresentation.zero_ideal(PolynomialRing(expr.coefficients, ()))
+    field, when one exists within tower limits.
+
+    Its ring lists the variables the expression's elements are parsed in
+    (for a tensor, those of each leg in turn), then one Rabinowitsch
+    variable per localization, innermost first; so an element parsed in
+    the expression lifts to the presentation by prefix ``map_to``.
+    """
+    flat = _flatten(expr)
+    if flat is None:
         return None
+    ring, generators = flat
+    ideal = IdealPresentation.zero_ideal(ring)
+    for g, inverted in generators:
+        g = g.map_to(ideal.ring)
+        ideal = rabinowitsch(ideal, g) if inverted else IdealPresentation(ideal.ring, (*ideal.generators, g))
+    return ideal
+
+
+def _flatten(expr: RingExpr) -> tuple[PolynomialRing, list[tuple[Polynomial, bool]]] | None:
+    """The ring ``flatten_affine`` parses in and its generators in order,
+    each a relation (False) or an element to invert (True), in that ring.
+
+    Tensor legs are juxtaposed: a variable of a leg that the ring already
+    names gets a ``fresh_variable`` name, which avoids every name of that
+    leg as well, so it cannot collide with a later variable."""
+    if isinstance(expr, BaseField):
+        return PolynomialRing(expr.coefficients, ()), []
     if isinstance(expr, FieldExt):
         if isinstance(expr.trdeg, Infinity):
             return None
-        return IdealPresentation(expr.ambient_ring, [p for _, p in expr.algebraic_part])
-    if isinstance(expr, PolyExt):
-        inner = flatten_affine(expr.base)
-        if inner is None:
-            return None
-        ext = inner.ring.extend(expr.variables)
-        return IdealPresentation(ext, [g.map_to(ext) for g in inner.generators])
-    if isinstance(expr, Quotient):
-        inner = flatten_affine(expr.base)
-        if inner is None:
-            return None
-        return IdealPresentation(inner.ring, (*inner.generators, *expr.relations))
-    if isinstance(expr, LocElement):
-        inner = flatten_affine(expr.base)
-        if inner is None:
-            return None
-        return rabinowitsch(inner, expr.element)
+        return expr.ambient_ring, [(p, False) for _, p in expr.algebraic_part]
     if isinstance(expr, Tensor):
-        flats = []
+        ring, generators = PolynomialRing(expr.over, ()), []
         for leg in expr.legs:
-            flat = flatten_affine(leg)
-            if flat is None or flat.ring.field != expr.over:
+            flat = _flatten(leg)
+            if flat is None or flat[0].field != expr.over:
                 return None
-            flats.append(flat)
-        combined = flats[0]
-        for other in flats[1:]:
-            combined = tensor_flatten_affine(combined, other)
-        return combined
-    return None
-
-
-def tensor_flatten_affine(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
-    """Tensor over the shared base field, realized by juxtaposing variables
-    and uniting the two generator sets.  A variable of ``b`` that ``a``
-    already names gets a ``fresh_variable`` name, which avoids every name of
-    ``b`` as well, so it cannot collide with a later variable of ``b``."""
-    if a.ring.field != b.ring.field:
-        raise ValueError(f"tensor legs over different base fields: {a.ring.field!r} vs {b.ring.field!r}")
-    b_names: list[str] = []
-    for name in b.ring.variables:
-        if name in a.ring.variables or name in a.ring.field.function_variables:
-            name = fresh_variable(name, a.ring, (*b.ring.variables, *b_names))
-        b_names.append(name)
-    ring = a.ring.extend(b_names)
-    b_map = {i: a.ring.arity + i for i in range(b.ring.arity)}
-    gens = [g.map_to(ring) for g in a.generators]
-    gens += [g.map_to(ring, b_map) for g in b.generators]
-    return IdealPresentation(ring, gens)
+            leg_ring, leg_generators = flat
+            names: list[str] = []
+            for name in leg_ring.variables:
+                if name in ring.variables:
+                    name = fresh_variable(name, ring, (*leg_ring.variables, *names))
+                names.append(name)
+            ext = ring.extend(names)
+            shift = {i: ring.arity + i for i in range(leg_ring.arity)}
+            generators = [(g.map_to(ext), inv) for g, inv in generators]
+            generators += [(g.map_to(ext, shift), inv) for g, inv in leg_generators]
+            ring = ext
+        return ring, generators
+    if not isinstance(expr, (PolyExt, Quotient, LocElement)):
+        return None
+    inner = _flatten(expr.base)
+    if inner is None:
+        return None
+    ring, generators = inner
+    if isinstance(expr, PolyExt):
+        ext = ring.extend(expr.variables)
+        return ext, [(g.map_to(ext), inv) for g, inv in generators]
+    added = [(r, False) for r in expr.relations] if isinstance(expr, Quotient) else [(expr.element, True)]
+    for g, _ in added:
+        if g.ring != ring:
+            raise RingMismatchError(f"{g!r} is not in {ring!r}")
+    return ring, generators + added
 
 
 # -- closed rules -----------------------------------------------------------------
@@ -501,12 +517,10 @@ def _eval_poly_ext(expr: PolyExt, budget: Budget) -> DimensionResult:
     if flat is not None:
         _kernel_exact(claims, flat, budget)
         return claims.finish(flat)
-    sub = _eval(expr.base, budget)
-    n = len(expr.variables)
-    if sub.value.kind == "empty":
-        claims.mark_empty(detail="polynomials over the zero ring")
+    sub = claims.eval_base(expr.base, budget, "polynomials over the zero ring")
+    if sub is None:
         return claims.finish()
-    claims.merge(sub)
+    n = len(expr.variables)
     claims.lower(sub.value.lo + n, RULE_POLY_EXT, f"chains extend by {n} across the new variables")
     if noetherian_flag(expr.base) and not isinstance(sub.value.hi, Infinity):
         claims.upper(sub.value.hi + n, RULE_POLY_EXT, "Noetherian-flagged base")
@@ -522,11 +536,9 @@ def _eval_quotient(expr: Quotient, budget: Budget) -> DimensionResult:
     if any(r.is_constant() and not r.is_zero() for r in expr.relations):
         claims.mark_empty(detail="a unit among the relations")
         return claims.finish()
-    sub = _eval(expr.base, budget)
-    if sub.value.kind == "empty":
-        claims.mark_empty(detail="quotient of the zero ring")
+    sub = claims.eval_base(expr.base, budget, "quotient of the zero ring")
+    if sub is None:
         return claims.finish()
-    claims.merge(sub)
     claims.upper(sub.value.hi, RULE_QUOT_UB, "no kernel presentation available")
     return claims.finish()
 
@@ -535,18 +547,16 @@ def _eval_loc_element(expr: LocElement, budget: Budget) -> DimensionResult:
     claims = _Claims()
     base_flat = flatten_affine(expr.base)
     if base_flat is None:
-        sub = _eval(expr.base, budget)
-        if sub.value.kind == "empty":
-            claims.mark_empty(detail="localizing the zero ring")
+        sub = claims.eval_base(expr.base, budget, "localizing the zero ring")
+        if sub is None:
             return claims.finish()
-        claims.merge(sub)
         claims.upper(sub.value.hi, RULE_LOC_UB)
         return claims.finish()
-    f = expr.element
+    flat = flatten_affine(expr)
+    f = expr.element.map_to(base_flat.ring)
     if base_flat.contains(f, budget=budget):
         claims.mark_empty(RULE_LOC_ZERO, "the element is zero in the algebra")
         return claims.finish(base_flat)
-    flat = rabinowitsch(base_flat, f)
     if base_flat.is_zero_ideal():
         n = base_flat.ring.arity
         claims.exactly(n, RULE_LOC_POLY, f"polynomial ring in {n} variables")
@@ -562,11 +572,9 @@ def _eval_loc_element(expr: LocElement, budget: Budget) -> DimensionResult:
 
 def _eval_loc_subring(expr: LocSubringComplement, budget: Budget) -> DimensionResult:
     claims = _Claims()
-    sub = _eval(expr.base, budget)
-    if sub.value.kind == "empty":
-        claims.mark_empty(detail="localizing the zero ring")
+    sub = claims.eval_base(expr.base, budget, "localizing the zero ring")
+    if sub is None:
         return claims.finish()
-    claims.merge(sub)
     gens = expr.subring_generators
     if gens and all(g.is_constant() and not g.is_zero() for g in gens):
         # subring generated inside the coefficient field: S consists of units
@@ -585,11 +593,9 @@ def _eval_frac(expr: FracField, budget: Budget) -> DimensionResult:
     if structurally_domain(expr.base):
         claims.exactly(0, RULE_FRAC, "base is structurally a domain")
         return claims.finish()
-    sub = _eval(expr.base, budget)
-    if sub.value.kind == "empty":
-        claims.mark_empty(detail="the zero ring has no fraction field")
+    sub = claims.eval_base(expr.base, budget, "the zero ring has no fraction field")
+    if sub is None:
         return claims.finish()
-    claims.merge(sub)
     claims.upper(sub.value.hi, RULE_LOC_UB, "total quotient ring; domain not certified")
     return claims.finish()
 

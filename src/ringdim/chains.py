@@ -62,6 +62,15 @@ class PrimalityCertificate:
         return self.kind == "asserted"
 
 
+def domain_certificate(link: IdealPresentation, note: str) -> PrimalityCertificate:
+    """Primality evidence for a link of a polynomial ring: the zero ideal is
+    prime because the ring is a domain; any other link is asserted, with
+    ``note`` saying by whom."""
+    if link.is_zero_ideal():
+        return PrimalityCertificate("zero-ideal-in-domain")
+    return PrimalityCertificate("asserted", note=note)
+
+
 @dataclass(frozen=True)
 class ChainStepEvidence:
     strictness_witness: Polynomial | None  # None only for the first link
@@ -111,12 +120,14 @@ def build_chain(
     """Extend a strictly ascending chain of primes of A = K[X]/I by one link
     per witness, adjoining X_i - t_i in A[X_1..X_n].
 
-    The base chain's primality certificates are taken as given (or asserted);
-    each new link gets a substitution-transfer certificate referring to the
-    top base prime, and its relation X_i - t_i as strictness witness.  A base
-    link past the first gets the first of its generators outside the link
-    below, and a base chain with no such generator raises.  Nothing else is
-    checked here: ``verify_chain`` makes every check, once.
+    The base chain's primality certificates are taken as given; without
+    them, each base link upstairs (its generators plus the algebra's
+    relations) gets ``domain_certificate``'s evidence.  Each new link gets a
+    substitution-transfer certificate referring to the top base prime, and
+    its relation X_i - t_i as strictness witness.  A base link past the
+    first gets the first of its generators outside the link below, and a
+    base chain with no such generator raises.  Nothing else is checked
+    here: ``verify_chain`` makes every check, once.
     """
     if len(witnesses) != len(fresh_variables):
         raise ValueError("one fresh variable per witness")
@@ -129,14 +140,7 @@ def build_chain(
     for t in witnesses:
         if t.ring != ring:
             raise ValueError("witnesses must be elements of the algebra's ring")
-    if base_certificates is None:
-        base_certificates = []
-        for link in base_chain:
-            if link.is_zero_ideal():
-                base_certificates.append(PrimalityCertificate("zero-ideal-in-domain"))
-            else:
-                base_certificates.append(PrimalityCertificate("asserted", note="base chain prime taken as given"))
-    if len(base_certificates) != len(base_chain):
+    if base_certificates is not None and len(base_certificates) != len(base_chain):
         raise ValueError("one certificate per base link")
 
     ext = ring.extend(tuple(fresh_variables))
@@ -144,7 +148,7 @@ def build_chain(
 
     links: list[IdealPresentation] = []
     evidence: list[ChainStepEvidence] = []
-    for link, cert in zip(base_chain, base_certificates):
+    for k, link in enumerate(base_chain):
         if link.ring != ring:
             raise ValueError("base chain links must live in the algebra's ring")
         # the algebra's own relations are part of every link upstairs
@@ -156,6 +160,10 @@ def build_chain(
             if witness is None:
                 raise CertificateError(f"chain step {len(links)} is not strict")
         links.append(upstairs)
+        if base_certificates is None:
+            cert = domain_certificate(upstairs, "base chain prime taken as given")
+        else:
+            cert = base_certificates[k]
         evidence.append(ChainStepEvidence(witness, False, cert))
 
     top_base = links[-1]
@@ -235,7 +243,7 @@ def verify_avoidance_by_evaluation(cert: ChainCertificate, budget: Budget | None
     base_indices = set(range(n_base))
     if not all(p.support() <= base_indices for p in (*base_top.generators, *cert.witnesses)):
         return False
-    base_ring = PolynomialRing(ring.field, ring.variables[:n_base], unchecked=True)
+    base_ring = PolynomialRing(ring.field, ring.variables[:n_base])
     base_ideal = IdealPresentation(base_ring, [g.map_to(base_ring) for g in base_top.generators])
     return verify_algebraic_independence(base_ideal, [t.map_to(base_ring) for t in cert.witnesses], budget)
 
@@ -269,14 +277,17 @@ def verify_substitution_transfer(cert: PrimalityCertificate, extended: IdealPres
 
 def verify_chain(cert: ChainCertificate, budget: Budget | None = None) -> dict[str, bool]:
     """Run every verification step; the lower bound is only available when
-    all of them pass."""
+    all of them pass.  A link whose evidence is ``zero-ideal-in-domain`` but
+    which has generators raises: that kind proves nothing else."""
     results = {
         "strictness": verify_strictness(cert, budget),
         "avoidance": verify_avoidance(cert, cert.witness_variables, budget=budget),
         "substitution_transfer": True,
         "evaluation_witness": True,
     }
-    for link, e in zip(cert.links, cert.evidence):
+    for i, (link, e) in enumerate(zip(cert.links, cert.evidence)):
+        if e.primality.kind == "zero-ideal-in-domain" and not link.is_zero_ideal():
+            raise CertificateError(f"link {i} is not the zero ideal, but its evidence is zero-ideal-in-domain")
         if e.primality.kind == "substitution-transfer":
             if not verify_substitution_transfer(e.primality, link, budget):
                 results["substitution_transfer"] = False

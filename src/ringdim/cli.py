@@ -44,6 +44,7 @@ from .chains import (
     ChainStepEvidence,
     PrimalityCertificate,
     build_chain,
+    domain_certificate,
     verify_chain,
 )
 from .dimension import (
@@ -213,7 +214,7 @@ def certificate_from_json(blob) -> ChainCertificate:
         blob = blob["result"].get("certificate", blob)
     _check_shape(blob, _CERTIFICATE_SHAPE, "certificate")
     field = parse_field(blob["field"])
-    ring = PolynomialRing(field, tuple(blob["variables"]), unchecked=True)
+    ring = PolynomialRing(field, tuple(blob["variables"]))
 
     def poly(text: str):
         return parse_polynomial(text, ring)
@@ -274,9 +275,10 @@ def _quotient_payload(text: str) -> tuple[Quotient, IdealPresentation]:
 
 
 def _payload_and_element(args) -> tuple[IdealPresentation, Polynomial]:
-    """The Quot(...) payload and the element, read in the payload's ring."""
+    """The Quot(...) payload and the element, parsed in the payload's ring
+    and lifted to its presentation."""
     expr, flat = _quotient_payload(args.expression)
-    return flat, parse_polynomial(args.element, expr.relations[0].ring)
+    return flat, parse_polynomial(args.element, expr.relations[0].ring).map_to(flat.ring)
 
 
 def _cmd_dim(args, budget: Budget):
@@ -354,15 +356,17 @@ def _cmd_trdeg(args, budget: Budget):
     flat = flatten_affine(expr)
     if flat is None:
         raise ParseError("trdeg needs a field extension or an affine domain")
-    if flat.is_zero_ideal():
-        cert_kind, flagged = "zero-ideal-in-domain", False
-    elif args.assert_domain:
-        cert_kind, flagged = "asserted", True
-    else:
+    cert = domain_certificate(flat, "asserted by --assert-domain")
+    if cert.flagged and not args.assert_domain:
         raise ParseError("pass --assert-domain to certify the quotient is a domain")
     t = trdeg_affine_domain(flat, budget)
-    step = TraceEntry(RULE_DOMAIN_TRDEG, CITATIONS[RULE_DOMAIN_TRDEG], f"domain certificate: {cert_kind}")
-    return {"trdeg": t, "certificate": {"kind": cert_kind, "flagged": flagged}}, (step,), ()
+    step = TraceEntry(RULE_DOMAIN_TRDEG, CITATIONS[RULE_DOMAIN_TRDEG], f"domain certificate: {cert.kind}")
+    return {"trdeg": t, "certificate": {"kind": cert.kind, "flagged": cert.flagged}}, (step,), ()
+
+
+def _flagged_assumptions(cert: ChainCertificate) -> list[str]:
+    """The primality kinds of the links taken on trust."""
+    return [e.primality.kind for e in cert.evidence if e.primality.flagged]
 
 
 def _cmd_chain(args, budget: Budget):
@@ -373,18 +377,8 @@ def _cmd_chain(args, budget: Budget):
     ring = flat.ring
     witnesses = [parse_polynomial(t.strip(), ring) for t in args.witnesses.split(",") if t.strip()]
     fresh = [name.strip() for name in args.fresh.split(",") if name.strip()]
-    if flat.is_zero_ideal():
-        base_cert = PrimalityCertificate("zero-ideal-in-domain")
-    else:
-        base_cert = PrimalityCertificate("asserted", note="algebra assumed to be a domain")
-    cert = build_chain(
-        flat,
-        [IdealPresentation.zero_ideal(ring)],
-        witnesses,
-        fresh,
-        [base_cert],
-        budget,
-    )
+    base_cert = domain_certificate(flat, "algebra assumed to be a domain")
+    cert = build_chain(flat, [IdealPresentation.zero_ideal(ring)], witnesses, fresh, [base_cert], budget)
     checks = verify_chain(cert, budget)
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
@@ -396,7 +390,7 @@ def _cmd_chain(args, budget: Budget):
         "certificate": certificate_to_json(cert),
         "lower_bound": bound,
         "verification": checks,
-        "flagged_assumptions": [e.primality.kind for e in cert.evidence if e.primality.flagged],
+        "flagged_assumptions": _flagged_assumptions(cert),
     }
     step = TraceEntry(
         "chain-lower-bound",
@@ -421,6 +415,7 @@ def _cmd_verify(args, budget: Budget):
         "verified": verified,
         "verification": checks,
         "length": cert.length(),
+        "flagged_assumptions": _flagged_assumptions(cert),
     }
     outcome = answer, (step,), ()
     if not verified:

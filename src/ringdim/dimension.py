@@ -169,18 +169,6 @@ def zero_divisor_status(ideal: IdealPresentation, f: Polynomial, budget: Budget 
     return ZeroDivisorStatus.ZERO_DIVISOR
 
 
-def height_of_prime(P: IdealPresentation, budget: Budget | None = None) -> int:
-    """Height of a prime of K[X_1..X_n] as n minus the quotient dimension.
-
-    Primality is the caller's obligation (see chains for certificate forms);
-    the formula needs it, this function does not re-verify it.
-    """
-    dim = dim_affine(P, budget=budget)
-    if dim.kind == "empty":
-        raise EmptyRingError("the unit ideal has no height")
-    return P.ring.arity - dim.value
-
-
 def dim_generic_fiber(ideal: IdealPresentation, n: int, budget: Budget | None = None) -> DimensionValue:
     """dim of K(T_1..T_n) tensor K[X]/I over K: the same presentation re-read with
     n fresh transcendentals adjoined to the coefficient field.
@@ -197,7 +185,7 @@ def dim_generic_fiber(ideal: IdealPresentation, n: int, budget: Budget | None = 
         fresh.append(fresh_variable("T", ideal.ring, fresh))
     target_field = merged_function_field(ideal.ring.field, tuple(fresh))
     lift = embed_coefficient(ideal.ring.field, target_field)
-    new_ring = PolynomialRing(target_field, ideal.ring.variables, unchecked=True)
+    new_ring = PolynomialRing(target_field, ideal.ring.variables)
     gens = [g.map_to(new_ring, coeff_map=lift) for g in ideal.generators]
     return dim_affine(IdealPresentation(new_ring, gens), budget=budget)
 

@@ -15,10 +15,6 @@ class ZeroPolynomialError(ValueError):
     """An operation needing a nonzero polynomial got zero."""
 
 
-class VariableCapError(ValueError):
-    """Total variable count exceeds the configured cap."""
-
-
 class TowerDepthError(ValueError):
     """A rational function field was stacked on another one."""
 

@@ -11,7 +11,7 @@ and ``div`` run the full normalization.
 
 Every field object provides:
     zero, one, function_variables
-    from_int, add, sub, mul, neg, inv, div, is_zero, is_one
+    from_int, add, mul, neg, inv, div, is_zero, is_one
     element_key      -- hashable/sortable canonical key
     display_split    -- (is_negative, unsigned text) for the printer
 """
@@ -77,9 +77,6 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -140,9 +137,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -285,7 +279,7 @@ class RationalFunctionField:
 
     @property
     def poly_ring(self) -> PolynomialRing:
-        return PolynomialRing(self.base, self.variables, unchecked=True)
+        return PolynomialRing(self.base, self.variables)
 
     @property
     def zero(self) -> RatFunc:
@@ -315,26 +309,19 @@ class RationalFunctionField:
     # is monic under grevlex.
 
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return self._combine(a, b.num, b.den, Polynomial.__add__)
-
-    def sub(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return self._combine(a, b.num, b.den, Polynomial.__sub__)
-
-    def _combine(self, a: RatFunc, c: Polynomial, d: Polynomial, op) -> RatFunc:
-        """a.num/a.den op c/d, for op addition or subtraction."""
-        n, b = a.num, a.den
-        g = _gcd(b, d)
+        n, d, m, e = a.num, a.den, b.num, b.den
+        g = _gcd(d, e)
         if g is None:
             # coprime denominators: the result is already reduced
-            return RatFunc._reduced(op(_times(n, d), _times(c, b)), _monic_product(b, d))
-        b_g, d_g = exact_divide(b, g), exact_divide(d, g)
-        t = op(_times(n, d_g), _times(c, b_g))
+            return RatFunc._reduced(_times(n, e) + _times(m, d), _monic_product(d, e))
+        d_g, e_g = exact_divide(d, g), exact_divide(e, g)
+        t = _times(n, e_g) + _times(m, d_g)
         if t.is_zero():
             return self.zero
         g2 = _gcd(t, g)
         if g2 is not None:
-            t, d = exact_divide(t, g2), exact_divide(d, g2)
-        return RatFunc._reduced(t, _monic_product(b_g, d))
+            t, e = exact_divide(t, g2), exact_divide(e, g2)
+        return RatFunc._reduced(t, _monic_product(d_g, e))
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
         n, d, m, e = a.num, a.den, b.num, b.den

@@ -50,8 +50,8 @@ class Budget:
     limit: int = DEFAULT_PAIR_BUDGET
     used: int = 0
 
-    def spend(self, n: int = 1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExhaustedError(self.used, self.limit)
 

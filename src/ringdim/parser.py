@@ -50,7 +50,7 @@ from .fields import (
     RationalFunctionField,
     merged_function_field,
 )
-from .polynomials import Polynomial, PolynomialRing, check_variable_cap, format_polynomial
+from .polynomials import Polynomial, PolynomialRing, format_polynomial
 
 
 # -- lexing ---------------------------------------------------------------------
@@ -75,6 +75,10 @@ class Token:
     line: int
     column: int
 
+
+# ring variables plus coefficient-field variables of a ring the input builds;
+# the dimension kernel enumerates variable subsets, exponential in this count
+MAX_TOTAL_VARIABLES = 12
 
 # the parsers recurse once per parenthesis level; capping the depth here makes
 # over-deep input a ParseError instead of a RecursionError that depends on
@@ -308,6 +312,13 @@ def _parse_field(cur: _Cursor) -> CoefficientField:
     raise ParseError(f"unknown field {tok.text!r}", tok.line, tok.column)
 
 
+def check_variable_cap(total: int, tok: Token) -> None:
+    """Refuse, at the constructor ``tok``, a ring of ``total`` ring plus
+    coefficient-field variables past the cap."""
+    if total > MAX_TOTAL_VARIABLES:
+        raise ParseError(f"{total} variables exceed the cap of {MAX_TOTAL_VARIABLES}", tok.line, tok.column)
+
+
 def _parse_name_list(cur: _Cursor) -> list[str]:
     names = [cur.expect("IDENT", "a variable name").text]
     while cur.peek().kind == "COMMA":
@@ -342,8 +353,8 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
         if minpoly_asts:
             raise ParseError("infinite extensions take no minimal polynomials", open_tok.line, open_tok.column)
         return FieldExt(base, INF), None
-    # the count PolynomialRing makes below, taken before any name is built
-    check_variable_cap(trdeg + len(base.function_variables) + len(minpoly_asts))
+    # the variables of the ring built below, checked before any name is built
+    check_variable_cap(trdeg + len(base.function_variables) + len(minpoly_asts), open_tok)
     unused = (name for name in map("s{}".format, count(1)) if name not in base.function_variables)
     basis = tuple(islice(unused, trdeg))
     known = set(basis) | set(base.function_variables)
@@ -390,6 +401,7 @@ def _parse_expr(cur: _Cursor) -> tuple[RingExpr, PolynomialRing | None]:
     head = tok.text
     if head in ("Q", "Fp", "FunField"):
         field = _parse_field(cur)
+        check_variable_cap(len(field.function_variables), tok)
         return BaseField(field), PolynomialRing(field, ())
     cur.next()
     if head not in _KEYWORDS:
@@ -410,6 +422,7 @@ def _parse_expr(cur: _Cursor) -> tuple[RingExpr, PolynomialRing | None]:
             # in the extension's base field; the tree stays symbolic
             ambient = PolynomialRing(base.over, ())
         if ambient is not None:
+            check_variable_cap(ambient.arity + len(names) + len(ambient.field.function_variables), open_tok)
             try:
                 new_ambient = PolynomialRing(ambient.field, ambient.variables + tuple(names))
             except ValueError as exc:

@@ -18,27 +18,8 @@ from __future__ import annotations
 from operator import add, le, sub
 from typing import Iterable, Mapping
 
-from .errors import (
-    ArityMismatchError,
-    RingMismatchError,
-    VariableCapError,
-    ZeroPolynomialError,
-)
+from .errors import ArityMismatchError, RingMismatchError, ZeroPolynomialError
 from .orderings import GREVLEX, MonomialOrder
-
-# Ring variables plus coefficient-field variables; the dimension kernel
-# enumerates variable subsets, which is exponential in this count.
-MAX_TOTAL_VARIABLES = 12
-
-
-def check_variable_cap(total: int) -> None:
-    """Refuse ``total`` ring plus coefficient-field variables past the cap."""
-    if total > MAX_TOTAL_VARIABLES:
-        raise VariableCapError(
-            f"{total} variables exceed the cap of {MAX_TOTAL_VARIABLES}; "
-            "construct with unchecked=True to override"
-        )
-
 
 # -- exponent-vector helpers -------------------------------------------------
 
@@ -62,14 +43,14 @@ class PolynomialRing:
     """An ordered polynomial ring over a coefficient field.
 
     Equality is structural: same field, same variable names in the same
-    order.  ``unchecked`` skips the variable cap for internally constructed
-    helper rings (tag variables, Rabinowitsch variables); user-facing
-    constructions keep the cap so subset enumeration stays tractable.
+    order.  The variable cap is checked by the parser, where input builds a
+    ring (``parser.check_variable_cap``); rings the program builds, with tag
+    or Rabinowitsch variables, may exceed it.
     """
 
     __slots__ = ("field", "variables", "_index")
 
-    def __init__(self, field, variables: Iterable[str], *, unchecked: bool = False):
+    def __init__(self, field, variables: Iterable[str]):
         self.field = field
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
@@ -78,8 +59,6 @@ class PolynomialRing:
         clash = set(self.variables) & set(function_vars)
         if clash:
             raise ValueError(f"ring variables shadow coefficient-field variables: {sorted(clash)}")
-        if not unchecked:
-            check_variable_cap(len(self.variables) + len(function_vars))
         self._index = {name: i for i, name in enumerate(self.variables)}
 
     @property
@@ -124,11 +103,8 @@ class PolynomialRing:
         exps = tuple(1 if j == i else 0 for j in range(self.arity))
         return Polynomial(self, {exps: self.field.one})
 
-    def monomial(self, exps: tuple[int, ...], coeff=None) -> "Polynomial":
-        return Polynomial(self, {tuple(exps): self.field.one if coeff is None else coeff})
-
     def extend(self, extra: Iterable[str]) -> "PolynomialRing":
-        return PolynomialRing(self.field, self.variables + tuple(extra), unchecked=True)
+        return PolynomialRing(self.field, self.variables + tuple(extra))
 
 
 def fresh_variable(stem: str, ring: PolynomialRing, taken: Iterable[str] = ()) -> str:
@@ -466,14 +442,11 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     content = polynomial_gcd(cf, cg)
     a = exact_divide(f, cf)
     b = exact_divide(g, cg)
-    while not b.is_zero() and b.degree_in(i) > 0:
+    while b.degree_in(i) > 0:
         r = _pseudo_rem(a, b, i)
         if r.is_zero():
             prim = exact_divide(b, _content(b, i))
             return (content * prim).monic()
         a, b = b, exact_divide(r, _content(r, i))
-    if b.is_zero():
-        prim = exact_divide(a, _content(a, i))
-        return (content * prim).monic()
     # remainder dropped to degree 0 in x_i: the primitive parts are coprime
     return content.monic()

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import settings
 
-from ringdim import IdealPresentation, Polynomial, PolynomialRing
+from ringdim import EmptyRingError, IdealPresentation, Polynomial, PolynomialRing, dim_affine
 
 settings.register_profile("ci", max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -32,6 +32,20 @@ def random_polynomial(
         p = Polynomial(ring, terms)
         if not nonzero or not p.is_zero():
             return p
+
+
+def monomial(ring: PolynomialRing, exps, coeff=None) -> Polynomial:
+    """The term coeff * x^exps (coeff defaults to 1)."""
+    return Polynomial(ring, {tuple(exps): ring.field.one if coeff is None else coeff})
+
+
+def height(prime: IdealPresentation) -> int:
+    """Height of a prime of K[X_1..X_n], as n minus the dimension of the
+    quotient."""
+    dim = dim_affine(prime)
+    if dim.kind == "empty":
+        raise EmptyRingError("the unit ideal has no height")
+    return prime.ring.arity - dim.value
 
 
 def same_ideal(a: IdealPresentation, b: IdealPresentation) -> bool:

@@ -36,7 +36,6 @@ from ringdim import (
     evaluate,
     field_tensor_dimension,
     flatten_affine,
-    height_of_prime,
     parse_ring_expr,
     verify_chain,
     verify_substitution_transfer,
@@ -48,7 +47,7 @@ from ringdim.calculus import RULE_TENSOR_EQ, RULE_TENSOR_INF
 from ringdim.chains import ChainCertificate
 from ringdim.orderings import GREVLEX
 
-from conftest import random_polynomial
+from conftest import height, monomial, random_polynomial
 
 
 @contextmanager
@@ -180,7 +179,7 @@ def test_criterion_3_nzd_localization_suite():
             gens = [g.map_to(ext) for g in prime.generators]
             gens.append(f.map_to(ext) * y_loc - ext.one())
             extended = IdealPresentation(ext, gens)
-            assert height_of_prime(extended) == height_of_prime(prime) + 1, (
+            assert height(extended) == height(prime) + 1, (
                 prime,
                 f,
             )
@@ -285,7 +284,7 @@ def test_criterion_6_dimension_oracle_equivalence():
                 exps = [0] * 6
                 for _ in range(rng.randint(1, 3)):
                     exps[rng.randrange(6)] += 1
-                gens.append(ring6.monomial(tuple(exps)))
+                gens.append(monomial(ring6, exps))
             algebra = IdealPresentation(ring6, gens)
             expected = subset_dimension_oracle([g.leading(GREVLEX)[0] for g in gens], 6)
             assert dim_affine(algebra) == DimensionValue.exact(expected)

@@ -7,15 +7,22 @@ import pytest
 
 from ringdim import (
     INF,
+    BaseField,
     DimensionValue,
     InconsistentBoundsError,
+    LocElement,
+    PolyExt,
+    PolynomialRing,
+    PrimeField,
     QQ,
+    Quotient,
+    RingMismatchError,
+    Tensor,
     evaluate,
     field_tensor_dimension,
     flatten_affine,
     integral_extension_rule,
     parse_ring_expr,
-    tensor_flatten_affine,
 )
 from ringdim import cli
 from ringdim.calculus import (
@@ -204,28 +211,60 @@ def test_evaluate_deterministic_traces():
 
 # -- flattening ----------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "algebra, f, g",
+    [
+        ("Poly(Q; x,y)", "x", "y"),
+        ("Poly(Q; x,y)", "x", "x*y - 1"),
+        ("Quot(Poly(Q; x,y,z); x*y)", "x", "z"),
+        ("Quot(Poly(Q; x,y); x^2)", "x", "y"),
+        ("Poly(FunField(Fp(5); t); x,y)", "x + t", "x*y - t"),
+        ("Loc(Poly(Q; x,y); y)", "x", "x - y^2"),
+    ],
+)
+def test_localization_commutes_with_quotient(algebra, f, g):
+    # inverting f and dividing by g give the same ring in either order
+    left = evaluate(parse_ring_expr(f"Quot(Loc({algebra}; {f}); {g})"))
+    right = evaluate(parse_ring_expr(f"Loc(Quot({algebra}; {g}); {f})"))
+    assert left.value == right.value
+
+
+def test_flatten_lists_rabinowitsch_variables_last():
+    flat = flatten_affine(parse_ring_expr("Tensor(Loc(Poly(Q; x); x), Poly(Q; y), Loc(Poly(Q; z); z))"))
+    assert flat.ring.variables == ("x", "y", "z", "Y", "Y1")
+    assert [str(g) for g in flat.generators] == ["x*Y - 1", "z*Y1 - 1"]
+
+
+def test_flatten_refuses_an_element_outside_the_parsed_ring():
+    # a hand-built tree can carry a polynomial the parser would never read
+    # there; it is refused, not read by position in another field
+    y = PolynomialRing(QQ, ("y",)).variable("y")
+    base = PolyExt(BaseField(PrimeField(5)), ("x",))
+    for expr in (Quotient(base, (y,)), LocElement(base, y)):
+        with pytest.raises(RingMismatchError):
+            evaluate(expr)
+
+
+def _tensor_flat(*legs):
+    return flatten_affine(Tensor(tuple(map(parse_ring_expr, legs)), QQ))
+
+
 def test_tensor_flatten_polynomial_rings():
-    a = flatten_affine(parse_ring_expr("Poly(Q; x)"))
-    b = flatten_affine(parse_ring_expr("Poly(Q; y)"))
-    combined = tensor_flatten_affine(a, b)
+    combined = _tensor_flat("Poly(Q; x)", "Poly(Q; y)")
     assert combined.ring.variables == ("x", "y")
     assert combined.is_zero_ideal()
 
 
 def test_tensor_flatten_renames_collisions():
-    a = flatten_affine(parse_ring_expr("Poly(Q; x)"))
-    combined = tensor_flatten_affine(a, a)
+    combined = _tensor_flat("Poly(Q; x)", "Poly(Q; x)")
     assert combined.ring.variables == ("x", "x1")
     # the renamed x must not take the name of the second leg's own x1
-    b = flatten_affine(parse_ring_expr("Poly(Q; x, x1)"))
-    assert tensor_flatten_affine(a, b).ring.variables == ("x", "x2", "x1")
+    assert _tensor_flat("Poly(Q; x)", "Poly(Q; x, x1)").ring.variables == ("x", "x2", "x1")
 
 
 def test_tensor_flatten_field_mismatch():
-    a = flatten_affine(parse_ring_expr("Poly(Q; x)"))
-    b = flatten_affine(parse_ring_expr("Poly(FunField(Q; t); y)"))
-    with pytest.raises(ValueError):
-        tensor_flatten_affine(a, b)
+    # a leg over a larger field has no presentation over the tensor's base
+    assert _tensor_flat("Poly(Q; x)", "Poly(FunField(Q; t); y)") is None
 
 
 def test_tensor_of_quadratic_extensions_dimension_zero():

@@ -285,6 +285,8 @@ def test_chain_over_proper_quotient_algebra():
     for witness in (u, v):
         cert = build_chain(A, [IdealPresentation.zero_ideal(ring)], [witness], ["X1"])
         assert certified_lower_bound(cert) == 1
+        # link 0 upstairs is (v^2 - u), not the zero ideal: its primality is taken as given
+        assert cert.evidence[0].primality == PrimalityCertificate("asserted", note="base chain prime taken as given")
         # the algebra's own relation is carried into every link upstairs
         lifted = cert.links[1]
         assert any(g.support() <= {0, 1} and not g.is_zero() for g in lifted.generators)

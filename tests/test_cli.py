@@ -71,6 +71,21 @@ def test_verify_round_trip(capsys, tmp_path):
     assert code == EXIT_OK
     assert report["result"]["verified"] is True
     assert report["result"]["length"] == 2
+    assert report["result"]["flagged_assumptions"] == []
+
+
+def test_verify_refuses_a_zero_ideal_claim_for_a_link_with_generators(capsys, tmp_path):
+    out = tmp_path / "cert.json"
+    run_cli(capsys, "chain", "--witnesses", "u", "--fresh", "X1", "Quot(Poly(Q;u,v); u*v)", "--out", str(out))
+    code, report = run_cli(capsys, "verify", str(out))
+    assert (code, report["result"]["flagged_assumptions"]) == (EXIT_OK, ["asserted"])
+    # link 0 is (u*v), which is not even prime
+    blob = json.loads(out.read_text())
+    blob["result"]["certificate"]["evidence"][0]["primality"] = {"kind": "zero-ideal-in-domain"}
+    out.write_text(json.dumps(blob))
+    code, report = run_cli(capsys, "verify", str(out))
+    assert (code, report["status"]) == (EXIT_USER_ERROR, "user-error")
+    assert report["error"]["message"] == "link 0 is not the zero ideal, but its evidence is zero-ideal-in-domain"
 
 
 def test_verify_rejects_tampered_certificate(capsys, tmp_path):
@@ -464,6 +479,31 @@ def test_symbolic_constructions_over_the_zero_ring_are_empty(capsys, text, detai
     assert code == EXIT_OK
     assert report["result"]["dimension"] == {"kind": "empty-ring"}
     assert [(e["rule"], e["detail"]) for e in report["trace"]] == [("empty-ring", detail)]
+
+
+@pytest.mark.parametrize(
+    "text, value, variables",
+    [
+        ("Quot(Loc(Poly(Q;x,y); x); y)", 1, ["x", "y", "Y"]),
+        ("Loc(Loc(Poly(Q;x,y); x); y)", 2, ["x", "y", "Y", "Y1"]),
+        # the localization variable gives way to the user's Y
+        ("Poly(Loc(Poly(Q;x); x); Y)", 2, ["x", "Y", "Y1"]),
+        ("Quot(Poly(Loc(Poly(Q;x); x); y); x*y - 1)", 1, ["x", "y", "Y"]),
+    ],
+    ids=["quot-of-loc", "loc-of-loc", "poly-of-loc", "quot-of-poly-of-loc"],
+)
+def test_localizations_inside_other_constructors(capsys, text, value, variables):
+    # elements are parsed in the variables before the Rabinowitsch ones
+    code, report = run_cli(capsys, "dim", text)
+    assert code == EXIT_OK
+    assert report["result"]["dimension"] == {"kind": "exact", "value": value}
+    assert report["result"]["kernel_presentation"]["variables"] == variables
+
+
+def test_element_of_a_localized_quotient(capsys):
+    # x is a unit, so y = x^-1 * x*y is zero
+    code, report = run_cli(capsys, "nzd", "Quot(Loc(Poly(Q;x,y); x); x*y)", "y")
+    assert (code, report["result"]["status"]) == (EXIT_OK, "zero-element")
 
 
 def test_ring_changes_avoid_coefficient_field_names(capsys):

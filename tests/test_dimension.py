@@ -19,7 +19,6 @@ from ringdim import (
     dim_affine,
     dim_generic_fiber,
     evaluate,
-    height_of_prime,
     parse_ring_expr,
     trdeg_affine_domain,
     zero_divisor_status,
@@ -27,7 +26,7 @@ from ringdim import (
 )
 from ringdim.ideals import rabinowitsch
 
-from conftest import random_polynomial
+from conftest import height, monomial, random_polynomial
 
 
 # -- independent oracle, written against the raw monomial generators ----------
@@ -52,7 +51,7 @@ def random_monomial_ideal(rng, ring, max_gens=6, max_degree=3):
         exps = [0] * ring.arity
         for _ in range(rng.randint(1, max_degree)):
             exps[rng.randrange(ring.arity)] += 1
-        gens.append(ring.monomial(tuple(exps)))
+        gens.append(monomial(ring, exps))
     return gens
 
 
@@ -183,13 +182,13 @@ def test_localization_never_raises_dimension():
 
 def test_height_examples():
     rxy = PolynomialRing(QQ, ("x", "y"))
-    assert height_of_prime(IdealPresentation(rxy, [rxy.variable("x")])) == 1
+    assert height(IdealPresentation(rxy, [rxy.variable("x")])) == 1
     rxyz = PolynomialRing(QQ, ("x", "y", "z"))
-    assert height_of_prime(IdealPresentation(rxyz, [rxyz.variable("x"), rxyz.variable("y")])) == 2
+    assert height(IdealPresentation(rxyz, [rxyz.variable("x"), rxyz.variable("y")])) == 2
     x, y = rxy.variable("x"), rxy.variable("y")
-    assert height_of_prime(IdealPresentation(rxy, [y**2 - x**3])) == 1
+    assert height(IdealPresentation(rxy, [y**2 - x**3])) == 1
     with pytest.raises(EmptyRingError):
-        height_of_prime(IdealPresentation(rxy, [rxy.one()]))
+        height(IdealPresentation(rxy, [rxy.one()]))
 
 
 def test_generic_fiber_examples():

@@ -18,7 +18,7 @@ from ringdim import (
     polynomial_gcd,
 )
 
-from conftest import random_polynomial
+from conftest import monomial, random_polynomial
 
 
 @pytest.fixture
@@ -243,9 +243,9 @@ def test_arithmetic_matches_the_schoolbook_formulas(field, seed):
         b = a
     cases = [
         (field.add(a, b), a.num * b.den + b.num * a.den, a.den * b.den),
-        (field.sub(a, b), a.num * b.den - b.num * a.den, a.den * b.den),
+        (field.add(a, field.neg(b)), a.num * b.den - b.num * a.den, a.den * b.den),
         (field.mul(a, b), a.num * b.num, a.den * b.den),
-        (field.sub(a, a), field.poly_ring.zero(), a.den),
+        (field.add(field.neg(a), a), field.poly_ring.zero(), a.den),
         (field.add(a, field.neg(a)), field.poly_ring.zero(), a.den),
     ]
     if not field.is_zero(b):
@@ -254,7 +254,7 @@ def test_arithmetic_matches_the_schoolbook_formulas(field, seed):
         assert field.is_one(field.mul(b, field.inv(b)))
     for r, num, den in cases:
         _check_result(field, r, num, den)
-    zero = field.sub(a, a)
+    zero = field.add(a, field.neg(a))
     assert (zero.num, zero.den) == (field.poly_ring.zero(), field.poly_ring.one())
 
 
@@ -266,7 +266,7 @@ def test_constant_numerators_are_not_one():
         k = QT.from_base(c)
         assert QT.mul(k, t).num == ring.variable("t").scale(c)
         assert not QT.is_one(k)
-        assert QT.is_zero(QT.sub(QT.mul(k, t), QT.mul(t, k)))
+        assert QT.is_zero(QT.add(QT.mul(k, t), QT.neg(QT.mul(t, k))))
     assert QT.is_one(QT.one) and not QT.is_one(QT.zero) and not QT.is_one(t)
 
 
@@ -275,7 +275,7 @@ def _least_exponents(f, g):
     term of f and g: the gcd when either is a single term."""
     ring = f.ring
     exps = [min(e[i] for e in list(f.terms) + list(g.terms)) for i in range(ring.arity)]
-    return ring.monomial(tuple(exps))
+    return monomial(ring, exps)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["rationals", "f7"])
@@ -287,9 +287,9 @@ def test_gcd_with_a_single_term_is_the_least_exponent_monomial(field, seed):
     exps = tuple(rng.randint(0, 3) for _ in range(ring.arity))
     if rng.random() < 0.2:
         exps = (0, 0, 0)  # a constant operand
-    term = ring.monomial(exps, field.from_int(rng.choice([-2, 1, 3])))
+    term = monomial(ring, exps, field.from_int(rng.choice([-2, 1, 3])))
     other = random_polynomial(rng, ring, max_degree=5, max_terms=5, nonzero=True)
     if rng.random() < 0.5:
-        other = other * ring.monomial((1, 2, 0))  # several variables in every term
+        other = other * monomial(ring, (1, 2, 0))  # several variables in every term
     for f, g in ((term, other), (other, term)):
         assert polynomial_gcd(f, g) == _least_exponents(f, g)

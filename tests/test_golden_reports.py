@@ -7,7 +7,8 @@ against ``golden_reports.json``, so a refactor that changes any answer,
 trace, citation or error message fails here.
 
 Regenerate the data file with ``python tests/test_golden_reports.py`` from
-the repository root (with ``src`` on ``PYTHONPATH``), and review the diff.
+the repository root (with ``src`` on ``PYTHONPATH``); it prints the argv of
+every changed, added and removed row before it writes.  Review the diff.
 """
 
 from __future__ import annotations
@@ -112,6 +113,17 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         rows = run_all(Path(tmp))
+    old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else []
+    old_rows = {json.dumps(row["argv"]): row for row in old}
+    new_rows = {json.dumps(row["argv"]): row for row in rows}
+    for label, keys in (
+        ("changed", [k for k in new_rows if k in old_rows and new_rows[k] != old_rows[k]]),
+        ("added", [k for k in new_rows if k not in old_rows]),
+        ("removed", [k for k in old_rows if k not in new_rows]),
+    ):
+        print(f"{len(keys)} {label}")
+        for key in keys:
+            print(f"  {key}")
     lines = ",\n".join(json.dumps(row) for row in rows)
     GOLDEN_PATH.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     print(f"wrote {len(rows)} reports to {GOLDEN_PATH}")

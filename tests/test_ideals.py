@@ -27,7 +27,7 @@ from ringdim import (
 )
 from ringdim.polynomials import monomial_divides
 
-from conftest import random_polynomial, same_ideal
+from conftest import monomial, random_polynomial, same_ideal
 from test_orderings import block_oracle, grevlex_oracle, lex_oracle
 
 ELIMINATE_X = BlockElimination(frozenset({0}))
@@ -38,7 +38,7 @@ ORACLES = {LEX: lex_oracle, GREVLEX: grevlex_oracle, ELIMINATE_X: block_oracle(f
 # Written from the definitions and sharing no code with the engine's division:
 # monomials are ranked by the order oracles of test_orderings, polynomials are
 # read only through Polynomial.terms, and coefficients go through the field's
-# own add/sub/mul/div.
+# own add/neg/mul/div.
 
 def ref_leading(terms: dict, cmp) -> tuple[int, ...]:
     lead = None
@@ -62,7 +62,7 @@ def ref_normal_form(field, terms: dict, divisors: list[dict], cmp) -> dict:
                 q = field.div(rest[m], g[lead])
                 for gm, gc in g.items():
                     t = tuple(e + f - d for e, f, d in zip(gm, m, lead))
-                    value = field.sub(rest.get(t, field.zero), field.mul(q, gc))
+                    value = field.add(rest.get(t, field.zero), field.neg(field.mul(q, gc)))
                     if field.is_zero(value):
                         rest.pop(t, None)
                     else:
@@ -159,7 +159,7 @@ def _outgrowing_width(field) -> tuple:
     # x^3*z^(2^40) reduced by x - z^(2^40) under lex is z^(2^42): it does
     # not fit the width the inputs ask for, not even with the guard bit
     ring = PolynomialRing(field, ("x", "y", "z"))
-    x, z = ring.variable("x"), ring.monomial((0, 0, 2**40))
+    x, z = ring.variable("x"), monomial(ring, (0, 0, 2**40))
     return x**3 * z, [x - z], LEX
 
 

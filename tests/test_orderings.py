@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ringdim import GREVLEX, LEX, BlockElimination, PolynomialRing, QQ
+from ringdim import GREVLEX, LEX, BlockElimination, Polynomial, PolynomialRing, QQ
 from ringdim.errors import ArityMismatchError
 from ringdim.orderings import PackedMonomials, WidthOverflow
 from ringdim.polynomials import monomial_divides, monomial_mul
@@ -74,7 +74,7 @@ def test_lex_examples():
 def test_arity_mismatch_rejected():
     ring = PolynomialRing(QQ, ("x", "y"))
     with pytest.raises(ArityMismatchError):
-        ring.monomial((1, 0, 0))
+        Polynomial(ring, {(1, 0, 0): QQ.one})
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from ringdim import (
     Quotient,
     RationalFunctionField,
     Tensor,
-    VariableCapError,
     format_field,
     format_polynomial,
     format_ring_expr,
@@ -165,8 +164,31 @@ def test_ext_past_the_variable_cap_is_refused_before_naming_its_basis(monkeypatc
         raise AssertionError("the basis was built before the cap was checked")
 
     monkeypatch.setattr(parser, "merged_function_field", refuse)
-    with pytest.raises(VariableCapError, match="^1000000 variables exceed the cap of 12;"):
+    with pytest.raises(ParseError, match=r"^1000000 variables exceed the cap of 12 \(line 1, column 4\)$"):
         parse_ring_expr(f"Ext(Q; {10**6})")
+
+
+_THIRTEEN = ",".join("abcdefghijklm")
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        (f"Poly(Q; {_THIRTEEN})", 5),
+        (f"FunField(Q; {_THIRTEEN})", 1),
+        (f"Ext(FunField(Q; {_THIRTEEN}); 0)", 4),
+        # ring variables and coefficient-field variables count together
+        (f"Poly(FunField(Q; {_THIRTEEN[:11]}); {_THIRTEEN[12:]})", 5),
+    ],
+    ids=["Poly", "FunField", "Ext", "Poly-over-FunField"],
+)
+def test_variable_cap_is_a_parse_error_at_the_constructor(text, column):
+    with pytest.raises(ParseError) as info:
+        parse_ring_expr(text)
+    assert (info.value.message, info.value.line, info.value.column) == ("13 variables exceed the cap of 12", 1, column)
+    assert "unchecked" not in str(info.value)
+    # rings built inside the program, such as Rabinowitsch presentations, may pass the cap
+    assert PolynomialRing(QQ, tuple(_THIRTEEN.split(","))).arity == 13
 
 
 def test_tensor_base_inference_and_validation():

@@ -14,7 +14,6 @@ from ringdim import (
     QQ,
     RationalFunctionField,
     RingMismatchError,
-    VariableCapError,
     ZeroPolynomialError,
     exact_divide,
     format_polynomial,
@@ -106,20 +105,6 @@ def test_ring_mismatch_raises(rxy):
     other = PolynomialRing(QQ, ("x", "z"))
     with pytest.raises(RingMismatchError):
         rxy.variable("x") + other.variable("x")
-
-
-def test_variable_cap_enforced():
-    names = tuple(f"v{i}" for i in range(13))
-    with pytest.raises(VariableCapError):
-        PolynomialRing(QQ, names)
-    ring = PolynomialRing(QQ, names, unchecked=True)
-    assert ring.arity == 13
-
-
-def test_cap_counts_function_field_variables():
-    field = RationalFunctionField(QQ, tuple(f"t{i}" for i in range(6)))
-    with pytest.raises(VariableCapError):
-        PolynomialRing(field, tuple(f"v{i}" for i in range(7)))
 
 
 @pytest.fixture(params=["Q", "F5", "Qt"])

@@ -394,13 +394,27 @@ def flatten_affine(expr: RingExpr) -> IdealPresentation | None:
     return ideal
 
 
+def tensor_variables(over: CoefficientField, legs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+    """The variables of a tensor product over ``over`` whose legs have the
+    variables ``legs``: each leg's in turn, where a name the product already
+    has becomes a ``fresh_variable`` name that avoids every name of that leg
+    as well, so it cannot collide with a later variable."""
+    ring = PolynomialRing(over, ())
+    for variables in legs:
+        names: list[str] = []
+        for name in variables:
+            if name in ring.variables:
+                name = fresh_variable(name, ring, (*variables, *names))
+            names.append(name)
+        ring = ring.extend(names)
+    return ring.variables
+
+
 def _flatten(expr: RingExpr) -> tuple[PolynomialRing, list[tuple[Polynomial, bool]]] | None:
     """The ring ``flatten_affine`` parses in and its generators in order,
     each a relation (False) or an element to invert (True), in that ring.
 
-    Tensor legs are juxtaposed: a variable of a leg that the ring already
-    names gets a ``fresh_variable`` name, which avoids every name of that
-    leg as well, so it cannot collide with a later variable."""
+    Tensor legs are juxtaposed, named by ``tensor_variables``."""
     if isinstance(expr, BaseField):
         return PolynomialRing(expr.coefficients, ()), []
     if isinstance(expr, FieldExt):
@@ -408,22 +422,18 @@ def _flatten(expr: RingExpr) -> tuple[PolynomialRing, list[tuple[Polynomial, boo
             return None
         return expr.ambient_ring, [(p, False) for _, p in expr.algebraic_part]
     if isinstance(expr, Tensor):
-        ring, generators = PolynomialRing(expr.over, ()), []
+        flats = []
         for leg in expr.legs:
             flat = _flatten(leg)
             if flat is None or flat[0].field != expr.over:
                 return None
-            leg_ring, leg_generators = flat
-            names: list[str] = []
-            for name in leg_ring.variables:
-                if name in ring.variables:
-                    name = fresh_variable(name, ring, (*leg_ring.variables, *names))
-                names.append(name)
-            ext = ring.extend(names)
-            shift = {i: ring.arity + i for i in range(leg_ring.arity)}
-            generators = [(g.map_to(ext), inv) for g, inv in generators]
-            generators += [(g.map_to(ext, shift), inv) for g, inv in leg_generators]
-            ring = ext
+            flats.append(flat)
+        ring = PolynomialRing(expr.over, tensor_variables(expr.over, [leg_ring.variables for leg_ring, _ in flats]))
+        generators, offset = [], 0
+        for leg_ring, leg_generators in flats:
+            shift = {i: offset + i for i in range(leg_ring.arity)}
+            generators += [(g.map_to(ring, shift), inv) for g, inv in leg_generators]
+            offset += leg_ring.arity
         return ring, generators
     if not isinstance(expr, (PolyExt, Quotient, LocElement)):
         return None

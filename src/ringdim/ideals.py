@@ -13,11 +13,15 @@ so comparing monomials is int comparison, multiplying them is ``+`` and a
 divisibility test is one subtraction and one ``&``.  Division keeps the
 unreduced part as a dict plus a heap of its monomials (heap division,
 after Monagan & Pearce), subtracts only the tail of each divisor multiple,
-and over F_p does its coefficient arithmetic inline.  The starting width
-fits the inputs; a run that creates a monomial too wide for it starts
-again at twice the width, so no answer depends on the width.  The divisor
-rule, the pairs reduced and every intermediate basis are those of the
-textbook loop on exponent tuples.
+and over F_p does its coefficient arithmetic inline.  The pair loop works
+on the exponent fields of the packed leads alone: the lcm is a field-wise
+max on one int, a heap entry is (lcm degree above lcm exponents, i, j),
+and the chain criterion reads its candidates off one bitset of done
+partners per basis element.  The starting width fits the inputs; a run
+that creates a monomial too wide for it starts again at twice the width,
+so no answer depends on the width.  The divisor rule, the pairs reduced
+and every intermediate basis are those of the textbook loop on exponent
+tuples.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .polynomials import (
     PolynomialRing,
     exact_divide,
     fresh_variable,
-    monomial_lcm,
 )
 
 DEFAULT_PAIR_BUDGET = 50_000
@@ -81,9 +84,11 @@ class _Kernel:
         return Polynomial._raw(ring, {unpack(m): c for m, c in terms.items()})
 
     def sort_key(self, terms: dict):
-        """``Polynomial.sort_key`` of the unpacked polynomial."""
-        unpack, key = self.packing.unpack, self.field.element_key
-        return tuple(sorted((unpack(m), key(c)) for m, c in terms.items()))
+        """A key that orders packed polynomials as ``Polynomial.sort_key``
+        orders them unpacked: exponent segments compare like exponent
+        tuples."""
+        segment, key = self.packing.exponent_mask, self.field.element_key
+        return tuple(sorted((m & segment, key(c)) for m, c in terms.items()))
 
     def monic(self, terms: dict) -> dict:
         field = self.field
@@ -288,13 +293,21 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     The generators are packed once (``PackedMonomials``, at the narrowest
     width their degrees allow); inter-reduction, S-polynomials, division
     and the final tail reduction run on packed polynomials, and only the
-    reduced basis is unpacked.  The pair heap is ordered by (lcm degree,
-    lcm exponent tuple, i, j); the coprimality test ``lcm == lm_i + lm_j``
-    and the chain criterion ``(lcm - lm_k) & guard`` use the packed lcm and
-    leads.  A run that outgrows the width, in a reduction or in a popped
-    lcm, starts again at twice the width with the budget as it was at
-    entry, so the pairs reduced, ``budget.used`` and the basis do not
-    depend on the width.
+    reduced basis is unpacked.  The pair loop reads only the exponent
+    segment e_i of each packed lead (its low fields, which compare like the
+    exponent tuple).  A heap entry is ``(graded lcm, i, j)``: one int with
+    the lcm's degree above its exponent segment, so the heap pops pairs in
+    the order of (lcm degree, lcm exponent tuple, i, j).  Leads i and j
+    are coprime when the lcm segment is e_i + e_j.  Bit k of ``done[i]`` is
+    set once the pair {i, k} is popped, so the chain criterion tests only
+    the leads k in ``done[i] & done[j]``, each by ``(lcm - e_k) &
+    exponent_guard``.  Every lead has degree below the field limit, which
+    makes the lcm's degree and its full packed form exact; the full form
+    is built, and checked against the width, only for a pair that is
+    reduced.  A run that outgrows the width, in a reduction, in a new lead
+    or in a reduced pair's lcm, starts again at twice the width with the
+    budget as it was at entry, so the pairs reduced, ``budget.used`` and
+    the basis do not depend on the width.
     """
     budget = budget or Budget()
     generators = [g for g in generators if not g.is_zero()]
@@ -308,44 +321,53 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
 
 
 def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomial], budget: Budget) -> tuple[Polynomial, ...]:
+    packing = kernel.packing
+    lcm, graded, segment, exponent_guard = packing.lcm, packing.graded, packing.exponent_mask, packing.exponent_guard
     basis = kernel.inter_reduce([kernel.pack(g) for g in generators])
-    records = list(map(kernel.divisor, basis))
-    divisors = sorted(records, key=itemgetter(0), reverse=True)
-    pack, unpack, guard = kernel.packing.pack, kernel.packing.unpack, kernel.guard
-    leads = [unpack(lm) for lm, _, _ in records]  # orders the pair heap
+    records: list[tuple] = []  # divisor records, in basis order
+    divisors: list[tuple] = []  # the same, by descending leading monomial
+    leads: list[int] = []  # exponent segments of the leading monomials
+    done: list[int] = []  # bit k of done[i] is set once the pair {i, k} is popped
     heap: list = []
-    done: set[tuple[int, int]] = set()
 
-    def push_pairs(j: int):
-        for i in range(j):
-            lcm = monomial_lcm(leads[i], leads[j])
-            heappush(heap, (sum(lcm), lcm, i, j))
+    def add(terms: dict):
+        record = kernel.divisor(terms)
+        e = record[0] & segment
+        if packing.degree(e) >= packing.limit:
+            raise WidthOverflow(packing.width)  # ``graded`` and ``monomial`` rely on it
+        j = len(leads)
+        for i, a in enumerate(leads):
+            heappush(heap, (graded(lcm(a, e)), i, j))
+        records.append(record)
+        divisors.append(record)
+        divisors.sort(key=itemgetter(0), reverse=True)
+        leads.append(e)
+        done.append(0)
 
-    def chained(i: int, j: int, lcm: int) -> bool:
-        # some other lead divides the lcm and both its pairs with i and j are done
-        return any(
-            k != i and k != j and not (lcm - lm) & guard
-            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-            for k, (lm, _, _) in enumerate(records)
-        )
-
-    for j in range(len(basis)):
-        push_pairs(j)
+    for terms in basis:
+        add(terms)
     while heap:
-        _, lcm, i, j = heappop(heap)
-        done.add((i, j))
-        lcm = pack(lcm)
-        if lcm == records[i][0] + records[j][0] or chained(i, j, lcm):
-            continue  # coprime leading terms, or the chain criterion
+        key, i, j = heappop(heap)
+        done[i] |= 1 << j
+        done[j] |= 1 << i
+        e = key & segment
+        if e == leads[i] + leads[j]:
+            continue  # coprime leading monomials
+        # the chain criterion: another lead divides the lcm and both its
+        # pairs with i and j are done
+        chain = done[i] & done[j]
+        while chain:
+            low = chain & -chain
+            if not (e - leads[low.bit_length() - 1]) & exponent_guard:
+                break
+            chain ^= low
+        if chain:
+            continue
         budget.spend()
-        r = kernel.reduce(kernel.s_polynomial(records[i], records[j], lcm), divisors)
+        r = kernel.reduce(kernel.s_polynomial(records[i], records[j], packing.monomial(e)), divisors)
         if r:
             basis.append(kernel.monic(r))
-            records.append(kernel.divisor(basis[-1]))
-            divisors.append(records[-1])
-            divisors.sort(key=itemgetter(0), reverse=True)
-            leads.append(unpack(records[-1][0]))
-            push_pairs(len(basis) - 1)
+            add(basis[-1])
 
     # minimalize: keep only elements whose leading term no other divides,
     # scanning leading terms in ascending order

@@ -121,26 +121,41 @@ class PackedMonomials:
       bits sets its guard bit and carries no further, so the sum can never
       equal a valid monomial.
 
+    The low ``arity * width`` bits, ``m & exponent_mask``, are the exponent
+    segment: the fields of u itself, x0 most significant.  Two segments
+    compare as ints like their exponent tuples lexicographically, and the
+    divisibility test works on them with ``exponent_guard``.  The pair loop
+    of the Groebner engine runs on segments alone (``lcm``, ``graded``) and
+    turns one back into a packed monomial (``monomial``) only for a pair it
+    reduces.
+
     ``pack`` raises ``WidthOverflow`` for a monomial that does not fit;
     callers that create monomials by addition test ``& guard`` themselves
     and start again at a larger width.
     """
 
-    __slots__ = ("width", "guard", "_rows", "_limit", "_shifts", "_mask")
+    __slots__ = (
+        "width", "guard", "limit", "exponent_mask", "exponent_guard",
+        "_rows", "_shifts", "_mask", "_segment_bits", "_units",
+    )
 
     def __init__(self, order: MonomialOrder, arity: int, width: int):
         self._rows = order.weights(arity) + _unit_rows(arity)
         self.width = width
-        self._limit = 1 << (width - 1)
-        self.guard = sum(self._limit << (width * k) for k in range(len(self._rows)))
+        self.limit = 1 << (width - 1)
+        self.guard = sum(self.limit << (width * k) for k in range(len(self._rows)))
         self._shifts = [width * (arity - 1 - i) for i in range(arity)]
         self._mask = (1 << width) - 1
+        self._segment_bits = width * arity
+        self.exponent_mask = (1 << self._segment_bits) - 1
+        self.exponent_guard = self.guard & self.exponent_mask
+        self._units = None  # built by the first ``monomial`` call; most packings never make one
 
     def pack(self, u: tuple[int, ...]) -> int:
         packed = 0
         for row in self._rows:
             value = sum(map(mul, row, u))
-            if value >= self._limit:
+            if value >= self.limit:
                 raise WidthOverflow(self.width)
             packed = packed << self.width | value
         return packed
@@ -148,3 +163,48 @@ class PackedMonomials:
     def unpack(self, m: int) -> tuple[int, ...]:
         mask = self._mask
         return tuple(m >> shift & mask for shift in self._shifts)
+
+    def lcm(self, a: int, b: int) -> int:
+        """The exponent segment of lcm(u, v), from the segments a and b of
+        u and v: the larger of each pair of fields, all fields at once.
+
+        No field of (a | guard) - b borrows from the next, and each keeps
+        its guard bit exactly when a's field is at least b's; spread over
+        its field, that bit selects a's field."""
+        guard = self.exponent_guard
+        select = ((((a | guard) - b) & guard) >> (self.width - 1)) * self._mask
+        return a & select | b & ~select
+
+    def graded(self, e: int) -> int:
+        """An int that orders exponent segments like (total degree, exponent
+        tuple) does: the degree written above the segment.
+
+        2^width is 1 modulo 2^width - 1, so the segment is its degree
+        modulo 2^width - 1: the degree itself while that is below
+        2^width - 1, as it is for the lcm of two monomials each of degree
+        below ``limit``."""
+        return (e % self._mask) << self._segment_bits | e
+
+    def degree(self, e: int) -> int:
+        """The total degree of the exponent segment ``e``."""
+        mask = self._mask
+        return sum(e >> shift & mask for shift in self._shifts)
+
+    def monomial(self, e: int) -> int:
+        """The packed monomial whose exponent segment is ``e``, of total
+        degree below 2^width.
+
+        Every order here has 0/1 weights, so no weight field exceeds the
+        degree, and a field that outgrew ``width - 1`` bits sets its guard
+        bit without carrying: one test raises ``WidthOverflow`` for every
+        monomial that does not fit."""
+        if self._units is None:
+            # the packed monomial of each variable: the rows' columns as fields
+            self._units = [0] * len(self._shifts)
+            for row in self._rows:
+                self._units = [unit << self.width | x for unit, x in zip(self._units, row)]
+        mask = self._mask
+        m = sum((e >> shift & mask) * unit for shift, unit in zip(self._shifts, self._units))
+        if m & self.guard:
+            raise WidthOverflow(self.width)
+        return m

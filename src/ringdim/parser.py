@@ -28,6 +28,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import count, islice
+from typing import NamedTuple
 
 from .calculus import (
     BaseField,
@@ -39,6 +40,7 @@ from .calculus import (
     Quotient,
     RingExpr,
     Tensor,
+    tensor_variables,
 )
 from .dimension import INF, Infinity
 from .errors import ParseError
@@ -335,7 +337,21 @@ def _parse_poly_list_asts(cur: _Cursor) -> list:
     return asts
 
 
-def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing | None]:
+class _Parsed(NamedTuple):
+    """A parsed ring expression and what the constructors around it need."""
+
+    expr: RingExpr
+    # the ring its elements parse in; None where they cannot be parsed
+    ambient: PolynomialRing | None
+    # the ring of its presentation: the ambient ring, or for a tensor its
+    # legs' variables juxtaposed over its base field; None for a fraction
+    # field or an infinite extension
+    ring: PolynomialRing | None
+    # its ring plus coefficient-field variables, as the cap counts them
+    size: int
+
+
+def _build_ext(cur: _Cursor, open_tok: Token) -> _Parsed:
     base = _parse_field(cur)
     cur.expect("SEMI", "';'")
     tok = cur.peek()
@@ -352,9 +368,10 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
     if isinstance(trdeg, Infinity):
         if minpoly_asts:
             raise ParseError("infinite extensions take no minimal polynomials", open_tok.line, open_tok.column)
-        return FieldExt(base, INF), None
+        return _Parsed(FieldExt(base, INF), None, None, len(base.function_variables))
     # the variables of the ring built below, checked before any name is built
-    check_variable_cap(trdeg + len(base.function_variables) + len(minpoly_asts), open_tok)
+    size = trdeg + len(base.function_variables) + len(minpoly_asts)
+    check_variable_cap(size, open_tok)
     unused = (name for name in map("s{}".format, count(1)) if name not in base.function_variables)
     basis = tuple(islice(unused, trdeg))
     known = set(basis) | set(base.function_variables)
@@ -377,7 +394,7 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> tuple[RingExpr, PolynomialRing 
         ext = FieldExt(base, trdeg, basis, minpolys)
     except ValueError as exc:
         raise ParseError(str(exc), open_tok.line, open_tok.column) from None
-    return ext, ext.ambient_ring
+    return _Parsed(ext, ext.ambient_ring, ext.ambient_ring, size)
 
 
 def _field_chain(expr: RingExpr) -> list[CoefficientField]:
@@ -394,15 +411,17 @@ def _field_chain(expr: RingExpr) -> list[CoefficientField]:
     return chain
 
 
-def _parse_expr(cur: _Cursor) -> tuple[RingExpr, PolynomialRing | None]:
+def _parse_expr(cur: _Cursor) -> _Parsed:
     tok = cur.peek()
     if tok.kind != "IDENT":
         raise ParseError(f"expected a ring expression, found {tok.text or 'end of input'!r}", tok.line, tok.column)
     head = tok.text
     if head in ("Q", "Fp", "FunField"):
         field = _parse_field(cur)
-        check_variable_cap(len(field.function_variables), tok)
-        return BaseField(field), PolynomialRing(field, ())
+        size = len(field.function_variables)
+        check_variable_cap(size, tok)
+        ring = PolynomialRing(field, ())
+        return _Parsed(BaseField(field), ring, ring, size)
     cur.next()
     if head not in _KEYWORDS:
         raise ParseError(f"unknown constructor {head!r}", tok.line, tok.column)
@@ -412,67 +431,68 @@ def _parse_expr(cur: _Cursor) -> tuple[RingExpr, PolynomialRing | None]:
         return _build_ext(cur, open_tok)
 
     if head == "Poly":
-        base, ambient = _parse_expr(cur)
+        base = _parse_expr(cur)
         cur.expect("SEMI", "';'")
         names = _parse_name_list(cur)
         cur.expect("RPAREN", "')'")
-        new_ambient = None
-        if ambient is None and isinstance(base, FieldExt):
+        size = base.size + len(names)
+        check_variable_cap(size, open_tok)
+        ambient = base.ambient
+        if ambient is None and isinstance(base.expr, FieldExt):
             # polynomials over an infinite extension parse with coefficients
             # in the extension's base field; the tree stays symbolic
-            ambient = PolynomialRing(base.over, ())
-        if ambient is not None:
-            check_variable_cap(ambient.arity + len(names) + len(ambient.field.function_variables), open_tok)
+            ambient = PolynomialRing(base.expr.over, ())
+        # over a tensor, the new names extend its presentation, but elements
+        # still cannot be parsed
+        ring = base.ring if ambient is None else ambient
+        if ring is not None:
             try:
-                new_ambient = PolynomialRing(ambient.field, ambient.variables + tuple(names))
+                ring = PolynomialRing(ring.field, ring.variables + tuple(names))
             except ValueError as exc:
                 raise ParseError(str(exc), open_tok.line, open_tok.column) from None
-        return PolyExt(base, tuple(names)), new_ambient
+        return _Parsed(PolyExt(base.expr, tuple(names)), None if ambient is None else ring, ring, size)
 
     if head == "Quot":
-        base, ambient = _parse_expr(cur)
+        base = _parse_expr(cur)
         cur.expect("SEMI", "';'")
         asts = _parse_poly_list_asts(cur)
         cur.expect("RPAREN", "')'")
-        if ambient is None:
+        if base.ambient is None:
             raise ParseError("cannot form polynomial relations over this base", open_tok.line, open_tok.column)
-        rels = tuple(poly_ast_to_polynomial(ast, ambient) for ast in asts)
-        return Quotient(base, rels), ambient
+        rels = tuple(poly_ast_to_polynomial(ast, base.ambient) for ast in asts)
+        return base._replace(expr=Quotient(base.expr, rels))
 
     if head == "Loc":
-        base, ambient = _parse_expr(cur)
+        base = _parse_expr(cur)
         cur.expect("SEMI", "';'")
         ast = _parse_poly_expr(cur)
         cur.expect("RPAREN", "')'")
-        if ambient is None:
+        if base.ambient is None:
             raise ParseError("cannot form a localizing element over this base", open_tok.line, open_tok.column)
-        return LocElement(base, poly_ast_to_polynomial(ast, ambient)), ambient
+        return base._replace(expr=LocElement(base.expr, poly_ast_to_polynomial(ast, base.ambient)))
 
     if head == "LocSub":
-        base, ambient = _parse_expr(cur)
+        base = _parse_expr(cur)
         cur.expect("SEMI", "';'")
         asts = _parse_poly_list_asts(cur)
         cur.expect("RPAREN", "')'")
-        if ambient is None:
+        if base.ambient is None:
             raise ParseError("cannot form subring generators over this base", open_tok.line, open_tok.column)
-        gens = tuple(poly_ast_to_polynomial(ast, ambient) for ast in asts)
-        return LocSubringComplement(base, gens), ambient
+        gens = tuple(poly_ast_to_polynomial(ast, base.ambient) for ast in asts)
+        return base._replace(expr=LocSubringComplement(base.expr, gens))
 
     if head == "Tensor":
-        legs = []
-        leg, _ = _parse_expr(cur)
-        legs.append(leg)
+        legs = [_parse_expr(cur)]
         while cur.peek().kind == "COMMA":
             cur.next()
-            leg, _ = _parse_expr(cur)
-            legs.append(leg)
+            legs.append(_parse_expr(cur))
         over = None
         if cur.peek().kind == "SEMI":
             cur.next()
             over = _parse_field(cur)
         cur.expect("RPAREN", "')'")
         if over is None:
-            chains = [_field_chain(leg) for leg in legs]
+            chains = [_field_chain(leg.expr) for leg in legs]
             for candidate in chains[0]:
                 if all(candidate in chain for chain in chains[1:]):
                     over = candidate
@@ -485,26 +505,31 @@ def _parse_expr(cur: _Cursor) -> tuple[RingExpr, PolynomialRing | None]:
                 )
         else:
             for leg in legs:
-                if over not in _field_chain(leg):
+                if over not in _field_chain(leg.expr):
                     raise ParseError(
                         "a tensor leg is not an algebra over the declared base field",
                         open_tok.line,
                         open_tok.column,
                     )
-        return Tensor(tuple(legs), over), None
+        # every leg is an algebra over ``over``, so each counts the base
+        # field's variables, which the product has once
+        shared = len(over.function_variables)
+        size = shared + sum(leg.size - shared for leg in legs)
+        check_variable_cap(size, open_tok)
+        ring = PolynomialRing(over, tensor_variables(over, [leg.ring.variables for leg in legs if leg.ring is not None]))
+        return _Parsed(Tensor(tuple(leg.expr for leg in legs), over), None, ring, size)
 
     if head == "Frac":
-        base, _ambient = _parse_expr(cur)
+        base = _parse_expr(cur)
         cur.expect("RPAREN", "')'")
-        return FracField(base), None
+        return _Parsed(FracField(base.expr), None, None, base.size)
 
     raise ParseError(f"unknown constructor {head!r}", tok.line, tok.column)
 
 
 def parse_ring_expr(text: str) -> RingExpr:
     """Parse the constructor grammar into a ring expression tree."""
-    expr, _ = _parse_whole(text, _parse_expr)
-    return expr
+    return _parse_whole(text, _parse_expr).expr
 
 
 def parse_field(text: str) -> CoefficientField:
@@ -515,9 +540,7 @@ def parse_field(text: str) -> CoefficientField:
 def ambient_ring_of(text: str) -> PolynomialRing | None:
     """The polynomial-parsing context of an expression (None for symbolic
     bases such as infinite extensions, tensors, and fraction fields)."""
-    cur = _Cursor(tokenize(text))
-    _, ambient = _parse_expr(cur)
-    return ambient
+    return _parse_expr(_Cursor(tokenize(text))).ambient
 
 
 # -- printing -----------------------------------------------------------------------

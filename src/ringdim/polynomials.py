@@ -31,10 +31,6 @@ def monomial_divides(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return all(map(le, u, v))
 
 
-def monomial_lcm(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, u, v))
-
-
 def monomial_degree(u: tuple[int, ...]) -> int:
     return sum(u)
 

@@ -335,14 +335,30 @@ def test_basis_outgrowing_the_first_width(rxyz):
 
 
 def test_pair_whose_lcm_outgrows_the_first_width(rxy):
-    # Each lead fits the 16-bit fields that degree 20000 asks for, but the
-    # lcm x^20000*y^20000 of the coprime pair has degree 40000: packing it on
-    # pop starts the run again at 32 bits, and no pair is reduced.
+    # Each lead fits the 16-bit fields that degree 20000 asks for, and the
+    # lcm x^20000*y^20000 of degree 40000 would not; but the pair is coprime,
+    # so it is skipped before its lcm is packed, and no pair is reduced.
     x, y = rxy.variable("x"), rxy.variable("y")
     gens = [x**20000 - rxy.one(), y**20000 - rxy.one()]
     budget = Budget(used=3)
     assert buchberger(gens, GREVLEX, budget) == (gens[1], gens[0])
     assert budget.used == 3
+
+
+@pytest.mark.parametrize(
+    "order", [GREVLEX, LEX, BlockElimination(frozenset({0}))], ids=["grevlex", "lex", "block0"]
+)
+def test_reduced_pair_whose_lcm_outgrows_the_first_width(rxy, order):
+    # The leads share x*y, so the pair is reduced.  Under grevlex its lcm's
+    # degree 40000 outgrows the 16-bit fields, and the run starts again at
+    # 32 bits with the budget as it was; under lex and the block order every
+    # field of the lcm fits.  Either way exactly one pair is spent.
+    x, y = rxy.variable("x"), rxy.variable("y")
+    gens = [x**20000 * y, x * y**20000]
+    budget = Budget(used=3)
+    basis = buchberger(gens, order, budget)
+    assert sorted(basis, key=repr) == sorted(gens, key=repr)
+    assert budget.used == 4
 
 
 def test_groebner_cache_reuse(rxy):

@@ -3,6 +3,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ringdim import GREVLEX, LEX, BlockElimination, Polynomial, PolynomialRing, QQ
 from ringdim.errors import ArityMismatchError
@@ -151,3 +152,62 @@ def test_packed_monomial_outgrowing_its_width_sets_a_guard_bit():
     big = packing.pack((0, 127))
     assert not big & packing.guard
     assert (big + packing.pack((0, 1))) & packing.guard
+
+
+LCM_ORDERS = [LEX, GREVLEX, BlockElimination(frozenset({0, 2}))]
+
+
+@st.composite
+def packed_leads(draw, count: int):
+    """A packing at width 16 or 32 and ``count`` monomials of total degree
+    below its field limit, as the pair loop's leading monomials are."""
+    order = draw(st.sampled_from(LCM_ORDERS))
+    width = draw(st.sampled_from([16, 32]))
+    arity = draw(st.integers(1, 4))
+    leads = []
+    for _ in range(count):
+        # a degree, often the largest that fits, split among the variables
+        # at sorted cut points
+        top = (1 << (width - 1)) - 1
+        degree = draw(st.just(top) | st.integers(0, top))
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=arity - 1, max_size=arity - 1)))
+        leads.append(tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree])))
+    return PackedMonomials(order, arity, width), leads
+
+
+@settings(derandomize=True)
+@given(packed_leads(3))
+@example((PackedMonomials(GREVLEX, 2, 16), [(32767, 0), (0, 32767), (1, 1)]))  # coprime, degree 65534
+def test_packed_lcm_is_the_fieldwise_max(case):
+    packing, (u, v, w) = case
+    a, b, c = (packing.pack(m) & packing.exponent_mask for m in (u, v, w))
+    lcm = tuple(map(max, u, v))
+    e = packing.lcm(a, b)
+    assert packing.unpack(e) == lcm
+    assert packing.degree(e) == sum(lcm)
+    assert (e == a + b) == all(min(pair) == 0 for pair in zip(u, v))  # coprime
+    assert (not (e - c) & packing.exponent_guard) == monomial_divides(w, lcm)
+    try:
+        packed = packing.pack(lcm)
+    except WidthOverflow:
+        with pytest.raises(WidthOverflow):
+            packing.monomial(e)
+    else:
+        assert packing.monomial(e) == packed
+
+
+@settings(derandomize=True)
+@given(packed_leads(5))
+def test_pair_key_orders_like_degree_then_exponents(case):
+    packing, leads = case
+    segments = [packing.pack(m) & packing.exponent_mask for m in leads]
+    pairs = [(i, j) for j in range(len(leads)) for i in range(j)]
+
+    def tuple_key(pair):
+        lcm = tuple(map(max, leads[pair[0]], leads[pair[1]]))
+        return (sum(lcm), lcm, *pair)
+
+    def int_key(pair):
+        return (packing.graded(packing.lcm(segments[pair[0]], segments[pair[1]])), *pair)
+
+    assert sorted(pairs, key=int_key) == sorted(pairs, key=tuple_key)

@@ -15,6 +15,7 @@ from ringdim import (
     Tensor,
     format_field,
     format_polynomial,
+    flatten_affine,
     format_ring_expr,
     parse_field,
     parse_polynomial,
@@ -189,6 +190,50 @@ def test_variable_cap_is_a_parse_error_at_the_constructor(text, column):
     assert "unchecked" not in str(info.value)
     # rings built inside the program, such as Rabinowitsch presentations, may pass the cap
     assert PolynomialRing(QQ, tuple(_THIRTEEN.split(","))).arity == 13
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("Poly(Tensor(Poly(Q;a,b,c,d,e,f), Poly(Q;g,h,i,j,k,l)); m)", 5),
+        ("Tensor(Poly(Q;a,b,c,d,e,f,g), Poly(Q;h,i,j,k,l,m))", 7),
+        ("Tensor(Tensor(Poly(Q;a,b,c,d), Poly(Q;e,f,g,h)), Poly(Q;i,j,k,l,m))", 7),
+        # a leg's coefficient-field variables count too
+        ("Tensor(FunField(Q; a,b,c,d,e,f,g), Poly(Q; h,i,j,k,l,m))", 7),
+        # a fraction field counts the variables of the ring it is built from
+        ("Poly(Frac(Poly(Q;a,b,c,d,e,f,g,h,i,j,k,l)); m)", 5),
+    ],
+    ids=["Poly-over-Tensor", "Tensor", "nested-Tensor", "FunField-leg", "Poly-over-Frac"],
+)
+def test_variable_cap_counts_a_tensor_as_the_sum_over_its_legs(text, column):
+    with pytest.raises(ParseError) as info:
+        parse_ring_expr(text)
+    assert (info.value.message, info.value.line, info.value.column) == ("13 variables exceed the cap of 12", 1, column)
+
+
+def test_variable_cap_counts_a_tensor_base_field_once():
+    # 11 ring variables over Q(t): each leg is an algebra over Q(t), and t counts once
+    e = parse_ring_expr("Tensor(Poly(FunField(Q; t); a,b,c,d,e,f), Poly(FunField(Q; t); g,h,i,j,k))")
+    assert e.over == RationalFunctionField(QQ, ("t",))
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("Poly(Tensor(Poly(Q;x), Poly(Q;y)); x)", "('x', 'y', 'x')"),
+        # the second leg's x is x1 in the tensor, so x1 clashes with it
+        ("Poly(Tensor(Poly(Q;x), Poly(Q;x)); x1)", "('x', 'x1', 'x1')"),
+    ],
+)
+def test_poly_over_a_tensor_refuses_a_leg_name_at_its_position(text, names):
+    with pytest.raises(ParseError) as info:
+        parse_ring_expr(text)
+    assert (info.value.message, info.value.line, info.value.column) == (f"duplicate ring variables in {names}", 1, 5)
+
+
+def test_poly_over_a_tensor_names_its_variables_as_flattening_does():
+    flat = flatten_affine(parse_ring_expr("Poly(Tensor(Poly(Q;x), Poly(Q;x)); y)"))
+    assert flat.ring.variables == ("x", "x1", "y")
 
 
 def test_tensor_base_inference_and_validation():

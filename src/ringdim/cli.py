@@ -64,6 +64,7 @@ from .ideals import (
     Budget,
     DEFAULT_PAIR_BUDGET,
     IdealPresentation,
+    completion_name,
     eliminate as eliminate_ideal,
     ideal_quotient,
     saturate as saturate_ideal,
@@ -295,12 +296,9 @@ def _cmd_dim(args, budget: Budget):
 
 def _cmd_gb(args, budget: Budget):
     _, flat = _quotient_payload(args.expression)
-    basis = flat.groebner_basis(_ORDERS[args.order], budget)
-    step = TraceEntry(
-        "reduced-groebner-basis",
-        "Buchberger completion with both classic pair criteria",
-        f"{len(basis)} basis elements",
-    )
+    order = _ORDERS[args.order]
+    basis = flat.groebner_basis(order, budget)
+    step = TraceEntry("reduced-groebner-basis", completion_name(order), f"{len(basis)} basis elements")
     answer = {
         "order": args.order,
         "basis": generators_to_json(basis),
@@ -506,6 +504,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(verb if verb in _VERBS else None, message)
 
 
+def _pair_cap(text: str) -> int:
+    """The ``--budget`` value: an int, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; a cap on pair reductions is 0 or more")
+    return value
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="ringdim",
@@ -518,7 +527,12 @@ def _build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument(positional, help=text)
         for flag, options in verb.flags.items():
             p.add_argument(flag, **options)
-        p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET, help="pair-reduction cap")
+        p.add_argument(
+            "--budget",
+            type=_pair_cap,
+            default=DEFAULT_PAIR_BUDGET,
+            help="cap on pair reductions: J-pairs under grevlex, S-pairs under lex and block orders",
+        )
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file as well")
     return parser

@@ -6,28 +6,32 @@ selection, divisor order in reductions, and the final basis sort all follow
 fixed canonical orders so reruns are bit-identical and certificates can be
 re-checked externally.
 
-Speed comes from the representation and the reduction loop, not from
-changing the algorithm.  ``buchberger`` packs every monomial into one int
+``buchberger`` packs every monomial into one int
 (``orderings.PackedMonomials``: fixed-width fields with a guard bit each),
 so comparing monomials is int comparison, multiplying them is ``+`` and a
 divisibility test is one subtraction and one ``&``.  Division keeps the
 unreduced part as a dict plus a heap of its monomials (heap division,
 after Monagan & Pearce), subtracts only the tail of each divisor multiple,
-and over F_p does its coefficient arithmetic inline.  The pair loop works
-on the exponent fields of the packed leads alone: the lcm is a field-wise
-max on one int, a heap entry is (lcm degree above lcm exponents, i, j),
-and the chain criterion reads its candidates off one bitset of done
-partners per basis element.  The starting width fits the inputs; a run
-that creates a monomial too wide for it starts again at twice the width,
-so no answer depends on the width.  The divisor rule, the pairs reduced
-and every intermediate basis are those of the textbook loop on exponent
-tuples.
+and over F_p does its coefficient arithmetic inline.  The starting width
+fits the inputs; a run that creates a monomial too wide for it starts
+again at twice the width, so no answer depends on the width.
+
+Two completion loops share that division and the final minimalization and
+tail reduction, so both give the one reduced basis.  Under grevlex, the
+order of every ``dim``, ``nzd`` and unit-ideal test, the signature loop
+(``_signature_buchberger``) skips the pairs whose remainder would be zero:
+katsura-6 over F_p reduces 43 J-pairs there, where the classic loop
+reduces 162 S-pairs, 128 of them to zero.  Under lex and the block orders
+of ``eliminate`` the classic loop (``_buchberger``: normal selection, both
+classic pair criteria, on the exponent fields of the packed leads) stays;
+``buchberger`` says why.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import itemgetter
@@ -35,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, RingMismatchError, ZeroPolynomialError
 from .fields import PrimeField
-from .orderings import GREVLEX, MonomialOrder, PackedMonomials, WidthOverflow
+from .orderings import GREVLEX, GrevLex, MonomialOrder, PackedMonomials, WidthOverflow
 from .polynomials import (
     Polynomial,
     PolynomialRing,
@@ -48,7 +52,9 @@ DEFAULT_PAIR_BUDGET = 50_000
 
 @dataclass
 class Budget:
-    """Cap on S-pair reductions; exceeding it raises, never truncates."""
+    """Cap on pair reductions: J-pairs under grevlex, S-pairs under lex and
+    block orders (see ``buchberger``).  Exceeding it raises, never
+    truncates."""
 
     limit: int = DEFAULT_PAIR_BUDGET
     used: int = 0
@@ -98,18 +104,20 @@ class _Kernel:
         inv = field.inv(lc)
         return {m: field.mul(inv, c) for m, c in terms.items()}
 
-    def divisor(self, terms: dict) -> tuple:
-        """(leading monomial, multiplier, tail) of a nonzero polynomial.
+    def divisor(self, terms: dict, key: int | None = None) -> tuple:
+        """(leading monomial, multiplier, tail, signature key) of a nonzero
+        polynomial.
 
         The multiplier turns a coefficient c into the quotient that cancels
         it: over F_p, c * multiplier % p with multiplier = -1/lc; otherwise
-        -(c / lc), with None standing for lc = 1."""
+        -(c / lc), with None standing for lc = 1.  The key, set only in the
+        signature loop, is the one ``reduce`` compares with its bound."""
         lm = max(terms)
         lc = terms[lm]
         tail = [(m, c) for m, c in terms.items() if m != lm]
         if self.p is not None:
-            return lm, -self.field.inv(lc) % self.p, tail
-        return lm, None if self.field.is_one(lc) else lc, tail
+            return lm, -self.field.inv(lc) % self.p, tail, key
+        return lm, None if self.field.is_one(lc) else lc, tail, key
 
     def s_polynomial(self, f: tuple, g: tuple, lcm: int) -> dict:
         """S-polynomial of two monic divisors whose leading monomials
@@ -133,12 +141,15 @@ class _Kernel:
                     rest[t] = total
         return rest
 
-    def reduce(self, rest: dict, divisors: Sequence[tuple]) -> dict:
+    def reduce(self, rest: dict, divisors: Sequence[tuple], bound: int | None = None) -> dict:
         """Remainder of ``rest`` (consumed) under ``divisors``, taken in the
         given order: the first whose leading monomial divides the largest
-        unreduced monomial reduces it.  ``divisors`` is in descending
+        unreduced monomial m reduces it.  ``divisors`` is in descending
         leading-monomial order, so the scan starts at the first leading
-        monomial not above the popped one.
+        monomial not above the popped one.  In a regular reduction
+        (``_signature_buchberger``) the bound is a signature, and a divisor
+        with a key takes part only where ``(m << width) + key < bound``;
+        one without a key always does.
 
         Heap division (Monagan & Pearce): the unreduced part is a dict with
         a heap of its negated monomials, so each step pops the largest one
@@ -151,22 +162,23 @@ class _Kernel:
         carry past it.  So checking each popped monomial, before it is used
         as a shift or kept, catches every overflow in one place.
         """
-        guard = self.guard
-        keys = [-lm for lm, _, _ in divisors]  # ascending
+        guard, width = self.guard, self.packing.width
+        ascending = [-record[0] for record in divisors]
         heap = [-m for m in rest]
         heapify(heap)
+        pop, push, get, take = heappop, heappush, rest.get, rest.pop
         remainder = {}
         if self.p is not None:
             p = self.p
             while heap:
-                m = -heappop(heap)
+                m = -pop(heap)
                 if m & guard:
-                    raise WidthOverflow(self.packing.width)
-                c = rest.pop(m, None)
+                    raise WidthOverflow(width)
+                c = take(m, None)
                 if c is None:
                     continue  # cancelled after it was pushed
-                for lm, scale, tail in islice(divisors, bisect_left(keys, -m), None):
-                    if not (m - lm) & guard:
+                for lm, scale, tail, key in islice(divisors, bisect_left(ascending, -m), None):
+                    if not (m - lm) & guard and (key is None or (m << width) + key < bound):
                         break
                 else:
                     remainder[m] = c
@@ -175,10 +187,10 @@ class _Kernel:
                 shift = m - lm
                 for gm, gc in tail:
                     t = gm + shift
-                    old = rest.get(t)
+                    old = get(t)
                     if old is None:
                         rest[t] = q * gc % p
-                        heappush(heap, -t)
+                        push(heap, -t)
                     else:
                         total = (old + q * gc) % p
                         if total:
@@ -189,14 +201,14 @@ class _Kernel:
         field = self.field
         cadd, cmul, is_zero = field.add, field.mul, field.is_zero
         while heap:
-            m = -heappop(heap)
+            m = -pop(heap)
             if m & guard:
-                raise WidthOverflow(self.packing.width)
-            c = rest.pop(m, None)
+                raise WidthOverflow(width)
+            c = take(m, None)
             if c is None:
                 continue
-            for lm, lc, tail in islice(divisors, bisect_left(keys, -m), None):
-                if not (m - lm) & guard:
+            for lm, lc, tail, key in islice(divisors, bisect_left(ascending, -m), None):
+                if not (m - lm) & guard and (key is None or (m << width) + key < bound):
                     break
             else:
                 remainder[m] = c
@@ -206,10 +218,10 @@ class _Kernel:
             for gm, gc in tail:
                 t = gm + shift
                 prod = cmul(q, gc)
-                old = rest.get(t)
+                old = get(t)
                 if old is None:
                     rest[t] = prod
-                    heappush(heap, -t)
+                    push(heap, -t)
                 else:
                     total = cadd(old, prod)
                     if is_zero(total):
@@ -242,6 +254,14 @@ class _Kernel:
             current = sorted(result, key=self.sort_key)
 
 
+@lru_cache(maxsize=64)
+def _packing(order: MonomialOrder, arity: int, width: int) -> PackedMonomials:
+    """One packing per (order, arity, width), kept across runs: a small
+    ``chain`` run would otherwise build 25, and the signature loop builds
+    the packed unit vectors of ``monomial`` on every run."""
+    return PackedMonomials(order, arity, width)
+
+
 def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budget | None = None):
     """``run(kernel)`` on a kernel whose field width fits every exponent of
     ``polys`` with a guard bit to spare (at least 16 bits).  When a run
@@ -254,7 +274,7 @@ def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budg
     used = budget.used if budget is not None else 0
     while True:
         try:
-            return run(_Kernel(ring.field, PackedMonomials(order, ring.arity, width)))
+            return run(_Kernel(ring.field, _packing(order, ring.arity, width)))
         except WidthOverflow:
             if budget is not None:
                 budget.used = used
@@ -287,27 +307,26 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: Budget | None = None) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the ideal the generators span.
 
-    Normal selection strategy (smallest lcm degree first) with both classic
-    pair criteria; the zero ideal yields the empty basis.
+    Under grevlex, signature completion (``_signature_buchberger``), which
+    spends ``budget`` once per J-pair it reduces; under lex and block
+    orders, the classic pair loop (``_buchberger``), which spends it once
+    per S-pair.  The order is part of the input, so it alone picks the
+    loop.  The signature loop leaves most zero remainders uncomputed: on
+    katsura-5 over Q it reduces 19 J-pairs where the classic loop reduces
+    64 S-pairs, 48 of them to zero, and takes 0.05 s instead of 0.35 s.
+    Under lex and the block orders its Schreyer signatures fit less well:
+    on cyclic-5 over F_32003 it reduces 212 J-pairs where the classic loop
+    reduces 116 S-pairs, and takes 0.086 s instead of 0.017 s under lex
+    (0.094 s instead of 0.017 s under the block order that keeps x3, x4),
+    though it is faster on katsura-4.  (Best of three runs, Python 3.11 on
+    a 2-core VM.)  The zero ideal yields the empty basis.
 
     The generators are packed once (``PackedMonomials``, at the narrowest
     width their degrees allow); inter-reduction, S-polynomials, division
     and the final tail reduction run on packed polynomials, and only the
-    reduced basis is unpacked.  The pair loop reads only the exponent
-    segment e_i of each packed lead (its low fields, which compare like the
-    exponent tuple).  A heap entry is ``(graded lcm, i, j)``: one int with
-    the lcm's degree above its exponent segment, so the heap pops pairs in
-    the order of (lcm degree, lcm exponent tuple, i, j).  Leads i and j
-    are coprime when the lcm segment is e_i + e_j.  Bit k of ``done[i]`` is
-    set once the pair {i, k} is popped, so the chain criterion tests only
-    the leads k in ``done[i] & done[j]``, each by ``(lcm - e_k) &
-    exponent_guard``.  Every lead has degree below the field limit, which
-    makes the lcm's degree and its full packed form exact; the full form
-    is built, and checked against the width, only for a pair that is
-    reduced.  A run that outgrows the width, in a reduction, in a new lead
-    or in a reduced pair's lcm, starts again at twice the width with the
-    budget as it was at entry, so the pairs reduced, ``budget.used`` and
-    the basis do not depend on the width.
+    reduced basis is unpacked.  A run that outgrows the width starts again
+    at twice the width with the budget as it was at entry, so the pairs
+    reduced, ``budget.used`` and the basis do not depend on the width.
     """
     budget = budget or Budget()
     generators = [g for g in generators if not g.is_zero()]
@@ -317,10 +336,59 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     for g in generators:
         if g.ring != ring:
             raise RingMismatchError("generators in different rings")
-    return _packed(generators, order, lambda kernel: _buchberger(kernel, ring, generators, budget), budget)
+    complete = _completion(order)[0]
+    return _packed(generators, order, lambda kernel: complete(kernel, ring, generators, budget), budget)
+
+
+def _completion(order: MonomialOrder) -> tuple:
+    """The loop ``buchberger`` runs under ``order``, and its name in reports."""
+    if isinstance(order, GrevLex):
+        return _signature_buchberger, "signature completion with the syzygy and cover criteria"
+    return _buchberger, "Buchberger completion with both classic pair criteria"
+
+
+def completion_name(order: MonomialOrder) -> str:
+    """How ``buchberger`` completes a basis under ``order``, as a report
+    names it."""
+    return _completion(order)[1]
+
+
+def _reduced_basis(kernel: _Kernel, ring: PolynomialRing, basis: list[dict], records: list[tuple]) -> tuple[Polynomial, ...]:
+    """The unique reduced Groebner basis of the ideal of which ``basis``,
+    monic packed polynomials with the divisor records ``records``, is a
+    Groebner basis."""
+    guard = kernel.guard
+    # minimalize: keep only elements whose leading term no other divides,
+    # scanning leading terms in ascending order
+    kept: list[int] = []
+    for i in sorted(range(len(basis)), key=lambda i: records[i][0]):
+        if all((records[i][0] - records[k][0]) & guard for k in kept):
+            kept.append(i)
+    # tail-reduce each against the rest
+    reduced = []
+    for i in kept:
+        others = kernel.divisors(basis[k] for k in kept if k != i)
+        reduced.append(kernel.monic(kernel.reduce(dict(basis[i]), others)))
+    reduced.sort(key=max)
+    return tuple(kernel.unpack(ring, g) for g in reduced)
 
 
 def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomial], budget: Budget) -> tuple[Polynomial, ...]:
+    """Classic completion: normal selection strategy (smallest lcm degree
+    first) with both classic pair criteria.
+
+    The pair loop reads only the exponent segment e_i of each packed lead
+    (its low fields, which compare like the exponent tuple).  A heap entry
+    is ``(graded lcm, i, j)``: one int with the lcm's degree above its
+    exponent segment, so the heap pops pairs in the order of (lcm degree,
+    lcm exponent tuple, i, j).  Leads i and j are coprime when the lcm
+    segment is e_i + e_j.  Bit k of ``done[i]`` is set once the pair {i, k}
+    is popped, so the chain criterion tests only the leads k in ``done[i] &
+    done[j]``, each by ``(lcm - e_k) & exponent_guard``.  Every lead has
+    degree below the field limit, which makes the lcm's degree and its full
+    packed form exact; the full form is built, and checked against the
+    width, only for a pair that is reduced.
+    """
     packing = kernel.packing
     lcm, graded, segment, exponent_guard = packing.lcm, packing.graded, packing.exponent_mask, packing.exponent_guard
     basis = kernel.inter_reduce([kernel.pack(g) for g in generators])
@@ -368,21 +436,147 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
         if r:
             basis.append(kernel.monic(r))
             add(basis[-1])
+    return _reduced_basis(kernel, ring, basis, records)
 
-    # minimalize: keep only elements whose leading term no other divides,
-    # scanning leading terms in ascending order
-    guard = kernel.guard
-    kept: list[int] = []
-    for i in sorted(range(len(basis)), key=lambda i: records[i][0]):
-        if all((records[i][0] - records[k][0]) & guard for k in kept):
-            kept.append(i)
-    # tail-reduce each against the rest: the unique reduced basis
-    reduced = []
-    for i in kept:
-        others = kernel.divisors(basis[k] for k in kept if k != i)
-        reduced.append(kernel.monic(kernel.reduce(dict(basis[i]), others)))
-    reduced.sort(key=max)
-    return tuple(kernel.unpack(ring, g) for g in reduced)
+
+def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomial], budget: Budget) -> tuple[Polynomial, ...]:
+    """Signature completion, after Gao, Volny and Wang ("A new framework
+    for computing Groebner bases") and Roune and Stillman ("Practical
+    Groebner basis computation").
+
+    Each basis element g carries a signature t*e_i: g is a combination of
+    the inter-reduced generators f_i whose largest term, in the Schreyer
+    order (t*lm(f_i), then i), is t*e_i.  A signature is one int,
+    ``(t*lm(f_i)) << width | i``.  Then ``key = sig(g) - (lm(g) << width)``
+    holds the ratio sig(g)/lm(g) above the index, and q*g has the signature
+    ``((q*lm(g)) << width) + key``.  Such a sum of two packed monomials
+    compares exactly even where it sets a guard bit, since no field
+    carries past its guard.
+
+    J-pairs are handled in increasing signature order, one per signature.
+    The J-pair of g and h with lcm L takes the signature of the side with
+    the larger key, ``(L << width) + max(key_g, key_h)``; equal keys make
+    it singular, and it is dropped.  Its S-polynomial is reduced
+    regularly: a divisor q*g may reduce a term, the lead or any other,
+    only while its signature stays below the J-pair's (the ``bound`` of
+    ``_Kernel.reduce``).  A J-pair is dropped, when it would be pushed and
+    again when it is popped, by
+
+    * the syzygy criterion: a known syzygy signature divides its own.  A
+      zero remainder records its signature, and each new element records,
+      with each earlier one, the signature of their Koszul syzygy,
+      ``((lm(g)*lm(h)) << width) + max(key_g, key_h)``.  A coprime pair has
+      that signature itself.
+    * the cover criterion (on pop): an element whose signature divides the
+      J-pair's has the larger key, so a multiple of it has the J-pair's
+      signature and a smaller lead.  Of the J-pairs with one signature the
+      one with the largest key is kept, so the test covers all of them.  A
+      remainder whose lead could be reduced at its own signature would have
+      made its J-pair covered, so none reaches the basis.
+
+    The generators are the J-pairs e_i.  Reducing one does not spend the
+    budget; reducing any other J-pair spends it once.  Divisibility of
+    signatures is read off their exponent segments.  Every J-pair
+    signature and every syzygy segment is checked against the guard bits,
+    and the generator index needs ``len(generators) <= 2^width``; a run
+    that breaks either starts again at twice the width.
+    """
+    packing = kernel.packing
+    guard, width, segment, exponent_guard = kernel.guard, packing.width, packing.exponent_mask, packing.exponent_guard
+    lcm, monomial = packing.lcm, packing.monomial
+    gens = kernel.inter_reduce([kernel.pack(g) for g in generators])
+    if len(gens) > 1 << width:
+        raise WidthOverflow(width)
+    index = (1 << width) - 1  # key & index, sig & index: the generator index
+    basis: list[dict] = []
+    records: list[tuple] = []  # divisor records, in basis order
+    divisors: list[tuple] = []  # the same, by descending leading monomial
+    keys: list[int] = []
+    leads: list[int] = []  # exponent segments of the leading monomials
+    spans: list[int] = []  # exponent segments of the signatures' monomials
+    # Signature divisibility is read off exponent segments.  Per generator
+    # index: the (key, signature segment) of its elements, and the minimal
+    # signature segments of its known syzygies (tens where thousands are
+    # recorded).
+    elements: list[list[tuple]] = [[] for _ in gens]
+    syzygies: list[list[int]] = [[] for _ in gens]
+    queued = {max(f) << width | i: (i, None) for i, f in enumerate(gens)}  # signature -> J-pair
+    heap = list(queued)
+    heapify(heap)
+
+    def record_syzygy(known: list[int], t: int):
+        if not any(not (t - s) & exponent_guard for s in known):
+            known[:] = [s for s in known if (s - t) & exponent_guard]
+            known.append(t)
+
+    def add(terms: dict, sig: int):
+        k = len(basis)
+        lm = max(terms)
+        key = sig - (lm << width)
+        e = lm & segment
+        keys.append(key)
+        leads.append(e)
+        spans.append(sig >> width & segment)
+        # Record the Koszul syzygies before pushing any J-pair.  A J-pair's
+        # signature divides that of the two elements' Koszul syzygy, so the
+        # syzygy is new only when the J-pair survives.
+        fresh = []
+        for a in range(k):
+            if keys[a] == key:
+                continue  # singular: the same index and ratio
+            j, i = (a, k) if keys[a] > key else (k, a)  # j's side gives the signature
+            l = lcm(leads[a], e)
+            t = l - leads[j] + spans[j]
+            if t & exponent_guard:
+                raise WidthOverflow(width)
+            known = syzygies[keys[j] & index]
+            if any(not (t - s) & exponent_guard for s in known):
+                continue
+            if l == leads[a] + e:
+                record_syzygy(known, t)  # coprime: the Koszul syzygy has the J-pair's signature
+                continue
+            koszul = leads[i] + spans[j]
+            if koszul & exponent_guard:
+                raise WidthOverflow(width)
+            record_syzygy(known, koszul)
+            fresh.append((j, i, l, t, known))
+        for j, i, l, t, known in fresh:
+            if any(not (t - s) & exponent_guard for s in known):
+                continue
+            t = (monomial(l) << width) + keys[j]
+            if t >> width & guard:
+                raise WidthOverflow(width)
+            held = queued.get(t)
+            if held is None:
+                queued[t] = (j, i)
+                heappush(heap, t)
+            elif keys[held[0]] < keys[j]:
+                queued[t] = (j, i)
+        record = kernel.divisor(terms, key)
+        basis.append(terms)
+        records.append(record)
+        divisors.append(record)
+        divisors.sort(key=itemgetter(0), reverse=True)
+        elements[key & index].append((key, spans[k]))
+
+    while heap:
+        sig = heappop(heap)
+        j, i = queued.pop(sig)
+        if i is None:
+            r = kernel.reduce(dict(gens[j]), divisors, sig)
+        else:
+            key, t = keys[j], sig >> width & segment
+            if any(not (t - s) & exponent_guard for s in syzygies[key & index]):
+                continue
+            if any(other > key and not (t - s) & exponent_guard for other, s in elements[key & index]):
+                continue
+            budget.spend()
+            r = kernel.reduce(kernel.s_polynomial(records[j], records[i], sig - key >> width), divisors, sig)
+        if r:
+            add(kernel.monic(r), sig)
+        else:
+            record_syzygy(syzygies[sig & index], sig >> width & segment)
+    return _reduced_basis(kernel, ring, basis, records)
 
 
 class IdealPresentation:

@@ -37,7 +37,14 @@ def _grevlex_weights(variables: list[int], arity: int) -> list[tuple[int, ...]]:
     # the degree in the variables, then that degree without the last one,
     # without the last two, ...: a larger prefix sum means a smaller
     # rightmost differing exponent
-    return [tuple(int(i in variables[:k]) for i in range(arity)) for k in range(len(variables), 0, -1)]
+    row = [0] * arity
+    for i in variables:
+        row[i] = 1
+    rows = []
+    for i in reversed(variables):
+        rows.append(tuple(row))
+        row[i] = 0
+    return rows
 
 
 def _compare_by_key(order, u: tuple[int, ...], v: tuple[int, ...]) -> int:

@@ -229,18 +229,20 @@ def test_exit_code_user_error_on_parse_failure(capsys):
 
 
 def test_exit_code_budget_exhausted(capsys):
-    code, report = run_cli(
-        capsys,
-        "gb",
-        "Quot(Poly(Q;x,y,z); x^2 + y*z - 1, y^2 + x*z, z^2 + x*y + y)",
-        "--order",
-        "lex",
-        "--budget",
-        "1",
-    )
-    assert code == EXIT_BUDGET
-    assert report["status"] == "budget-exhausted"
-    assert report["error"]["limit"] == 1
+    # 0 is the smallest cap, not a usage error
+    for limit in (0, 1):
+        code, report = run_cli(
+            capsys,
+            "gb",
+            "Quot(Poly(Q;x,y,z); x^2 + y*z - 1, y^2 + x*z, z^2 + x*y + y)",
+            "--order",
+            "lex",
+            "--budget",
+            str(limit),
+        )
+        assert code == EXIT_BUDGET
+        assert report["status"] == "budget-exhausted"
+        assert report["error"]["limit"] == limit
 
 
 def test_exit_code_internal_inconsistency(capsys, monkeypatch):
@@ -564,9 +566,13 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path, content, message
         (["dim"], "the following arguments are required: expression"),
         (["dim", "Q", "--bogus"], "unrecognized arguments: --bogus"),
         (["gb", "Quot(Poly(Q;x); x)", "--budget", "notanint"], "argument --budget: invalid int value: 'notanint'"),
+        (
+            ["dim", "Quot(Poly(Q;x); x)", "--budget", "-1"],
+            "argument --budget: -1 is negative; a cap on pair reductions is 0 or more",
+        ),
         (["dim", "Q", "--order", "lex"], "unrecognized arguments: --order lex"),
     ],
-    ids=["missing-expression", "unknown-flag", "bad-budget", "order-on-dim"],
+    ids=["missing-expression", "unknown-flag", "bad-budget", "negative-budget", "order-on-dim"],
 )
 def test_usage_error_for_a_known_verb_is_a_user_error_report(capsys, argv, message):
     code, report = run_cli(capsys, *argv)

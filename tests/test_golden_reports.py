@@ -38,6 +38,8 @@ ARGVS = [
     ["trdeg", "Quot(Poly(Q;x,y); y^2 - x^3)", "--assert-domain"],
     ["chain", "--witnesses", "u", "--fresh", "X1", "Poly(Q;u)", "--out", "cert.json"],
     ["verify", "cert.json"],
+    # the same basis under grevlex, whose trace names the signature loop
+    ["gb", "Quot(Poly(Q;x,y,z); x^2 - y, x^3 - z)"],
     # ring changes next to names a construction might pick for itself
     ["dim", "Loc(Poly(FunField(Q; Y); x); x)"],
     ["quotient", "Quot(Poly(FunField(Q; tagvar); x,y); x*y)", "x"],

@@ -5,7 +5,7 @@ from functools import cmp_to_key
 from itertools import product
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringdim import (
     BlockElimination,
@@ -25,6 +25,7 @@ from ringdim import (
     normal_form,
     saturate,
 )
+from ringdim.ideals import _buchberger, _packed
 from ringdim.polynomials import monomial_divides
 
 from conftest import monomial, random_polynomial, same_ideal
@@ -393,6 +394,26 @@ def test_random_bases_pass_independent_verification(rxyz):
             if basis == (rxyz.one(),):
                 continue
             assert_is_reduced_groebner_basis(basis, gens, order)
+
+
+@st.composite
+def grevlex_systems(draw):
+    field = draw(st.sampled_from([PrimeField(32003), QQ]))
+    ring = PolynomialRing(field, ("x", "y", "z", "w")[: draw(st.integers(3, 4))])
+    monomials = st.tuples(*[st.integers(0, 2)] * ring.arity)
+    coefficients = st.sampled_from([field.from_int(n) for n in (1, -1, 2, 3, -5)])
+    terms = st.dictionaries(monomials, coefficients, min_size=1, max_size=4)
+    return [Polynomial(ring, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(derandomize=True, max_examples=80)
+@given(grevlex_systems())
+def test_signature_loop_reaches_the_classic_loops_basis(gens):
+    # under grevlex ``buchberger`` runs the signature loop; the classic pair
+    # loop, which lex and the block orders run, must give the same basis
+    ring = gens[0].ring
+    classic = _packed(gens, GREVLEX, lambda kernel: _buchberger(kernel, ring, gens, Budget()))
+    assert buchberger(gens, GREVLEX) == classic
 
 
 def test_generators_belong_under_every_cached_order(rxy):

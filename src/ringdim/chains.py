@@ -206,13 +206,13 @@ def verify_strictness(cert: ChainCertificate, budget: Budget | None = None) -> b
     return True
 
 
-def verify_avoidance(cert: ChainCertificate, t_variables: Sequence[str], budget: Budget | None = None) -> bool:
-    """Every link meets the polynomial subring on the adjoined variables
-    only in zero; computed by elimination onto those variables."""
+def verify_avoidance(cert: ChainCertificate, budget: Budget | None = None) -> bool:
+    """Every link meets the polynomial subring on the adjoined variables,
+    ``cert.witness_variables``, only in zero; computed by elimination."""
     for link in cert.links:
         if link.is_unit_ideal(budget):
             return False
-        if not eliminate(link, t_variables, budget).is_zero_ideal():
+        if not eliminate(link, cert.witness_variables, budget).is_zero_ideal():
             return False
     return True
 
@@ -281,7 +281,7 @@ def verify_chain(cert: ChainCertificate, budget: Budget | None = None) -> dict[s
     which has generators raises: that kind proves nothing else."""
     results = {
         "strictness": verify_strictness(cert, budget),
-        "avoidance": verify_avoidance(cert, cert.witness_variables, budget=budget),
+        "avoidance": verify_avoidance(cert, budget=budget),
         "substitution_transfer": True,
         "evaluation_witness": True,
     }

@@ -14,6 +14,8 @@ Every field object provides:
     from_int, add, mul, neg, inv, div, is_zero, is_one
     element_key      -- hashable/sortable canonical key
     display_split    -- (is_negative, unsigned text) for the printer
+Every element also supports ``+``, ``-``, ``*``, unary ``-`` and truth (false
+exactly at zero); the Groebner kernel (``ideals._Kernel``) divides with these.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def normalize_rational_function(num: Polynomial, den: Polynomial) -> tuple[Polyn
     keeping every value reduced keeps Groebner runs over function fields from
     drowning in coefficient growth.  This full gcd runs when a ``RatFunc`` is
     built and for ``inv`` and ``div``; sums and products of reduced operands
-    stay reduced by Henrici's formulas instead (see ``RationalFunctionField``).
+    stay reduced by Henrici's formulas instead (see ``RatFunc``).
     """
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
@@ -224,9 +226,13 @@ def _gcd(p: Polynomial, q: Polynomial) -> Polynomial | None:
 class RatFunc:
     """A reduced fraction of polynomials in the function-field variables.
 
-    ``RatFunc(num, den)`` normalizes; the field's sums and products keep
-    their results reduced by Henrici's formulas and build them with
-    ``_reduced``, which trusts its arguments.
+    ``RatFunc(num, den)`` normalizes.  ``+``, ``-`` and ``*`` keep their
+    results reduced by Henrici's formulas (Knuth, TAOCP vol. 2, 4.5.1): the
+    operands are reduced with monic denominators, so only gcds of
+    denominators and of cross terms are needed, and a quotient or product of
+    monic polynomials is monic under grevlex.  They build the result with
+    ``_reduced``, which trusts its arguments.  A ``RatFunc`` is false exactly
+    when it is zero.
     """
 
     __slots__ = ("num", "den")
@@ -239,6 +245,44 @@ class RatFunc:
         r = object.__new__(cls)
         r.num, r.den = num, den
         return r
+
+    def __add__(self, other: "RatFunc") -> "RatFunc":
+        n, d, m, e = self.num, self.den, other.num, other.den
+        g = _gcd(d, e)
+        if g is None:
+            # coprime denominators: the result is already reduced
+            return RatFunc._reduced(_times(n, e) + _times(m, d), _monic_product(d, e))
+        d_g, e_g = exact_divide(d, g), exact_divide(e, g)
+        t = _times(n, e_g) + _times(m, d_g)
+        if not t.terms:
+            return RatFunc._reduced(t, t.ring.one())
+        g2 = _gcd(t, g)
+        if g2 is not None:
+            t, e = exact_divide(t, g2), exact_divide(e, g2)
+        return RatFunc._reduced(t, _monic_product(d_g, e))
+
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
+        return self + -other
+
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
+        n, d, m, e = self.num, self.den, other.num, other.den
+        if not n.terms:
+            return self
+        if not m.terms:
+            return other
+        g1 = _gcd(n, e)
+        if g1 is not None:
+            n, e = exact_divide(n, g1), exact_divide(e, g1)
+        g2 = _gcd(m, d)
+        if g2 is not None:
+            m, d = exact_divide(m, g2), exact_divide(d, g2)
+        return RatFunc._reduced(n * m, _monic_product(d, e))
+
+    def __neg__(self) -> "RatFunc":
+        return RatFunc._reduced(-self.num, self.den)
+
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
 
     def __eq__(self, other):
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
@@ -303,40 +347,14 @@ class RationalFunctionField:
         ring = self.poly_ring
         return RatFunc._reduced(ring.variable(name), ring.one())
 
-    # Henrici's formulas (Knuth, TAOCP vol. 2, 4.5.1): the operands are
-    # reduced with monic denominators, so only gcds of denominators and of
-    # cross terms are needed, and a quotient or product of monic polynomials
-    # is monic under grevlex.
-
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        n, d, m, e = a.num, a.den, b.num, b.den
-        g = _gcd(d, e)
-        if g is None:
-            # coprime denominators: the result is already reduced
-            return RatFunc._reduced(_times(n, e) + _times(m, d), _monic_product(d, e))
-        d_g, e_g = exact_divide(d, g), exact_divide(e, g)
-        t = _times(n, e_g) + _times(m, d_g)
-        if t.is_zero():
-            return self.zero
-        g2 = _gcd(t, g)
-        if g2 is not None:
-            t, e = exact_divide(t, g2), exact_divide(e, g2)
-        return RatFunc._reduced(t, _monic_product(d_g, e))
+        return a + b
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        n, d, m, e = a.num, a.den, b.num, b.den
-        if n.is_zero() or m.is_zero():
-            return self.zero
-        g1 = _gcd(n, e)
-        if g1 is not None:
-            n, e = exact_divide(n, g1), exact_divide(e, g1)
-        g2 = _gcd(m, d)
-        if g2 is not None:
-            m, d = exact_divide(m, g2), exact_divide(d, g2)
-        return RatFunc._reduced(n * m, _monic_product(d, e))
+        return a * b
 
     def neg(self, a: RatFunc) -> RatFunc:
-        return RatFunc._reduced(-a.num, a.den)
+        return -a
 
     def inv(self, a: RatFunc) -> RatFunc:
         if a.num.is_zero():
@@ -347,7 +365,7 @@ class RationalFunctionField:
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a: RatFunc) -> bool:
-        return a.num.is_zero()
+        return not a
 
     def is_one(self, a: RatFunc) -> bool:
         return _is_constant(a.den) and _is_constant(a.num) and self.base.is_one(a.num.constant_value())

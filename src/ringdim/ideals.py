@@ -11,10 +11,12 @@ re-checked externally.
 so comparing monomials is int comparison, multiplying them is ``+`` and a
 divisibility test is one subtraction and one ``&``.  Division keeps the
 unreduced part as a dict plus a heap of its monomials (heap division,
-after Monagan & Pearce), subtracts only the tail of each divisor multiple,
-and over F_p does its coefficient arithmetic inline.  The starting width
-fits the inputs; a run that creates a monomial too wide for it starts
-again at twice the width, so no answer depends on the width.
+after Monagan & Pearce) and subtracts only the tail of each divisor
+multiple.  It is one loop for every coefficient field: coefficients meet
+through ``+``, ``-`` and ``*`` alone, and over F_p each is taken ``% p``
+once, when its monomial is popped.  The starting width fits the inputs; a
+run that creates a monomial too wide for it starts again at twice the
+width, so no answer depends on the width.
 
 Two completion loops share that division and the final minimalization and
 tail reduction, so both give the one reduced basis.  Under grevlex, the
@@ -48,6 +50,9 @@ from .polynomials import (
 )
 
 DEFAULT_PAIR_BUDGET = 50_000
+# The narrowest field width a run starts at.  Small inputs rarely outgrow
+# it, so the width tests lower it to reach the checks that restart a run.
+_FIRST_WIDTH = 16
 
 
 @dataclass
@@ -68,9 +73,10 @@ class Budget:
 class _Kernel:
     """Division on packed polynomials: dicts {packed monomial: coefficient}.
 
-    One kernel serves one run at one width.  Over ``PrimeField`` the
-    coefficient arithmetic is inline ints modulo p; every other field goes
-    through the field's methods.
+    One kernel serves one run at one width, over any field: coefficients
+    meet only through ``+``, ``-``, ``*`` and unary ``-``.  Over
+    ``PrimeField`` they may leave [0, p) inside a division, but ``pack``,
+    ``monic`` and ``reduce`` return canonical coefficients.
     """
 
     __slots__ = ("field", "packing", "guard", "p")
@@ -108,37 +114,31 @@ class _Kernel:
         """(leading monomial, multiplier, tail, signature key) of a nonzero
         polynomial.
 
-        The multiplier turns a coefficient c into the quotient that cancels
-        it: over F_p, c * multiplier % p with multiplier = -1/lc; otherwise
-        -(c / lc), with None standing for lc = 1.  The key, set only in the
-        signature loop, is the one ``reduce`` compares with its bound."""
+        The multiplier turns a coefficient c into the quotient c * multiplier
+        that cancels it: -1/lc, or None for a monic divisor, whose quotient
+        is -c.  The key, set only in the signature loop, is the one
+        ``reduce`` compares with its bound."""
+        field = self.field
         lm = max(terms)
         lc = terms[lm]
         tail = [(m, c) for m, c in terms.items() if m != lm]
-        if self.p is not None:
-            return lm, -self.field.inv(lc) % self.p, tail, key
-        return lm, None if self.field.is_one(lc) else lc, tail, key
+        return lm, None if field.is_one(lc) else field.neg(field.inv(lc)), tail, key
 
     def s_polynomial(self, f: tuple, g: tuple, lcm: int) -> dict:
         """S-polynomial of two monic divisors whose leading monomials
-        divide ``lcm``: the difference of their shifted tails."""
-        field = self.field
+        divide ``lcm``: the difference of their shifted tails, for
+        ``reduce`` alone.  Terms that cancel stay, with a zero coefficient,
+        and over F_p coefficients may leave [0, p)."""
         rest = {}
         shift = lcm - f[0]
         for m, c in f[2]:
             rest[m + shift] = c
         shift = lcm - g[0]
+        get = rest.get
         for m, c in g[2]:
             t = m + shift
-            old = rest.get(t)
-            if old is None:
-                rest[t] = field.neg(c)
-            else:
-                total = field.add(old, field.neg(c))
-                if field.is_zero(total):
-                    del rest[t]
-                else:
-                    rest[t] = total
+            old = get(t)
+            rest[t] = -c if old is None else old - c
         return rest
 
     def reduce(self, rest: dict, divisors: Sequence[tuple], bound: int | None = None) -> dict:
@@ -153,81 +153,49 @@ class _Kernel:
 
         Heap division (Monagan & Pearce): the unreduced part is a dict with
         a heap of its negated monomials, so each step pops the largest one
-        and nothing is rescanned.  A monomial whose coefficient cancels
-        stays in the heap and is skipped when popped.  Only the tail of
-        q*m*g is added, since its leading term cancels the popped term.
+        and nothing is rescanned.  Only the tail of q*m*g is added, since
+        its leading term cancels the popped term.  Every monomial added is
+        below the popped one, so each is pushed once and stays in ``rest``
+        until it is popped.  A coefficient is looked at only then: over F_p
+        it is taken ``% p`` once, and one that cancelled to zero is
+        skipped.  An update is one ``+`` and one ``*``, over every field.
 
         Every monomial put into ``rest``, here or by ``s_polynomial``, is
         the sum of two that fit the width: that can set a guard bit but not
         carry past it.  So checking each popped monomial, before it is used
         as a shift or kept, catches every overflow in one place.
         """
-        guard, width = self.guard, self.packing.width
+        guard, width, p = self.guard, self.packing.width, self.p
         ascending = [-record[0] for record in divisors]
         heap = [-m for m in rest]
         heapify(heap)
         pop, push, get, take = heappop, heappush, rest.get, rest.pop
         remainder = {}
-        if self.p is not None:
-            p = self.p
-            while heap:
-                m = -pop(heap)
-                if m & guard:
-                    raise WidthOverflow(width)
-                c = take(m, None)
-                if c is None:
-                    continue  # cancelled after it was pushed
-                for lm, scale, tail, key in islice(divisors, bisect_left(ascending, -m), None):
-                    if not (m - lm) & guard and (key is None or (m << width) + key < bound):
-                        break
-                else:
-                    remainder[m] = c
-                    continue
-                q = c * scale % p
-                shift = m - lm
-                for gm, gc in tail:
-                    t = gm + shift
-                    old = get(t)
-                    if old is None:
-                        rest[t] = q * gc % p
-                        push(heap, -t)
-                    else:
-                        total = (old + q * gc) % p
-                        if total:
-                            rest[t] = total
-                        else:
-                            del rest[t]
-            return remainder
-        field = self.field
-        cadd, cmul, is_zero = field.add, field.mul, field.is_zero
         while heap:
             m = -pop(heap)
             if m & guard:
                 raise WidthOverflow(width)
-            c = take(m, None)
-            if c is None:
-                continue
-            for lm, lc, tail, key in islice(divisors, bisect_left(ascending, -m), None):
+            c = take(m)
+            if p:
+                c %= p
+            if not c:
+                continue  # cancelled
+            for lm, scale, tail, key in islice(divisors, bisect_left(ascending, -m), None):
                 if not (m - lm) & guard and (key is None or (m << width) + key < bound):
                     break
             else:
                 remainder[m] = c
                 continue
-            q = field.neg(c if lc is None else field.div(c, lc))
+            q = -c if scale is None else c * scale
             shift = m - lm
             for gm, gc in tail:
                 t = gm + shift
-                prod = cmul(q, gc)
                 old = get(t)
                 if old is None:
-                    rest[t] = prod
+                    rest[t] = q * gc
                     push(heap, -t)
                 else:
-                    total = cadd(old, prod)
-                    if is_zero(total):
-                        del rest[t]
-                    else:
-                        rest[t] = total
+                    rest[t] = old + q * gc
         return remainder
 
     def divisors(self, polys: Iterable[dict]) -> list[tuple]:
@@ -264,13 +232,13 @@ def _packing(order: MonomialOrder, arity: int, width: int) -> PackedMonomials:
 
 def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budget | None = None):
     """``run(kernel)`` on a kernel whose field width fits every exponent of
-    ``polys`` with a guard bit to spare (at least 16 bits).  When a run
-    creates a monomial that outgrows the width, it starts again at twice
-    the width with ``budget.used`` as it was, so the outcome does not
-    depend on the width."""
+    ``polys`` with a guard bit to spare (at least ``_FIRST_WIDTH`` bits).
+    When a run creates a monomial that outgrows the width, it starts again
+    at twice the width with ``budget.used`` as it was, so the outcome does
+    not depend on the width."""
     ring = polys[0].ring
     degree = max((p.total_degree() for p in polys if p), default=0)
-    width = max(16, degree.bit_length() + 1)
+    width = max(_FIRST_WIDTH, degree.bit_length() + 1)
     used = budget.used if budget is not None else 0
     while True:
         try:

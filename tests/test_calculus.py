@@ -326,6 +326,33 @@ def test_rule_cases_reach_every_cited_rule(capsys):
     assert reached == set(CITATIONS)
 
 
+# Branches of a rule that only an expression without an affine presentation
+# reaches, each pinned by the trace entries it ends with.
+BRANCH_CASES = [
+    # a Noetherian-flagged base with a finite upper bound bounds Poly(.) above
+    (
+        "Poly(Tensor(Ext(Q; 2), Poly(FunField(Q; u); y)); z)",
+        DimensionValue.interval(3, 4),
+        [(RULE_POLY_EXT, "chains extend by 1 across the new variables"), (RULE_POLY_EXT, "Noetherian-flagged base")],
+    ),
+    # localizing at an element of a base with no presentation
+    ("Loc(Poly(Ext(Q; inf); x); x)", DimensionValue.interval(0, INF), [(RULE_LOC_UB, "")]),
+    # a unit localization copies both ends of an interval
+    ("LocSub(Poly(Ext(Q; inf); x); 2)", DimensionValue.interval(1, INF), [(RULE_UNIT_LOC, ""), (RULE_UNIT_LOC, "")]),
+    # structurally a domain through Loc, LocSub and Frac
+    ("Frac(Loc(Poly(Q; x); x))", EXACT(0), [(RULE_FRAC, "base is structurally a domain")]),
+    ("Frac(LocSub(Poly(FunField(Q; u); y); u))", EXACT(0), [(RULE_FRAC, "base is structurally a domain")]),
+    ("Frac(Frac(Poly(Q; x)))", EXACT(0), [(RULE_FRAC, "base is structurally a domain")]),
+]
+
+
+@pytest.mark.parametrize("text, value, tail", BRANCH_CASES, ids=[case[0] for case in BRANCH_CASES])
+def test_evaluate_rule_branches(text, value, tail):
+    r = evaluate(parse_ring_expr(text))
+    assert r.value == value
+    assert [(e.rule, e.detail) for e in r.trace][-len(tail):] == tail
+
+
 # -- hypotheses of the tensor rules ------------------------------------------------
 
 def test_tensor_upper_bound_needs_noetherian_flag():

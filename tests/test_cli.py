@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -331,14 +333,21 @@ def test_dim_locsub_and_frac(capsys):
     assert report["result"]["dimension"] == {"kind": "exact", "value": 0}
 
 
-def test_module_entry_point():
-    import subprocess, sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "ringdim", "dim", "Q"],
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m ringdim`` in a child process that imports the package this
+    process imported, whether or not PYTHONPATH names it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "ringdim", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_module("dim", "Q")
     assert proc.returncode == EXIT_OK
     report = json.loads(proc.stdout)
     assert report["result"]["dimension"] == {"kind": "exact", "value": 0}
@@ -353,12 +362,8 @@ def test_out_file_is_json_even_in_text_mode(capsys, tmp_path):
 
 
 def test_reports_are_bit_identical_across_processes():
-    import subprocess, sys
-
     def run_once(argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ringdim", *argv], capture_output=True, text=True
-        )
+        proc = run_module(*argv)
         report = json.loads(proc.stdout)
         report.pop("timing_ms")
         return proc.returncode, report

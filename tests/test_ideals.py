@@ -25,6 +25,7 @@ from ringdim import (
     normal_form,
     saturate,
 )
+from ringdim import ideals, parse_polynomial
 from ringdim.ideals import _buchberger, _packed
 from ringdim.polynomials import monomial_divides
 
@@ -130,9 +131,12 @@ def _coefficient_pool(field) -> list:
     return pool
 
 
+# Over F_p the engine reduces a coefficient only when division reaches its
+# monomial; with the 61-bit prime 2^61 - 1 the coefficients in between are
+# ints of several machine words.
 DIVISION_FIELDS = [
     (field, _coefficient_pool(field))
-    for field in (PrimeField(7), QQ, RationalFunctionField(QQ, ("t",)))
+    for field in (PrimeField(7), PrimeField(2**61 - 1), QQ, RationalFunctionField(QQ, ("t",)))
 ]
 
 
@@ -360,6 +364,31 @@ def test_reduced_pair_whose_lcm_outgrows_the_first_width(rxy, order):
     basis = buchberger(gens, order, budget)
     assert sorted(basis, key=repr) == sorted(gens, key=repr)
     assert budget.used == 4
+
+
+NARROW_WIDTH_CASES = [
+    # Under lex a basis element gets a lead of total degree 4 or more while
+    # each exponent fits 3-bit fields.  The classic loop starts again: its
+    # pair keys hold lcm degrees modulo 2^width - 1, and in the wrapped order
+    # it reduces 11 pairs, not 10.
+    (LEX, ("x", "y", "z", "w"), ["z*w^2 - z*w", "x*z^2 + z", "x^2*z + y*z*w"]),
+    # Ten generators remain after inter-reduction, and a 3-bit signature
+    # holds only eight indices.  The signature loop starts again; with the
+    # indices spilling into the monomials it reduces 16 J-pairs, not 17.
+    (GREVLEX, ("a", "b", "c", "d", "e"), ["c*d", "b*e", "d^2", "e^2", "c^2 + c*e", "b*d", "b*c", "a*e", "a^2", "c^2 + d^2"]),
+]
+
+
+@pytest.mark.parametrize("order, variables, texts", NARROW_WIDTH_CASES, ids=["lead-degree", "generator-index"])
+def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables, texts):
+    ring = PolynomialRing(PrimeField(7), variables)
+    gens = [parse_polynomial(text, ring) for text in texts]
+    wide = Budget()
+    basis = buchberger(gens, order, wide)
+    monkeypatch.setattr(ideals, "_FIRST_WIDTH", 2)  # the inputs' degrees ask for 3 bits
+    narrow = Budget()
+    assert buchberger(gens, order, narrow) == basis
+    assert narrow.used == wide.used
 
 
 def test_groebner_cache_reuse(rxy):

@@ -332,11 +332,14 @@ def _reduced_basis(kernel: _Kernel, ring: PolynomialRing, basis: list[dict], rec
     for i in sorted(range(len(basis)), key=lambda i: records[i][0]):
         if all((records[i][0] - records[k][0]) & guard for k in kept):
             kept.append(i)
-    # tail-reduce each against the rest
+    # tail-reduce each against the rest; the kept leads are distinct, so
+    # one list of divisor records in descending order serves every element
+    kept.reverse()
+    ordered = [kernel.divisor(basis[k]) for k in kept]
     reduced = []
-    for i in kept:
-        others = kernel.divisors(basis[k] for k in kept if k != i)
-        reduced.append(kernel.monic(kernel.reduce(dict(basis[i]), others)))
+    for position, k in enumerate(kept):
+        others = ordered[:position] + ordered[position + 1:]
+        reduced.append(kernel.monic(kernel.reduce(dict(basis[k]), others)))
     reduced.sort(key=max)
     return tuple(kernel.unpack(ring, g) for g in reduced)
 
@@ -444,24 +447,42 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
 
     The generators are the J-pairs e_i.  Reducing one does not spend the
     budget; reducing any other J-pair spends it once.  Divisibility of
-    signatures is read off their exponent segments.  Every J-pair
-    signature and every syzygy segment is checked against the guard bits,
-    and the generator index needs ``len(generators) <= 2^width``; a run
-    that breaks either starts again at twice the width.
+    signatures is read off their exponent segments.
+
+    A new element k (lead segment e, signature segment ``span``) decides
+    its J-pairs when it joins the basis, after Faugere's F5 and Roune and
+    Stillman.  On a pair (a, k) whose signature k gives, the signature
+    segment is span + d with d = lcm(l_a, e) - e, and a syzygy s of k's
+    index divides it exactly when the residual lcm(s, span) - span divides
+    d.  The residuals are taken once per element, and one recorded while
+    its pairs are formed joins them at once.  Those that are a single
+    variable form one mask: d meets it exactly when the pair dies, and
+    ``PackedMonomials.slot_hits`` tests every earlier lead against it in
+    one pass over an int that holds all leads side by side.  The rest of
+    the pairs are walked one by one, as before.  The screen reads d alone,
+    which fits whenever the lcm does, so it needs no overflow check; a pair
+    it kills is dropped before its signature is formed, which may spare a
+    restart but never changes a decision.  Every signature segment that is
+    kept or pushed, every J-pair signature and every syzygy segment is
+    checked against the guard bits, and the generator index needs
+    ``len(generators) <= 2^width``; a run that breaks either starts again
+    at twice the width.
     """
     packing = kernel.packing
     guard, width, segment, exponent_guard = kernel.guard, packing.width, packing.exponent_mask, packing.exponent_guard
-    lcm, monomial = packing.lcm, packing.monomial
+    lcm, monomial, slot_hits, slot_bits = packing.lcm, packing.monomial, packing.slot_hits, packing.slot_bits
     gens = kernel.inter_reduce([kernel.pack(g) for g in generators])
     if len(gens) > 1 << width:
         raise WidthOverflow(width)
     index = (1 << width) - 1  # key & index, sig & index: the generator index
+    units = {1 << (width * v) for v in range(ring.arity)}  # the segments of the variables
     basis: list[dict] = []
     records: list[tuple] = []  # divisor records, in basis order
     divisors: list[tuple] = []  # the same, by descending leading monomial
     keys: list[int] = []
     leads: list[int] = []  # exponent segments of the leading monomials
     spans: list[int] = []  # exponent segments of the signatures' monomials
+    slots = ones = 0  # the leads again, one per slot of ``slot_bits`` bits, and the slots' low bits
     # Signature divisibility is read off exponent segments.  Per generator
     # index: the (key, signature segment) of its elements, and the minimal
     # signature segments of its known syzygies (tens where thousands are
@@ -472,44 +493,100 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     heap = list(queued)
     heapify(heap)
 
-    def record_syzygy(known: list[int], t: int):
-        if not any(not (t - s) & exponent_guard for s in known):
-            known[:] = [s for s in known if (s - t) & exponent_guard]
-            known.append(t)
+    def divides_any(known: list[int], t: int) -> bool:
+        for s in known:
+            if not (t - s) & exponent_guard:
+                return True
+        return False
+
+    def record_syzygy(known: list[int], t: int) -> bool:
+        if divides_any(known, t):
+            return False
+        known[:] = [s for s in known if (s - t) & exponent_guard]
+        known.append(t)
+        return True
+
+    def residual(single: int, others: list[int], r: int) -> int:
+        # a variable joins the mask ``single`` as its whole field (``index``
+        # is one field's mask); a residual that meets the mask is implied
+        if r in units:
+            return single | r * index
+        if not r & single:
+            others.append(r)
+        return single
 
     def add(terms: dict, sig: int):
+        nonlocal slots, ones
         k = len(basis)
         lm = max(terms)
         key = sig - (lm << width)
         e = lm & segment
+        span = sig >> width & segment
         keys.append(key)
         leads.append(e)
-        spans.append(sig >> width & segment)
+        spans.append(span)
+        # A syzygy s of k's index divides the signature segment span + d of
+        # the J-pair of a and k on k's side, d = lcm(l_a, e) - e, exactly
+        # when its residual lcm(s, span) - span divides d.  A residual that
+        # is a variable divides d when d meets its field: ``slot_hits``
+        # tests every lead at once.  Residuals are only ever added: one of a
+        # syzygy that a new one replaced kills no pair the new one spares.
+        mine = syzygies[key & index]
+        single, others = 0, []
+        for s in mine:
+            single = residual(single, others, lcm(s, span) - span)
+        hits = slot_hits(slots, ones, e, single) if single else bytes(k)
         # Record the Koszul syzygies before pushing any J-pair.  A J-pair's
         # signature divides that of the two elements' Koszul syzygy, so the
         # syzygy is new only when the J-pair survives.
         fresh = []
-        for a in range(k):
-            if keys[a] == key:
+        for a, other, hit in zip(range(k), keys, hits):
+            if other < key:  # k's side gives the signature
+                if hit:
+                    continue
+                la = leads[a]
+                d = lcm(la, e) - e
+                if d & single or divides_any(others, d):
+                    continue
+                t = span + d
+                if t & exponent_guard:
+                    raise WidthOverflow(width)
+                if d == la:  # coprime: the Koszul syzygy has the J-pair's signature
+                    record_syzygy(mine, t)
+                    single = residual(single, others, d)
+                    continue
+                koszul = la + span  # its residual is l_a
+                if koszul & exponent_guard:
+                    raise WidthOverflow(width)
+                if not (la & single or divides_any(others, la)):
+                    record_syzygy(mine, koszul)
+                    single = residual(single, others, la)
+                fresh.append((k, a, d + e, t, d))
+                continue
+            if other == key:
                 continue  # singular: the same index and ratio
-            j, i = (a, k) if keys[a] > key else (k, a)  # j's side gives the signature
-            l = lcm(leads[a], e)
-            t = l - leads[j] + spans[j]
+            la = leads[a]  # a's side gives the signature
+            l = lcm(la, e)
+            t = l - la + spans[a]
             if t & exponent_guard:
                 raise WidthOverflow(width)
-            known = syzygies[keys[j] & index]
-            if any(not (t - s) & exponent_guard for s in known):
+            known = syzygies[other & index]
+            if divides_any(known, t):
                 continue
-            if l == leads[a] + e:
-                record_syzygy(known, t)  # coprime: the Koszul syzygy has the J-pair's signature
-                continue
-            koszul = leads[i] + spans[j]
-            if koszul & exponent_guard:
-                raise WidthOverflow(width)
-            record_syzygy(known, koszul)
-            fresh.append((j, i, l, t, known))
-        for j, i, l, t, known in fresh:
-            if any(not (t - s) & exponent_guard for s in known):
+            if l == la + e:
+                syzygy = t  # coprime
+            else:
+                syzygy = e + spans[a]
+                if syzygy & exponent_guard:
+                    raise WidthOverflow(width)
+                fresh.append((a, k, l, t, None))
+            if record_syzygy(known, syzygy) and known is mine:
+                single = residual(single, others, lcm(syzygy, span) - span)
+        for j, i, l, t, d in fresh:
+            if d is None:
+                if divides_any(syzygies[keys[j] & index], t):
+                    continue
+            elif d & single or divides_any(others, d):
                 continue
             t = (monomial(l) << width) + keys[j]
             if t >> width & guard:
@@ -525,7 +602,9 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         records.append(record)
         divisors.append(record)
         divisors.sort(key=itemgetter(0), reverse=True)
-        elements[key & index].append((key, spans[k]))
+        elements[key & index].append((key, span))
+        slots |= e << slot_bits * k
+        ones |= 1 << slot_bits * k
 
     while heap:
         sig = heappop(heap)
@@ -534,7 +613,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
             r = kernel.reduce(dict(gens[j]), divisors, sig)
         else:
             key, t = keys[j], sig >> width & segment
-            if any(not (t - s) & exponent_guard for s in syzygies[key & index]):
+            if divides_any(syzygies[key & index], t):
                 continue
             if any(other > key and not (t - s) & exponent_guard for other, s in elements[key & index]):
                 continue

@@ -131,10 +131,10 @@ class PackedMonomials:
     The low ``arity * width`` bits, ``m & exponent_mask``, are the exponent
     segment: the fields of u itself, x0 most significant.  Two segments
     compare as ints like their exponent tuples lexicographically, and the
-    divisibility test works on them with ``exponent_guard``.  The pair loop
-    of the Groebner engine runs on segments alone (``lcm``, ``graded``) and
-    turns one back into a packed monomial (``monomial``) only for a pair it
-    reduces.
+    divisibility test works on them with ``exponent_guard``.  The pair loops
+    of the Groebner engine run on segments alone (``lcm``, ``graded``, and
+    ``slot_hits`` on many segments side by side in one int) and turn one
+    back into a packed monomial (``monomial``) only for a pair they keep.
 
     ``pack`` raises ``WidthOverflow`` for a monomial that does not fit;
     callers that create monomials by addition test ``& guard`` themselves
@@ -143,7 +143,7 @@ class PackedMonomials:
 
     __slots__ = (
         "width", "guard", "limit", "exponent_mask", "exponent_guard",
-        "_rows", "_shifts", "_mask", "_segment_bits", "_units",
+        "slot_bits", "_rows", "_shifts", "_mask", "_segment_bits", "_units",
     )
 
     def __init__(self, order: MonomialOrder, arity: int, width: int):
@@ -156,6 +156,8 @@ class PackedMonomials:
         self._segment_bits = width * arity
         self.exponent_mask = (1 << self._segment_bits) - 1
         self.exponent_guard = self.guard & self.exponent_mask
+        # whole bytes, with a spare bit above the segment (``slot_hits``)
+        self.slot_bits = (self._segment_bits >> 3) + 1 << 3
         self._units = None  # built by the first ``monomial`` call; most packings never make one
 
     def pack(self, u: tuple[int, ...]) -> int:
@@ -171,16 +173,39 @@ class PackedMonomials:
         mask = self._mask
         return tuple(m >> shift & mask for shift in self._shifts)
 
-    def lcm(self, a: int, b: int) -> int:
+    def lcm(self, a: int, b: int, guard: int = 0) -> int:
         """The exponent segment of lcm(u, v), from the segments a and b of
         u and v: the larger of each pair of fields, all fields at once.
+        ``guard`` replaces ``exponent_guard`` for ints that hold several
+        segments side by side (``slot_lcms``).
 
         No field of (a | guard) - b borrows from the next, and each keeps
         its guard bit exactly when a's field is at least b's; spread over
         its field, that bit selects a's field."""
-        guard = self.exponent_guard
+        guard = guard or self.exponent_guard
         select = ((((a | guard) - b) & guard) >> (self.width - 1)) * self._mask
         return a & select | b & ~select
+
+    def slot_lcms(self, slots: int, ones: int, e: int) -> int:
+        """The segments lcm(a, e), one per slot, for the segments a held in
+        the slots of ``slots``.
+
+        A slot is ``slot_bits`` bits wide and holds one exponent segment in
+        its low bits, the first slot lowest; ``ones`` has the low bit of
+        every slot in use set.  The spare bits above each segment stay
+        clear, so ``lcm`` works on all slots at once."""
+        return self.lcm(slots, e * ones, self.exponent_guard * ones)
+
+    def slot_hits(self, slots: int, ones: int, e: int, mask: int) -> bytes:
+        """One byte per slot of ``slots`` (as in ``slot_lcms``), nonzero
+        exactly when the segment lcm(a, e) - e meets ``mask``.
+
+        The part of a slot's quotient inside the mask is below
+        2^(arity*width); adding 2^(arity*width) - 1 carries into the spare
+        bit above the segment exactly when that part is nonzero."""
+        quotients = self.slot_lcms(slots, ones, e) - e * ones
+        hits = ((quotients & mask * ones) + self.exponent_mask * ones) >> self._segment_bits & ones
+        return hits.to_bytes(ones.bit_length() + 7 >> 3, "little")[::self.slot_bits >> 3]
 
     def graded(self, e: int) -> int:
         """An int that orders exponent segments like (total degree, exponent

@@ -229,6 +229,23 @@ def test_localization_commutes_with_quotient(algebra, f, g):
     assert left.value == right.value
 
 
+@pytest.mark.parametrize(
+    "algebra, f, g, value",
+    [
+        ("Quot(Poly(Q; x,y,z); x*y - z^2)", "x", "y", DimensionValue.exact(2)),
+        ("Poly(Fp(7); x,y)", "x", "x + 1", DimensionValue.exact(2)),
+        ("Quot(Poly(Q; x,y); x*y)", "x + y", "x", DimensionValue.exact(1)),
+        ("Quot(Poly(Q; x,y); x*y)", "x", "y", DimensionValue.empty_ring()),
+        ("Poly(FunField(Fp(5); t); x,y)", "x + t", "x*y - t", DimensionValue.exact(2)),
+    ],
+)
+def test_localizing_twice_is_localizing_at_the_product(algebra, f, g, value):
+    # inverting f and then g inverts f*g: one Rabinowitsch variable or two
+    twice = evaluate(parse_ring_expr(f"Loc(Loc({algebra}; {f}); {g})"))
+    once = evaluate(parse_ring_expr(f"Loc({algebra}; ({f})*({g}))"))
+    assert twice.value == once.value == value
+
+
 def test_flatten_lists_rabinowitsch_variables_last():
     flat = flatten_affine(parse_ring_expr("Tensor(Loc(Poly(Q; x); x), Poly(Q; y), Loc(Poly(Q; z); z))"))
     assert flat.ring.variables == ("x", "y", "z", "Y", "Y1")

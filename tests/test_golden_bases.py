@@ -13,9 +13,10 @@ F_7(t, u) with sums in its denominators.  The number of pairs reduced on
 the way is pinned too: J-pairs under grevlex, where the signature loop
 runs, and S-pairs under lex and the block order that ranks x0, x1 first.
 It fixes which pairs the criteria let through, which no basis text shows,
-and with it the order in which each loop pops them.  Last, the benchmark's
-own oracle (standard-monomial count and basis digest,
-``perfbench/workloads.py``) judges the gb-coeff cases.
+and with it the order in which each loop pops them; the J-pair counts of
+the benchmark's grevlex systems (katsura-5/6, cyclic-5/6) are pinned too.
+Last, the benchmark's own oracle (standard-monomial count and basis
+digest, ``perfbench/workloads.py``) judges the gb-fp and gb-coeff cases.
 """
 
 from __future__ import annotations
@@ -208,12 +209,40 @@ def _load_workloads():
     return module
 
 
+def _pass_the_benchmark_oracle(cases, workloads, capsys):
+    golden = workloads.load_golden()
+    for case in cases:
+        code = cli.main(case.argv)
+        report = json.loads(capsys.readouterr().out)
+        assert workloads.check(case, code, report, golden) == [], case.name
+
+
 def test_gb_coeff_cases_pass_the_benchmark_oracle(capsys):
     # the benchmark judges katsura-5 over Q and katsura-4 over Q(t) by their
     # standard-monomial counts and basis digests; the same check runs here
     workloads = _load_workloads()
-    golden = workloads.load_golden()
-    for case in workloads.gb_coeff_cases(0):
-        code = cli.main(case.argv)
-        report = json.loads(capsys.readouterr().out)
-        assert workloads.check(case, code, report, golden) == [], case.name
+    _pass_the_benchmark_oracle(workloads.gb_coeff_cases(0), workloads, capsys)
+
+
+def test_gb_fp_cases_pass_the_benchmark_oracle(capsys):
+    # katsura-5/6 and cyclic-5/6 over F_32003, under grevlex, lex and the
+    # cyclic-5 elimination: the systems on which the signature loop's pair
+    # screen decides tens of thousands of pairs
+    workloads = _load_workloads()
+    _pass_the_benchmark_oracle(workloads.gb_fp_cases(0), workloads, capsys)
+
+
+# J-pairs reduced on the grevlex gb-fp systems of the benchmark over
+# F_32009 (the oracle test above runs over F_32003, with the same counts;
+# katsura-6 reduces 44 over F_32057)
+BENCHMARK_PAIR_REDUCTIONS = {"katsura-5": 19, "katsura-6": 43, "cyclic-5": 57, "cyclic-6": 287}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PAIR_REDUCTIONS))
+def test_benchmark_pair_reductions_are_pinned(name):
+    workloads = _load_workloads()
+    assert workloads.prime_for(1) == 32009
+    case = next(case for case in workloads.gb_fp_cases(1) if case.name == name)
+    budget = Budget()
+    buchberger(parse_ring_expr(case.argv[1]).relations, GREVLEX, budget)
+    assert budget.used == BENCHMARK_PAIR_REDUCTIONS[name]

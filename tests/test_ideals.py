@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from functools import cmp_to_key
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -376,10 +377,17 @@ NARROW_WIDTH_CASES = [
     # holds only eight indices.  The signature loop starts again; with the
     # indices spilling into the monomials it reduces 16 J-pairs, not 17.
     (GREVLEX, ("a", "b", "c", "d", "e"), ["c*d", "b*e", "d^2", "e^2", "c^2 + c*e", "b*d", "b*c", "a*e", "a^2", "c^2 + d^2"]),
+    # At 3 bits one J-pair's signature segment outgrows its fields, but a
+    # known syzygy's one-variable residual already kills the pair, so the
+    # signature loop screens it out without reading the signature and keeps
+    # the width; a loop that tested the signature first would start again.
+    (GREVLEX, ("x", "y"), ["2*x*y + 4*x", "5*x^2 + y"]),
 ]
 
 
-@pytest.mark.parametrize("order, variables, texts", NARROW_WIDTH_CASES, ids=["lead-degree", "generator-index"])
+@pytest.mark.parametrize(
+    "order, variables, texts", NARROW_WIDTH_CASES, ids=["lead-degree", "generator-index", "screened-signature"]
+)
 def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables, texts):
     ring = PolynomialRing(PrimeField(7), variables)
     gens = [parse_polynomial(text, ring) for text in texts]
@@ -443,6 +451,19 @@ def test_signature_loop_reaches_the_classic_loops_basis(gens):
     ring = gens[0].ring
     classic = _packed(gens, GREVLEX, lambda kernel: _buchberger(kernel, ring, gens, Budget()))
     assert buchberger(gens, GREVLEX) == classic
+
+
+@settings(derandomize=True)
+@given(grevlex_systems())
+def test_first_width_two_gives_the_default_outcome(gens):
+    # the signature loop's width checks, its syzygy screen among them, may
+    # restart a run at a wider width but never change what the run decides
+    wide = Budget()
+    basis = buchberger(gens, GREVLEX, wide)
+    narrow = Budget()
+    with patch.object(ideals, "_FIRST_WIDTH", 2):
+        assert buchberger(gens, GREVLEX, narrow) == basis
+    assert narrow.used == wide.used
 
 
 def test_generators_belong_under_every_cached_order(rxy):

@@ -211,3 +211,46 @@ def test_pair_key_orders_like_degree_then_exponents(case):
         return (packing.graded(packing.lcm(segments[pair[0]], segments[pair[1]])), *pair)
 
     assert sorted(pairs, key=int_key) == sorted(pairs, key=tuple_key)
+
+
+@st.composite
+def slotted_leads(draw):
+    """A lex packing of width 2 to 5 (where every exponent field is free up
+    to its limit), up to eight leads for the slots, one more segment e, and
+    a set of variables for the mask of ``slot_hits``."""
+    width = draw(st.integers(2, 5))
+    arity = draw(st.integers(1, 4))
+    top = (1 << (width - 1)) - 1
+    monomial = st.tuples(*[st.just(top) | st.integers(0, top)] * arity)
+    leads = draw(st.lists(monomial, max_size=8))
+    variables = draw(st.sets(st.integers(0, arity - 1)))
+    return PackedMonomials(LEX, arity, width), leads, draw(monomial), variables
+
+
+@settings(derandomize=True)
+@given(slotted_leads())
+@example((PackedMonomials(LEX, 4, 2), [(1, 1, 1, 1), (0, 0, 0, 0), (1, 0, 0, 1)], (0, 1, 1, 0), {0, 3}))
+def test_slot_lcms_and_hits_match_the_pairwise_tests(case):
+    packing, leads, u, variables = case
+    bits, guard = packing.slot_bits, packing.exponent_guard
+
+    def segment(m):
+        return packing.pack(m) & packing.exponent_mask
+
+    e = segment(u)
+    slots = sum(segment(m) << bits * k for k, m in enumerate(leads))
+    ones = sum(1 << bits * k for k in range(len(leads)))
+    units = [segment(tuple(int(i == v) for i in range(len(u)))) for v in variables]
+    mask = sum(unit * ((1 << packing.width) - 1) for unit in units)
+    lcms = packing.slot_lcms(slots, ones, e)
+    hits = packing.slot_hits(slots, ones, e, mask)
+    assert lcms >> bits * len(leads) == 0
+    assert len(hits) == len(leads)
+    for k, m in enumerate(leads):
+        lcm = packing.lcm(segment(m), e)
+        assert lcms >> bits * k & (1 << bits) - 1 == lcm
+        assert packing.unpack(lcm) == tuple(map(max, m, u))
+        # the pair's flag is the per-pair test: a variable of the mask
+        # divides lcm(m, u) / u
+        assert bool(hits[k]) == any(not (lcm - e - unit) & guard for unit in units)
+        assert bool(hits[k]) == any(m[v] > u[v] for v in variables)

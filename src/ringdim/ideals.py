@@ -12,11 +12,14 @@ so comparing monomials is int comparison, multiplying them is ``+`` and a
 divisibility test is one subtraction and one ``&``.  Division keeps the
 unreduced part as a dict plus a heap of its monomials (heap division,
 after Monagan & Pearce) and subtracts only the tail of each divisor
-multiple.  It is one loop for every coefficient field: coefficients meet
-through ``+``, ``-`` and ``*`` alone, and over F_p each is taken ``% p``
-once, when its monomial is popped.  The starting width fits the inputs; a
-run that creates a monomial too wide for it starts again at twice the
-width, so no answer depends on the width.
+multiple.  It is one loop for every coefficient field.  Over Q it runs
+on ints, fraction-free: a divisor with lead a cancels a coefficient c by
+scaling what is left by a/gcd(a, c), one int carries the scale, and
+``Fraction`` appears only where a basis or normal form leaves the kernel.
+Over F_p and Q(t) coefficients meet through ``+``, ``-`` and ``*`` alone,
+and over F_p each is taken ``% p`` once, when its monomial is popped.  The
+starting width fits the inputs; a run that creates a monomial too wide for
+it starts again at twice the width, so no answer depends on the width.
 
 Two completion loops share that division and the final minimalization and
 tail reduction, so both give the one reduced basis.  Under grevlex, the
@@ -31,16 +34,19 @@ classic pair criteria, on the exponent fields of the packed leads) stays;
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import islice
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, RingMismatchError, ZeroPolynomialError
-from .fields import PrimeField
+from .fields import PrimeField, RationalField
 from .orderings import GREVLEX, GrevLex, MonomialOrder, PackedMonomials, WidthOverflow
 from .polynomials import (
     Polynomial,
@@ -73,23 +79,35 @@ class Budget:
 class _Kernel:
     """Division on packed polynomials: dicts {packed monomial: coefficient}.
 
-    One kernel serves one run at one width, over any field: coefficients
-    meet only through ``+``, ``-``, ``*`` and unary ``-``.  Over
-    ``PrimeField`` they may leave [0, p) inside a division, but ``pack``,
-    ``monic`` and ``reduce`` return canonical coefficients.
+    One kernel serves one run at one width, over any field.  Over Q the
+    coefficients are ints (``integral``): a packed polynomial stands for
+    itself up to a nonzero rational factor, which ``pack`` and ``reduce``
+    report where it matters, and only ``divide`` makes ``Fraction``
+    coefficients again.  Over other fields coefficients meet only through ``+``, ``-``,
+    ``*`` and unary ``-``; over ``PrimeField`` they may leave [0, p) inside
+    a division, but ``pack``, ``normalize`` and ``reduce`` return canonical
+    coefficients.
     """
 
-    __slots__ = ("field", "packing", "guard", "p")
+    __slots__ = ("field", "packing", "guard", "p", "integral", "one")
 
     def __init__(self, field, packing: PackedMonomials):
         self.field = field
         self.packing = packing
         self.guard = packing.guard
         self.p = field.p if isinstance(field, PrimeField) else None
+        self.integral = isinstance(field, RationalField)
+        self.one = 1 if self.integral else field.one
 
-    def pack(self, f: Polynomial) -> dict:
+    def pack(self, f: Polynomial) -> tuple[dict, object]:
+        """f packed, and the factor d its coefficients were multiplied by:
+        over Q the least common denominator, which makes them ints, and
+        the field's one elsewhere."""
         pack = self.packing.pack
-        return {pack(m): c for m, c in f.terms.items()}
+        if not self.integral:
+            return {pack(m): c for m, c in f.terms.items()}, self.one
+        d = math.lcm(*(c.denominator for c in f.terms.values()))
+        return {pack(m): c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
 
     def unpack(self, ring: PolynomialRing, terms: dict) -> Polynomial:
         unpack = self.packing.unpack
@@ -97,59 +115,95 @@ class _Kernel:
 
     def sort_key(self, terms: dict):
         """A key that orders packed polynomials as ``Polynomial.sort_key``
-        orders them unpacked: exponent segments compare like exponent
-        tuples."""
+        orders their monic forms unpacked: exponent segments compare like
+        exponent tuples."""
         segment, key = self.packing.exponent_mask, self.field.element_key
-        return tuple(sorted((m & segment, key(c)) for m, c in terms.items()))
+        return tuple(sorted((m & segment, key(c)) for m, c in self.monic(terms).items()))
 
-    def monic(self, terms: dict) -> dict:
+    def divide(self, terms: dict, d) -> dict:
+        """``terms`` over the nonzero scalar d, exactly.  Over Q the
+        quotient has ``Fraction`` coefficients, so it is taken only for
+        what leaves the kernel."""
+        if self.integral:
+            return {m: Fraction(c, d) for m, c in terms.items()}
         field = self.field
-        lc = terms[max(terms)]
-        if field.is_one(lc):
+        if field.is_one(d):
             return terms
-        inv = field.inv(lc)
+        inv = field.inv(d)
         return {m: field.mul(inv, c) for m, c in terms.items()}
 
-    def divisor(self, terms: dict, key: int | None = None) -> tuple:
-        """(leading monomial, multiplier, tail, signature key) of a nonzero
-        polynomial.
+    def monic(self, terms: dict) -> dict:
+        return self.divide(terms, terms[max(terms)])
 
-        The multiplier turns a coefficient c into the quotient c * multiplier
-        that cancels it: -1/lc, or None for a monic divisor, whose quotient
-        is -c.  The key, set only in the signature loop, is the one
-        ``reduce`` compares with its bound."""
+    def normalize(self, terms: dict) -> dict:
+        """The associate of a nonzero polynomial that the completion loops
+        keep: over Q the one with coprime int coefficients and a positive
+        leading coefficient, elsewhere the monic one."""
+        if not self.integral:
+            return self.monic(terms)
+        content = gcd(*terms.values())
+        if terms[max(terms)] < 0:
+            content = -content
+        if content == 1:
+            return terms
+        return {m: c // content for m, c in terms.items()}
+
+    def divisor(self, terms: dict, key: int | None = None) -> tuple:
+        """(leading monomial, multiplier, tail, signature key, lead) of a
+        nonzero polynomial.
+
+        Over a field the lead is None and the multiplier turns a
+        coefficient c into the quotient c * multiplier that cancels it:
+        -1/lc, or None for a monic divisor, whose quotient is -c.  Over Q
+        the multiplier is None and the lead is the int lc.  The key, set
+        only in the signature loop, is the one ``reduce`` compares with its
+        bound."""
         field = self.field
         lm = max(terms)
         lc = terms[lm]
         tail = [(m, c) for m, c in terms.items() if m != lm]
-        return lm, None if field.is_one(lc) else field.neg(field.inv(lc)), tail, key
+        if self.integral:
+            return lm, None, tail, key, lc
+        return lm, None if field.is_one(lc) else field.neg(field.inv(lc)), tail, key, None
 
     def s_polynomial(self, f: tuple, g: tuple, lcm: int) -> dict:
-        """S-polynomial of two monic divisors whose leading monomials
-        divide ``lcm``: the difference of their shifted tails, for
-        ``reduce`` alone.  Terms that cancel stay, with a zero coefficient,
-        and over F_p coefficients may leave [0, p)."""
+        """S-polynomial of two divisors whose leading monomials divide
+        ``lcm``, for ``reduce`` alone, up to a nonzero scalar: over a field
+        f and g are monic, and it is the difference of their shifted tails;
+        over Q, with int leads a and b, the tails are first multiplied by
+        b/h and a/h, h = gcd(a, b).  Terms that cancel stay, with a zero
+        coefficient, and over F_p coefficients may leave [0, p)."""
+        f_tail, g_tail = f[2], g[2]
+        if self.integral:
+            a, b = f[4], g[4]
+            h = gcd(a, b)
+            a, b = a // h, b // h
+            if b != 1:
+                f_tail = [(m, c * b) for m, c in f_tail]
+            if a != 1:
+                g_tail = [(m, c * a) for m, c in g_tail]
         rest = {}
         shift = lcm - f[0]
-        for m, c in f[2]:
+        for m, c in f_tail:
             rest[m + shift] = c
         shift = lcm - g[0]
         get = rest.get
-        for m, c in g[2]:
+        for m, c in g_tail:
             t = m + shift
             old = get(t)
             rest[t] = -c if old is None else old - c
         return rest
 
-    def reduce(self, rest: dict, divisors: Sequence[tuple], bound: int | None = None) -> dict:
+    def reduce(self, rest: dict, divisors: Sequence[tuple], bound: int | None = None) -> tuple[dict, object]:
         """Remainder of ``rest`` (consumed) under ``divisors``, taken in the
-        given order: the first whose leading monomial divides the largest
-        unreduced monomial m reduces it.  ``divisors`` is in descending
-        leading-monomial order, so the scan starts at the first leading
-        monomial not above the popped one.  In a regular reduction
-        (``_signature_buchberger``) the bound is a signature, and a divisor
-        with a key takes part only where ``(m << width) + key < bound``;
-        one without a key always does.
+        given order, and the scalar s it is multiplied by: the remainder of
+        ``rest`` is the one returned over s.  The first divisor whose
+        leading monomial divides the largest unreduced monomial m reduces
+        it.  ``divisors`` is in descending leading-monomial order, so the
+        scan starts at the first leading monomial not above the popped one.
+        In a regular reduction (``_signature_buchberger``) the bound is a
+        signature, and a divisor with a key takes part only where ``(m <<
+        width) + key < bound``; one without a key always does.
 
         Heap division (Monagan & Pearce): the unreduced part is a dict with
         a heap of its negated monomials, so each step pops the largest one
@@ -159,6 +213,12 @@ class _Kernel:
         until it is popped.  A coefficient is looked at only then: over F_p
         it is taken ``% p`` once, and one that cancelled to zero is
         skipped.  An update is one ``+`` and one ``*``, over every field.
+
+        Over Q the division is fraction-free: for a divisor with lead a and
+        a popped coefficient c, h = gcd(a, c), the unreduced part and the
+        remainder so far are multiplied by a/h (and s with them), and
+        (c/h) times the shifted tail is subtracted.  Over the other fields
+        s is one.
 
         Every monomial put into ``rest``, here or by ``s_polynomial``, is
         the sum of two that fit the width: that can set a guard bit but not
@@ -171,6 +231,7 @@ class _Kernel:
         heapify(heap)
         pop, push, get, take = heappop, heappush, rest.get, rest.pop
         remainder = {}
+        scale = self.one
         while heap:
             m = -pop(heap)
             if m & guard:
@@ -180,13 +241,24 @@ class _Kernel:
                 c %= p
             if not c:
                 continue  # cancelled
-            for lm, scale, tail, key in islice(divisors, bisect_left(ascending, -m), None):
+            for lm, multiplier, tail, key, lead in islice(divisors, bisect_left(ascending, -m), None):
                 if not (m - lm) & guard and (key is None or (m << width) + key < bound):
                     break
             else:
                 remainder[m] = c
                 continue
-            q = -c if scale is None else c * scale
+            if lead is None:
+                q = -c if multiplier is None else c * multiplier
+            else:
+                h = gcd(c, lead)
+                if h != lead:
+                    k = lead // h
+                    for t, v in rest.items():
+                        rest[t] = v * k
+                    for t, v in remainder.items():
+                        remainder[t] = v * k
+                    scale *= k
+                q = -(c // h)
             shift = m - lm
             for gm, gc in tail:
                 t = gm + shift
@@ -196,27 +268,28 @@ class _Kernel:
                     push(heap, -t)
                 else:
                     rest[t] = old + q * gc
-        return remainder
+        return remainder, scale
 
     def divisors(self, polys: Iterable[dict]) -> list[tuple]:
         """Divisor records in descending leading-monomial order, ties in the
         given order."""
         return sorted(map(self.divisor, polys), key=itemgetter(0), reverse=True)
 
-    def inter_reduce(self, polys: list[dict]) -> list[dict]:
-        """Reduce each polynomial by the others, in ``Polynomial.sort_key``
-        order, until a round changes nothing; the survivors are monic."""
-        current = sorted(polys, key=self.sort_key)
+    def inter_reduce(self, polys: Sequence[Polynomial]) -> list[dict]:
+        """Pack and reduce each polynomial by the others, in
+        ``Polynomial.sort_key`` order, until a round changes nothing; the
+        survivors are normalized."""
+        current = [self.pack(f)[0] for f in sorted(polys, key=Polynomial.sort_key)]
         while True:
             changed = False
             result: list[dict] = []
             for i, p in enumerate(current):
                 others = result + current[i + 1:]
-                r = self.reduce(dict(p), self.divisors(others)) if others else p
+                r = self.reduce(dict(p), self.divisors(others))[0] if others else p
                 if r != p:
                     changed = True
                 if r:
-                    result.append(self.monic(r))
+                    result.append(self.normalize(r))
             if not changed:
                 return result
             current = sorted(result, key=self.sort_key)
@@ -266,8 +339,10 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
             raise ZeroPolynomialError("zero polynomial has no leading term")
 
     def run(kernel: _Kernel) -> Polynomial:
-        divisors = kernel.divisors(kernel.pack(g) for g in basis)
-        return kernel.unpack(ring, kernel.reduce(kernel.pack(f), divisors))
+        divisors = kernel.divisors(kernel.pack(g)[0] for g in basis)
+        rest, d = kernel.pack(f)
+        remainder, s = kernel.reduce(rest, divisors)
+        return kernel.unpack(ring, kernel.divide(remainder, d * s))
 
     return _packed([f, *basis], order, run)
 
@@ -281,7 +356,7 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     per S-pair.  The order is part of the input, so it alone picks the
     loop.  The signature loop leaves most zero remainders uncomputed: on
     katsura-5 over Q it reduces 19 J-pairs where the classic loop reduces
-    64 S-pairs, 48 of them to zero, and takes 0.05 s instead of 0.35 s.
+    64 S-pairs, 48 of them to zero, and takes 0.017 s instead of 0.057 s.
     Under lex and the block orders its Schreyer signatures fit less well:
     on cyclic-5 over F_32003 it reduces 212 J-pairs where the classic loop
     reduces 116 S-pairs, and takes 0.086 s instead of 0.017 s under lex
@@ -323,8 +398,8 @@ def completion_name(order: MonomialOrder) -> str:
 
 def _reduced_basis(kernel: _Kernel, ring: PolynomialRing, basis: list[dict], records: list[tuple]) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of the ideal of which ``basis``,
-    monic packed polynomials with the divisor records ``records``, is a
-    Groebner basis."""
+    normalized packed polynomials with the divisor records ``records``, is
+    a Groebner basis; only here are its elements made monic."""
     guard = kernel.guard
     # minimalize: keep only elements whose leading term no other divides,
     # scanning leading terms in ascending order
@@ -339,9 +414,9 @@ def _reduced_basis(kernel: _Kernel, ring: PolynomialRing, basis: list[dict], rec
     reduced = []
     for position, k in enumerate(kept):
         others = ordered[:position] + ordered[position + 1:]
-        reduced.append(kernel.monic(kernel.reduce(dict(basis[k]), others)))
+        reduced.append(kernel.reduce(dict(basis[k]), others)[0])
     reduced.sort(key=max)
-    return tuple(kernel.unpack(ring, g) for g in reduced)
+    return tuple(kernel.unpack(ring, kernel.monic(g)) for g in reduced)
 
 
 def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomial], budget: Budget) -> tuple[Polynomial, ...]:
@@ -362,7 +437,7 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
     """
     packing = kernel.packing
     lcm, graded, segment, exponent_guard = packing.lcm, packing.graded, packing.exponent_mask, packing.exponent_guard
-    basis = kernel.inter_reduce([kernel.pack(g) for g in generators])
+    basis = kernel.inter_reduce(generators)
     records: list[tuple] = []  # divisor records, in basis order
     divisors: list[tuple] = []  # the same, by descending leading monomial
     leads: list[int] = []  # exponent segments of the leading monomials
@@ -403,9 +478,9 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
         if chain:
             continue
         budget.spend()
-        r = kernel.reduce(kernel.s_polynomial(records[i], records[j], packing.monomial(e)), divisors)
+        r = kernel.reduce(kernel.s_polynomial(records[i], records[j], packing.monomial(e)), divisors)[0]
         if r:
-            basis.append(kernel.monic(r))
+            basis.append(kernel.normalize(r))
             add(basis[-1])
     return _reduced_basis(kernel, ring, basis, records)
 
@@ -471,7 +546,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     packing = kernel.packing
     guard, width, segment, exponent_guard = kernel.guard, packing.width, packing.exponent_mask, packing.exponent_guard
     lcm, monomial, slot_hits, slot_bits = packing.lcm, packing.monomial, packing.slot_hits, packing.slot_bits
-    gens = kernel.inter_reduce([kernel.pack(g) for g in generators])
+    gens = kernel.inter_reduce(generators)
     if len(gens) > 1 << width:
         raise WidthOverflow(width)
     index = (1 << width) - 1  # key & index, sig & index: the generator index
@@ -610,7 +685,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         sig = heappop(heap)
         j, i = queued.pop(sig)
         if i is None:
-            r = kernel.reduce(dict(gens[j]), divisors, sig)
+            r = kernel.reduce(dict(gens[j]), divisors, sig)[0]
         else:
             key, t = keys[j], sig >> width & segment
             if divides_any(syzygies[key & index], t):
@@ -618,9 +693,9 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
             if any(other > key and not (t - s) & exponent_guard for other, s in elements[key & index]):
                 continue
             budget.spend()
-            r = kernel.reduce(kernel.s_polynomial(records[j], records[i], sig - key >> width), divisors, sig)
+            r = kernel.reduce(kernel.s_polynomial(records[j], records[i], sig - key >> width), divisors, sig)[0]
         if r:
-            add(kernel.monic(r), sig)
+            add(kernel.normalize(r), sig)
         else:
             record_syzygy(syzygies[sig & index], sig >> width & segment)
     return _reduced_basis(kernel, ring, basis, records)

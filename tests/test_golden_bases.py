@@ -246,3 +246,17 @@ def test_benchmark_pair_reductions_are_pinned(name):
     budget = Budget()
     buchberger(parse_ring_expr(case.argv[1]).relations, GREVLEX, budget)
     assert budget.used == BENCHMARK_PAIR_REDUCTIONS[name]
+
+
+# J-pairs reduced on the gb-coeff systems of the benchmark: division over Q
+# without fractions must reduce the J-pairs that division with them did
+GB_COEFF_PAIR_REDUCTIONS = {"katsura-5-Q": 19, "katsura-4-Qt": 9}
+
+
+@pytest.mark.parametrize("name", sorted(GB_COEFF_PAIR_REDUCTIONS))
+def test_gb_coeff_pair_reductions_are_pinned(name):
+    workloads = _load_workloads()
+    case = next(case for case in workloads.gb_coeff_cases(0) if case.name == name)
+    budget = Budget()
+    buchberger(parse_ring_expr(case.argv[1]).relations, GREVLEX, budget)
+    assert budget.used == GB_COEFF_PAIR_REDUCTIONS[name]

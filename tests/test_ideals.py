@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
 from unittest.mock import patch
@@ -129,6 +130,10 @@ def _coefficient_pool(field) -> list:
     if isinstance(field, RationalFunctionField):
         t = field.generator("t")
         pool += [t, field.inv(field.add(t, one))]
+    if field is QQ:
+        # numerators and denominators of several machine words: the
+        # engine divides over Q with ints, taking gcds and scaling
+        pool += [Fraction(2**70 + 1, 3**40), Fraction(-7, 2**64 - 59)]
     return pool
 
 
@@ -169,9 +174,22 @@ def _outgrowing_width(field) -> tuple:
     return x**3 * z, [x - z], LEX
 
 
+def _lead_not_dividing() -> tuple:
+    # The divisor packs to the ints 6*z^2 - 7*(2^64 - 59), and f to
+    # 3^40*x*y + 3^40*y + (2^70 + 1)*z^2.  The lead 6 does not divide
+    # 2^70 + 1, so the division scales the two remainder terms kept before
+    # it, and the remainder must still come out exact.
+    ring = PolynomialRing(QQ, ("x", "y", "z"))
+    one = QQ.one
+    f = Polynomial(ring, {(1, 1, 0): one, (0, 1, 0): one, (0, 0, 2): Fraction(2**70 + 1, 3**40)})
+    g = Polynomial(ring, {(0, 0, 2): Fraction(3, 2**64 - 59), (0, 0, 0): Fraction(-7, 2)})
+    return f, [g], LEX
+
+
 @given(division_problems())
 @example(_outgrowing_width(PrimeField(7)))
 @example(_outgrowing_width(QQ))
+@example(_lead_not_dividing())
 def test_normal_form_matches_reference_division(problem):
     f, basis, order = problem
     expected = ref_normal_form(f.ring.field, f.terms, [g.terms for g in basis], ORACLES[order])
@@ -382,11 +400,15 @@ NARROW_WIDTH_CASES = [
     # signature loop screens it out without reading the signature and keeps
     # the width; a loop that tested the signature first would start again.
     (GREVLEX, ("x", "y"), ["2*x*y + 4*x", "5*x^2 + y"]),
+    # At 3 bits the signature segment of a coprime J-pair, on the side of the
+    # element that joins last, outgrows its fields, and the check on that
+    # segment starts the run again before the pair's Koszul syzygy is kept.
+    (GREVLEX, ("x", "y", "z"), ["3*x*y + y*z + 2*x + 2", "y*z + 3*x", "2*y^2 + 6*z^2 + 2*x"]),
 ]
 
 
 @pytest.mark.parametrize(
-    "order, variables, texts", NARROW_WIDTH_CASES, ids=["lead-degree", "generator-index", "screened-signature"]
+    "order, variables, texts", NARROW_WIDTH_CASES, ids=["lead-degree", "generator-index", "screened-signature", "coprime-signature"]
 )
 def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables, texts):
     ring = PolynomialRing(PrimeField(7), variables)
@@ -438,7 +460,9 @@ def grevlex_systems(draw):
     field = draw(st.sampled_from([PrimeField(32003), QQ]))
     ring = PolynomialRing(field, ("x", "y", "z", "w")[: draw(st.integers(3, 4))])
     monomials = st.tuples(*[st.integers(0, 2)] * ring.arity)
-    coefficients = st.sampled_from([field.from_int(n) for n in (1, -1, 2, 3, -5)])
+    one = field.one
+    fractions = [field.div(one, field.from_int(2)), field.div(field.from_int(-3), field.from_int(7))]
+    coefficients = st.sampled_from([field.from_int(n) for n in (1, -1, 2, 3, -5)] + fractions)
     terms = st.dictionaries(monomials, coefficients, min_size=1, max_size=4)
     return [Polynomial(ring, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
 

@@ -18,7 +18,6 @@ guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .dimension import (
@@ -30,7 +29,7 @@ from .dimension import (
     zero_divisor_status,
     ZeroDivisorStatus,
 )
-from .errors import InconsistentBoundsError, RingMismatchError
+from .errors import FrozenRecord, InconsistentBoundsError, Record, RingMismatchError
 from .fields import (
     CoefficientField,
     RationalFunctionField,
@@ -91,18 +90,14 @@ CITATIONS = {
 
 # -- expression tree -----------------------------------------------------------
 
-class RingExpr:
+class RingExpr(FrozenRecord):
     """Base class for ring-construction syntax trees."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class BaseField(RingExpr):
     coefficients: CoefficientField
 
 
-@dataclass(frozen=True)
 class FieldExt(RingExpr):
     """A field extension given by a chosen transcendence basis plus monic
     algebraic relations adjoined afterwards.
@@ -158,25 +153,21 @@ class FieldExt(RingExpr):
         return PolynomialRing(self.flat_field, tuple(s for s, _ in self.algebraic_part))
 
 
-@dataclass(frozen=True)
 class PolyExt(RingExpr):
     base: RingExpr
     variables: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Quotient(RingExpr):
     base: RingExpr
     relations: tuple[Polynomial, ...]
 
 
-@dataclass(frozen=True)
 class LocElement(RingExpr):
     base: RingExpr
     element: Polynomial
 
 
-@dataclass(frozen=True)
 class LocSubringComplement(RingExpr):
     """Localization at S = R[t_1..t_n] - {0} for declared independent t_i."""
 
@@ -184,26 +175,22 @@ class LocSubringComplement(RingExpr):
     subring_generators: tuple[Polynomial, ...]
 
 
-@dataclass(frozen=True)
 class Tensor(RingExpr):
     legs: tuple[RingExpr, ...]
     over: CoefficientField
 
 
-@dataclass(frozen=True)
 class FracField(RingExpr):
     base: RingExpr
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(FrozenRecord):
     rule: str
     citation: str
     detail: str = ""
 
 
-@dataclass
-class DimensionResult:
+class DimensionResult(Record):
     """A dimension with its derivation trace and optional kernel witness.
 
     ``cross_checks`` holds the ``(name, detail)`` pairs of the comparisons

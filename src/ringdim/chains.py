@@ -28,16 +28,14 @@ bound the tensor rules consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CertificateError
+from .errors import CertificateError, FrozenRecord
 from .ideals import Budget, IdealPresentation, eliminate
 from .polynomials import Polynomial, PolynomialRing, fresh_variable
 
 
-@dataclass(frozen=True)
-class PrimalityCertificate:
+class PrimalityCertificate(FrozenRecord):
     """Supported primality evidence.
 
     kind is one of:
@@ -71,15 +69,13 @@ def domain_certificate(link: IdealPresentation, note: str) -> PrimalityCertifica
     return PrimalityCertificate("asserted", note=note)
 
 
-@dataclass(frozen=True)
-class ChainStepEvidence:
+class ChainStepEvidence(FrozenRecord):
     strictness_witness: Polynomial | None  # None only for the first link
     avoidance_checked: bool
     primality: PrimalityCertificate
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(FrozenRecord):
     ring: PolynomialRing
     links: tuple[IdealPresentation, ...]
     evidence: tuple[ChainStepEvidence, ...]

@@ -26,7 +26,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from typing import Callable, NamedTuple
 
 from .calculus import (
@@ -382,7 +381,7 @@ def _cmd_chain(args, budget: Budget):
     if failed:
         raise CertificateError(f"chain verification failed: {', '.join(failed)}")
     # verify_chain's one avoidance pass covered every step
-    cert = replace(cert, evidence=tuple(replace(e, avoidance_checked=True) for e in cert.evidence))
+    cert = cert._replace(evidence=tuple(e._replace(avoidance_checked=True) for e in cert.evidence))
     bound = cert.length()
     answer = {
         "certificate": certificate_to_json(cert),

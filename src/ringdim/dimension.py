@@ -12,12 +12,11 @@ carries the polynomial ring K[X] as ``ring``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .errors import EmptyRingError
+from .errors import EmptyRingError, FrozenRecord
 from .fields import embed_coefficient, merged_function_field
 from .ideals import Budget, IdealPresentation, ideal_quotient
 from .orderings import GREVLEX, MonomialOrder
@@ -64,8 +63,7 @@ class Infinity:
 INF = Infinity()
 
 
-@dataclass(frozen=True)
-class DimensionValue:
+class DimensionValue(FrozenRecord):
     """Exact integer, empty ring, infinite, or an honest interval.
 
     The empty ring is its own case rather than a -1 sentinel: the dimension

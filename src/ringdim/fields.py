@@ -20,11 +20,10 @@ exactly at zero); the Groebner kernel (``ideals._Kernel``) divides with these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import TowerDepthError
+from .errors import FrozenRecord, TowerDepthError
 from .orderings import GREVLEX
 from .polynomials import Polynomial, PolynomialRing, format_polynomial, exact_divide, polynomial_gcd
 
@@ -59,8 +58,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(FrozenRecord):
     """The field Q, with Fraction elements."""
 
     function_variables: tuple[str, ...] = ()
@@ -115,8 +113,7 @@ class RationalField:
 QQ = RationalField()
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(FrozenRecord):
     """F_p for prime p; elements are canonical ints in [0, p)."""
 
     p: int
@@ -296,8 +293,7 @@ class RatFunc:
         return f"({format_polynomial(self.num)})/({format_polynomial(self.den)})"
 
 
-@dataclass(frozen=True)
-class RationalFunctionField:
+class RationalFunctionField(FrozenRecord):
     """K(t_1, .., t_m) for K in {Q, F_p}: a single transcendental layer.
 
     Stacking a function field on a function field is rejected; a tower

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -45,7 +44,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import BudgetExhaustedError, RingMismatchError, ZeroPolynomialError
+from .errors import BudgetExhaustedError, Record, RingMismatchError, ZeroPolynomialError
 from .fields import PrimeField, RationalField
 from .orderings import GREVLEX, GrevLex, MonomialOrder, PackedMonomials, WidthOverflow
 from .polynomials import (
@@ -61,8 +60,7 @@ DEFAULT_PAIR_BUDGET = 50_000
 _FIRST_WIDTH = 16
 
 
-@dataclass
-class Budget:
+class Budget(Record):
     """Cap on pair reductions: J-pairs under grevlex, S-pairs under lex and
     block orders (see ``buchberger``).  Exceeding it raises, never
     truncates."""

@@ -20,8 +20,9 @@ the Groebner engine works on packed monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul, neg
+
+from .errors import FrozenRecord
 
 
 def _grevlex_key(u: tuple[int, ...]) -> tuple:
@@ -53,8 +54,7 @@ def _compare_by_key(order, u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return (kv > ku) - (kv < ku)
 
 
-@dataclass(frozen=True)
-class Lex:
+class Lex(FrozenRecord):
     """Pure lexicographic order; the first variable is strongest."""
 
     compare = _compare_by_key
@@ -66,8 +66,7 @@ class Lex:
         return _unit_rows(arity)
 
 
-@dataclass(frozen=True)
-class GrevLex:
+class GrevLex(FrozenRecord):
     """Graded reverse lexicographic order."""
 
     compare = _compare_by_key
@@ -77,8 +76,7 @@ class GrevLex:
         return _grevlex_weights(list(range(arity)), arity)
 
 
-@dataclass(frozen=True)
-class BlockElimination:
+class BlockElimination(FrozenRecord):
     """Elimination order for the variables whose indices lie in ``block``.
 
     Any monomial touching a block variable sorts above every block-free

@@ -26,7 +26,6 @@ symbol they introduce.  Printing and parsing round-trip exactly.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import count, islice
 from typing import NamedTuple
 
@@ -70,8 +69,7 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

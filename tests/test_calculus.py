@@ -9,6 +9,7 @@ from ringdim import (
     INF,
     BaseField,
     DimensionValue,
+    FieldExt,
     InconsistentBoundsError,
     LocElement,
     PolyExt,
@@ -49,6 +50,8 @@ from ringdim.calculus import (
     RULE_TENSOR_UNIT,
     RULE_TRDEG_SUM,
     RULE_UNIT_LOC,
+    DimensionResult,
+    TraceEntry,
     _Claims,
     contained_subfield_trdeg,
     noetherian_flag,
@@ -57,6 +60,38 @@ from ringdim.calculus import (
 
 def rules_of(result):
     return [t.rule for t in result.trace]
+
+
+# -- expression and result records ---------------------------------------------
+
+def test_records_take_keywords_and_defaults():
+    entry = TraceEntry(rule="r", citation="c")
+    assert entry.detail == "" and entry == TraceEntry("r", "c", "")
+    assert repr(entry) == "TraceEntry(rule='r', citation='c', detail='')"
+    with pytest.raises(TypeError):
+        TraceEntry("r")
+    with pytest.raises(TypeError):
+        TraceEntry("r", "c", detail="d", note="n")
+    assert FieldExt(QQ, 0) == FieldExt(over=QQ, trdeg=0, basis_names=(), algebraic_part=())
+
+
+def test_expression_records_are_frozen_and_results_mutable():
+    quotient = Quotient(BaseField(QQ), ())
+    assert quotient == Quotient(BaseField(QQ), ()) and hash(quotient) == hash(Quotient(BaseField(QQ), ()))
+    with pytest.raises(AttributeError):
+        quotient.relations = ()
+    with pytest.raises(AttributeError):
+        TraceEntry("r", "c").detail = "d"
+    result = DimensionResult(DimensionValue.exact(1), ())
+    with pytest.raises(TypeError):
+        hash(result)
+    result.cross_checks = (("name", "detail"),)
+    assert result == DimensionResult(DimensionValue.exact(1), (), None, (("name", "detail"),))
+
+
+def test_field_extension_rejects_a_negative_trdeg():
+    with pytest.raises(ValueError, match="negative transcendence degree"):
+        FieldExt(QQ, -1)
 
 
 # -- the tensor trdeg formula -------------------------------------------------

@@ -290,3 +290,12 @@ def test_chain_over_proper_quotient_algebra():
         # the algebra's own relation is carried into every link upstairs
         lifted = cert.links[1]
         assert any(g.support() <= {0, 1} and not g.is_zero() for g in lifted.generators)
+
+
+def test_primality_certificate_checks_its_kind():
+    with pytest.raises(CertificateError, match="unknown primality certificate kind"):
+        PrimalityCertificate("irreducible")
+    cert = PrimalityCertificate("asserted", note="n")
+    assert cert == PrimalityCertificate("asserted", None, (), "n") and hash(cert) == hash(PrimalityCertificate("asserted", note="n"))
+    # the class constant KINDS is not a field
+    assert repr(cert) == "PrimalityCertificate(kind='asserted', base_prime=None, substitutions=(), note='n')"

@@ -361,17 +361,39 @@ def test_out_file_is_json_even_in_text_mode(capsys, tmp_path):
     jsonschema.validate(json.loads(out.read_text()), SCHEMA)
 
 
-def test_reports_are_bit_identical_across_processes():
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # records are built without dataclasses: importing it (and inspect,
+    # which it pulls in) and building classes with it cost cold start.
+    # Module names, not times, keep the check deterministic.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys; bare = set(sys.modules); import ringdim.cli; print(*sorted(set(sys.modules) - bare))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "ringdim.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_reports_are_bit_identical_across_processes(tmp_path):
     def run_once(argv):
         proc = run_module(*argv)
         report = json.loads(proc.stdout)
         report.pop("timing_ms")
         return proc.returncode, report
 
+    # chain rebuilds its certificate after verification; verify reads the
+    # rebuilt one back in a fresh process
+    cert = str(tmp_path / "cert.json")
     for argv in (
         ["dim", "Tensor(Ext(Q;1), Quot(Poly(Q; x,y); x*y))"],
         ["gb", "Quot(Poly(Q;x,y,z); x^2 - y, x^3 - z)", "--order", "lex"],
-        ["chain", "--witnesses", "u,v", "--fresh", "X1,X2", "Poly(Q;u,v)"],
+        ["chain", "--witnesses", "u,v", "--fresh", "X1,X2", "Poly(Q;u,v)", "--out", cert],
+        ["verify", cert],
     ):
         first = run_once(argv)
         second = run_once(argv)

@@ -245,3 +245,12 @@ def test_interval_collapses_and_validates():
     assert DimensionValue.interval(2, 2) == DimensionValue.exact(2)
     with pytest.raises(ValueError):
         DimensionValue.interval(3, 1)
+
+
+def test_dimension_value_is_a_frozen_record():
+    value = DimensionValue.interval(1, 3)
+    assert repr(value) == "DimensionValue(kind='interval', lo=1, hi=3)"
+    assert DimensionValue.empty_ring() == DimensionValue("empty", None, None)
+    assert hash(value) == hash(DimensionValue("interval", 1, 3))
+    with pytest.raises(AttributeError):
+        value.hi = 4

@@ -113,7 +113,7 @@ def test_prime_field_accepts_exactly_the_primes_below_ten_thousand():
 
 # a Carmichael number, then strong pseudoprimes to base 2, to bases 2..7,
 # and to every prime base up to 23
-@pytest.mark.parametrize("n", [561, 2047, 3215031751, 3825123056546413051])
+@pytest.mark.parametrize("n", [4, 561, 2047, 3215031751, 3825123056546413051])
 def test_prime_field_rejects_pseudoprimes(n):
     with pytest.raises(ValueError, match="is not prime"):
         PrimeField(n)
@@ -127,6 +127,18 @@ def test_prime_field_takes_a_large_prime():
 def test_tower_depth_limited(qt):
     with pytest.raises(TowerDepthError):
         RationalFunctionField(qt, ("u",))
+
+
+def test_fields_are_frozen_and_hash_by_value(qt):
+    assert PrimeField(7) == PrimeField(7) and hash(PrimeField(7)) == hash(PrimeField(7))
+    assert PrimeField(7) != PrimeField(11) and QQ != PrimeField(7)
+    assert qt == RationalFunctionField(QQ, ("t",)) and hash(qt) == hash(RationalFunctionField(QQ, ("t",)))
+    with pytest.raises(AttributeError):
+        PrimeField(7).p = 11
+    with pytest.raises(AttributeError):
+        qt.variables = ("u",)
+    # each field keeps its own short repr
+    assert (repr(QQ), repr(PrimeField(7)), repr(qt)) == ("Q", "Fp(7)", "FunField(Q; t)")
 
 
 def test_function_field_variables_disjoint_from_ring():

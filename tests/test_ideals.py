@@ -542,3 +542,12 @@ def test_normal_form_is_idempotent_and_splits_membership(rxyz):
         r = normal_form(f, basis, GREVLEX)
         assert normal_form(r, basis, GREVLEX) == r
         assert normal_form(f - r, basis, GREVLEX).is_zero()
+
+
+def test_budget_is_mutable_and_unhashable():
+    budget = Budget(limit=3)
+    assert budget == Budget(3, 0) and repr(budget) == "Budget(limit=3, used=0)"
+    budget.used = 2
+    assert budget.used == 2 and budget != Budget(limit=3)
+    with pytest.raises(TypeError):
+        hash(budget)

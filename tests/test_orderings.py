@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ringdim import GREVLEX, LEX, BlockElimination, Polynomial, PolynomialRing, QQ
 from ringdim.errors import ArityMismatchError
-from ringdim.orderings import PackedMonomials, WidthOverflow
+from ringdim.orderings import GrevLex, Lex, PackedMonomials, WidthOverflow
 from ringdim.polynomials import monomial_divides, monomial_mul
 
 
@@ -254,3 +254,17 @@ def test_slot_lcms_and_hits_match_the_pairwise_tests(case):
         # divides lcm(m, u) / u
         assert bool(hits[k]) == any(not (lcm - e - unit) & guard for unit in units)
         assert bool(hits[k]) == any(m[v] > u[v] for v in variables)
+
+
+def test_orders_are_equal_only_to_orders_of_their_own_type():
+    # orders key the Groebner caches: Lex() and GrevLex() have no fields,
+    # so only the type tells them apart
+    assert Lex() != GrevLex() and Lex() == LEX and GrevLex() == GREVLEX
+    assert len({Lex(): "lex", GrevLex(): "grevlex"}) == 2
+    block = BlockElimination(frozenset({0}))
+    copy = BlockElimination(frozenset({0}))
+    assert block is not copy and block == copy and hash(block) == hash(copy)
+    assert block != BlockElimination(frozenset({1}))
+    # ``compare`` is a method, not a field
+    assert repr(LEX) == "Lex()"
+    assert repr(block) == "BlockElimination(block=frozenset({0}))"

@@ -71,6 +71,15 @@ def test_parse_unknown_identifier_position():
     assert err.value.column == 5
 
 
+def test_tokens_record_kind_text_and_position():
+    tokens = parser.tokenize("x^2\n + 1")
+    assert [(t.kind, t.text, t.line, t.column) for t in tokens] == [
+        ("IDENT", "x", 1, 1), ("CARET", "^", 1, 2), ("INT", "2", 1, 3),
+        ("PLUS", "+", 2, 2), ("INT", "1", 2, 4), ("EOF", "", 2, 5),
+    ]
+    assert repr(tokens[0]) == "Token(kind='IDENT', text='x', line=1, column=1)"
+
+
 def test_parse_syntax_error_position():
     ring = PolynomialRing(QQ, ("x",))
     with pytest.raises(ParseError) as err:

@@ -15,13 +15,16 @@ Every field object provides:
     element_key      -- hashable/sortable canonical key
     display_split    -- (is_negative, unsigned text) for the printer
 Every element also supports ``+``, ``-``, ``*``, unary ``-`` and truth (false
-exactly at zero); the Groebner kernel (``ideals._Kernel``) divides with these.
+exactly at zero); the Groebner kernel (``ideals._Kernel``) divides with these
+over every field but Q and Q(t) in one variable, where it divides on ints and
+on polynomials in t over Z.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FrozenRecord, TowerDepthError
 from .orderings import GREVLEX
@@ -293,6 +296,14 @@ class RatFunc:
         return f"({format_polynomial(self.num)})/({format_polynomial(self.den)})"
 
 
+@lru_cache(maxsize=64)
+def _poly_ring(base, variables: tuple[str, ...]) -> PolynomialRing:
+    """One ring of numerators and denominators per (base, variables), so
+    that the arithmetic of a function field's elements finds its operands'
+    rings identical and need not compare them by value."""
+    return PolynomialRing(base, variables)
+
+
 class RationalFunctionField(FrozenRecord):
     """K(t_1, .., t_m) for K in {Q, F_p}: a single transcendental layer.
 
@@ -319,7 +330,7 @@ class RationalFunctionField(FrozenRecord):
 
     @property
     def poly_ring(self) -> PolynomialRing:
-        return PolynomialRing(self.base, self.variables)
+        return _poly_ring(self.base, self.variables)
 
     @property
     def zero(self) -> RatFunc:

@@ -16,10 +16,14 @@ multiple.  It is one loop for every coefficient field.  Over Q it runs
 on ints, fraction-free: a divisor with lead a cancels a coefficient c by
 scaling what is left by a/gcd(a, c), one int carries the scale, and
 ``Fraction`` appears only where a basis or normal form leaves the kernel.
-Over F_p and Q(t) coefficients meet through ``+``, ``-`` and ``*`` alone,
-and over F_p each is taken ``% p`` once, when its monomial is popped.  The
-starting width fits the inputs; a run that creates a monomial too wide for
-it starts again at twice the width, so no answer depends on the width.
+Over Q(t) in one variable the same loop runs on polynomials in t over Z
+(``_IntPoly``, dense coefficient tuples), with a gcd in Z[t], and
+``RatFunc`` appears only where ``Fraction`` does over Q.  Over F_p and the
+other function fields coefficients meet through ``+``, ``-`` and ``*``
+alone, and over F_p each is taken ``% p`` once, when its monomial is
+popped.  The starting width fits the inputs; a run that creates a monomial
+too wide for it starts again at twice the width, so no answer depends on
+the width.
 
 Two completion loops share that division and the final minimalization and
 tail reduction, so both give the one reduced basis.  Under grevlex, the
@@ -45,7 +49,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, Record, RingMismatchError, ZeroPolynomialError
-from .fields import PrimeField, RationalField
+from .fields import PrimeField, RatFunc, RationalField, RationalFunctionField
 from .orderings import GREVLEX, GrevLex, MonomialOrder, PackedMonomials, WidthOverflow
 from .polynomials import (
     Polynomial,
@@ -74,36 +78,204 @@ class Budget(Record):
             raise BudgetExhaustedError(self.used, self.limit)
 
 
+class _IntPoly(tuple):
+    """A polynomial in one variable t over Z, for the kernel over Q(t): its
+    coefficients from degree 0 up, the last one nonzero, so ``()`` is zero
+    and equal polynomials are equal tuples.  It has ``+``, ``-``, unary
+    ``-``, ``*`` and truth; ``a // b`` is exact division and needs b to
+    divide a."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "_IntPoly") -> "_IntPoly":
+        a, b = (self, other) if len(self) >= len(other) else (other, self)
+        n = len(b)
+        s = [x + y for x, y in zip(a, b)]
+        if len(a) > n:
+            s += a[n:]
+        else:
+            while s and not s[-1]:
+                s.pop()
+        return _IntPoly(s)
+
+    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
+        return self + -other
+
+    def __neg__(self) -> "_IntPoly":
+        return _IntPoly([-x for x in self])
+
+    def __mul__(self, other: "_IntPoly") -> "_IntPoly":
+        a, b = (self, other) if len(self) >= len(other) else (other, self)
+        if len(b) <= 1:
+            if not b:
+                return b
+            c = b[0]
+            return a if c == 1 else _IntPoly([c * x for x in a])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a, i):
+                    out[j] += x * y
+        return _IntPoly(out)
+
+    def __floordiv__(self, other: "_IntPoly") -> "_IntPoly":
+        n = len(other) - 1
+        if not n:
+            c = other[0]
+            return self if c == 1 else _IntPoly([x // c for x in self])
+        rest, lead, tail = list(self), other[n], other[:n]
+        q = [0] * (len(self) - n)
+        for i in range(len(q) - 1, -1, -1):
+            c = q[i] = rest[i + n] // lead
+            if c:
+                for j, y in enumerate(tail, i):
+                    rest[j] -= c * y
+        return _IntPoly(q)
+
+
+def _lead_negative(a: _IntPoly) -> bool:
+    return a[-1] < 0
+
+
+_INT_POLY_ONE = _IntPoly((1,))
+
+
+def _primitive(a) -> _IntPoly:
+    """The nonzero ``a`` over the gcd of its coefficients, with a positive
+    leading coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return _IntPoly(a) if c == 1 else _IntPoly([x // c for x in a])
+
+
+def _pseudo_remainder(a: _IntPoly, b: _IntPoly) -> list:
+    """A remainder of ``a`` by ``b`` (deg a >= deg b >= 1) after ``a`` is
+    multiplied by a power of b's leading coefficient, as a list of
+    coefficients with no trailing zeros.  The power is the number of steps
+    that cancel a nonzero coefficient; for a primitive ``b`` any power
+    leaves gcd(a, b) as it is."""
+    r, n = list(a), len(b) - 1
+    lead, tail = b[n], b[:n]
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        if c:
+            r = [x * lead for x in r]
+            for j, y in enumerate(tail, i - n):
+                r[j] -= c * y
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _int_poly_gcd(*polys: _IntPoly) -> _IntPoly:
+    """gcd over Z[t] with a positive leading coefficient (zero when every
+    operand is zero).  Where an operand is constant it is the gcd of all the
+    coefficients; elsewhere the gcd of the contents times the last nonzero
+    member of the primitive pseudo-remainder sequence (Collins; Knuth,
+    TAOCP vol. 2, 4.6.1)."""
+    g = _IntPoly(())
+    for b in polys:
+        a = g
+        if not a or not b:
+            g = a or b
+            if g and g[-1] < 0:
+                g = -g
+            continue
+        if len(a) == 1 or len(b) == 1:
+            g = _IntPoly((gcd(*a, *b),))
+            if g == _INT_POLY_ONE:
+                return g
+            continue
+        d = gcd(gcd(*a), gcd(*b))
+        a, b = _primitive(a), _primitive(b)
+        if len(a) < len(b):
+            a, b = b, a
+        while True:
+            r = _pseudo_remainder(a, b)
+            if not r:
+                break
+            if len(r) == 1:
+                b = _INT_POLY_ONE
+                break
+            a, b = b, _primitive(r)
+        g = b if d == 1 else _IntPoly([d * x for x in b])
+    return g
+
+
+def _int_poly_pair(c: RatFunc) -> tuple[_IntPoly, _IntPoly]:
+    """(n, d) over Z[t] with n/d = c, for c in Q(t): c's numerator and
+    denominator times the lcm of their coefficients' denominators."""
+    num, den = c.num.terms, c.den.terms
+    k = math.lcm(*(x.denominator for x in num.values()), *(x.denominator for x in den.values()))
+    return _dense(num, k), _dense(den, k)
+
+
+def _dense(terms: dict, k: int) -> _IntPoly:
+    out = [0] * (max(terms)[0] + 1)
+    for (e,), x in terms.items():
+        out[e] = x.numerator * (k // x.denominator)
+    return _IntPoly(out)
+
+
+def _sparse(ring: PolynomialRing, a: _IntPoly, lead: int) -> Polynomial:
+    """a/lead in ``ring``, the ring Q[t]."""
+    return Polynomial._raw(ring, {(e,): Fraction(x, lead) for e, x in enumerate(a) if x})
+
+
 class _Kernel:
     """Division on packed polynomials: dicts {packed monomial: coefficient}.
 
     One kernel serves one run at one width, over any field.  Over Q the
-    coefficients are ints (``integral``): a packed polynomial stands for
-    itself up to a nonzero rational factor, which ``pack`` and ``reduce``
-    report where it matters, and only ``divide`` makes ``Fraction``
-    coefficients again.  Over other fields coefficients meet only through ``+``, ``-``,
-    ``*`` and unary ``-``; over ``PrimeField`` they may leave [0, p) inside
-    a division, but ``pack``, ``normalize`` and ``reduce`` return canonical
-    coefficients.
+    coefficients are ints, and over Q(t) in one variable t they are
+    ``_IntPoly``, polynomials in t over Z (both ``integral``): a packed
+    polynomial stands for itself up to a nonzero factor of Q or Q(t), which
+    ``pack`` and ``reduce`` report where it matters, and only ``divide``
+    makes field elements (``Fraction``, ``RatFunc``) again.  The two rings
+    differ only in the ``gcd`` the kernel holds and in ``negative``, the
+    sign test on a lead; ``t_ring`` is Q[t] for Q(t) and None otherwise.
+    Over other fields coefficients meet only through ``+``, ``-``, ``*``
+    and unary ``-``; over ``PrimeField`` they may leave [0, p) inside a
+    division, but ``pack``, ``normalize`` and ``reduce`` return canonical
+    coefficients.  Everything that depends on the field is decided here,
+    once per kernel.
     """
 
-    __slots__ = ("field", "packing", "guard", "p", "integral", "one")
+    __slots__ = ("field", "packing", "guard", "p", "integral", "one", "gcd", "negative", "t_ring")
 
     def __init__(self, field, packing: PackedMonomials):
         self.field = field
         self.packing = packing
         self.guard = packing.guard
         self.p = field.p if isinstance(field, PrimeField) else None
-        self.integral = isinstance(field, RationalField)
-        self.one = 1 if self.integral else field.one
+        univariate_q = (
+            isinstance(field, RationalFunctionField)
+            and isinstance(field.base, RationalField)
+            and len(field.variables) == 1
+        )
+        self.t_ring = field.poly_ring if univariate_q else None
+        self.integral = univariate_q or isinstance(field, RationalField)
+        if univariate_q:
+            self.one, self.gcd, self.negative = _INT_POLY_ONE, _int_poly_gcd, _lead_negative
+        else:
+            self.one = 1 if self.integral else field.one
+            self.gcd, self.negative = gcd, (0).__gt__  # negative(a): 0 > a
 
     def pack(self, f: Polynomial) -> tuple[dict, object]:
         """f packed, and the factor d its coefficients were multiplied by:
-        over Q the least common denominator, which makes them ints, and
-        the field's one elsewhere."""
+        over Q and Q(t) the least common denominator, in Z and in Z[t],
+        which makes them ints and ``_IntPoly``, and the field's one
+        elsewhere."""
         pack = self.packing.pack
         if not self.integral:
             return {pack(m): c for m, c in f.terms.items()}, self.one
+        if self.t_ring is not None:
+            pairs = [(pack(m), *_int_poly_pair(c)) for m, c in f.terms.items()]
+            d = _INT_POLY_ONE
+            for _, _, e in pairs:
+                if e != d:
+                    d = d * (e // _int_poly_gcd(d, e))
+            return {m: n * (d // e) for m, n, e in pairs}, d
         d = math.lcm(*(c.denominator for c in f.terms.values()))
         return {pack(m): c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
 
@@ -119,11 +291,23 @@ class _Kernel:
         return tuple(sorted((m & segment, key(c)) for m, c in self.monic(terms).items()))
 
     def divide(self, terms: dict, d) -> dict:
-        """``terms`` over the nonzero scalar d, exactly.  Over Q the
-        quotient has ``Fraction`` coefficients, so it is taken only for
-        what leaves the kernel."""
+        """``terms`` over the nonzero scalar d, exactly.  Over Q and Q(t)
+        the quotient has ``Fraction`` and ``RatFunc`` coefficients, so it
+        is taken only for what leaves the kernel.  Over Q(t) each
+        coefficient c becomes (c/g)/(d/g), g = gcd(c, d) in Z[t], both
+        parts over the leading coefficient of d/g: the canonical
+        ``RatFunc``, found with one gcd in Z[t]."""
         if self.integral:
-            return {m: Fraction(c, d) for m, c in terms.items()}
+            ring = self.t_ring
+            if ring is None:
+                return {m: Fraction(c, d) for m, c in terms.items()}
+            out = {}
+            for m, c in terms.items():
+                g = _int_poly_gcd(c, d)
+                n, e = c // g, d // g
+                lead = e[-1]
+                out[m] = RatFunc._reduced(_sparse(ring, n, lead), _sparse(ring, e, lead))
+            return out
         field = self.field
         if field.is_one(d):
             return terms
@@ -136,13 +320,15 @@ class _Kernel:
     def normalize(self, terms: dict) -> dict:
         """The associate of a nonzero polynomial that the completion loops
         keep: over Q the one with coprime int coefficients and a positive
-        leading coefficient, elsewhere the monic one."""
+        leading coefficient, over Q(t) the one with coprime Z[t]
+        coefficients whose lead has a positive leading coefficient, and
+        elsewhere the monic one."""
         if not self.integral:
             return self.monic(terms)
-        content = gcd(*terms.values())
-        if terms[max(terms)] < 0:
+        content = self.gcd(*terms.values())
+        if self.negative(terms[max(terms)]):
             content = -content
-        if content == 1:
+        if content == self.one:
             return terms
         return {m: c // content for m, c in terms.items()}
 
@@ -153,9 +339,9 @@ class _Kernel:
         Over a field the lead is None and the multiplier turns a
         coefficient c into the quotient c * multiplier that cancels it:
         -1/lc, or None for a monic divisor, whose quotient is -c.  Over Q
-        the multiplier is None and the lead is the int lc.  The key, set
-        only in the signature loop, is the one ``reduce`` compares with its
-        bound."""
+        and Q(t) the multiplier is None and the lead is lc, an int or an
+        ``_IntPoly``.  The key, set only in the signature loop, is the one
+        ``reduce`` compares with its bound."""
         field = self.field
         lm = max(terms)
         lc = terms[lm]
@@ -168,17 +354,17 @@ class _Kernel:
         """S-polynomial of two divisors whose leading monomials divide
         ``lcm``, for ``reduce`` alone, up to a nonzero scalar: over a field
         f and g are monic, and it is the difference of their shifted tails;
-        over Q, with int leads a and b, the tails are first multiplied by
-        b/h and a/h, h = gcd(a, b).  Terms that cancel stay, with a zero
+        over Q and Q(t), with leads a and b, the tails are first multiplied
+        by b/h and a/h, h = gcd(a, b).  Terms that cancel stay, with a zero
         coefficient, and over F_p coefficients may leave [0, p)."""
         f_tail, g_tail = f[2], g[2]
         if self.integral:
-            a, b = f[4], g[4]
-            h = gcd(a, b)
+            a, b, one = f[4], g[4], self.one
+            h = self.gcd(a, b)
             a, b = a // h, b // h
-            if b != 1:
+            if b != one:
                 f_tail = [(m, c * b) for m, c in f_tail]
-            if a != 1:
+            if a != one:
                 g_tail = [(m, c * a) for m, c in g_tail]
         rest = {}
         shift = lcm - f[0]
@@ -212,18 +398,18 @@ class _Kernel:
         it is taken ``% p`` once, and one that cancelled to zero is
         skipped.  An update is one ``+`` and one ``*``, over every field.
 
-        Over Q the division is fraction-free: for a divisor with lead a and
-        a popped coefficient c, h = gcd(a, c), the unreduced part and the
-        remainder so far are multiplied by a/h (and s with them), and
-        (c/h) times the shifted tail is subtracted.  Over the other fields
-        s is one.
+        Over Q and Q(t) the division is fraction-free: for a divisor with
+        lead a and a popped coefficient c, h = gcd(a, c) (in Z or Z[t]),
+        the unreduced part and the remainder so far are multiplied by a/h
+        (and s with them), and (c/h) times the shifted tail is subtracted.
+        Over the other fields s is one.
 
         Every monomial put into ``rest``, here or by ``s_polynomial``, is
         the sum of two that fit the width: that can set a guard bit but not
         carry past it.  So checking each popped monomial, before it is used
         as a shift or kept, catches every overflow in one place.
         """
-        guard, width, p = self.guard, self.packing.width, self.p
+        guard, width, p, gcd = self.guard, self.packing.width, self.p, self.gcd
         ascending = [-record[0] for record in divisors]
         heap = [-m for m in rest]
         heapify(heap)

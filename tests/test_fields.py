@@ -141,6 +141,17 @@ def test_fields_are_frozen_and_hash_by_value(qt):
     assert (repr(QQ), repr(PrimeField(7)), repr(qt)) == ("Q", "Fp(7)", "FunField(Q; t)")
 
 
+def test_equal_function_fields_share_one_ring(qt):
+    # rational-function arithmetic checks its operands' rings; one ring
+    # object per (base, variables) lets that check succeed on identity
+    assert qt.poly_ring is RationalFunctionField(QQ, ("t",)).poly_ring
+    assert qt.one.num.ring is qt.generator("t").den.ring is qt.poly_ring
+    f7uv = RationalFunctionField(PrimeField(7), ("u", "v"))
+    assert f7uv.poly_ring is RationalFunctionField(PrimeField(7), ("u", "v")).poly_ring
+    assert f7uv.poly_ring != RationalFunctionField(PrimeField(7), ("v", "u")).poly_ring
+    assert qt.poly_ring != RationalFunctionField(PrimeField(7), ("t",)).poly_ring
+
+
 def test_function_field_variables_disjoint_from_ring():
     field = RationalFunctionField(QQ, ("t",))
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from functools import cmp_to_key
 from itertools import product
 from unittest.mock import patch
@@ -27,8 +28,8 @@ from ringdim import (
     normal_form,
     saturate,
 )
-from ringdim import ideals, parse_polynomial
-from ringdim.ideals import _buchberger, _packed
+from ringdim import format_polynomial, ideals, parse_polynomial, polynomial_gcd
+from ringdim.ideals import _IntPoly, _buchberger, _int_poly_gcd, _packed
 from ringdim.polynomials import monomial_divides
 
 from conftest import monomial, random_polynomial, same_ideal
@@ -186,10 +187,23 @@ def _lead_not_dividing() -> tuple:
     return f, [g], LEX
 
 
+def _lead_not_dividing_over_t() -> tuple:
+    # The Q(t) analogue: the divisor (t + 1)*z^2 - 7 has the lead t + 1,
+    # which does not divide the coefficient t of z^2 in x*y + y + t*z^2, so
+    # the division scales the two remainder terms kept before it by t + 1.
+    field = RationalFunctionField(QQ, ("t",))
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    t, one = field.generator("t"), field.one
+    f = Polynomial(ring, {(1, 1, 0): one, (0, 1, 0): one, (0, 0, 2): t})
+    g = Polynomial(ring, {(0, 0, 2): t + one, (0, 0, 0): field.from_int(-7)})
+    return f, [g], LEX
+
+
 @given(division_problems())
 @example(_outgrowing_width(PrimeField(7)))
 @example(_outgrowing_width(QQ))
 @example(_lead_not_dividing())
+@example(_lead_not_dividing_over_t())
 def test_normal_form_matches_reference_division(problem):
     f, basis, order = problem
     expected = ref_normal_form(f.ring.field, f.terms, [g.terms for g in basis], ORACLES[order])
@@ -455,13 +469,24 @@ def test_random_bases_pass_independent_verification(rxyz):
             assert_is_reduced_groebner_basis(basis, gens, order)
 
 
+QT = RationalFunctionField(QQ, ("t",))
+
+
+def _functions_of_t(field) -> list:
+    # t, t - 1, 1/(t + 1) and 3/t^2, in ``field``
+    one, t = field.one, field.generator("t")
+    return [t, t - one, field.inv(t + one), field.div(field.from_int(3), t * t)]
+
+
 @st.composite
 def grevlex_systems(draw):
-    field = draw(st.sampled_from([PrimeField(32003), QQ]))
+    field = draw(st.sampled_from([PrimeField(32003), QQ, QT]))
     ring = PolynomialRing(field, ("x", "y", "z", "w")[: draw(st.integers(3, 4))])
     monomials = st.tuples(*[st.integers(0, 2)] * ring.arity)
     one = field.one
     fractions = [field.div(one, field.from_int(2)), field.div(field.from_int(-3), field.from_int(7))]
+    if field is QT:
+        fractions += _functions_of_t(field)
     coefficients = st.sampled_from([field.from_int(n) for n in (1, -1, 2, 3, -5)] + fractions)
     terms = st.dictionaries(monomials, coefficients, min_size=1, max_size=4)
     return [Polynomial(ring, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
@@ -488,6 +513,88 @@ def test_first_width_two_gives_the_default_outcome(gens):
     with patch.object(ideals, "_FIRST_WIDTH", 2):
         assert buchberger(gens, GREVLEX, narrow) == basis
     assert narrow.used == wide.used
+
+
+QTS = RationalFunctionField(QQ, ("t", "s"))
+
+
+@st.composite
+def function_field_systems(draw):
+    """The same random system over Q(t), where the kernel divides on
+    polynomials in t over Z, and over Q(t, s) with s unused, where it
+    divides on ``RatFunc`` coefficients, and an order."""
+    variables = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    monomials = st.tuples(*[st.integers(0, 2)] * len(variables))
+    coefficients = st.integers(0, 7)  # indices into each field's pool
+    # two generators: with a third, the Q(t, s) side takes seconds on some
+    # systems (its rational-function gcds), where Q(t) takes milliseconds
+    systems = st.lists(st.dictionaries(monomials, coefficients, min_size=2, max_size=3), min_size=2, max_size=2)
+    shapes = draw(systems)
+    pairs = []
+    for field in (QT, QTS):
+        pool = [field.from_int(n) for n in (1, -1, 2, -3)] + _functions_of_t(field)
+        ring = PolynomialRing(field, variables)
+        pairs.append([Polynomial(ring, {m: pool[i] for m, i in terms.items()}) for terms in shapes])
+    return pairs, draw(st.sampled_from([GREVLEX, LEX]))
+
+
+def _outcome(gens, order) -> tuple:
+    budget = Budget(limit=40)
+    try:
+        basis = buchberger(gens, order, budget)
+    except BudgetExhaustedError:
+        return "exhausted", budget.used
+    return [format_polynomial(g) for g in basis], budget.used
+
+
+@settings(derandomize=True, max_examples=60)
+@given(function_field_systems())
+def test_univariate_function_field_matches_the_two_variable_one(problem):
+    # an oracle that shares no Z[t] code: with s unused, Q(t, s) must print
+    # the same reduced basis after the same number of pair reductions
+    (over_t, over_ts), order = problem
+    assert _outcome(over_t, order) == _outcome(over_ts, order)
+
+
+def _int_poly(coefficients) -> _IntPoly:
+    coefficients = list(coefficients)
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    return _IntPoly(coefficients)
+
+
+def _over_q(a: _IntPoly) -> Polynomial:
+    return Polynomial(QT.poly_ring, {(e,): Fraction(c) for e, c in enumerate(a)})
+
+
+int_polys = st.builds(
+    lambda content, coefficients: _int_poly(content * c for c in coefficients),
+    st.sampled_from([1, -1, 2, -6, 12]),
+    st.lists(st.integers(-4, 4), max_size=4),
+)
+
+
+@given(int_polys, int_polys, int_polys)
+@example(_IntPoly(()), _IntPoly((3,)), _IntPoly((-6, 4)))
+@example(_IntPoly((4, -8)), _IntPoly((-2,)), _IntPoly((6, 0, -2)))
+def test_int_polys_match_polynomials_over_q(a, b, c):
+    A, B, C = _over_q(a), _over_q(b), _over_q(c)
+    for result, expected in ((a + b, A + B), (a - b, A - B), (-a, -A), (a * b, A * B)):
+        assert type(result) is _IntPoly and (not result or result[-1])
+        assert _over_q(result) == expected
+    if b:
+        assert (a * b) // b == a
+    # gcd(ac, bc) is c times gcd(a, b) up to a unit of Q; over Z its
+    # content is the gcd of the operands' contents, and its lead positive
+    g = _int_poly_gcd(a * c, b * c)
+    if not (a * c or b * c):
+        assert g == _IntPoly(())
+        return
+    assert g[-1] > 0
+    assert _over_q(g).monic() == polynomial_gcd(A * C, B * C)
+    assert gcd(*g) == gcd(*(a * c), *(b * c))
+    assert (a * c) // g * g == a * c and (b * c) // g * g == b * c
+    assert _int_poly_gcd(a, b, c) == _int_poly_gcd(_int_poly_gcd(a, b), c)
 
 
 def test_generators_belong_under_every_cached_order(rxy):

@@ -21,6 +21,11 @@ Ring expressions follow a small constructor grammar, one form per node:
 that the base field does not already use; minimal polynomials may mention
 those names and earlier adjoined symbols, and must be monic in the one new
 symbol they introduce.  Printing and parsing round-trip exactly.
+
+Polynomials are read straight into the ring they live in, with no syntax
+tree in between.  `Ext` needs its new symbols before its ring exists, so it
+reads each minimal polynomial's identifiers off the tokens first.  Errors
+come in reading order: a parse error names the first offending token.
 """
 
 from __future__ import annotations
@@ -159,111 +164,73 @@ class _Cursor:
 
 # -- polynomial expressions -------------------------------------------------------
 
-# AST nodes: ("int", n) ("var", name, line, col) ("neg", x)
-#            ("add"|"sub"|"mul", l, r) ("div", l, r, line, col) ("pow", x, n)
-
-def _parse_poly_expr(cur: _Cursor):
-    node = _parse_poly_term(cur) if cur.peek().kind != "MINUS" else None
-    if node is None:
+def _parse_poly_expr(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
+    if cur.peek().kind == "MINUS":
         cur.next()
-        node = ("neg", _parse_poly_term(cur))
+        poly = -_parse_poly_term(cur, ring)
+    else:
+        poly = _parse_poly_term(cur, ring)
     while cur.peek().kind in ("PLUS", "MINUS"):
-        op = cur.next()
-        rhs = _parse_poly_term(cur)
-        node = ("add" if op.kind == "PLUS" else "sub", node, rhs)
-    return node
+        if cur.next().kind == "PLUS":
+            poly = poly + _parse_poly_term(cur, ring)
+        else:
+            poly = poly - _parse_poly_term(cur, ring)
+    return poly
 
 
-def _parse_poly_term(cur: _Cursor):
-    node = _parse_poly_factor(cur)
+def _parse_poly_term(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
+    poly = _parse_poly_factor(cur, ring)
     while True:
         tok = cur.peek()
-        if tok.kind == "STAR":
+        if tok.kind == "SLASH":
             cur.next()
-            node = ("mul", node, _parse_poly_factor(cur))
-        elif tok.kind == "SLASH":
-            cur.next()
-            node = ("div", node, _parse_poly_factor(cur), tok.line, tok.column)
-        elif tok.kind in ("IDENT", "LPAREN"):
-            # juxtaposition: 3x, 2(x+1)
-            node = ("mul", node, _parse_poly_factor(cur))
+            den = _parse_poly_factor(cur, ring)
+            if den.is_zero():
+                raise ParseError("division by zero", tok.line, tok.column)
+            if not den.is_constant():
+                raise ParseError("division only by coefficients, not ring variables", tok.line, tok.column)
+            poly = poly.scale(ring.field.inv(den.constant_value()))
+        elif tok.kind in ("STAR", "IDENT", "LPAREN"):
+            # a star, or juxtaposition: 3x, 2(x+1)
+            if tok.kind == "STAR":
+                cur.next()
+            poly = poly * _parse_poly_factor(cur, ring)
         else:
-            return node
+            return poly
 
 
-def _parse_poly_factor(cur: _Cursor):
-    node = _parse_poly_atom(cur)
+def _parse_poly_factor(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
+    poly = _parse_poly_atom(cur, ring)
     if cur.peek().kind == "CARET":
         cur.next()
-        tok = cur.expect("INT", "an integer exponent")
-        node = ("pow", node, int(tok.text))
-    return node
+        poly = poly ** int(cur.expect("INT", "an integer exponent").text)
+    return poly
 
 
-def _parse_poly_atom(cur: _Cursor):
-    tok = cur.peek()
+def _parse_poly_atom(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
+    tok = cur.next()
     if tok.kind == "INT":
-        cur.next()
-        return ("int", int(tok.text))
+        return ring.from_int(int(tok.text))
     if tok.kind == "IDENT":
-        cur.next()
-        return ("var", tok.text, tok.line, tok.column)
+        if tok.text in ring.variables:
+            return ring.variable(tok.text)
+        field = ring.field
+        if isinstance(field, RationalFunctionField) and tok.text in field.variables:
+            return ring.constant(field.generator(tok.text))
+        raise ParseError(f"unknown identifier {tok.text!r}", tok.line, tok.column)
     if tok.kind == "LPAREN":
-        cur.next()
-        node = _parse_poly_expr(cur)
+        poly = _parse_poly_expr(cur, ring)
         cur.expect("RPAREN", "')'")
-        return node
+        return poly
     raise ParseError(f"expected a polynomial, found {tok.text or 'end of input'!r}", tok.line, tok.column)
 
 
-def poly_ast_identifiers(ast) -> list[str]:
-    kind = ast[0]
-    if kind == "int":
-        return []
-    if kind == "var":
-        return [ast[1]]
-    if kind == "neg":
-        return poly_ast_identifiers(ast[1])
-    if kind == "pow":
-        return poly_ast_identifiers(ast[1])
-    out = poly_ast_identifiers(ast[1])
-    for name in poly_ast_identifiers(ast[2]):
-        if name not in out:
-            out.append(name)
-    return out
-
-
-def poly_ast_to_polynomial(ast, ring: PolynomialRing) -> Polynomial:
-    kind = ast[0]
-    if kind == "int":
-        return ring.from_int(ast[1])
-    if kind == "var":
-        name = ast[1]
-        if name in ring.variables:
-            return ring.variable(name)
-        field = ring.field
-        if isinstance(field, RationalFunctionField) and name in field.variables:
-            return ring.constant(field.generator(name))
-        raise ParseError(f"unknown identifier {name!r}", ast[2], ast[3])
-    if kind == "neg":
-        return -poly_ast_to_polynomial(ast[1], ring)
-    if kind == "add":
-        return poly_ast_to_polynomial(ast[1], ring) + poly_ast_to_polynomial(ast[2], ring)
-    if kind == "sub":
-        return poly_ast_to_polynomial(ast[1], ring) - poly_ast_to_polynomial(ast[2], ring)
-    if kind == "mul":
-        return poly_ast_to_polynomial(ast[1], ring) * poly_ast_to_polynomial(ast[2], ring)
-    if kind == "pow":
-        return poly_ast_to_polynomial(ast[1], ring) ** ast[2]
-    if kind == "div":
-        num = poly_ast_to_polynomial(ast[1], ring)
-        den = poly_ast_to_polynomial(ast[2], ring)
-        if den.is_zero():
-            raise ParseError("division by zero", ast[3], ast[4])
-        if not den.is_constant():
-            raise ParseError("division only by coefficients, not ring variables", ast[3], ast[4])
-        return num.scale(ring.field.inv(den.constant_value()))
-    raise AssertionError(f"unknown AST node {kind}")
+def _parse_poly_list(cur: _Cursor, ring: PolynomialRing) -> tuple[Polynomial, ...]:
+    polys = [_parse_poly_expr(cur, ring)]
+    while cur.peek().kind == "COMMA":
+        cur.next()
+        polys.append(_parse_poly_expr(cur, ring))
+    return tuple(polys)
 
 
 def _parse_whole(text: str, parse):
@@ -277,12 +244,20 @@ def _parse_whole(text: str, parse):
 
 
 def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
-    return poly_ast_to_polynomial(_parse_whole(text, _parse_poly_expr), ring)
+    return _parse_whole(text, lambda cur: _parse_poly_expr(cur, ring))
 
 
 # -- ring expressions --------------------------------------------------------------
 
 _KEYWORDS = {"Q", "Fp", "FunField", "Ext", "Poly", "Quot", "Loc", "LocSub", "Tensor", "Frac", "inf"}
+
+# the constructors that read elements of their base: the node each builds and
+# what its elements are called when the base has no ring to parse them in
+_ELEMENT_NODES = {
+    "Quot": (Quotient, "polynomial relations"),
+    "Loc": (LocElement, "a localizing element"),
+    "LocSub": (LocSubringComplement, "subring generators"),
+}
 
 
 def _parse_field(cur: _Cursor) -> CoefficientField:
@@ -327,14 +302,6 @@ def _parse_name_list(cur: _Cursor) -> list[str]:
     return names
 
 
-def _parse_poly_list_asts(cur: _Cursor) -> list:
-    asts = [_parse_poly_expr(cur)]
-    while cur.peek().kind == "COMMA":
-        cur.next()
-        asts.append(_parse_poly_expr(cur))
-    return asts
-
-
 class _Parsed(NamedTuple):
     """A parsed ring expression and what the constructors around it need."""
 
@@ -355,27 +322,38 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> _Parsed:
     tok = cur.peek()
     if tok.kind == "IDENT" and tok.text == "inf":
         cur.next()
-        trdeg: object = INF
-    else:
-        trdeg = int(cur.expect("INT", "a transcendence degree or 'inf'").text)
-    minpoly_asts: list = []
+        if cur.peek().kind == "SEMI":
+            raise ParseError("infinite extensions take no minimal polynomials", open_tok.line, open_tok.column)
+        cur.expect("RPAREN", "')'")
+        return _Parsed(FieldExt(base, INF), None, None, len(base.function_variables))
+    trdeg = int(cur.expect("INT", "a transcendence degree or 'inf'").text)
+    # the identifiers of each minimal polynomial, read off the tokens up to the
+    # closing ')' because the ring they parse in needs the new symbols first
+    items: list[list[str]] = []
     if cur.peek().kind == "SEMI":
         cur.next()
-        minpoly_asts = _parse_poly_list_asts(cur)
-    cur.expect("RPAREN", "')'")
-    if isinstance(trdeg, Infinity):
-        if minpoly_asts:
-            raise ParseError("infinite extensions take no minimal polynomials", open_tok.line, open_tok.column)
-        return _Parsed(FieldExt(base, INF), None, None, len(base.function_variables))
+        items.append([])
+        depth = 0
+        for tok in islice(cur.tokens, cur.pos, None):
+            if tok.kind == "RPAREN":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif tok.kind == "LPAREN":
+                depth += 1
+            elif tok.kind == "COMMA" and depth == 0:
+                items.append([])
+            elif tok.kind == "IDENT" and tok.text not in items[-1]:
+                items[-1].append(tok.text)
     # the variables of the ring built below, checked before any name is built
-    size = trdeg + len(base.function_variables) + len(minpoly_asts)
+    size = trdeg + len(base.function_variables) + len(items)
     check_variable_cap(size, open_tok)
     unused = (name for name in map("s{}".format, count(1)) if name not in base.function_variables)
     basis = tuple(islice(unused, trdeg))
     known = set(basis) | set(base.function_variables)
     symbols: list[str] = []
-    for ast in minpoly_asts:
-        fresh = [n for n in poly_ast_identifiers(ast) if n not in known and n not in symbols]
+    for names in items:
+        fresh = [n for n in names if n not in known and n not in symbols]
         if len(fresh) != 1:
             raise ParseError(
                 "each minimal polynomial must introduce exactly one new symbol",
@@ -383,11 +361,9 @@ def _build_ext(cur: _Cursor, open_tok: Token) -> _Parsed:
                 open_tok.column,
             )
         symbols.append(fresh[0])
-    flat = merged_function_field(base, basis) if basis else base
-    ring = PolynomialRing(flat, tuple(symbols))
-    minpolys = tuple(
-        (name, poly_ast_to_polynomial(ast, ring)) for name, ast in zip(symbols, minpoly_asts)
-    )
+    ring = PolynomialRing(merged_function_field(base, basis) if basis else base, tuple(symbols))
+    minpolys = tuple(zip(symbols, _parse_poly_list(cur, ring))) if items else ()
+    cur.expect("RPAREN", "')'")
     try:
         ext = FieldExt(base, trdeg, basis, minpolys)
     except ValueError as exc:
@@ -450,34 +426,16 @@ def _parse_expr(cur: _Cursor) -> _Parsed:
                 raise ParseError(str(exc), open_tok.line, open_tok.column) from None
         return _Parsed(PolyExt(base.expr, tuple(names)), None if ambient is None else ring, ring, size)
 
-    if head == "Quot":
+    if head in _ELEMENT_NODES:
+        node, noun = _ELEMENT_NODES[head]
         base = _parse_expr(cur)
         cur.expect("SEMI", "';'")
-        asts = _parse_poly_list_asts(cur)
-        cur.expect("RPAREN", "')'")
         if base.ambient is None:
-            raise ParseError("cannot form polynomial relations over this base", open_tok.line, open_tok.column)
-        rels = tuple(poly_ast_to_polynomial(ast, base.ambient) for ast in asts)
-        return base._replace(expr=Quotient(base.expr, rels))
-
-    if head == "Loc":
-        base = _parse_expr(cur)
-        cur.expect("SEMI", "';'")
-        ast = _parse_poly_expr(cur)
+            raise ParseError(f"cannot form {noun} over this base", open_tok.line, open_tok.column)
+        parse = _parse_poly_expr if head == "Loc" else _parse_poly_list
+        expr = node(base.expr, parse(cur, base.ambient))
         cur.expect("RPAREN", "')'")
-        if base.ambient is None:
-            raise ParseError("cannot form a localizing element over this base", open_tok.line, open_tok.column)
-        return base._replace(expr=LocElement(base.expr, poly_ast_to_polynomial(ast, base.ambient)))
-
-    if head == "LocSub":
-        base = _parse_expr(cur)
-        cur.expect("SEMI", "';'")
-        asts = _parse_poly_list_asts(cur)
-        cur.expect("RPAREN", "')'")
-        if base.ambient is None:
-            raise ParseError("cannot form subring generators over this base", open_tok.line, open_tok.column)
-        gens = tuple(poly_ast_to_polynomial(ast, base.ambient) for ast in asts)
-        return base._replace(expr=LocSubringComplement(base.expr, gens))
+        return base._replace(expr=expr)
 
     if head == "Tensor":
         legs = [_parse_expr(cur)]

@@ -443,6 +443,7 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         if r.is_zero():
             prim = exact_divide(b, _content(b, i))
             return (content * prim).monic()
-        a, b = b, exact_divide(r, _content(r, i))
+        # monic as well as primitive, so no constant content builds up
+        a, b = b, exact_divide(r, _content(r, i)).monic()
     # remainder dropped to degree 0 in x_i: the primitive parts are coprime
     return content.monic()

@@ -9,6 +9,8 @@ trace, citation or error message fails here.
 Regenerate the data file with ``python tests/test_golden_reports.py`` from
 the repository root (with ``src`` on ``PYTHONPATH``); it prints the argv of
 every changed, added and removed row before it writes.  Review the diff.
+With ``--check`` it prints the same rows, writes nothing, and exits 1 if
+there are any.  The script needs only the standard library.
 """
 
 from __future__ import annotations
@@ -110,22 +112,36 @@ def test_golden_reports(tmp_path):
         assert (got["exit_code"], got["report"]) == (want["exit_code"], want["report"]), got["argv"]
 
 
-if __name__ == "__main__":
+def main(argv: list[str] | None = None) -> int:
+    import argparse
     import tempfile
 
+    args = argparse.ArgumentParser(description="Regenerate or check golden_reports.json.")
+    args.add_argument("--check", action="store_true", help="compare with the data file instead of writing it")
+    check = args.parse_args(argv).check
     with tempfile.TemporaryDirectory() as tmp:
         rows = run_all(Path(tmp))
     old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else []
     old_rows = {json.dumps(row["argv"]): row for row in old}
     new_rows = {json.dumps(row["argv"]): row for row in rows}
+    differences = 0
     for label, keys in (
         ("changed", [k for k in new_rows if k in old_rows and new_rows[k] != old_rows[k]]),
         ("added", [k for k in new_rows if k not in old_rows]),
         ("removed", [k for k in old_rows if k not in new_rows]),
     ):
+        differences += len(keys)
         print(f"{len(keys)} {label}")
         for key in keys:
             print(f"  {key}")
+    if check:
+        print(f"checked {len(rows)} reports against {GOLDEN_PATH}")
+        return 1 if differences else 0
     lines = ",\n".join(json.dumps(row) for row in rows)
     GOLDEN_PATH.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     print(f"wrote {len(rows)} reports to {GOLDEN_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

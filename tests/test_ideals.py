@@ -556,6 +556,14 @@ def test_univariate_function_field_matches_the_two_variable_one(problem):
     assert _outcome(over_t, order) == _outcome(over_ts, order)
 
 
+def test_two_variable_function_field_gcds_stay_small():
+    # polynomial_gcd once kept the constant content of its pseudo-remainders;
+    # their coefficients grew until this system took more than 10 s over Q(t, s)
+    texts = ["2*y^2 + t*x", "t*x^2*y + 2*x + 2*y", "3/t^2*x^2*y + (t - 1)*x*y + x"]
+    over_t, over_ts = ([parse_polynomial(s, PolynomialRing(field, ("x", "y"))) for s in texts] for field in (QT, QTS))
+    assert _outcome(over_ts, LEX) == _outcome(over_t, LEX) == (["y", "x"], 0)
+
+
 def _int_poly(coefficients) -> _IntPoly:
     coefficients = list(coefficients)
     while coefficients and not coefficients[-1]:

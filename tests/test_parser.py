@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringdim import (
     BaseField,
@@ -268,6 +269,22 @@ def test_unknown_identifier_in_relations():
         parse_ring_expr("Quot(Poly(Q; x); w - 1)")
 
 
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("Quot(Poly(Q; x); y, x^)", "unknown identifier 'y'", 18),
+        ("Loc(Poly(Q; x); 1/x + )", "division only by coefficients, not ring variables", 18),
+    ],
+    ids=["identifier-before-exponent", "division-before-operand"],
+)
+def test_the_first_error_in_reading_order_is_reported(text, message, column):
+    # polynomials are read straight into their ring, so an error in an
+    # earlier element wins over a syntax error later in the text
+    with pytest.raises(ParseError) as err:
+        parse_ring_expr(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, 1, column)
+
+
 def test_round_trip_corpus():
     corpus = [
         "Q",
@@ -333,6 +350,91 @@ def test_round_trip_corpus():
         again = parse_ring_expr(printed)
         assert again == expr, text
         assert format_ring_expr(again) == printed, text
+
+
+# The strategies below build their texts from f-strings, format_field and
+# the parser's own constructor names: the golden-report collector runs each
+# plain ring-expression literal in tests/ as ``dim``, and skips the pieces of
+# f-strings.
+FIELDS = [QQ, PrimeField(7), PrimeField(32003)] + [
+    RationalFunctionField(base, names) for base in (QQ, PrimeField(7)) for names in (("t",), ("t", "u"))
+]
+
+
+def _polynomial_text(draw, coefficient_names, variables) -> str:
+    """Up to three terms with integer, fraction and function-field
+    coefficients, over the given ring variables."""
+    kinds = ["integer", "fraction"] + (["function"] if coefficient_names else [])
+    text = draw(st.sampled_from(["", "-"]))
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "integer":
+            coefficient = str(draw(st.integers(0, 5)))
+        elif kind == "fraction":
+            coefficient = f"{draw(st.integers(0, 5))}/{draw(st.integers(1, 5))}"
+        else:
+            top, bottom = draw(st.sampled_from(coefficient_names)), draw(st.sampled_from(coefficient_names))
+            coefficient = f"({top}^{draw(st.integers(1, 2))} + {draw(st.integers(0, 2))})/({bottom})"
+        powers = [f"{v}^{e}" for v in variables for e in [draw(st.integers(0, 2))] if e]
+        text += (draw(st.sampled_from([" + ", " - "])) if k else "") + "*".join([coefficient] + powers)
+    return text
+
+
+def _ring_text(draw, field, depth):
+    """A ring expression over ``field`` to the given constructor depth, and
+    the coefficient names and ring variables its elements parse with (None
+    where the grammar gives it no elements)."""
+    head = draw(st.sampled_from(["field", "Ext"] + (["Tensor", "over"] if depth else [])))
+    names = list(field.function_variables)
+    if head == "field":
+        return format_field(field), (names, [])
+    if head == "Ext":
+        trdeg = draw(st.sampled_from(["0", "1", "2", "inf"]))
+        if trdeg == "inf":
+            return f"Ext({format_field(field)}; inf)", None
+        names += [f"s{k}" for k in range(1, int(trdeg) + 1)]
+        text, symbols = f"Ext({format_field(field)}; {trdeg}", []
+        for symbol in draw(st.sampled_from([[], ["a"], ["a", "b"]])):
+            # monic in the new symbol, which the tail does not mention
+            tail = _polynomial_text(draw, names, symbols)
+            text += f"{', ' if symbols else '; '}{symbol}^{draw(st.integers(1, 3))} - ({tail})"
+            symbols.append(symbol)
+        return f"{text})", (names, symbols)
+    if head == "Tensor":
+        legs = [_ring_text(draw, field, depth - 1)[0] for _ in range(draw(st.integers(1, 3)))]
+        over = draw(st.sampled_from(["", f"; {format_field(field)}"]))
+        return f"Tensor({', '.join(legs)}{over})", None
+    # a constructor over one base: those that read elements need a base
+    # that has them
+    base, scope = _ring_text(draw, field, depth - 1)
+    head = draw(st.sampled_from(["Poly", "Frac"] + (list(parser._ELEMENT_NODES) if scope else [])))
+    if head == "Frac":
+        return f"Frac({base})", None
+    if head == "Poly":
+        taken = scope[1] if scope else []
+        new = draw(st.lists(st.sampled_from([v for v in "pqvwxyz" if v not in taken]), min_size=1, max_size=2, unique=True))
+        return f"Poly({base}; {','.join(new)})", scope and (scope[0], scope[1] + new)
+    polys = [_polynomial_text(draw, *scope) for _ in range(1 if head == "Loc" else draw(st.integers(1, 2)))]
+    return f"{head}({base}; {', '.join(polys)})", scope
+
+
+@st.composite
+def ring_texts(draw) -> str:
+    """Ring expressions of the README grammar, to constructor depth 3."""
+    return _ring_text(draw, draw(st.sampled_from(FIELDS)), 3)[0]
+
+
+@settings(derandomize=True, max_examples=150)
+@given(ring_texts())
+def test_every_expression_that_parses_round_trips(text):
+    try:
+        expr = parse_ring_expr(text)
+    except ParseError:
+        return
+    printed = format_ring_expr(expr)
+    again = parse_ring_expr(printed)
+    assert again == expr, text
+    assert format_ring_expr(again) == printed, text
 
 
 def test_trailing_input_rejected():

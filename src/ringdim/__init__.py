@@ -41,7 +41,6 @@ from .chains import (
 from .dimension import (
     INF,
     DimensionValue,
-    Infinity,
     ZeroDivisorStatus,
     dim_affine,
     dim_generic_fiber,

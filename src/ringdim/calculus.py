@@ -23,7 +23,6 @@ from typing import Sequence
 from .dimension import (
     INF,
     DimensionValue,
-    Infinity,
     dim_affine,
     dim_generic_fiber,
     zero_divisor_status,
@@ -114,7 +113,7 @@ class FieldExt(RingExpr):
     algebraic_part: tuple[tuple[str, Polynomial], ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.trdeg, Infinity):
+        if self.trdeg == INF:
             if self.algebraic_part:
                 raise ValueError("infinite-trdeg extensions carry no algebraic part")
             if self.basis_names:
@@ -142,7 +141,7 @@ class FieldExt(RingExpr):
 
     @property
     def flat_field(self) -> CoefficientField:
-        if isinstance(self.trdeg, Infinity):
+        if self.trdeg == INF:
             raise ValueError("infinite extensions have no flat coefficient field")
         if not self.basis_names:
             return self.over
@@ -280,7 +279,7 @@ class _Claims:
         if self.exact is not None:
             # the exact value sits in lo and passed the comparison above
             self.checks.extend(("upper-bound-consistent", f"{self.exact_rule} within {rule}") for rule in self.upper_rules)
-            value = DimensionValue.infinite() if isinstance(self.exact, Infinity) else DimensionValue.exact(self.exact)
+            value = DimensionValue.exact(self.exact)
         else:
             value = DimensionValue.interval(self.lo, self.hi)
         return self.result(value, flattened)
@@ -341,7 +340,7 @@ def noetherian_flag(expr: RingExpr) -> bool:
     if isinstance(expr, BaseField):
         return True
     if isinstance(expr, FieldExt):
-        return not isinstance(expr.trdeg, Infinity)
+        return expr.trdeg != INF
     if isinstance(expr, (PolyExt, Quotient, LocElement, LocSubringComplement, FracField)):
         return noetherian_flag(expr.base)
     if isinstance(expr, Tensor):
@@ -405,7 +404,7 @@ def _flatten(expr: RingExpr) -> tuple[PolynomialRing, list[tuple[Polynomial, boo
     if isinstance(expr, BaseField):
         return PolynomialRing(expr.coefficients, ()), []
     if isinstance(expr, FieldExt):
-        if isinstance(expr.trdeg, Infinity):
+        if expr.trdeg == INF:
             return None
         return expr.ambient_ring, [(p, False) for _, p in expr.algebraic_part]
     if isinstance(expr, Tensor):
@@ -451,7 +450,7 @@ def field_tensor_dimension(trdegs: Sequence[object]) -> DimensionValue:
     ts = sorted(trdegs)
     if not ts:
         raise ValueError("a tensor product needs at least one factor")
-    if len(ts) >= 2 and isinstance(ts[-2], Infinity):
+    if len(ts) >= 2 and ts[-2] == INF:
         return DimensionValue.infinite()
     return DimensionValue.exact(sum(ts[:-1], 0))
 
@@ -519,7 +518,7 @@ def _eval_poly_ext(expr: PolyExt, budget: Budget) -> DimensionResult:
         return claims.finish()
     n = len(expr.variables)
     claims.lower(sub.value.lo + n, RULE_POLY_EXT, f"chains extend by {n} across the new variables")
-    if noetherian_flag(expr.base) and not isinstance(sub.value.hi, Infinity):
+    if noetherian_flag(expr.base) and sub.value.hi != INF:
         claims.upper(sub.value.hi + n, RULE_POLY_EXT, "Noetherian-flagged base")
     return claims.finish()
 
@@ -611,7 +610,7 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
         return claims.result(inner.value, inner.flattened)
 
     subfields = [contained_subfield_trdeg(leg, over) for leg in expr.legs]
-    infinite_legs = sum(1 for t in subfields if isinstance(t, Infinity))
+    infinite_legs = sum(1 for t in subfields if t == INF)
     if infinite_legs >= 2:
         claims.note(
             RULE_TENSOR_INF,
@@ -642,7 +641,7 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
 
     # one transcendental field leg against affine legs: the generic fiber
     trans = [i for i, t in enumerate(field_legs) if t is not None]
-    if len(trans) == 1 and not isinstance(field_legs[trans[0]], Infinity):
+    if len(trans) == 1 and field_legs[trans[0]] != INF:
         i = trans[0]
         t = field_legs[i]
         rest = [leg for j, leg in enumerate(expr.legs) if j != i]

@@ -47,8 +47,8 @@ from .chains import (
     verify_chain,
 )
 from .dimension import (
+    INF,
     DimensionValue,
-    Infinity,
     trdeg_affine_domain,
     zero_divisor_status,
     ZeroDivisorStatus,
@@ -95,7 +95,7 @@ def dimension_to_json(value: DimensionValue) -> dict:
         return {"kind": "empty-ring"}
     if value.kind == "infinite":
         return {"kind": "infinite"}
-    hi = "inf" if isinstance(value.hi, Infinity) else value.hi
+    hi = "inf" if value.hi == INF else value.hi
     return {"kind": "interval", "lo": value.lo, "hi": hi}
 
 
@@ -346,7 +346,7 @@ def _cmd_trdeg(args, budget: Budget):
     if isinstance(expr, (BaseField, FieldExt)):
         t = expr.trdeg if isinstance(expr, FieldExt) else 0
         answer = {
-            "trdeg": "inf" if isinstance(t, Infinity) else t,
+            "trdeg": "inf" if t == INF else t,
             "certificate": {"kind": "declared", "flagged": False},
         }
         return answer, (TraceEntry("declared-trdeg", "transcendence degree read off the chosen basis"),), ()
@@ -591,15 +591,17 @@ def main(argv=None) -> int:
         report["trace"] = trace_to_json(trace)
         report["cross_checks"] = cross_checks_to_json(checks)
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    rendered = (
-        json.dumps(report, indent=2, sort_keys=True)
-        if args.format == "json"
-        else _render_text(report)
-    )
-    print(rendered)
+    rendered = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        # written before anything is printed, so a failed write is the report
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            report.update(status="user-error", error={"message": str(exc)})
+            rendered = json.dumps(report, indent=2, sort_keys=True)
+            exit_code = EXIT_USER_ERROR
+    print(rendered if args.format == "json" else _render_text(report))
     return exit_code
 
 

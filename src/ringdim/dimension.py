@@ -12,6 +12,7 @@ carries the polynomial ring K[X] as ``ring``.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from itertools import combinations
 from typing import Iterable
@@ -23,44 +24,7 @@ from .orderings import GREVLEX, MonomialOrder
 from .polynomials import Polynomial, PolynomialRing, fresh_variable
 
 
-class Infinity:
-    """Order-compatible marker for countably infinite transcendence degree."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, Infinity)
-
-    def __hash__(self):
-        return hash("Infinity")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = Infinity()
+INF = math.inf  # countably infinite transcendence degree
 
 
 class DimensionValue(FrozenRecord):
@@ -77,7 +41,7 @@ class DimensionValue(FrozenRecord):
 
     @classmethod
     def exact(cls, d: int) -> "DimensionValue":
-        if isinstance(d, Infinity):
+        if d == INF:
             return cls.infinite()
         if d < 0:
             raise ValueError("negative dimension")
@@ -93,7 +57,7 @@ class DimensionValue(FrozenRecord):
 
     @classmethod
     def interval(cls, lo, hi) -> "DimensionValue":
-        if isinstance(lo, Infinity):
+        if lo == INF:
             return cls.infinite()
         if lo == hi:
             return cls.exact(lo)

@@ -414,13 +414,12 @@ def embed_coefficient(source: CoefficientField, target: RationalFunctionField):
     if isinstance(source, RationalFunctionField):
         if source.base != target.base or source.variables != target.variables[: len(source.variables)]:
             raise ValueError(f"cannot embed {source!r} into {target!r}")
-        pad = len(target.variables) - len(source.variables)
         tring = target.poly_ring
 
         def lift(c: RatFunc) -> RatFunc:
             return RatFunc._reduced(c.num.map_to(tring), c.den.map_to(tring))
 
-        return lift if pad else (lambda c: c)
+        return lift
     if source != target.base:
         raise ValueError(f"cannot embed {source!r} into {target!r}")
     return target.from_base

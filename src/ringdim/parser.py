@@ -46,7 +46,7 @@ from .calculus import (
     Tensor,
     tensor_variables,
 )
-from .dimension import INF, Infinity
+from .dimension import INF
 from .errors import ParseError
 from .fields import (
     CoefficientField,
@@ -516,11 +516,10 @@ def format_ring_expr(expr: RingExpr) -> str:
     if isinstance(expr, BaseField):
         return format_field(expr.coefficients)
     if isinstance(expr, FieldExt):
-        trdeg = "inf" if isinstance(expr.trdeg, Infinity) else str(expr.trdeg)
         if not expr.algebraic_part:
-            return f"Ext({format_field(expr.over)}; {trdeg})"
+            return f"Ext({format_field(expr.over)}; {expr.trdeg})"
         polys = ", ".join(format_polynomial(p) for _, p in expr.algebraic_part)
-        return f"Ext({format_field(expr.over)}; {trdeg}; {polys})"
+        return f"Ext({format_field(expr.over)}; {expr.trdeg}; {polys})"
     if isinstance(expr, PolyExt):
         return f"Poly({format_ring_expr(expr.base)}; {','.join(expr.variables)})"
     if isinstance(expr, Quotient):

@@ -119,12 +119,17 @@ class Polynomial:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolynomialRing, terms: Mapping[tuple[int, ...], object]):
-        is_zero = ring.field.is_zero
+        """Terms with coefficients in the field or given as ints, which
+        ``field.from_int`` makes canonical; zero terms are dropped."""
+        field = ring.field
+        is_zero = field.is_zero
         clean = {}
         arity = ring.arity
         for exps, c in terms.items():
             if len(exps) != arity:
                 raise ArityMismatchError(f"monomial {exps} has arity {len(exps)}, ring has {arity}")
+            if isinstance(c, int):
+                c = field.from_int(c)
             if not is_zero(c):
                 clean[tuple(exps)] = c
         self.ring = ring

@@ -21,7 +21,6 @@ from ringdim import (
     BaseField,
     DimensionValue,
     IdealPresentation,
-    Infinity,
     LocElement,
     PolyExt,
     PolynomialRing,
@@ -65,10 +64,10 @@ def criterion(number: int, name: str):
 def formula_oracle(values):
     """Independent restatement: infinite when two factors are infinite,
     otherwise the sum after removing one largest value."""
-    infinite_count = sum(1 for v in values if isinstance(v, Infinity))
+    infinite_count = sum(1 for v in values if v == INF)
     if infinite_count >= 2:
         return DimensionValue.infinite()
-    finite = [v for v in values if not isinstance(v, Infinity)]
+    finite = [v for v in values if v != INF]
     if infinite_count == 1:
         return DimensionValue.exact(sum(finite))  # the infinite factor is the largest
     return DimensionValue.exact(sum(finite) - max(finite))

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringdim import cli
+from test_golden_reports import strict_loads
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "src" / "ringdim" / "report_schema.json").read_text(encoding="utf-8"))
@@ -80,7 +81,27 @@ def test_mutated_payloads_keep_the_report_contract(example, changes):
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    report = json.loads(out.getvalue())  # one JSON document, nothing else
+    report = strict_loads(out.getvalue())  # one JSON document, nothing else
     jsonschema.validate(report, SCHEMA)
     assert report["status"] in EXIT_CODES, (argv, report.get("error"))
     assert code == EXIT_CODES[report["status"]], argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("example", EXAMPLES, ids=[" ".join(argv[:2]) for argv in EXAMPLES])
+def test_an_unwritable_out_path_is_the_report(example, fmt, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(example + ["--format", fmt, "--out", str(target)])
+    assert (code, err.getvalue()) == (cli.EXIT_USER_ERROR, "")
+    assert not target.parent.exists()
+    if fmt == "text":
+        lines = out.getvalue().splitlines()
+        assert "status: user-error" in lines
+        assert f"error: [Errno 2] No such file or directory: {str(target)!r}" in lines
+        return
+    report = strict_loads(out.getvalue())
+    jsonschema.validate(report, SCHEMA)
+    assert report["status"] == "user-error"
+    assert report["error"] == {"message": f"[Errno 2] No such file or directory: {str(target)!r}"}

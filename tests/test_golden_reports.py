@@ -51,6 +51,8 @@ ARGVS = [
     ["dim", "Quot(Poly(Q;x,y); x, 0)"],
     ["dim", "Poly(Loc(Quot(Poly(Q;x); x); x); z)"],
     ["dim", "Tensor(Loc(Quot(Poly(Q;x); x); x), Poly(Q;y))"],
+    # a report file that cannot be written turns the report into a user error
+    ["dim", "Q", "--out", "missing/report.json"],
 ]
 
 _RING_EXPR = re.compile(r"(Q|Fp\(|FunField\(|Ext\(|Poly\(|Quot\(|Loc\(|LocSub\(|Tensor\(|Frac\()")
@@ -81,11 +83,21 @@ def golden_argvs() -> list[list[str]]:
     return argvs
 
 
+def strict_loads(text: str):
+    """``json.loads`` that rejects ``Infinity`` and ``NaN``, the tokens
+    ``json.dumps`` prints for a float infinity or NaN leaked into a report."""
+
+    def reject(token: str):
+        raise ValueError(f"non-JSON constant {token} in a report")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def canonical_report(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(list(argv))
-    report = json.loads(out.getvalue())
+    report = strict_loads(out.getvalue())
     del report["timing_ms"]
     return code, json.dumps(report, sort_keys=True)
 

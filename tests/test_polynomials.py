@@ -9,6 +9,7 @@ from ringdim import (
     BlockElimination,
     GREVLEX,
     LEX,
+    Polynomial,
     PolynomialRing,
     PrimeField,
     QQ,
@@ -37,6 +38,22 @@ def test_add_cancellation(rxy):
 def test_add_zero_identity(rxy):
     p = rxy.variable("x") ** 2 - rxy.one()
     assert p + rxy.zero() == p
+
+
+def test_int_coefficients_are_made_canonical_in_the_field():
+    r = PolynomialRing(PrimeField(7), ("x",))
+    assert Polynomial(r, {(1,): -1}) == Polynomial(r, {(1,): 6}) == r.variable("x").scale(6)
+    assert hash(Polynomial(r, {(1,): -1})) == hash(Polynomial(r, {(1,): 6}))
+    assert format_polynomial(Polynomial(r, {(1,): -1})) == "6*x"
+    assert Polynomial(r, {(0,): 8}) == r.one()
+    assert format_polynomial(Polynomial(r, {(0,): 8})) == "1"
+    assert Polynomial(r, {(1,): 7}).is_zero()
+    field = RationalFunctionField(QQ, ("t",))
+    s = PolynomialRing(field, ("x",))
+    p = Polynomial(s, {(1,): 2})
+    assert p.terms == {(1,): field.from_int(2)}
+    assert p == s.variable("x").scale(field.from_int(2))
+    assert format_polynomial(p) == "2*x"
 
 
 def test_char_two_cancellation():

@@ -12,7 +12,9 @@ so comparing monomials is int comparison, multiplying them is ``+`` and a
 divisibility test is one subtraction and one ``&``.  Division keeps the
 unreduced part as a dict plus a heap of its monomials (heap division,
 after Monagan & Pearce) and subtracts only the tail of each divisor
-multiple.  It is one loop for every coefficient field.  Over Q it runs
+multiple.  It finds divisors in an index (``_Divisors``) that memoizes
+those of each popped monomial and that a completion loop grows with its
+basis.  Division is one loop for every coefficient field.  Over Q it runs
 on ints, fraction-free: a divisor with lead a cancels a coefficient c by
 scaling what is left by a/gcd(a, c), one int carries the scale, and
 ``Fraction`` appears only where a basis or normal form leaves the kernel.
@@ -39,7 +41,7 @@ classic pair criteria, on the exponent fields of the packed leads) stays;
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -223,6 +225,43 @@ def _sparse(ring: PolynomialRing, a: _IntPoly, lead: int) -> Polynomial:
     return Polynomial._raw(ring, {(e,): Fraction(x, lead) for e, x in enumerate(a) if x})
 
 
+class _Divisors:
+    """The divisor records (``_Kernel.divisor``) that ``_Kernel.reduce``
+    divides by: ``records`` in the order added, ``ordered`` in the order
+    ``reduce`` tries them (descending leading monomial, ties in the order
+    added) with their negated leads in ``leads``, and ``memo``, which maps
+    each monomial a reduction popped to the records whose leads divide it,
+    cut after the first without a signature key: that one always fires.
+    ``add`` files a new record under each such monomial its lead divides,
+    so no list goes stale.  Only ``add`` reads and updates ``popped``, the
+    memoized monomials sorted, so an index that never grows never sorts it.
+    """
+
+    __slots__ = ("guard", "records", "ordered", "leads", "memo", "popped")
+
+    def __init__(self, guard: int, records: Iterable[tuple] = ()):
+        self.guard, self.records, self.memo, self.popped = guard, list(records), {}, []
+        self.ordered = sorted(self.records, key=itemgetter(0), reverse=True)
+        self.leads = [-record[0] for record in self.ordered]
+
+    def add(self, record: tuple):
+        lm, guard, memo, popped = record[0], self.guard, self.memo, self.popped
+        i = bisect_right(self.leads, -lm)
+        self.leads.insert(i, -lm)
+        self.ordered.insert(i, record)
+        self.records.append(record)
+        if len(popped) < len(memo):
+            popped += islice(memo, len(popped), None)
+            popped.sort()
+        for m in islice(popped, bisect_left(popped, lm), None):
+            if not (m - lm) & guard:
+                hits = memo[m]
+                i = len(hits)
+                while i and hits[i - 1][0] < lm:
+                    i -= 1
+                hits.insert(i, record)
+
+
 class _Kernel:
     """Division on packed polynomials: dicts {packed monomial: coefficient}.
 
@@ -378,16 +417,16 @@ class _Kernel:
             rest[t] = -c if old is None else old - c
         return rest
 
-    def reduce(self, rest: dict, divisors: Sequence[tuple], bound: int | None = None) -> tuple[dict, object]:
-        """Remainder of ``rest`` (consumed) under ``divisors``, taken in the
-        given order, and the scalar s it is multiplied by: the remainder of
-        ``rest`` is the one returned over s.  The first divisor whose
-        leading monomial divides the largest unreduced monomial m reduces
-        it.  ``divisors`` is in descending leading-monomial order, so the
-        scan starts at the first leading monomial not above the popped one.
-        In a regular reduction (``_signature_buchberger``) the bound is a
-        signature, and a divisor with a key takes part only where ``(m <<
-        width) + key < bound``; one without a key always does.
+    def reduce(self, rest: dict, divisors: _Divisors, bound: int | None = None) -> tuple[dict, object]:
+        """Remainder of ``rest`` (consumed) under ``divisors``, and the
+        scalar s it is multiplied by: the remainder of ``rest`` is the one
+        returned over s.  The largest unreduced monomial m is reduced by the
+        first divisor, in descending leading-monomial order with ties in the
+        order added, whose leading monomial divides m: the index's memo lists
+        them from the first pop of m on.  In a regular reduction
+        (``_signature_buchberger``) the bound is a signature, and a divisor
+        with a key takes part only where ``(m << width) + key < bound``; one
+        without a key always does.
 
         Heap division (Monagan & Pearce): the unreduced part is a dict with
         a heap of its negated monomials, so each step pops the largest one
@@ -410,7 +449,7 @@ class _Kernel:
         as a shift or kept, catches every overflow in one place.
         """
         guard, width, p, gcd = self.guard, self.packing.width, self.p, self.gcd
-        ascending = [-record[0] for record in divisors]
+        memo, get_hits, ordered, leads = divisors.memo, divisors.memo.get, divisors.ordered, divisors.leads
         heap = [-m for m in rest]
         heapify(heap)
         pop, push, get, take = heappop, heappush, rest.get, rest.pop
@@ -425,8 +464,16 @@ class _Kernel:
                 c %= p
             if not c:
                 continue  # cancelled
-            for lm, multiplier, tail, key, lead in islice(divisors, bisect_left(ascending, -m), None):
-                if not (m - lm) & guard and (key is None or (m << width) + key < bound):
+            hits = get_hits(m)
+            if hits is None:
+                hits = memo[m] = []
+                for r in islice(ordered, bisect_left(leads, -m), None):
+                    if not (m - r[0]) & guard:
+                        hits.append(r)
+                        if r[3] is None:
+                            break
+            for lm, multiplier, tail, key, lead in hits:
+                if key is None or (m << width) + key < bound:
                     break
             else:
                 remainder[m] = c
@@ -454,10 +501,9 @@ class _Kernel:
                     rest[t] = old + q * gc
         return remainder, scale
 
-    def divisors(self, polys: Iterable[dict]) -> list[tuple]:
-        """Divisor records in descending leading-monomial order, ties in the
-        given order."""
-        return sorted(map(self.divisor, polys), key=itemgetter(0), reverse=True)
+    def divisors(self, polys: Iterable[dict]) -> _Divisors:
+        """An index over the divisor records of ``polys``, in one sort."""
+        return _Divisors(self.guard, map(self.divisor, polys))
 
     def inter_reduce(self, polys: Sequence[Polynomial]) -> list[dict]:
         """Pack and reduce each polynomial by the others, in
@@ -592,14 +638,13 @@ def _reduced_basis(kernel: _Kernel, ring: PolynomialRing, basis: list[dict], rec
     for i in sorted(range(len(basis)), key=lambda i: records[i][0]):
         if all((records[i][0] - records[k][0]) & guard for k in kept):
             kept.append(i)
-    # tail-reduce each against the rest; the kept leads are distinct, so
-    # one list of divisor records in descending order serves every element
-    kept.reverse()
-    ordered = [kernel.divisor(basis[k]) for k in kept]
+    # one keyless index serves every tail: no lead divides a monomial below it
+    index = _Divisors(guard, [records[k][:3] + (None, records[k][4]) for k in kept])
     reduced = []
-    for position, k in enumerate(kept):
-        others = ordered[:position] + ordered[position + 1:]
-        reduced.append(kernel.reduce(dict(basis[k]), others)[0])
+    for k in kept:
+        lm, _, tail = records[k][:3]
+        remainder, scale = kernel.reduce(dict(tail), index)
+        reduced.append({lm: basis[k][lm] * scale, **remainder})
     reduced.sort(key=max)
     return tuple(kernel.unpack(ring, kernel.monic(g)) for g in reduced)
 
@@ -623,8 +668,8 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
     packing = kernel.packing
     lcm, graded, segment, exponent_guard = packing.lcm, packing.graded, packing.exponent_mask, packing.exponent_guard
     basis = kernel.inter_reduce(generators)
-    records: list[tuple] = []  # divisor records, in basis order
-    divisors: list[tuple] = []  # the same, by descending leading monomial
+    divisors = kernel.divisors(())
+    records = divisors.records  # divisor records, in basis order
     leads: list[int] = []  # exponent segments of the leading monomials
     done: list[int] = []  # bit k of done[i] is set once the pair {i, k} is popped
     heap: list = []
@@ -637,9 +682,7 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
         j = len(leads)
         for i, a in enumerate(leads):
             heappush(heap, (graded(lcm(a, e)), i, j))
-        records.append(record)
-        divisors.append(record)
-        divisors.sort(key=itemgetter(0), reverse=True)
+        divisors.add(record)
         leads.append(e)
         done.append(0)
 
@@ -737,8 +780,8 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     index = (1 << width) - 1  # key & index, sig & index: the generator index
     units = {1 << (width * v) for v in range(ring.arity)}  # the segments of the variables
     basis: list[dict] = []
-    records: list[tuple] = []  # divisor records, in basis order
-    divisors: list[tuple] = []  # the same, by descending leading monomial
+    divisors = kernel.divisors(())
+    records = divisors.records  # divisor records, in basis order
     keys: list[int] = []
     leads: list[int] = []  # exponent segments of the leading monomials
     spans: list[int] = []  # exponent segments of the signatures' monomials
@@ -857,11 +900,8 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
                 heappush(heap, t)
             elif keys[held[0]] < keys[j]:
                 queued[t] = (j, i)
-        record = kernel.divisor(terms, key)
         basis.append(terms)
-        records.append(record)
-        divisors.append(record)
-        divisors.sort(key=itemgetter(0), reverse=True)
+        divisors.add(kernel.divisor(terms, key))
         elements[key & index].append((key, span))
         slots |= e << slot_bits * k
         ones |= 1 << slot_bits * k

@@ -29,7 +29,8 @@ from ringdim import (
     saturate,
 )
 from ringdim import format_polynomial, ideals, parse_polynomial, polynomial_gcd
-from ringdim.ideals import _IntPoly, _buchberger, _int_poly_gcd, _packed
+from ringdim.ideals import _Divisors, _IntPoly, _Kernel, _buchberger, _int_poly_gcd, _packed, _packing
+from ringdim.orderings import PackedMonomials
 from ringdim.polynomials import monomial_divides
 
 from conftest import monomial, random_polynomial, same_ideal
@@ -94,6 +95,35 @@ def ref_s_polynomial(field, f: dict, g: dict, cmp) -> dict:
     return out
 
 
+# -- reference Groebner basis -------------------------------------------------
+# Buchberger's algorithm from the definitions, on the reference division
+# alone: every S-pair, no criterion, then minimalization and tail reduction.
+
+def ref_reduced_basis(field, generators: list[dict], cmp) -> list[dict]:
+    """The reduced Groebner basis of the ideal the generators span: monic,
+    in ascending leading-term order."""
+    basis = [dict(g) for g in generators if g]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        r = ref_normal_form(field, ref_s_polynomial(field, basis[i], basis[j], cmp), basis, cmp)
+        if r:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(r)
+    basis.sort(key=cmp_to_key(lambda f, g: cmp(ref_leading(f, cmp), ref_leading(g, cmp))))
+    minimal = []
+    for g in basis:
+        lead = ref_leading(g, cmp)
+        if not any(all(a <= b for a, b in zip(ref_leading(h, cmp), lead)) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for i, g in enumerate(minimal):
+        r = ref_normal_form(field, g, minimal[:i] + minimal[i + 1:], cmp)
+        lc = r[ref_leading(r, cmp)]
+        reduced.append({m: field.div(c, lc) for m, c in r.items()})
+    return reduced
+
+
 @pytest.fixture
 def rxyz():
     return PolynomialRing(QQ, ("x", "y", "z"))
@@ -106,8 +136,10 @@ def rxy():
 
 def assert_is_reduced_groebner_basis(basis, generators, order):
     """Independent verification: every S-polynomial reduces to zero, every
-    original generator reduces to zero, and the basis is reduced and monic.
-    Uses only the reference division above, not the engine's."""
+    original generator reduces to zero, the basis is reduced and monic, and
+    it is the reference's reduced basis of the generators, so it spans no
+    bigger ideal than they do.  Uses only the reference division and
+    completion above, not the engine's."""
     cmp = ORACLES[order]
     field = basis[0].ring.field
     divisors = [g.terms for g in basis]
@@ -123,6 +155,17 @@ def assert_is_reduced_groebner_basis(basis, generators, order):
         others = leads[:i] + leads[i + 1:]
         for exps in g:
             assert not any(all(a <= b for a, b in zip(lt, exps)) for lt in others)
+    assert divisors == ref_reduced_basis(field, [g.terms for g in generators], cmp)
+
+
+def test_groebner_oracle_rejects_the_basis_of_a_bigger_ideal(rxy):
+    # (1) and (x, y) are reduced Groebner bases that contain x*y; only the
+    # comparison with the reference tells them from the basis of (x*y)
+    x, y = rxy.variable("x"), rxy.variable("y")
+    assert_is_reduced_groebner_basis((x * y,), [x * y], GREVLEX)
+    for wrong in ((rxy.one(),), (y, x)):
+        with pytest.raises(AssertionError):
+            assert_is_reduced_groebner_basis(wrong, [x * y], GREVLEX)
 
 
 def _coefficient_pool(field) -> list:
@@ -208,6 +251,78 @@ def test_normal_form_matches_reference_division(problem):
     f, basis, order = problem
     expected = ref_normal_form(f.ring.field, f.terms, [g.terms for g in basis], ORACLES[order])
     assert normal_form(f, basis, order).terms == expected
+
+
+def _through_first_keyless(records: list[tuple]) -> list[tuple]:
+    # the records ``_Kernel.reduce`` may pick: none after one without a key
+    for n, record in enumerate(records):
+        if record[3] is None:
+            return records[: n + 1]
+    return records
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    st.lists(st.tuples(*[st.integers(0, 1)] * 3), max_size=4),
+    st.lists(st.tuples(st.sampled_from(["add", "look"]), st.tuples(*[st.integers(0, 2)] * 3), st.booleans()), max_size=40),
+)
+def test_divisor_index_lookups_match_a_brute_force_filter(batch, steps):
+    # Leads have exponents 0 and 1 only, so equal leads occur and ties must
+    # keep the order added.  A lookup reduces one monomial under a bound no
+    # signature reaches, which reads its list from the memo or makes it
+    # there; lookups repeat and interleave
+    # with adds, so a list that an add failed to update shows up.  Some
+    # records have signature keys and some not, and a list may end at the
+    # first without one.  A record's multiplier numbers it, and its tail is
+    # empty, so a reduction only pops the monomial it starts with.
+    kernel = _Kernel(PrimeField(7), PackedMonomials(GREVLEX, 3, 4))
+    pack, unpack = kernel.packing.pack, kernel.packing.unpack
+    records = [(pack(e), n + 1, [], None, None) for n, e in enumerate(batch)]
+    index = _Divisors(kernel.guard, records)
+    for kind, e, keyed in steps:
+        if kind == "add":
+            n = len(records)
+            records.append((pack(tuple(min(a, 1) for a in e)), n + 1, [], n if keyed else None, None))
+            index.add(records[-1])
+            continue
+        m = pack(e)
+        kernel.reduce({m: 1}, index, 1 << 99)
+        hits = [r for r in records if all(a <= b for a, b in zip(unpack(r[0]), e))]
+        hits.sort(key=cmp_to_key(lambda a, b: grevlex_oracle(unpack(b[0]), unpack(a[0]))))
+        assert _through_first_keyless(index.memo[m]) == _through_first_keyless(hits)
+    assert index.records == records
+
+
+_SMALL_POLYNOMIALS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.sampled_from([1, -1, 2, 3, -5]), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    st.sampled_from([PrimeField(7), QQ]),
+    st.lists(_SMALL_POLYNOMIALS, min_size=1, max_size=5),
+    st.lists(_SMALL_POLYNOMIALS, min_size=1, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    st.one_of(st.none(), st.tuples(*[st.integers(0, 3)] * 3)),
+)
+def test_reduce_through_a_grown_index_matches_a_fresh_one(field, divisors, probes, keys, bound):
+    # The completion loops grow one index while they reduce; the same
+    # records indexed in one batch must give every reduction the same
+    # (remainder, scale), with and without a signature bound.
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    kernel = _Kernel(field, _packing(GREVLEX, 3, 16))
+    if bound is not None:
+        bound = kernel.packing.pack(bound) << kernel.packing.width
+    pack = lambda terms: kernel.pack(Polynomial(ring, {m: field.from_int(c) for m, c in terms.items()}))[0]
+    probes = [pack(t) for t in probes]
+    grown, records = kernel.divisors(()), []
+    for n, terms in enumerate(divisors):
+        records.append(kernel.divisor(kernel.normalize(pack(terms)), None if bound is None else keys[n]))
+        grown.add(records[-1])
+        for f in probes:
+            kernel.reduce(dict(f), grown, bound)
+    fresh = _Divisors(kernel.guard, records)
+    for f in probes:
+        assert kernel.reduce(dict(f), grown, bound) == kernel.reduce(dict(f), fresh, bound)
 
 
 def test_buchberger_twisted_cubic_style_example(rxyz):
@@ -500,6 +615,31 @@ def test_signature_loop_reaches_the_classic_loops_basis(gens):
     ring = gens[0].ring
     classic = _packed(gens, GREVLEX, lambda kernel: _buchberger(kernel, ring, gens, Budget()))
     assert buchberger(gens, GREVLEX) == classic
+
+
+@st.composite
+def small_systems(draw):
+    """A few small generators over F_p, Q or Q(t) in two or three variables,
+    and an order: small enough for the reference completion."""
+    field = draw(st.sampled_from([PrimeField(32003), QQ, QT]))
+    ring = PolynomialRing(field, ("x", "y", "z")[: draw(st.integers(2, 3))])
+    monomials = st.tuples(*[st.integers(0, 2)] * ring.arity)
+    pool = [field.from_int(n) for n in (1, -1, 2, -3)] + [field.div(field.one, field.from_int(2))]
+    if field is QT:
+        pool += _functions_of_t(field)[:2]
+    terms = st.dictionaries(monomials, st.sampled_from(pool), min_size=1, max_size=3)
+    gens = [Polynomial(ring, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    return gens, draw(st.sampled_from(list(ORACLES)))
+
+
+@settings(derandomize=True, max_examples=60)
+@given(small_systems())
+def test_buchberger_gives_the_reference_reduced_basis(problem):
+    # two-sided: the reduced basis is unique, so equality with the
+    # reference's proves the engine's basis spans the generators' ideal
+    gens, order = problem
+    expected = ref_reduced_basis(gens[0].ring.field, [g.terms for g in gens], ORACLES[order])
+    assert [g.terms for g in buchberger(gens, order)] == expected
 
 
 @settings(derandomize=True)

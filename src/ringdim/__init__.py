@@ -43,7 +43,6 @@ from .dimension import (
     DimensionValue,
     ZeroDivisorStatus,
     dim_affine,
-    dim_generic_fiber,
     independent_set_dimension,
     trdeg_affine_domain,
     zero_divisor_status,

@@ -24,7 +24,6 @@ from .dimension import (
     INF,
     DimensionValue,
     dim_affine,
-    dim_generic_fiber,
     zero_divisor_status,
     ZeroDivisorStatus,
 )
@@ -648,12 +647,12 @@ def _eval_tensor(expr: Tensor, budget: Budget) -> DimensionResult:
         combined = flatten_affine(Tensor(tuple(rest), over))
         if combined is not None:
             integral_extension_rule(claims, expr.legs[i])
-            fiber = dim_generic_fiber(combined, t, budget)
+            fiber = dim_affine(combined, budget=budget)
             if fiber.kind == "empty":
                 claims.mark_empty(detail="affine legs present the zero ring")
                 return claims.finish()
-            claims.exactly(fiber.value, RULE_FIBER, f"kernel dimension over the extended base ({t} fresh transcendentals)")
-            bound = dim_affine(combined, budget=budget).value + t
+            claims.exactly(fiber.value, RULE_FIBER, f"dim A, invariant under base change ({t} fresh transcendentals)")
+            bound = fiber.value + t
             claims.upper(bound, RULE_TENSOR_UB, f"dim A + n <= {bound}")
             return claims.finish(combined)
 

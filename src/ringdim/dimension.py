@@ -18,10 +18,9 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import EmptyRingError, FrozenRecord
-from .fields import embed_coefficient, merged_function_field
 from .ideals import Budget, IdealPresentation, ideal_quotient
 from .orderings import GREVLEX, MonomialOrder
-from .polynomials import Polynomial, PolynomialRing, fresh_variable
+from .polynomials import Polynomial
 
 
 INF = math.inf  # countably infinite transcendence degree
@@ -129,27 +128,6 @@ def zero_divisor_status(ideal: IdealPresentation, f: Polynomial, budget: Budget 
     if all(ideal.contains(g, budget=budget) for g in quotient.generators):
         return ZeroDivisorStatus.NON_ZERO_DIVISOR
     return ZeroDivisorStatus.ZERO_DIVISOR
-
-
-def dim_generic_fiber(ideal: IdealPresentation, n: int, budget: Budget | None = None) -> DimensionValue:
-    """dim of K(T_1..T_n) tensor K[X]/I over K: the same presentation re-read with
-    n fresh transcendentals adjoined to the coefficient field.
-
-    An existing rational-function layer is merged rather than stacked, so
-    the tower stays one level deep.
-    """
-    if n < 0:
-        raise ValueError("negative transcendental count")
-    if n == 0:
-        return dim_affine(ideal, budget=budget)
-    fresh: list[str] = []
-    for _ in range(n):
-        fresh.append(fresh_variable("T", ideal.ring, fresh))
-    target_field = merged_function_field(ideal.ring.field, tuple(fresh))
-    lift = embed_coefficient(ideal.ring.field, target_field)
-    new_ring = PolynomialRing(target_field, ideal.ring.variables)
-    gens = [g.map_to(new_ring, coeff_map=lift) for g in ideal.generators]
-    return dim_affine(IdealPresentation(new_ring, gens), budget=budget)
 
 
 def trdeg_affine_domain(ideal: IdealPresentation, budget: Budget | None = None) -> int:

@@ -346,10 +346,6 @@ class RationalFunctionField(FrozenRecord):
         ring = self.poly_ring
         return RatFunc._reduced(ring.from_int(n), ring.one())
 
-    def from_base(self, c) -> RatFunc:
-        ring = self.poly_ring
-        return RatFunc._reduced(ring.constant(c), ring.one())
-
     def generator(self, name: str) -> RatFunc:
         ring = self.poly_ring
         return RatFunc._reduced(ring.variable(name), ring.one())
@@ -403,23 +399,3 @@ def merged_function_field(field: CoefficientField, extra: tuple[str, ...]) -> Ra
     if isinstance(field, RationalFunctionField):
         return RationalFunctionField(field.base, field.variables + extra)
     return RationalFunctionField(field, extra)
-
-
-def embed_coefficient(source: CoefficientField, target: RationalFunctionField):
-    """Coefficient map for re-reading polynomials over a larger function field.
-
-    Supports K -> K(t..) and K(u..) -> K(u.., t..), the two shapes the
-    generic-fiber construction needs.
-    """
-    if isinstance(source, RationalFunctionField):
-        if source.base != target.base or source.variables != target.variables[: len(source.variables)]:
-            raise ValueError(f"cannot embed {source!r} into {target!r}")
-        tring = target.poly_ring
-
-        def lift(c: RatFunc) -> RatFunc:
-            return RatFunc._reduced(c.num.map_to(tring), c.den.map_to(tring))
-
-        return lift
-    if source != target.base:
-        raise ValueError(f"cannot embed {source!r} into {target!r}")
-    return target.from_base

@@ -284,27 +284,25 @@ class Polynomial:
             result = result + factor.mul_term(ring.field.one, tuple(kept))
         return result
 
-    def map_to(self, target: PolynomialRing, var_map: Mapping[int, int] | None = None, coeff_map=None) -> "Polynomial":
+    def map_to(self, target: PolynomialRing, var_map: Mapping[int, int] | None = None) -> "Polynomial":
         """Reinterpret in ``target``, sending variable i to var_map[i].
 
         Without ``var_map``, variable i goes to variable i of ``target``: the
         embedding into a ring with variables appended, or back onto a prefix
         of the variables.  Every variable actually occurring must be mapped;
-        coefficients pass through ``coeff_map`` (identity when the fields
-        agree).
+        coefficients pass unchanged, so ``target`` shares this ring's field.
         """
         if var_map is None:
             var_map = range(target.arity)  # i -> i, defined for i < target.arity
         out: dict = {}
         field = target.field
-        for exps, c in self.terms.items():
+        for exps, value in self.terms.items():
             new = [0] * target.arity
             for i, e in enumerate(exps):
                 if e:
                     if i not in var_map:
                         raise ValueError(f"variable index {i} has no image in target ring")
                     new[var_map[i]] = e
-            value = coeff_map(c) if coeff_map else c
             key = tuple(new)
             if key in out:
                 value = field.add(out[key], value)

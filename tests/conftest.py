@@ -4,7 +4,16 @@ import random
 
 from hypothesis import settings
 
-from ringdim import EmptyRingError, IdealPresentation, Polynomial, PolynomialRing, dim_affine
+from ringdim import (
+    EmptyRingError,
+    IdealPresentation,
+    Polynomial,
+    PolynomialRing,
+    RationalFunctionField,
+    dim_affine,
+    format_polynomial,
+    parse_polynomial,
+)
 
 settings.register_profile("ci", max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -53,3 +62,17 @@ def same_ideal(a: IdealPresentation, b: IdealPresentation) -> bool:
     bases are."""
     assert a.ring == b.ring
     return a.groebner_basis() == b.groebner_basis()
+
+
+def over_function_field(ideal: IdealPresentation, count: int) -> IdealPresentation:
+    """The same generators read over K(T1..Tcount), K the coefficient field of
+    ``ideal``; an existing function field K0(u..) becomes K0(u.., T1..).  The
+    generators are printed and parsed back, so no library code lifts them."""
+    field = ideal.ring.field
+    fresh = tuple(f"T{i + 1}" for i in range(count))
+    if isinstance(field, RationalFunctionField):
+        lifted = RationalFunctionField(field.base, field.variables + fresh)
+    else:
+        lifted = RationalFunctionField(field, fresh)
+    ring = PolynomialRing(lifted, ideal.ring.variables)
+    return IdealPresentation(ring, [parse_polynomial(format_polynomial(g), ring) for g in ideal.generators])

@@ -31,7 +31,6 @@ from ringdim import (
     build_chain,
     certified_lower_bound,
     dim_affine,
-    dim_generic_fiber,
     evaluate,
     field_tensor_dimension,
     flatten_affine,
@@ -46,7 +45,7 @@ from ringdim.calculus import RULE_TENSOR_EQ, RULE_TENSOR_INF
 from ringdim.chains import ChainCertificate
 from ringdim.orderings import GREVLEX
 
-from conftest import height, monomial, random_polynomial
+from conftest import height, monomial, over_function_field, random_polynomial
 
 
 @contextmanager
@@ -209,7 +208,7 @@ def test_criterion_4_tensor_equality_cross_check():
                     assert RULE_TENSOR_EQ in [t.rule for t in result.trace]
                     # kernel cross-check: extending the base by fresh
                     # transcendentals leaves the affine dimension alone
-                    assert dim_generic_fiber(flat, n) == DimensionValue.exact(d)
+                    assert dim_affine(over_function_field(flat, n)) == DimensionValue.exact(d)
         guard = evaluate(parse_ring_expr("Tensor(Ext(Q; 1), Poly(Q; y))"))
         assert guard.value == DimensionValue.exact(1)  # the generic fiber, not 2
         assert RULE_TENSOR_EQ not in [t.rule for t in guard.trace]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from ringdim import (
     FieldExt,
     InconsistentBoundsError,
     LocElement,
+    ParseError,
     PolyExt,
     PolynomialRing,
     PrimeField,
@@ -154,6 +156,29 @@ def test_evaluate_generic_fiber_with_recorded_upper_bound():
     assert RULE_FIBER in rules_of(r)
     assert RULE_TENSOR_UB in rules_of(r)
     assert RULE_TENSOR_EQ not in rules_of(r)
+
+
+def test_tensor_is_commutative_on_the_golden_inputs():
+    # reversing the legs of every pinned dim "Tensor(...)" input keeps the
+    # value; with the Ext leg last the generic-fiber branch still applies
+    rows = json.loads((Path(__file__).resolve().parent / "golden_reports.json").read_text(encoding="utf-8"))
+    checked = fibers = 0
+    for row in rows:
+        command, text = row["argv"][:2]
+        if command != "dim":
+            continue
+        try:
+            expr = parse_ring_expr(text)
+        except ParseError:
+            continue
+        if not isinstance(expr, Tensor) or len(expr.legs) < 2:
+            continue
+        flipped = evaluate(Tensor(expr.legs[::-1], expr.over))
+        assert flipped.value == evaluate(expr).value, text
+        checked += 1
+        fibers += RULE_FIBER in rules_of(flipped)
+    assert checked >= 38
+    assert fibers >= 4
 
 
 def test_evaluate_guard_rejects_equality_without_subfield():

@@ -247,6 +247,26 @@ def test_exit_code_budget_exhausted(capsys):
         assert report["error"]["limit"] == limit
 
 
+CYCLIC4_FIBER = (
+    "Tensor(Ext(Q; 1), Quot(Poly(Q; a,b,c,d); a+b+c+d, a*b+b*c+c*d+d*a, a*b*c+b*c*d+c*d*a+d*a*b, a*b*c*d-1))"
+)
+
+
+def test_generic_fiber_spends_pairs_on_one_basis(capsys):
+    # the fiber's dimension is dim A over the base field, one basis of five
+    # pair reductions; a second basis over Q(T1) would need five more
+    code, report = run_cli(capsys, "dim", "--budget", "5", CYCLIC4_FIBER)
+    assert (code, report["status"]) == (EXIT_OK, "ok")
+    assert report["result"]["dimension"] == {"kind": "exact", "value": 1}
+    assert [t["rule"] for t in report["trace"]] == ["generic-fiber-kernel", "tensor-upper-bound"]
+
+
+def test_generic_fiber_budget_still_binds(capsys):
+    code, report = run_cli(capsys, "dim", "--budget", "4", CYCLIC4_FIBER)
+    assert (code, report["status"]) == (EXIT_BUDGET, "budget-exhausted")
+    assert report["error"] == {"limit": 4, "message": "budget exhausted: 5 pair reductions (limit 4)", "used": 5}
+
+
 def test_exit_code_internal_inconsistency(capsys, monkeypatch):
     def broken_evaluate(expr, budget=None):
         raise InconsistentBoundsError("rule disagreement injected for the exit-code fixture")

@@ -18,8 +18,9 @@ step per witness.  Every step carries three pieces of evidence:
 ``build_chain`` only builds: it returns the links and this evidence as data.
 ``verify_chain`` makes every check, each exactly once: ``verify_strictness``,
 ``verify_avoidance`` (elimination), ``verify_substitution_transfer`` and
-``verify_avoidance_by_evaluation``.  ``certified_lower_bound`` runs
-``verify_chain`` itself and gives a number only when every check passes.
+``verify_avoidance_by_evaluation``.  ``certified_lower_bound``, which
+the ``chain`` verb runs, calls ``verify_chain`` itself and gives a number
+only when every check passes.
 
 A fully verified chain of k strict steps certifies dimension >= k for the
 ring localized away from the pure-X polynomials, which is exactly the lower
@@ -294,12 +295,13 @@ def verify_chain(cert: ChainCertificate, budget: Budget | None = None) -> dict[s
     return results
 
 
-def certified_lower_bound(cert: ChainCertificate, budget: Budget | None = None) -> int:
-    """Length of a fully verified chain: a dimension lower bound for the
-    ring localized at the polynomials in the adjoined variables.  Refuses
-    to emit a number if any verification step fails."""
-    results = verify_chain(cert, budget)
-    failed = [name for name, ok in results.items() if not ok]
+def certified_lower_bound(cert: ChainCertificate, budget: Budget | None = None) -> tuple[int, dict[str, bool]]:
+    """Length of a fully verified chain, a dimension lower bound for the
+    ring localized at the polynomials in the adjoined variables, and the
+    checks it passed (``verify_chain``'s results).  Refuses to emit a
+    number if any verification step fails."""
+    checks = verify_chain(cert, budget)
+    failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise CertificateError(f"chain verification failed: {', '.join(failed)}")
-    return cert.length()
+    return cert.length(), checks

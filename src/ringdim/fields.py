@@ -176,8 +176,9 @@ def normalize_rational_function(num: Polynomial, den: Polynomial) -> tuple[Polyn
     Canonicality makes rational-function equality a syntactic check, and
     keeping every value reduced keeps Groebner runs over function fields from
     drowning in coefficient growth.  This full gcd runs when a ``RatFunc`` is
-    built and for ``inv`` and ``div``; sums and products of reduced operands
-    stay reduced by Henrici's formulas instead (see ``RatFunc``).
+    built; sums and products of reduced operands stay reduced by Henrici's
+    formulas instead (see ``RatFunc``), and an inverse swaps the coprime
+    parts (``RationalFunctionField.inv``).
     """
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
@@ -360,9 +361,15 @@ class RationalFunctionField(FrozenRecord):
         return -a
 
     def inv(self, a: RatFunc) -> RatFunc:
+        """den/num, with no gcd: the parts of a are already coprime, so only
+        the new denominator needs making monic."""
         if a.num.is_zero():
             raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        return RatFunc(a.den, a.num)
+        _, lc = a.num.leading(GREVLEX)
+        if self.base.is_one(lc):
+            return RatFunc._reduced(a.den, a.num)
+        inv = self.base.inv(lc)
+        return RatFunc._reduced(a.den.scale(inv), a.num.scale(inv))
 
     def div(self, a: RatFunc, b: RatFunc) -> RatFunc:
         return self.mul(a, self.inv(b))

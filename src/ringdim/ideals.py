@@ -28,14 +28,17 @@ too wide for it starts again at twice the width, so no answer depends on
 the width.
 
 Two completion loops share that division and the final minimalization and
-tail reduction, so both give the one reduced basis.  Under grevlex, the
-order of every ``dim``, ``nzd`` and unit-ideal test, the signature loop
-(``_signature_buchberger``) skips the pairs whose remainder would be zero:
-katsura-6 over F_p reduces 43 J-pairs there, where the classic loop
-reduces 162 S-pairs, 128 of them to zero.  Under lex and the block orders
-of ``eliminate`` the classic loop (``_buchberger``: normal selection, both
-classic pair criteria, on the exponent fields of the packed leads) stays;
-``buchberger`` says why.
+tail reduction, so both give the one reduced basis.  Both start from the
+generators as given, each packed and ``normalize``d, in
+``Polynomial.sort_key`` order: no pass reduces them by one another first.
+Every divisor the kernel records is normalized, so over a field it is
+monic.  Under grevlex, the order of every ``dim``, ``nzd`` and unit-ideal
+test, the signature loop (``_signature_buchberger``) skips the pairs whose
+remainder would be zero: katsura-6 over F_p reduces 46 J-pairs there, where
+the classic loop reduces 164 S-pairs, 128 of them to zero.  Under lex and
+the block orders of ``eliminate`` the classic loop (``_buchberger``: normal
+selection, both classic pair criteria, on the exponent fields of the
+packed leads) stays; ``buchberger`` says why.
 """
 
 from __future__ import annotations
@@ -322,13 +325,6 @@ class _Kernel:
         unpack = self.packing.unpack
         return Polynomial._raw(ring, {unpack(m): c for m, c in terms.items()})
 
-    def sort_key(self, terms: dict):
-        """A key that orders packed polynomials as ``Polynomial.sort_key``
-        orders their monic forms unpacked: exponent segments compare like
-        exponent tuples."""
-        segment, key = self.packing.exponent_mask, self.field.element_key
-        return tuple(sorted((m & segment, key(c)) for m, c in self.monic(terms).items()))
-
     def divide(self, terms: dict, d) -> dict:
         """``terms`` over the nonzero scalar d, exactly.  Over Q and Q(t)
         the quotient has ``Fraction`` and ``RatFunc`` coefficients, so it
@@ -371,23 +367,21 @@ class _Kernel:
             return terms
         return {m: c // content for m, c in terms.items()}
 
-    def divisor(self, terms: dict, key: int | None = None) -> tuple:
-        """(leading monomial, multiplier, tail, signature key, lead) of a
-        nonzero polynomial.
+    def normalized(self, f: Polynomial) -> dict:
+        """The nonzero f packed and ``normalize``d."""
+        return self.normalize(self.pack(f)[0])
 
-        Over a field the lead is None and the multiplier turns a
-        coefficient c into the quotient c * multiplier that cancels it:
-        -1/lc, or None for a monic divisor, whose quotient is -c.  Over Q
-        and Q(t) the multiplier is None and the lead is lc, an int or an
-        ``_IntPoly``.  The key, set only in the signature loop, is the one
-        ``reduce`` compares with its bound."""
-        field = self.field
+    def divisor(self, terms: dict, key: int | None = None) -> tuple:
+        """(leading monomial, tail, signature key, lead) of a ``normalize``d
+        polynomial.
+
+        Over Q and Q(t) the lead is lc, an int or an ``_IntPoly``; over a
+        field the polynomial is monic and the lead is None.  The key, set
+        only in the signature loop, is the one ``reduce`` compares with its
+        bound."""
         lm = max(terms)
-        lc = terms[lm]
         tail = [(m, c) for m, c in terms.items() if m != lm]
-        if self.integral:
-            return lm, None, tail, key, lc
-        return lm, None if field.is_one(lc) else field.neg(field.inv(lc)), tail, key, None
+        return lm, tail, key, terms[lm] if self.integral else None
 
     def s_polynomial(self, f: tuple, g: tuple, lcm: int) -> dict:
         """S-polynomial of two divisors whose leading monomials divide
@@ -396,9 +390,9 @@ class _Kernel:
         over Q and Q(t), with leads a and b, the tails are first multiplied
         by b/h and a/h, h = gcd(a, b).  Terms that cancel stay, with a zero
         coefficient, and over F_p coefficients may leave [0, p)."""
-        f_tail, g_tail = f[2], g[2]
+        f_tail, g_tail = f[1], g[1]
         if self.integral:
-            a, b, one = f[4], g[4], self.one
+            a, b, one = f[3], g[3], self.one
             h = self.gcd(a, b)
             a, b = a // h, b // h
             if b != one:
@@ -437,11 +431,12 @@ class _Kernel:
         it is taken ``% p`` once, and one that cancelled to zero is
         skipped.  An update is one ``+`` and one ``*``, over every field.
 
-        Over Q and Q(t) the division is fraction-free: for a divisor with
-        lead a and a popped coefficient c, h = gcd(a, c) (in Z or Z[t]),
-        the unreduced part and the remainder so far are multiplied by a/h
-        (and s with them), and (c/h) times the shifted tail is subtracted.
-        Over the other fields s is one.
+        Over a field every divisor is monic, so -c times the shifted tail
+        is added and s is one.  Over Q and Q(t) the division is
+        fraction-free: for a divisor with lead a and a popped coefficient c,
+        h = gcd(a, c) (in Z or Z[t]), the unreduced part and the remainder
+        so far are multiplied by a/h (and s with them), and (c/h) times the
+        shifted tail is subtracted.
 
         Every monomial put into ``rest``, here or by ``s_polynomial``, is
         the sum of two that fit the width: that can set a guard bit but not
@@ -470,16 +465,16 @@ class _Kernel:
                 for r in islice(ordered, bisect_left(leads, -m), None):
                     if not (m - r[0]) & guard:
                         hits.append(r)
-                        if r[3] is None:
+                        if r[2] is None:
                             break
-            for lm, multiplier, tail, key, lead in hits:
+            for lm, tail, key, lead in hits:
                 if key is None or (m << width) + key < bound:
                     break
             else:
                 remainder[m] = c
                 continue
             if lead is None:
-                q = -c if multiplier is None else c * multiplier
+                q = -c
             else:
                 h = gcd(c, lead)
                 if h != lead:
@@ -504,25 +499,6 @@ class _Kernel:
     def divisors(self, polys: Iterable[dict]) -> _Divisors:
         """An index over the divisor records of ``polys``, in one sort."""
         return _Divisors(self.guard, map(self.divisor, polys))
-
-    def inter_reduce(self, polys: Sequence[Polynomial]) -> list[dict]:
-        """Pack and reduce each polynomial by the others, in
-        ``Polynomial.sort_key`` order, until a round changes nothing; the
-        survivors are normalized."""
-        current = [self.pack(f)[0] for f in sorted(polys, key=Polynomial.sort_key)]
-        while True:
-            changed = False
-            result: list[dict] = []
-            for i, p in enumerate(current):
-                others = result + current[i + 1:]
-                r = self.reduce(dict(p), self.divisors(others))[0] if others else p
-                if r != p:
-                    changed = True
-                if r:
-                    result.append(self.normalize(r))
-            if not changed:
-                return result
-            current = sorted(result, key=self.sort_key)
 
 
 @lru_cache(maxsize=64)
@@ -558,8 +534,8 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 
     Divisors are tried by leading term, descending (ties in basis order),
     so the result is deterministic for a fixed basis.  The polynomials are
-    packed, divided by the kernel ``buchberger`` uses, and the remainder is
-    unpacked.
+    packed, the basis is normalized, f is divided by the kernel
+    ``buchberger`` uses, and the remainder is unpacked.
     """
     ring = f.ring
     for g in basis:
@@ -569,7 +545,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
             raise ZeroPolynomialError("zero polynomial has no leading term")
 
     def run(kernel: _Kernel) -> Polynomial:
-        divisors = kernel.divisors(kernel.pack(g)[0] for g in basis)
+        divisors = kernel.divisors(map(kernel.normalized, basis))
         rest, d = kernel.pack(f)
         remainder, s = kernel.reduce(rest, divisors)
         return kernel.unpack(ring, kernel.divide(remainder, d * s))
@@ -585,22 +561,24 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     orders, the classic pair loop (``_buchberger``), which spends it once
     per S-pair.  The order is part of the input, so it alone picks the
     loop.  The signature loop leaves most zero remainders uncomputed: on
-    katsura-5 over Q it reduces 19 J-pairs where the classic loop reduces
-    64 S-pairs, 48 of them to zero, and takes 0.017 s instead of 0.057 s.
+    katsura-5 over Q it reduces 21 J-pairs where the classic loop reduces
+    66 S-pairs, 48 of them to zero, and takes 0.013 s instead of 0.047 s.
     Under lex and the block orders its Schreyer signatures fit less well:
-    on cyclic-5 over F_32003 it reduces 212 J-pairs where the classic loop
-    reduces 116 S-pairs, and takes 0.086 s instead of 0.017 s under lex
-    (0.094 s instead of 0.017 s under the block order that keeps x3, x4),
-    though it is faster on katsura-4, over function fields and on most
-    small random systems.  (Best of three runs, Python 3.11 on a 2-core
-    VM.)  The zero ideal yields the empty basis.
+    on cyclic-5 over F_32003 it reduces 179 J-pairs where the classic loop
+    reduces 120 S-pairs, and takes 0.097 s instead of 0.029 s under lex
+    (0.066 s instead of 0.025 s under the block order that keeps x3, x4),
+    though on katsura-4 under lex it is faster (0.061 s instead of
+    0.084 s).  (Best of three runs, Python 3.11 on a 2-core VM.)  The zero
+    ideal yields the empty basis.
 
-    The generators are packed once (``PackedMonomials``, at the narrowest
-    width their degrees allow); inter-reduction, S-polynomials, division
-    and the final tail reduction run on packed polynomials, and only the
-    reduced basis is unpacked.  A run that outgrows the width starts again
-    at twice the width with the budget as it was at entry, so the pairs
-    reduced, ``budget.used`` and the basis do not depend on the width.
+    The generators are sorted by ``Polynomial.sort_key``, so the pairs
+    reduced do not depend on the order they are written in, and packed
+    once (``PackedMonomials``, at the narrowest width their degrees allow);
+    S-polynomials, division and the final tail reduction run on packed
+    polynomials, and only the reduced basis is unpacked.  A run that
+    outgrows the width starts again at twice the width with the budget as
+    it was at entry, so the pairs reduced, ``budget.used`` and the basis do
+    not depend on the width.
     """
     budget = budget or Budget()
     generators = [g for g in generators if not g.is_zero()]
@@ -610,6 +588,7 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     for g in generators:
         if g.ring != ring:
             raise RingMismatchError("generators in different rings")
+    generators.sort(key=Polynomial.sort_key)
     complete = _completion(order)[0]
     return _packed(generators, order, lambda kernel: complete(kernel, ring, generators, budget), budget)
 
@@ -627,24 +606,23 @@ def completion_name(order: MonomialOrder) -> str:
     return _completion(order)[1]
 
 
-def _reduced_basis(kernel: _Kernel, ring: PolynomialRing, basis: list[dict], records: list[tuple]) -> tuple[Polynomial, ...]:
-    """The unique reduced Groebner basis of the ideal of which ``basis``,
-    normalized packed polynomials with the divisor records ``records``, is
-    a Groebner basis; only here are its elements made monic."""
+def _reduced_basis(kernel: _Kernel, ring: PolynomialRing, records: list[tuple]) -> tuple[Polynomial, ...]:
+    """The unique reduced Groebner basis of the ideal of which the
+    polynomials with the divisor records ``records`` are a Groebner basis;
+    only here are its elements made monic."""
     guard = kernel.guard
-    # minimalize: keep only elements whose leading term no other divides,
+    # minimalize: keep only records whose leading term no other divides,
     # scanning leading terms in ascending order
-    kept: list[int] = []
-    for i in sorted(range(len(basis)), key=lambda i: records[i][0]):
-        if all((records[i][0] - records[k][0]) & guard for k in kept):
-            kept.append(i)
+    kept: list[tuple] = []
+    for record in sorted(records, key=itemgetter(0)):
+        if all((record[0] - other[0]) & guard for other in kept):
+            kept.append(record)
     # one keyless index serves every tail: no lead divides a monomial below it
-    index = _Divisors(guard, [records[k][:3] + (None, records[k][4]) for k in kept])
+    index = _Divisors(guard, [(lm, tail, None, lead) for lm, tail, _, lead in kept])
     reduced = []
-    for k in kept:
-        lm, _, tail = records[k][:3]
+    for lm, tail, _, lead in kept:
         remainder, scale = kernel.reduce(dict(tail), index)
-        reduced.append({lm: basis[k][lm] * scale, **remainder})
+        reduced.append({lm: scale if lead is None else lead * scale, **remainder})
     reduced.sort(key=max)
     return tuple(kernel.unpack(ring, kernel.monic(g)) for g in reduced)
 
@@ -667,7 +645,6 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
     """
     packing = kernel.packing
     lcm, graded, segment, exponent_guard = packing.lcm, packing.graded, packing.exponent_mask, packing.exponent_guard
-    basis = kernel.inter_reduce(generators)
     divisors = kernel.divisors(())
     records = divisors.records  # divisor records, in basis order
     leads: list[int] = []  # exponent segments of the leading monomials
@@ -686,8 +663,8 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
         leads.append(e)
         done.append(0)
 
-    for terms in basis:
-        add(terms)
+    for f in generators:
+        add(kernel.normalized(f))
     while heap:
         key, i, j = heappop(heap)
         done[i] |= 1 << j
@@ -708,9 +685,8 @@ def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomi
         budget.spend()
         r = kernel.reduce(kernel.s_polynomial(records[i], records[j], packing.monomial(e)), divisors)[0]
         if r:
-            basis.append(kernel.normalize(r))
-            add(basis[-1])
-    return _reduced_basis(kernel, ring, basis, records)
+            add(kernel.normalize(r))
+    return _reduced_basis(kernel, ring, records)
 
 
 def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomial], budget: Budget) -> tuple[Polynomial, ...]:
@@ -719,8 +695,8 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     Groebner basis computation").
 
     Each basis element g carries a signature t*e_i: g is a combination of
-    the inter-reduced generators f_i whose largest term, in the Schreyer
-    order (t*lm(f_i), then i), is t*e_i.  A signature is one int,
+    the generators f_i, as given, whose largest term, in the Schreyer order
+    (t*lm(f_i), then i), is t*e_i.  A signature is one int,
     ``(t*lm(f_i)) << width | i``.  Then ``key = sig(g) - (lm(g) << width)``
     holds the ratio sig(g)/lm(g) above the index, and q*g has the signature
     ``((q*lm(g)) << width) + key``.  Such a sum of two packed monomials
@@ -748,9 +724,12 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
       remainder whose lead could be reduced at its own signature would have
       made its J-pair covered, so none reaches the basis.
 
-    The generators are the J-pairs e_i.  Reducing one does not spend the
-    budget; reducing any other J-pair spends it once.  Divisibility of
-    signatures is read off their exponent segments.
+    The generators are the J-pairs e_i: each is reduced at its own
+    signature, by the elements of smaller signature, so a generator that is
+    a multiple or an associate of earlier ones reduces to zero there.
+    Reducing one does not spend the budget; reducing any other J-pair
+    spends it once.  Divisibility of signatures is read off their exponent
+    segments.
 
     A new element k (lead segment e, signature segment ``span``) decides
     its J-pairs when it joins the basis, after Faugere's F5 and Roune and
@@ -774,12 +753,11 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     packing = kernel.packing
     guard, width, segment, exponent_guard = kernel.guard, packing.width, packing.exponent_mask, packing.exponent_guard
     lcm, monomial, slot_hits, slot_bits = packing.lcm, packing.monomial, packing.slot_hits, packing.slot_bits
-    gens = kernel.inter_reduce(generators)
+    gens = [kernel.normalized(f) for f in generators]
     if len(gens) > 1 << width:
         raise WidthOverflow(width)
     index = (1 << width) - 1  # key & index, sig & index: the generator index
     units = {1 << (width * v) for v in range(ring.arity)}  # the segments of the variables
-    basis: list[dict] = []
     divisors = kernel.divisors(())
     records = divisors.records  # divisor records, in basis order
     keys: list[int] = []
@@ -820,7 +798,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
 
     def add(terms: dict, sig: int):
         nonlocal slots, ones
-        k = len(basis)
+        k = len(records)
         lm = max(terms)
         key = sig - (lm << width)
         e = lm & segment
@@ -900,7 +878,6 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
                 heappush(heap, t)
             elif keys[held[0]] < keys[j]:
                 queued[t] = (j, i)
-        basis.append(terms)
         divisors.add(kernel.divisor(terms, key))
         elements[key & index].append((key, span))
         slots |= e << slot_bits * k
@@ -923,7 +900,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
             add(kernel.normalize(r), sig)
         else:
             record_syzygy(syzygies[sig & index], sig >> width & segment)
-    return _reduced_basis(kernel, ring, basis, records)
+    return _reduced_basis(kernel, ring, records)
 
 
 class IdealPresentation:

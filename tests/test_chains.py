@@ -50,13 +50,13 @@ def test_single_step_chain():
     x1 = cert.ring.variable("X1")
     u = cert.ring.variable("u")
     assert same_ideal(cert.links[1], IdealPresentation(cert.ring, [x1 - u]))
-    assert certified_lower_bound(cert) == 1
+    assert certified_lower_bound(cert)[0] == 1
 
 
 def test_two_step_chain():
     cert = build_standard(2)
     assert cert.length() == 2
-    assert certified_lower_bound(cert) == 2
+    assert certified_lower_bound(cert)[0] == 2
     # each witness adds exactly one link past the base chain
     assert len(cert.links) == 1 + 2
 
@@ -65,7 +65,7 @@ def test_empty_witness_list_returns_base_chain():
     A = polynomial_ring_algebra("u")
     cert = build_chain(A, zero_chain(A), [], [])
     assert cert.length() == 0
-    assert certified_lower_bound(cert) == 0
+    assert certified_lower_bound(cert)[0] == 0
 
 
 def test_avoidance_examples():
@@ -199,15 +199,16 @@ def test_chain_length_is_witness_count_plus_base():
     cert = build_chain(A, base, [A.ring.variable("v")], ["X1"], certs)
     assert len(cert.links) == 3
     assert cert.length() == 2
-    assert certified_lower_bound(cert) == 2
+    assert certified_lower_bound(cert)[0] == 2
 
 
 def test_certified_bound_matches_tensor_formula():
     for k in (1, 2, 3):
         cert = build_standard(k)
-        bound = certified_lower_bound(cert)
+        bound, checks = certified_lower_bound(cert)
         formula = field_tensor_dimension([k, k])
         assert bound == formula.value == k
+        assert checks == verify_chain(cert) and all(checks.values())
 
 
 def test_certified_bound_below_calculus_upper_bound():
@@ -217,7 +218,7 @@ def test_certified_bound_below_calculus_upper_bound():
         cert = build_standard(k)
         expr = parse_ring_expr(f"Tensor(Ext(Q; {k}), Ext(Q; {k}))")
         value = evaluate(expr).value
-        assert certified_lower_bound(cert) <= value.value
+        assert certified_lower_bound(cert)[0] <= value.value
 
 
 # -- mutation suite: every corruption must break at least one verification -----
@@ -284,7 +285,7 @@ def test_chain_over_proper_quotient_algebra():
     A = IdealPresentation(ring, [v**2 - u])
     for witness in (u, v):
         cert = build_chain(A, [IdealPresentation.zero_ideal(ring)], [witness], ["X1"])
-        assert certified_lower_bound(cert) == 1
+        assert certified_lower_bound(cert)[0] == 1
         # link 0 upstairs is (v^2 - u), not the zero ideal: its primality is taken as given
         assert cert.evidence[0].primality == PrimalityCertificate("asserted", note="base chain prime taken as given")
         # the algebra's own relation is carried into every link upstairs

@@ -127,6 +127,13 @@ def test_verify_reports_a_base_prime_over_the_adjoined_variables(capsys, tmp_pat
     assert report["result"]["verification"]["evaluation_witness"] is False
 
 
+def test_chain_refuses_a_chain_that_fails_verification(capsys):
+    # with both witnesses u, X1 - X2 is a pure-X member of the chain
+    code, report = run_cli(capsys, "chain", "--witnesses", "u,u", "--fresh", "X1,X2", "Poly(Q;u)")
+    assert (code, report["status"], report["result"]) == (EXIT_USER_ERROR, "user-error", None)
+    assert report["error"]["message"] == "chain verification failed: avoidance, evaluation_witness"
+
+
 def test_chain_verifies_once(capsys, monkeypatch):
     calls = []
 
@@ -253,18 +260,18 @@ CYCLIC4_FIBER = (
 
 
 def test_generic_fiber_spends_pairs_on_one_basis(capsys):
-    # the fiber's dimension is dim A over the base field, one basis of five
-    # pair reductions; a second basis over Q(T1) would need five more
-    code, report = run_cli(capsys, "dim", "--budget", "5", CYCLIC4_FIBER)
+    # the fiber's dimension is dim A over the base field, one basis of eight
+    # pair reductions; a second basis over Q(T1) would need eight more
+    code, report = run_cli(capsys, "dim", "--budget", "8", CYCLIC4_FIBER)
     assert (code, report["status"]) == (EXIT_OK, "ok")
     assert report["result"]["dimension"] == {"kind": "exact", "value": 1}
     assert [t["rule"] for t in report["trace"]] == ["generic-fiber-kernel", "tensor-upper-bound"]
 
 
 def test_generic_fiber_budget_still_binds(capsys):
-    code, report = run_cli(capsys, "dim", "--budget", "4", CYCLIC4_FIBER)
+    code, report = run_cli(capsys, "dim", "--budget", "7", CYCLIC4_FIBER)
     assert (code, report["status"]) == (EXIT_BUDGET, "budget-exhausted")
-    assert report["error"] == {"limit": 4, "message": "budget exhausted: 5 pair reductions (limit 4)", "used": 5}
+    assert report["error"] == {"limit": 7, "message": "budget exhausted: 8 pair reductions (limit 7)", "used": 8}
 
 
 def test_exit_code_internal_inconsistency(capsys, monkeypatch):

@@ -281,6 +281,19 @@ def test_arithmetic_matches_the_schoolbook_formulas(field, seed):
     assert (zero.num, zero.den) == (field.poly_ring.zero(), field.poly_ring.one())
 
 
+@pytest.mark.parametrize("field", [QT, F7UV], ids=["rational-t", "f7-uv"])
+@settings(derandomize=True, max_examples=80)
+@given(seed=st.integers(0, 10**9))
+def test_inverse_is_the_normalized_swap(field, seed):
+    # inv swaps the coprime parts without a gcd; the normalizing constructor,
+    # which takes one, must build the same numerator and denominator
+    for a in _operand_pair(random.Random(seed), field):
+        if field.is_zero(a):
+            continue
+        r, expected = field.inv(a), RatFunc(a.den, a.num)
+        assert (r.num, r.den) == (expected.num, expected.den)
+
+
 def test_constant_numerators_are_not_one():
     # -1, 1/2 and 3 are constants but not 1: multiplying by them must scale
     ring = QT.poly_ring

@@ -53,6 +53,12 @@ ARGVS = [
     ["dim", "Tensor(Loc(Quot(Poly(Q;x); x); x), Poly(Q;y))"],
     # a report file that cannot be written turns the report into a user error
     ["dim", "Q", "--out", "missing/report.json"],
+    # the printer's coefficient branches: (num)/(den), a negative lead over
+    # Q(t) and F_p(t), and p - 1 over F_p, which is not -1
+    ["gb", "Quot(Poly(FunField(Q; t); x,y); (t + 1)*x - y, t*y + 1)"],
+    ["gb", "Quot(Poly(FunField(Q; t); x,y); x + y, (2 - t)/(t + 3)*x*y - 1)", "--order", "lex"],
+    ["gb", "Quot(Poly(FunField(Fp(7); t); x,y); (1 - t)*x - y, x*y + (t - 1)/(t + 2))"],
+    ["gb", "Quot(Poly(Fp(7); x,y); x - y, x*y + 1)"],
 ]
 
 _RING_EXPR = re.compile(r"(Q|Fp\(|FunField\(|Ext\(|Poly\(|Quot\(|Loc\(|LocSub\(|Tensor\(|Frac\()")

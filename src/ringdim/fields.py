@@ -14,6 +14,9 @@ Every field object provides:
     from_int, add, mul, neg, inv, div, is_zero, is_one
     element_key      -- hashable/sortable canonical key
     display_split    -- (is_negative, unsigned text) for the printer
+The unsigned text of ``display_split`` is "1" exactly when the element is 1
+or -1: ``format_polynomial`` relies on that to print a term with such a
+coefficient as its sign and monomial, without testing the element itself.
 Every element also supports ``+``, ``-``, ``*``, unary ``-`` and truth (false
 exactly at zero); the Groebner kernel (``ideals._Kernel``) divides with these
 over every field but Q and Q(t) in one variable, where it divides on ints and
@@ -61,6 +64,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _digits(n: int) -> str:
+    """Every decimal digit of the int n.  ``str`` refuses an int past
+    ``sys.get_int_max_str_digits()``, and powers build such coefficients;
+    only then does ``Decimal`` print it."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 class RationalField(FrozenRecord):
     """The field Q, with Fraction elements."""
 
@@ -104,10 +117,8 @@ class RationalField(FrozenRecord):
         return ("q", a)
 
     def display_split(self, a) -> tuple[bool, str]:
-        # Decimal prints every digit: str(int) refuses past
-        # sys.get_int_max_str_digits(), and powers build such coefficients
-        num, den = Decimal(abs(a.numerator)), a.denominator
-        return a < 0, str(num) if den == 1 else f"{num}/{Decimal(den)}"
+        num, den = a.numerator, a.denominator
+        return num < 0, _digits(abs(num)) if den == 1 else f"{_digits(abs(num))}/{_digits(den)}"
 
     def __repr__(self):
         return "Q"
@@ -224,6 +235,14 @@ def _gcd(p: Polynomial, q: Polynomial) -> Polynomial | None:
     return None if _is_constant(g) else g
 
 
+def _fraction_text(num: Polynomial, den: Polynomial, negate: bool = False) -> str:
+    """``(num)/(den)``, or ``(num)`` when the monic ``den`` is 1; with
+    ``negate``, -num in place of num (over Q)."""
+    if _is_constant(den):
+        return f"({format_polynomial(num, negate)})"
+    return f"({format_polynomial(num, negate)})/({format_polynomial(den)})"
+
+
 class RatFunc:
     """A reduced fraction of polynomials in the function-field variables.
 
@@ -292,9 +311,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if self.den == self.den.ring.one():
-            return f"({format_polynomial(self.num)})"
-        return f"({format_polynomial(self.num)})/({format_polynomial(self.den)})"
+        return _fraction_text(self.num, self.den)
 
 
 @lru_cache(maxsize=64)
@@ -384,15 +401,12 @@ class RationalFunctionField(FrozenRecord):
         return ("rf", a.num.sort_key(), a.den.sort_key())
 
     def display_split(self, a: RatFunc) -> tuple[bool, str]:
-        ring = a.num.ring
-        if a.den == ring.one() and a.num.is_constant():
-            return self.base.display_split(a.num.constant_value())
-        _, lc = a.num.leading(GREVLEX)
-        neg, _ = self.base.display_split(lc)
-        num = -a.num if neg else a.num
-        if a.den == ring.one():
-            return neg, f"({format_polynomial(num)})"
-        return neg, f"({format_polynomial(num)})/({format_polynomial(a.den)})"
+        num, den = a.num, a.den
+        if _is_constant(den) and num.is_constant():
+            return self.base.display_split(num.constant_value())
+        # the sign of the lead: F_p elements, ints in [0, p), have none
+        neg = num.leading(GREVLEX)[1] < 0
+        return neg, _fraction_text(num, den, neg)
 
     def __repr__(self):
         return f"FunField({self.base!r}; {','.join(self.variables)})"

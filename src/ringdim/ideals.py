@@ -331,17 +331,21 @@ class _Kernel:
         is taken only for what leaves the kernel.  Over Q(t) each
         coefficient c becomes (c/g)/(d/g), g = gcd(c, d) in Z[t], both
         parts over the leading coefficient of d/g: the canonical
-        ``RatFunc``, found with one gcd in Z[t]."""
+        ``RatFunc``, found with one gcd in Z[t].  Coefficients that share
+        d/g share one denominator polynomial."""
         if self.integral:
             ring = self.t_ring
             if ring is None:
                 return {m: Fraction(c, d) for m, c in terms.items()}
-            out = {}
+            out, dens = {}, {}
             for m, c in terms.items():
                 g = _int_poly_gcd(c, d)
                 n, e = c // g, d // g
                 lead = e[-1]
-                out[m] = RatFunc._reduced(_sparse(ring, n, lead), _sparse(ring, e, lead))
+                den = dens.get(e)
+                if den is None:
+                    den = dens[e] = _sparse(ring, e, lead)
+                out[m] = RatFunc._reduced(_sparse(ring, n, lead), den)
             return out
         field = self.field
         if field.is_one(d):

@@ -169,7 +169,7 @@ class PackedMonomials:
 
     def unpack(self, m: int) -> tuple[int, ...]:
         mask = self._mask
-        return tuple(m >> shift & mask for shift in self._shifts)
+        return tuple([m >> shift & mask for shift in self._shifts])
 
     def lcm(self, a: int, b: int, guard: int = 0) -> int:
         """The exponent segment of lcm(u, v), from the segments a and b of

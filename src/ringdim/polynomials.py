@@ -334,38 +334,35 @@ class Polynomial:
 
 # -- text form ----------------------------------------------------------------
 
-def format_polynomial(p: Polynomial) -> str:
+def format_polynomial(p: Polynomial, negate: bool = False) -> str:
     """Canonical text: terms in descending grevlex order, `^` powers.
 
     The output parses back to an equal polynomial, so reports diff cleanly.
+    A coefficient prints as the unsigned text of ``display_split``, which
+    is "1" exactly for 1 and -1: those print as their sign alone.  With
+    ``negate`` the text is that of -p, for p over Q, where -c prints as c
+    with the sign flipped.
     """
     if p.is_zero():
         return "0"
-    field = p.ring.field
+    terms = p.terms
+    split = p.ring.field.display_split
     names = p.ring.variables
-    key = GREVLEX.descending_key
-    items = sorted(p.terms.items(), key=lambda item: key(item[0]))
     pieces: list[str] = []
-    for exps, c in items:
-        negative, body = field.display_split(c)
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
-        if not factors:
+    for exps in sorted(terms, key=GREVLEX.descending_key):
+        negative, body = split(terms[exps])
+        negative ^= negate
+        monomial = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
+        if not monomial:
             text = body
-        elif field.is_one(c):
-            text = "*".join(factors)
-        elif negative and field.is_one(field.neg(c)):
-            text = "*".join(factors)
+        elif body == "1":
+            text = monomial
         else:
-            text = body + "*" + "*".join(factors)
-        if not pieces:
-            pieces.append(f"-{text}" if negative else text)
-        else:
+            text = f"{body}*{monomial}"
+        if pieces:
             pieces.append(f"- {text}" if negative else f"+ {text}")
+        else:
+            pieces.append(f"-{text}" if negative else text)
     return " ".join(pieces)
 
 

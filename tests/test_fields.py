@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringdim import (
     GREVLEX,
+    Polynomial,
     PolynomialRing,
     PrimeField,
     QQ,
@@ -18,6 +21,7 @@ from ringdim import (
     polynomial_gcd,
 )
 
+from ringdim import fields
 from conftest import monomial, random_polynomial
 
 
@@ -329,3 +333,39 @@ def test_gcd_with_a_single_term_is_the_least_exponent_monomial(field, seed):
         other = other * monomial(ring, (1, 2, 0))  # several variables in every term
     for f, g in ((term, other), (other, term)):
         assert polynomial_gcd(f, g) == _least_exponents(f, g)
+
+
+def test_coefficients_past_a_lowered_digit_limit_print_in_full(monkeypatch):
+    # Decimal prints only what str(int) refuses; at the limit str still prints
+    decimals = []
+    monkeypatch.setattr(fields, "Decimal", lambda n: decimals.append(n) or Decimal(n))
+    long, at_limit = 10**699 + 7, 10**639 + 3
+    ring = QT.poly_ring
+    held = RatFunc(Polynomial(ring, {(1,): Fraction(long), (0,): 1}), ring.one())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        texts = [
+            QQ.display_split(Fraction(-long, 3)),
+            QQ.display_split(Fraction(2, long)),
+            QT.display_split(held),
+            QQ.display_split(Fraction(at_limit, 7)),
+        ]
+        digits = str(Decimal(long))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert texts == [
+        (True, f"{digits}/3"),
+        (False, f"2/{digits}"),
+        (False, f"({digits}*t + 1)"),
+        (False, f"{at_limit}/7"),
+    ]
+    assert decimals == [long, long, long]
+
+
+def test_ratfunc_repr_keeps_the_sign_inside_the_numerator():
+    ring = QT.poly_ring
+    t = ring.variable("t")
+    assert repr(RatFunc(-t - ring.one(), t)) == "(-t - 1)/(t)"
+    assert repr(RatFunc(ring.from_int(-2), ring.one())) == "(-2)"
+    assert repr(QT.one) == "(1)"

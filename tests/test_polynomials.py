@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,15 +14,18 @@ from ringdim import (
     PolynomialRing,
     PrimeField,
     QQ,
+    RationalField,
     RationalFunctionField,
     RingMismatchError,
     ZeroPolynomialError,
+    buchberger,
     exact_divide,
     format_polynomial,
     parse_polynomial,
     polynomial_gcd,
 )
 
+from ringdim import fields
 from conftest import random_polynomial
 
 
@@ -182,3 +186,33 @@ def test_canonical_format_examples(rxy):
     p = x**2 * y.scale(QQ.from_int(3)).scale(QQ.inv(QQ.from_int(2))) - y + rxy.one()
     assert format_polynomial(p) == "3/2*x^2*y - y + 1"
     assert format_polynomial(rxy.zero()) == "0"
+
+
+@pytest.mark.parametrize(
+    "field, generators, order, basis",
+    [
+        (RationalFunctionField(QQ, ("t",)), ["(t + 1)*x - y", "t*y + 1"], GREVLEX,
+         ["y + (1)/(t)", "x + (1)/(t^2 + t)"]),
+        (RationalFunctionField(QQ, ("t",)), ["x + y", "(2 - t)/(t + 3)*x*y - 1"], LEX,
+         ["y^2 - (t + 3)/(t - 2)", "x + y"]),
+        (QQ, ["2*x^2 - 3*y", "x*y + 1"], GREVLEX, ["y^2 + 2/3*x", "x*y + 1", "x^2 - 3/2*y"]),
+        (PrimeField(7), ["x - y", "x*y + 1"], GREVLEX, ["x + 6*y", "y^2 + 1"]),
+    ],
+    ids=["function-field", "function-field-negative-lead", "rationals", "f7"],
+)
+def test_printing_a_basis_does_no_field_arithmetic(monkeypatch, field, generators, order, basis):
+    # counts, unlike timings, are the same on every machine
+    ring = PolynomialRing(field, ("x", "y"))
+    reduced = buchberger([parse_polynomial(g, ring) for g in generators], order)
+    calls = []
+
+    def counting(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setattr(fields, "Decimal", counting("Decimal", Decimal))
+    monkeypatch.setattr(PolynomialRing, "one", counting("one", PolynomialRing.one))
+    for cls in (RationalField, PrimeField, RationalFunctionField):
+        for name in ("is_one", "neg"):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    assert [format_polynomial(g) for g in reduced] == basis
+    assert calls == []

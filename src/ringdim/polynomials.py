@@ -345,24 +345,30 @@ def format_polynomial(p: Polynomial, negate: bool = False) -> str:
     """
     if p.is_zero():
         return "0"
-    terms = p.terms
-    split = p.ring.field.display_split
+    field = p.ring.field
     names = p.ring.variables
+    key = GREVLEX.descending_key
+    items = sorted(p.terms.items(), key=lambda item: key(item[0]))
     pieces: list[str] = []
-    for exps in sorted(terms, key=GREVLEX.descending_key):
-        negative, body = split(terms[exps])
+    for exps, c in items:
+        negative, body = field.display_split(c)
         negative ^= negate
-        monomial = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
-        if not monomial:
+        factors = []
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e:
+                factors.append(f"{name}^{e}")
+        if not factors:
             text = body
         elif body == "1":
-            text = monomial
+            text = "*".join(factors)
         else:
-            text = f"{body}*{monomial}"
-        if pieces:
-            pieces.append(f"- {text}" if negative else f"+ {text}")
-        else:
+            text = body + "*" + "*".join(factors)
+        if not pieces:
             pieces.append(f"-{text}" if negative else text)
+        else:
+            pieces.append(f"- {text}" if negative else f"+ {text}")
     return " ".join(pieces)
 
 

@@ -59,6 +59,10 @@ ARGVS = [
     ["gb", "Quot(Poly(FunField(Q; t); x,y); x + y, (2 - t)/(t + 3)*x*y - 1)", "--order", "lex"],
     ["gb", "Quot(Poly(FunField(Fp(7); t); x,y); (1 - t)*x - y, x*y + (t - 1)/(t + 2))"],
     ["gb", "Quot(Poly(Fp(7); x,y); x - y, x*y + 1)"],
+    # two-parameter coefficients, whose gcds have several variables: each
+    # basis prints a denominator in both t and s
+    ["gb", "Quot(Poly(FunField(Q; t,s); x,y); (t + s)*x - (t - s)*y, (s + 1)*x*y - t)"],
+    ["gb", "Quot(Poly(FunField(Fp(7); t,s); x,y); (t + s)*x - (t - s)*y, (s + 1)*x*y - t)"],
 ]
 
 _RING_EXPR = re.compile(r"(Q|Fp\(|FunField\(|Ext\(|Poly\(|Quot\(|Loc\(|LocSub\(|Tensor\(|Frac\()")

@@ -52,7 +52,6 @@ from .fields import (
     CoefficientField,
     PrimeField,
     QQ,
-    RationalField,
     RationalFunctionField,
     merged_function_field,
 )
@@ -489,7 +488,8 @@ def parse_ring_expr(text: str) -> RingExpr:
 
 
 def parse_field(text: str) -> CoefficientField:
-    """Parse a field (Q, Fp(p), FunField(..)); the inverse of format_field."""
+    """Parse a field (Q, Fp(p), FunField(..)); the inverse of its ``repr``,
+    which ``format_field`` returns."""
     return _parse_whole(text, _parse_field)
 
 
@@ -502,13 +502,8 @@ def ambient_ring_of(text: str) -> PolynomialRing | None:
 # -- printing -----------------------------------------------------------------------
 
 def format_field(field: CoefficientField) -> str:
-    if isinstance(field, RationalField):
-        return "Q"
-    if isinstance(field, PrimeField):
-        return f"Fp({field.p})"
-    if isinstance(field, RationalFunctionField):
-        return f"FunField({format_field(field.base)}; {','.join(field.variables)})"
-    raise TypeError(f"unknown field {field!r}")
+    """The text form of a field, which is its ``repr``."""
+    return repr(field)
 
 
 def format_ring_expr(expr: RingExpr) -> str:

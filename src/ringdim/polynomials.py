@@ -15,6 +15,7 @@ copies (see ``ideals``), so nothing here is cached.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Mapping
 
@@ -375,57 +376,56 @@ def format_polynomial(p: Polynomial, negate: bool = False) -> str:
 # -- division and gcd ----------------------------------------------------------
 
 def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
-    """Quotient p/q when q divides p exactly, else None."""
+    """Quotient p/q when q divides p exactly, else None.
+
+    The remainder is a dict updated in place with a heap of its monomials
+    under grevlex, so no step rescans it or builds a polynomial.  Every
+    monomial a step adds is below the one it removes, so each enters the
+    heap once.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return p
     p._check_ring(q)
     field = p.ring.field
+    key = GREVLEX.descending_key
     lq, cq = q.leading(GREVLEX)
+    tail = [(e, field.neg(field.div(c, cq))) for e, c in q.terms.items() if e != lq]
+    rest = dict(p.terms)
+    heap = sorted((key(e), e) for e in rest)
     quotient: dict = {}
-    rest = p
-    while rest:
-        lr, cr = rest.leading(GREVLEX)
+    while heap:
+        lr = heappop(heap)[1]
+        cr = rest.pop(lr)
+        if field.is_zero(cr):
+            continue
         if not monomial_divides(lq, lr):
             return None
         exps = tuple(map(sub, lr, lq))
-        coeff = field.div(cr, cq)
-        quotient[exps] = coeff
-        rest = rest - q.mul_term(coeff, exps)
+        quotient[exps] = field.div(cr, cq)
+        for e, c in tail:
+            m = monomial_mul(e, exps)
+            if m in rest:
+                rest[m] = field.add(rest[m], field.mul(cr, c))
+            else:
+                rest[m] = field.mul(cr, c)
+                heappush(heap, (key(m), m))
     return Polynomial._raw(p.ring, quotient)
 
 
-def _content(p: Polynomial, i: int) -> Polynomial:
-    parts = [p.coefficient_of(i, d) for d in range(p.degree_in(i) + 1)]
-    parts = [q for q in parts if not q.is_zero()]
-    g = parts[0]
-    for q in parts[1:]:
-        g = polynomial_gcd(g, q)
-    return g
-
-
-def _pseudo_rem(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
-    n = g.degree_in(i)
-    lc_g = g.coefficient_of(i, n)
-    rest = f
-    while not rest.is_zero() and rest.degree_in(i) >= n:
-        d = rest.degree_in(i)
-        lc_r = rest.coefficient_of(i, d)
-        shift = tuple(d - n if j == i else 0 for j in range(f.ring.arity))
-        rest = rest * lc_g - (lc_r * g).mul_term(f.ring.field.one, shift)
-    return rest
-
-
 def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Multivariate gcd over a field, by primitive pseudo-remainder sequences.
+    """Multivariate gcd over a field, monic under grevlex, so canonical.
 
-    The result is monic under grevlex, so it is canonical.  When either
-    operand is a single term c*x^a, every divisor of it is a monomial and the
-    gcd is x^m, m the least exponent of each variable over the terms of both
-    operands; that base case (a constant operand included) skips the content
-    recursion.  Only what rational-function arithmetic needs: operands stay
-    small here.
+    When either operand is a single term c*x^a, every divisor of it is a
+    monomial and the gcd is x^m, m the least exponent of each variable over
+    the terms of both operands (a constant operand included).  Otherwise it
+    comes from the Groebner kernel: for principal ideals (g : f) is
+    (g / gcd(f, g)) (Cox, Little and O'Shea, "Ideals, Varieties, and
+    Algorithms", ch. 4 §3), so the one generator q of ``ideal_quotient``
+    gives the gcd as g/q.  Those kernel runs spend their own default
+    ``Budget``, not a caller's, so a Groebner run over a function field
+    spends the same ``budget.used`` whatever its coefficient gcds cost.
     """
     if f.is_zero() and g.is_zero():
         return f
@@ -437,19 +437,7 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if len(f.terms) == 1 or len(g.terms) == 1:
         exps = tuple(map(min, *f.terms, *g.terms))
         return Polynomial._raw(f.ring, {exps: f.ring.field.one})
-    i = max(f.support() | g.support())  # two terms or more: some variable occurs
-    if f.degree_in(i) < g.degree_in(i):
-        f, g = g, f
-    cf, cg = _content(f, i), _content(g, i)
-    content = polynomial_gcd(cf, cg)
-    a = exact_divide(f, cf)
-    b = exact_divide(g, cg)
-    while b.degree_in(i) > 0:
-        r = _pseudo_rem(a, b, i)
-        if r.is_zero():
-            prim = exact_divide(b, _content(b, i))
-            return (content * prim).monic()
-        # monic as well as primitive, so no constant content builds up
-        a, b = b, exact_divide(r, _content(r, i)).monic()
-    # remainder dropped to degree 0 in x_i: the primitive parts are coprime
-    return content.monic()
+    from .ideals import IdealPresentation, ideal_quotient  # ideals imports fields, which imports this module
+
+    (q,) = ideal_quotient(IdealPresentation(f.ring, [g]), f).generators
+    return exact_divide(g, q).monic()

@@ -237,6 +237,22 @@ def test_exit_code_user_error_on_parse_failure(capsys):
     assert "line" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gb", "Poly(Q; x)"], "this command expects a Quot(...) payload"),
+        (["gb", "Quot(Poly(Ext(Q; inf); x); x)"], "the quotient does not flatten to an affine presentation"),
+        (["trdeg", "Frac(Poly(Q; x))"], "trdeg needs a field extension or an affine domain"),
+        (["chain", "--witnesses", "x", "--fresh", "X1", "Frac(Poly(Q; x))"], "chain needs an affine expression"),
+    ],
+    ids=["gb-not-a-quotient", "gb-not-affine", "trdeg-fraction-field", "chain-fraction-field"],
+)
+def test_verb_refuses_a_payload_of_the_wrong_shape(capsys, argv, message):
+    code, report = run_cli(capsys, *argv)
+    assert (code, report["status"], report["result"]) == (EXIT_USER_ERROR, "user-error", None)
+    assert report["error"]["message"] == f"{message} (line 1, column 0)"
+
+
 def test_exit_code_budget_exhausted(capsys):
     # 0 is the smallest cap, not a usage error
     for limit in (0, 1):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import io
 import random
+import re
+from contextlib import redirect_stdout
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,30 @@ def test_dim_empty_ring_is_distinct():
     rxy = PolynomialRing(QQ, ("x", "y"))
     A = IdealPresentation(rxy, [rxy.one()])
     assert dim_affine(A) == DimensionValue.empty_ring()
+
+
+def test_dimension_values_print_as_documented():
+    assert [str(v) for v in (
+        DimensionValue.exact(1),
+        DimensionValue.empty_ring(),
+        DimensionValue.infinite(),
+        DimensionValue.interval(2, 3),
+    )] == ["1", "empty-ring", "inf", "[2, 3]"]
+
+
+def test_readme_library_example_prints_what_it_shows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(snippet, {})
+    shown = re.search(r"print\(result\.value\) +# (.+)", snippet).group(1)
+    assert out.getvalue().splitlines() == [
+        shown,
+        "generic-fiber-kernel -- purely transcendental base extension preserves affine dimension",
+        "tensor-upper-bound -- dim A[X_1..X_n] = dim A + n for Noetherian A (Matsumura, Thm 15.4)",
+    ]
+    assert shown == "1"
 
 
 def test_dim_matches_monomial_oracle_random():

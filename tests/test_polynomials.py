@@ -164,6 +164,31 @@ def test_exact_divide(rxy):
     assert exact_divide(x, y) is None
 
 
+def _schoolbook_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
+    """p/q by one polynomial subtraction per quotient term, or None."""
+    lq, cq = q.leading(GREVLEX)
+    quotient, rest = {}, p
+    while rest:
+        lr, cr = rest.leading(GREVLEX)
+        if any(a > b for a, b in zip(lq, lr)):
+            return None
+        exps = tuple(b - a for a, b in zip(lq, lr))
+        quotient[exps] = p.ring.field.div(cr, cq)
+        rest = rest - q.mul_term(quotient[exps], exps)
+    return Polynomial(p.ring, quotient)
+
+
+@settings(derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10**9))
+def test_exact_divide_matches_schoolbook_division(any_ring, seed):
+    rng = random.Random(seed)
+    a, r = random_polynomial(rng, any_ring), random_polynomial(rng, any_ring)
+    b = random_polynomial(rng, any_ring, nonzero=True)
+    for p in (a * b, a * b + r):
+        assert exact_divide(p, b) == _schoolbook_divide(p, b)
+    assert exact_divide(a * b, b) == a
+
+
 def test_polynomial_gcd_multivariate(rxy):
     x, y = rxy.variable("x"), rxy.variable("y")
     f = (x + y) ** 2 * (x - y)
@@ -171,6 +196,78 @@ def test_polynomial_gcd_multivariate(rxy):
     d = polynomial_gcd(f, g)
     assert d == (x + y).monic()
     assert polynomial_gcd(rxy.zero(), g) == g.monic()
+
+
+# A gcd that shares no code with the Groebner kernel or ``exact_divide``:
+# primitive pseudo-remainder sequences, recursive in the largest variable
+# that occurs.
+
+def _content(p: Polynomial, i: int) -> Polynomial:
+    parts = [p.coefficient_of(i, d) for d in range(p.degree_in(i) + 1)]
+    parts = [q for q in parts if not q.is_zero()]
+    g = parts[0]
+    for q in parts[1:]:
+        g = ref_polynomial_gcd(g, q)
+    return g
+
+
+def _pseudo_rem(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
+    n = g.degree_in(i)
+    lc_g = g.coefficient_of(i, n)
+    rest = f
+    while not rest.is_zero() and rest.degree_in(i) >= n:
+        d = rest.degree_in(i)
+        lc_r = rest.coefficient_of(i, d)
+        shift = tuple(d - n if j == i else 0 for j in range(f.ring.arity))
+        rest = rest * lc_g - (lc_r * g).mul_term(f.ring.field.one, shift)
+    return rest
+
+
+def ref_polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """gcd(f, g), monic under grevlex, by primitive pseudo-remainder
+    sequences; a single-term operand gives the monomial of least exponents."""
+    if f.is_zero() and g.is_zero():
+        return f
+    if f.is_zero():
+        return g.monic()
+    if g.is_zero():
+        return f.monic()
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        exps = tuple(map(min, *f.terms, *g.terms))
+        return Polynomial(f.ring, {exps: f.ring.field.one})
+    i = max(f.support() | g.support())  # two terms or more: some variable occurs
+    if f.degree_in(i) < g.degree_in(i):
+        f, g = g, f
+    cf, cg = _content(f, i), _content(g, i)
+    content = ref_polynomial_gcd(cf, cg)
+    a = _schoolbook_divide(f, cf)
+    b = _schoolbook_divide(g, cg)
+    while b.degree_in(i) > 0:
+        r = _pseudo_rem(a, b, i)
+        if r.is_zero():
+            prim = _schoolbook_divide(b, _content(b, i))
+            return (content * prim).monic()
+        # monic as well as primitive, so no constant content builds up
+        a, b = b, _schoolbook_divide(r, _content(r, i)).monic()
+    # remainder dropped to degree 0 in x_i: the primitive parts are coprime
+    return content.monic()
+
+
+@settings(derandomize=True, max_examples=90, deadline=None)
+@given(
+    field=st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]),
+    arity=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_polynomial_gcd_matches_the_reference_prs(field, arity, seed):
+    ring = PolynomialRing(field, ("t", "s", "u")[:arity])
+    rng = random.Random(seed)
+    a, b, c = (random_polynomial(rng, ring, max_degree=2, max_terms=3, nonzero=True) for _ in range(3))
+    f, g = a * c, b * c
+    d = polynomial_gcd(f, g)
+    assert d == ref_polynomial_gcd(f, g)
+    assert field.is_one(d.leading(GREVLEX)[1])
+    assert _schoolbook_divide(f, d) is not None and _schoolbook_divide(g, d) is not None
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,10 +1,11 @@
 """Explicit prime-ideal chains as machine-checkable lower-bound certificates.
 
 Given an affine algebra A = K[X]/I (passed as the ``IdealPresentation`` of
-I), a base chain of primes, and elements t_1..t_n of A that are
+I), assumed to be a domain, and elements t_1..t_n of A that are
 algebraically independent over the coefficient field, adjoining fresh
-indeterminates X_i and the relations X_i - t_i extends the chain one strict
-step per witness.  Every step carries three pieces of evidence:
+indeterminates X_i and the relations X_i - t_i gives a chain that starts at
+the algebra's own ideal and rises one strict step per witness.  Every step
+carries three pieces of evidence:
 
   * strictness  -- a generator of the next link with nonzero normal form
                    modulo the previous one;
@@ -16,11 +17,12 @@ step per witness.  Every step carries three pieces of evidence:
                    travels down to the base prime's own certificate.
 
 ``build_chain`` only builds: it returns the links and this evidence as data.
-``verify_chain`` makes every check, each exactly once: ``verify_strictness``,
-``verify_avoidance`` (elimination), ``verify_substitution_transfer`` and
-``verify_avoidance_by_evaluation``.  ``certified_lower_bound``, which
-the ``chain`` verb runs, calls ``verify_chain`` itself and gives a number
-only when every check passes.
+``verify_chain`` checks any chain, including one read from a certificate
+file that starts with several links.  It makes every check, each exactly
+once: ``verify_strictness``, ``verify_avoidance`` (elimination),
+``verify_substitution_transfer`` and ``verify_avoidance_by_evaluation``.
+``certified_lower_bound``, which the ``chain`` verb runs, calls
+``verify_chain`` itself and gives a number only when every check passes.
 
 A fully verified chain of k strict steps certifies dimension >= k for the
 ring localized away from the pure-X polynomials, which is exactly the lower
@@ -106,30 +108,20 @@ def verify_algebraic_independence(ideal: IdealPresentation, elements: Sequence[P
     return eliminate(IdealPresentation(ext, gens), tags, budget).is_zero_ideal()
 
 
-def build_chain(
-    ideal: IdealPresentation,
-    base_chain: Sequence[IdealPresentation],
-    witnesses: Sequence[Polynomial],
-    fresh_variables: Sequence[str],
-    base_certificates: Sequence[PrimalityCertificate] | None = None,
-    budget: Budget | None = None,
-) -> ChainCertificate:
-    """Extend a strictly ascending chain of primes of A = K[X]/I by one link
-    per witness, adjoining X_i - t_i in A[X_1..X_n].
+def build_chain(ideal: IdealPresentation, witnesses: Sequence[Polynomial], fresh_variables: Sequence[str]) -> ChainCertificate:
+    """The chain of primes of A[X_1..X_n], A = K[X]/I, that starts at the
+    algebra's own ideal and adds one link per witness t_i by adjoining the
+    relation X_i - t_i.
 
-    The base chain's primality certificates are taken as given; without
-    them, each base link upstairs (its generators plus the algebra's
-    relations) gets ``domain_certificate``'s evidence.  Each new link gets a
-    substitution-transfer certificate referring to the top base prime, and
-    its relation X_i - t_i as strictness witness.  A base link past the
-    first gets the first of its generators outside the link below, and a
-    base chain with no such generator raises.  Nothing else is checked
-    here: ``verify_chain`` makes every check, once.
+    The first link is I lifted upstairs, with ``domain_certificate``'s
+    evidence: the algebra is assumed to be a domain.  Each later link gets
+    a substitution-transfer certificate referring to the first, and its
+    relation X_i - t_i as strictness witness.  Nothing is checked here but
+    the witnesses and fresh names: ``verify_chain`` makes every check, once,
+    and accepts any chain, including one that starts with several links.
     """
     if len(witnesses) != len(fresh_variables):
         raise ValueError("one fresh variable per witness")
-    if not base_chain:
-        raise ValueError("base chain must contain at least one prime (possibly the zero ideal)")
     ring = ideal.ring
     for name in fresh_variables:
         if name in ring.variables:
@@ -137,33 +129,12 @@ def build_chain(
     for t in witnesses:
         if t.ring != ring:
             raise ValueError("witnesses must be elements of the algebra's ring")
-    if base_certificates is not None and len(base_certificates) != len(base_chain):
-        raise ValueError("one certificate per base link")
 
     ext = ring.extend(tuple(fresh_variables))
     lifted_witnesses = tuple(t.map_to(ext) for t in witnesses)
-
-    links: list[IdealPresentation] = []
-    evidence: list[ChainStepEvidence] = []
-    for k, link in enumerate(base_chain):
-        if link.ring != ring:
-            raise ValueError("base chain links must live in the algebra's ring")
-        # the algebra's own relations are part of every link upstairs
-        gens = [g.map_to(ext) for g in link.generators + ideal.generators]
-        upstairs = IdealPresentation(ext, gens)
-        witness = None
-        if links:
-            witness = _strictness_witness(upstairs, links[-1], budget)
-            if witness is None:
-                raise CertificateError(f"chain step {len(links)} is not strict")
-        links.append(upstairs)
-        if base_certificates is None:
-            cert = domain_certificate(upstairs, "base chain prime taken as given")
-        else:
-            cert = base_certificates[k]
-        evidence.append(ChainStepEvidence(witness, False, cert))
-
-    top_base = links[-1]
+    base = IdealPresentation(ext, [g.map_to(ext) for g in ideal.generators])
+    links = [base]
+    evidence = [ChainStepEvidence(None, False, domain_certificate(base, "algebra assumed to be a domain"))]
     relations: list[Polynomial] = []
     substitutions: list[tuple[int, Polynomial]] = []
     for k, t_ext in enumerate(lifted_witnesses):
@@ -172,23 +143,14 @@ def build_chain(
         relation = ext.variable(idx) - t_ext
         relations.append(relation)
         substitutions.append((idx, t_ext))
-        links.append(IdealPresentation(ext, top_base.generators + tuple(relations)))
+        links.append(IdealPresentation(ext, base.generators + tuple(relations)))
         cert = PrimalityCertificate(
             "substitution-transfer",
-            base_prime=top_base,
+            base_prime=base,
             substitutions=tuple(substitutions),
         )
         evidence.append(ChainStepEvidence(relation, False, cert))
     return ChainCertificate(ext, tuple(links), tuple(evidence), tuple(fresh_variables), lifted_witnesses)
-
-
-def _strictness_witness(bigger: IdealPresentation, smaller: IdealPresentation, budget: Budget | None) -> Polynomial | None:
-    """First generator of the bigger link (canonical scan order) with
-    nonzero normal form modulo the smaller link."""
-    for g in sorted(bigger.generators, key=Polynomial.sort_key):
-        if not smaller.contains(g, budget=budget):
-            return g
-    return None
 
 
 def verify_strictness(cert: ChainCertificate, budget: Budget | None = None) -> bool:

@@ -268,10 +268,10 @@ class _Rejected(CertificateError):
 def _quotient_payload(text: str) -> tuple[Quotient, IdealPresentation]:
     expr = parse_ring_expr(text)
     if not isinstance(expr, Quotient):
-        raise ParseError("this command expects a Quot(...) payload")
+        raise ValueError("this command expects a Quot(...) payload")
     flat = flatten_affine(expr)
     if flat is None:
-        raise ParseError("the quotient does not flatten to an affine presentation")
+        raise ValueError("the quotient does not flatten to an affine presentation")
     return expr, flat
 
 
@@ -353,10 +353,10 @@ def _cmd_trdeg(args, budget: Budget):
         return answer, (TraceEntry("declared-trdeg", "transcendence degree read off the chosen basis"),), ()
     flat = flatten_affine(expr)
     if flat is None:
-        raise ParseError("trdeg needs a field extension or an affine domain")
+        raise ValueError("trdeg needs a field extension or an affine domain")
     cert = domain_certificate(flat, "asserted by --assert-domain")
     if cert.flagged and not args.assert_domain:
-        raise ParseError("pass --assert-domain to certify the quotient is a domain")
+        raise ValueError("pass --assert-domain to certify the quotient is a domain")
     t = trdeg_affine_domain(flat, budget)
     step = TraceEntry(RULE_DOMAIN_TRDEG, CITATIONS[RULE_DOMAIN_TRDEG], f"domain certificate: {cert.kind}")
     return {"trdeg": t, "certificate": {"kind": cert.kind, "flagged": cert.flagged}}, (step,), ()
@@ -371,12 +371,11 @@ def _cmd_chain(args, budget: Budget):
     expr = parse_ring_expr(args.expression)
     flat = flatten_affine(expr)
     if flat is None:
-        raise ParseError("chain needs an affine expression")
+        raise ValueError("chain needs an affine expression")
     ring = flat.ring
     witnesses = [parse_polynomial(t.strip(), ring) for t in args.witnesses.split(",") if t.strip()]
     fresh = [name.strip() for name in args.fresh.split(",") if name.strip()]
-    base_cert = domain_certificate(flat, "algebra assumed to be a domain")
-    cert = build_chain(flat, [IdealPresentation.zero_ideal(ring)], witnesses, fresh, [base_cert], budget)
+    cert = build_chain(flat, witnesses, fresh)
     bound, checks = certified_lower_bound(cert, budget)
     # verify_chain's one avoidance pass covered every step
     cert = cert._replace(evidence=tuple(e._replace(avoidance_checked=True) for e in cert.evidence))

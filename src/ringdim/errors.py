@@ -121,7 +121,10 @@ class InconsistentBoundsError(RuntimeError):
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int = 1, column: int = 0):
+    """Input text that does not parse, with the position of the token at
+    fault (line and column count from 1)."""
+
+    def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
         self.message = message
         self.line = line

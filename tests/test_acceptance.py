@@ -221,7 +221,7 @@ def _standard_chain(k: int) -> ChainCertificate:
     algebra = IdealPresentation.zero_ideal(ring)
     witnesses = [ring.variable(i) for i in range(k)]
     fresh = [f"X{i+1}" for i in range(k)]
-    return build_chain(algebra, [IdealPresentation.zero_ideal(ring)], witnesses, fresh)
+    return build_chain(algebra, witnesses, fresh)
 
 
 def _corrupt(cert: ChainCertificate, mode: int) -> ChainCertificate:

@@ -31,20 +31,16 @@ def polynomial_ring_algebra(*names):
     return IdealPresentation.zero_ideal(PolynomialRing(QQ, names))
 
 
-def zero_chain(A):
-    return [IdealPresentation.zero_ideal(A.ring)]
-
-
 def build_standard(k: int) -> ChainCertificate:
     A = polynomial_ring_algebra(*(f"u{i+1}" for i in range(k)))
     witnesses = [A.ring.variable(i) for i in range(k)]
     fresh = [f"X{i+1}" for i in range(k)]
-    return build_chain(A, zero_chain(A), witnesses, fresh)
+    return build_chain(A, witnesses, fresh)
 
 
 def test_single_step_chain():
     A = polynomial_ring_algebra("u")
-    cert = build_chain(A, zero_chain(A), [A.ring.variable("u")], ["X1"])
+    cert = build_chain(A, [A.ring.variable("u")], ["X1"])
     assert cert.length() == 1
     assert cert.links[0].is_zero_ideal()
     x1 = cert.ring.variable("X1")
@@ -57,13 +53,13 @@ def test_two_step_chain():
     cert = build_standard(2)
     assert cert.length() == 2
     assert certified_lower_bound(cert)[0] == 2
-    # each witness adds exactly one link past the base chain
+    # each witness adds exactly one link past the algebra's ideal
     assert len(cert.links) == 1 + 2
 
 
-def test_empty_witness_list_returns_base_chain():
+def test_empty_witness_list_returns_the_algebras_ideal():
     A = polynomial_ring_algebra("u")
-    cert = build_chain(A, zero_chain(A), [], [])
+    cert = build_chain(A, [], [])
     assert cert.length() == 0
     assert certified_lower_bound(cert)[0] == 0
 
@@ -155,18 +151,40 @@ def test_dependent_witnesses_fail_avoidance():
     # build_chain builds it, and verification refuses it
     A = polynomial_ring_algebra("u")
     u = A.ring.variable("u")
-    cert = build_chain(A, zero_chain(A), [u, u], ["X1", "X2"])
+    cert = build_chain(A, [u, u], ["X1", "X2"])
     assert verify_chain(cert)["avoidance"] is False
     with pytest.raises(CertificateError):
         certified_lower_bound(cert)
 
 
-def test_non_strict_base_chain_raises():
-    A = polynomial_ring_algebra("u")
-    base = [IdealPresentation.zero_ideal(A.ring), IdealPresentation.zero_ideal(A.ring)]
-    certs = [PrimalityCertificate("zero-ideal-in-domain")] * 2
-    with pytest.raises(CertificateError):
-        build_chain(A, base, [A.ring.variable("u")], ["X1"], certs)
+def chain_over_two_base_links(equal: bool) -> ChainCertificate:
+    """Built by hand, as a certificate file may state it: in Q[u, v][X1],
+    the base links (0) and (u), or (u) twice when ``equal``, then X1 - v
+    adjoined over the second."""
+    ring = PolynomialRing(QQ, ("u", "v", "X1"))
+    u, v, x1 = (ring.variable(i) for i in range(3))
+    lower = IdealPresentation(ring, [u] if equal else [])
+    upper = IdealPresentation(ring, [u])
+    transfer = PrimalityCertificate("substitution-transfer", base_prime=upper, substitutions=((2, v),))
+    hyperplane = PrimalityCertificate("asserted", note="coordinate hyperplane")
+    return ChainCertificate(
+        ring,
+        (lower, upper, IdealPresentation(ring, [u, x1 - v])),
+        (
+            ChainStepEvidence(None, False, hyperplane if equal else PrimalityCertificate("zero-ideal-in-domain")),
+            ChainStepEvidence(u, False, hyperplane),
+            ChainStepEvidence(x1 - v, False, transfer),
+        ),
+        ("X1",),
+        (v,),
+    )
+
+
+def test_equal_base_links_fail_strictness():
+    results = verify_chain(chain_over_two_base_links(equal=True))
+    assert results == {"strictness": False, "avoidance": True, "substitution_transfer": True, "evaluation_witness": True}
+    with pytest.raises(CertificateError, match="strictness"):
+        certified_lower_bound(chain_over_two_base_links(equal=True))
 
 
 def test_chain_is_self_verifying_on_random_monomial_witnesses():
@@ -179,25 +197,16 @@ def test_chain_is_self_verifying_on_random_monomial_witnesses():
         rng.shuffle(idx)
         witnesses = [A.ring.variable(i) for i in idx]
         fresh = [f"X{i+1}" for i in range(k)]
-        cert = build_chain(A, zero_chain(A), witnesses, fresh)
+        cert = build_chain(A, witnesses, fresh)
         results = verify_chain(cert)
         assert all(results.values()), results
         assert cert.length() == k
         assert verify_avoidance_by_evaluation(cert)
 
 
-def test_chain_length_is_witness_count_plus_base():
-    A = polynomial_ring_algebra("u", "v")
-    base = [
-        IdealPresentation.zero_ideal(A.ring),
-        IdealPresentation(A.ring, [A.ring.variable("u")]),
-    ]
-    certs = [
-        PrimalityCertificate("zero-ideal-in-domain"),
-        PrimalityCertificate("asserted", note="coordinate hyperplane"),
-    ]
-    cert = build_chain(A, base, [A.ring.variable("v")], ["X1"], certs)
-    assert len(cert.links) == 3
+def test_verifier_accepts_a_chain_that_starts_with_two_links():
+    cert = chain_over_two_base_links(equal=False)
+    assert all(verify_chain(cert).values())
     assert cert.length() == 2
     assert certified_lower_bound(cert)[0] == 2
 
@@ -284,10 +293,10 @@ def test_chain_over_proper_quotient_algebra():
     u, v = ring.variable("u"), ring.variable("v")
     A = IdealPresentation(ring, [v**2 - u])
     for witness in (u, v):
-        cert = build_chain(A, [IdealPresentation.zero_ideal(ring)], [witness], ["X1"])
+        cert = build_chain(A, [witness], ["X1"])
         assert certified_lower_bound(cert)[0] == 1
-        # link 0 upstairs is (v^2 - u), not the zero ideal: its primality is taken as given
-        assert cert.evidence[0].primality == PrimalityCertificate("asserted", note="base chain prime taken as given")
+        # link 0 upstairs is (v^2 - u), not the zero ideal: its primality is assumed
+        assert cert.evidence[0].primality == PrimalityCertificate("asserted", note="algebra assumed to be a domain")
         # the algebra's own relation is carried into every link upstairs
         lifted = cert.links[1]
         assert any(g.support() <= {0, 1} and not g.is_zero() for g in lifted.generators)

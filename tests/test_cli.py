@@ -127,6 +127,72 @@ def test_verify_reports_a_base_prime_over_the_adjoined_variables(capsys, tmp_pat
     assert report["result"]["verification"]["evaluation_witness"] is False
 
 
+def _null_strictness_witness(cert):
+    cert["evidence"][1]["strictness_witness"] = None
+
+
+def _unit_link(cert):
+    cert["links"][1] = ["1"]
+
+
+def _substitution_named_twice(cert):
+    # a link whose generators all map into the base prime, so only the
+    # relation check can fail: X1 -> u + 1 does not kill X1 - u
+    cert["links"][1] = ["0"]
+    cert["evidence"][1]["primality"]["substitutions"] = [["X1", "u"], ["X1", "u + 1"]]
+
+
+def _transfer_without_base_prime(cert):
+    del cert["evidence"][1]["primality"]["base_prime"]
+
+
+@pytest.mark.parametrize(
+    "mutate, failed_check, message",
+    [
+        (_null_strictness_witness, "strictness", "certificate failed verification"),
+        (_unit_link, "avoidance", "certificate failed verification"),
+        (_substitution_named_twice, "substitution_transfer", "certificate failed verification"),
+        (_transfer_without_base_prime, None, "substitution-transfer needs a base prime"),
+    ],
+    ids=["null-strictness-witness", "unit-link", "substitution-named-twice", "transfer-without-base-prime"],
+)
+def test_verify_refuses_a_mutated_chain_file(capsys, tmp_path, mutate, failed_check, message):
+    out = tmp_path / "cert.json"
+    run_cli(capsys, "chain", "--witnesses", "u", "--fresh", "X1", "Poly(Q;u)", "--out", str(out))
+    blob = json.loads(out.read_text())
+    mutate(blob["result"]["certificate"])
+    out.write_text(json.dumps(blob))
+    code, report = run_cli(capsys, "verify", str(out))
+    assert (code, report["status"], report["error"]["message"]) == (EXIT_USER_ERROR, "user-error", message)
+    if failed_check is not None:
+        assert report["result"]["verification"][failed_check] is False
+
+
+def test_verify_accepts_a_chain_that_starts_with_two_links(capsys, tmp_path):
+    # the chain verb starts at the algebra's ideal; a file may start lower:
+    # (0) < (u) in Q[u, v], then X1 - v adjoined over (u)
+    cert = {
+        "field": "Q",
+        "variables": ["u", "v", "X1"],
+        "witness_variables": ["X1"],
+        "witnesses": ["v"],
+        "links": [[], ["u"], ["u", "X1 - v"]],
+        "evidence": [
+            {"strictness_witness": None, "primality": {"kind": "zero-ideal-in-domain"}},
+            {"strictness_witness": "u", "primality": {"kind": "asserted", "note": "coordinate hyperplane"}},
+            {
+                "strictness_witness": "X1 - v",
+                "primality": {"kind": "substitution-transfer", "base_prime": ["u"], "substitutions": [["X1", "v"]]},
+            },
+        ],
+    }
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, report = run_cli(capsys, "verify", str(path))
+    assert (code, report["result"]["verified"], report["result"]["length"]) == (EXIT_OK, True, 2)
+    assert report["result"]["flagged_assumptions"] == ["asserted"]
+
+
 def test_chain_refuses_a_chain_that_fails_verification(capsys):
     # with both witnesses u, X1 - X2 is a pure-X member of the chain
     code, report = run_cli(capsys, "chain", "--witnesses", "u,u", "--fresh", "X1,X2", "Poly(Q;u)")
@@ -243,14 +309,16 @@ def test_exit_code_user_error_on_parse_failure(capsys):
         (["gb", "Poly(Q; x)"], "this command expects a Quot(...) payload"),
         (["gb", "Quot(Poly(Ext(Q; inf); x); x)"], "the quotient does not flatten to an affine presentation"),
         (["trdeg", "Frac(Poly(Q; x))"], "trdeg needs a field extension or an affine domain"),
+        (["trdeg", "Quot(Poly(Q;x,y); x*y)"], "pass --assert-domain to certify the quotient is a domain"),
         (["chain", "--witnesses", "x", "--fresh", "X1", "Frac(Poly(Q; x))"], "chain needs an affine expression"),
     ],
-    ids=["gb-not-a-quotient", "gb-not-affine", "trdeg-fraction-field", "chain-fraction-field"],
+    ids=["gb-not-a-quotient", "gb-not-affine", "trdeg-fraction-field", "trdeg-unasserted-domain", "chain-fraction-field"],
 )
 def test_verb_refuses_a_payload_of_the_wrong_shape(capsys, argv, message):
+    # no token is at fault, so the error names no position
     code, report = run_cli(capsys, *argv)
     assert (code, report["status"], report["result"]) == (EXIT_USER_ERROR, "user-error", None)
-    assert report["error"]["message"] == f"{message} (line 1, column 0)"
+    assert report["error"] == {"message": message}
 
 
 def test_exit_code_budget_exhausted(capsys):

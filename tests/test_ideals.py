@@ -533,18 +533,37 @@ NARROW_WIDTH_CASES = [
     # element that joins last, outgrows its fields, and the check on that
     # segment starts the run again before the pair's Koszul syzygy is kept.
     (GREVLEX, ("x", "y", "z"), ["3*x*y + y*z + 2*x + 2", "y*z + 3*x", "2*y^2 + 6*z^2 + 2*x"]),
+    # At 3 bits the Koszul syzygy of a J-pair that is not coprime, on the
+    # side of the element that joins last, outgrows its fields.
+    (GREVLEX, ("x", "y"), ["3*y^3", "3*x*y^2"]),
+    # At 3 bits the syzygy a J-pair leaves on the side of the element that
+    # joined first outgrows its fields.
+    (GREVLEX, ("x", "y"), ["4*x*y^2 + 3", "4*y^2 + y"]),
+    # At 4 bits the signature segment of a J-pair, on the side of the
+    # element that joined first, outgrows its fields.
+    (GREVLEX, ("x", "y"), ["3*x^2*y^3 + 6*x", "3*x^3", "9*x^3 + 4*x*y^2 + 6*y^2"]),
 ]
 
 
 @pytest.mark.parametrize(
-    "order, variables, texts", NARROW_WIDTH_CASES, ids=["lead-degree", "generator-index", "screened-signature", "coprime-signature"]
+    "order, variables, texts",
+    NARROW_WIDTH_CASES,
+    ids=[
+        "lead-degree",
+        "generator-index",
+        "screened-signature",
+        "coprime-signature",
+        "koszul-segment",
+        "first-side-syzygy",
+        "first-side-signature",
+    ],
 )
 def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables, texts):
     ring = PolynomialRing(PrimeField(7), variables)
     gens = [parse_polynomial(text, ring) for text in texts]
     wide = Budget()
     basis = buchberger(gens, order, wide)
-    monkeypatch.setattr(ideals, "_FIRST_WIDTH", 2)  # the inputs' degrees ask for 3 bits
+    monkeypatch.setattr(ideals, "_FIRST_WIDTH", 2)  # the inputs' degrees ask for 3 or 4 bits
     narrow = Budget()
     assert buchberger(gens, order, narrow) == basis
     assert narrow.used == wide.used

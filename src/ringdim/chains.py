@@ -250,10 +250,7 @@ def verify_chain(cert: ChainCertificate, budget: Budget | None = None) -> dict[s
         if e.primality.kind == "substitution-transfer":
             if not verify_substitution_transfer(e.primality, link, budget):
                 results["substitution_transfer"] = False
-    try:
-        results["evaluation_witness"] = verify_avoidance_by_evaluation(cert, budget)
-    except CertificateError:
-        results["evaluation_witness"] = False
+    results["evaluation_witness"] = verify_avoidance_by_evaluation(cert, budget)
     return results
 
 

@@ -114,8 +114,10 @@ def cross_checks_to_json(checks) -> list[dict]:
 
 def generators_to_json(polys) -> list[str]:
     """Generator texts of an ideal; the zero ideal, which has none, is
-    written as ["0"]."""
-    return [format_polynomial(g) for g in polys] or ["0"]
+    written as ["0"].  Each monomial of one set of variable names is
+    written once per call."""
+    memos: dict[tuple[str, ...], dict] = {}
+    return [format_polynomial(g, monomials=memos.setdefault(g.ring.variables, {})) for g in polys] or ["0"]
 
 
 def make_report(command: str, input_echo: dict, started: float) -> dict:
@@ -214,6 +216,11 @@ def certificate_from_json(blob) -> ChainCertificate:
     if isinstance(blob, dict) and "field" not in blob and isinstance(blob.get("result"), dict):
         blob = blob["result"].get("certificate", blob)
     _check_shape(blob, _CERTIFICATE_SHAPE, "certificate")
+    n_links, n_evidence = len(blob["links"]), len(blob["evidence"])
+    if not n_links:
+        raise CertificateError("certificate has no links")
+    if n_evidence != n_links:
+        raise CertificateError(f"the number of evidence entries ({n_evidence}) must equal the number of links ({n_links})")
     field = parse_field(blob["field"])
     ring = PolynomialRing(field, tuple(blob["variables"]))
 

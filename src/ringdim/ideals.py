@@ -64,9 +64,13 @@ from .polynomials import (
 )
 
 DEFAULT_PAIR_BUDGET = 50_000
-# The narrowest field width a run starts at.  Small inputs rarely outgrow
-# it, so the width tests lower it to reach the checks that restart a run.
-_FIRST_WIDTH = 16
+# The narrowest field width a run starts at.  Ints are made of 30-bit
+# digits: at 8 bits a six-variable grevlex monomial (twelve fields) is 96
+# bits, four digits, where at 16 it was 192 bits, seven digits, and every
+# add, hash and comparison of the kernel's loops gets cheaper.  No benchmark
+# run outgrows 8 bits (6 restarts cyclic-5 under lex), and the width tests
+# lower it to reach the checks that restart a run.
+_FIRST_WIDTH = 8
 
 
 class Budget(Record):
@@ -347,10 +351,12 @@ class _Kernel:
                     den = dens[e] = _sparse(ring, e, lead)
                 out[m] = RatFunc._reduced(_sparse(ring, n, lead), den)
             return out
-        field = self.field
+        field, p = self.field, self.p
         if field.is_one(d):
             return terms
         inv = field.inv(d)
+        if p:
+            return {m: inv * c % p for m, c in terms.items()}
         return {m: field.mul(inv, c) for m, c in terms.items()}
 
     def monic(self, terms: dict) -> dict:
@@ -416,7 +422,7 @@ class _Kernel:
         return rest
 
     def reduce(self, rest: dict, divisors: _Divisors, bound: int | None = None) -> tuple[dict, object]:
-        """Remainder of ``rest`` (consumed) under ``divisors``, and the
+        """Remainder of ``rest`` under ``divisors``, and the
         scalar s it is multiplied by: the remainder of ``rest`` is the one
         returned over s.  The largest unreduced monomial m is reduced by the
         first divisor, in descending leading-monomial order with ties in the
@@ -433,7 +439,8 @@ class _Kernel:
         below the popped one, so each is pushed once and stays in ``rest``
         until it is popped.  A coefficient is looked at only then: over F_p
         it is taken ``% p`` once, and one that cancelled to zero is
-        skipped.  An update is one ``+`` and one ``*``, over every field.
+        skipped.  An update is one ``+`` and one ``*``, over every field,
+        into a one-item list, so it hashes its monomial once.
 
         Over a field every divisor is monic, so -c times the shifted tail
         is added and s is one.  Over Q and Q(t) the division is
@@ -451,6 +458,7 @@ class _Kernel:
         memo, get_hits, ordered, leads = divisors.memo, divisors.memo.get, divisors.ordered, divisors.leads
         heap = [-m for m in rest]
         heapify(heap)
+        rest = {m: [c] for m, c in rest.items()}
         pop, push, get, take = heappop, heappush, rest.get, rest.pop
         remainder = {}
         scale = self.one
@@ -458,7 +466,7 @@ class _Kernel:
             m = -pop(heap)
             if m & guard:
                 raise WidthOverflow(width)
-            c = take(m)
+            c = take(m)[0]
             if p:
                 c %= p
             if not c:
@@ -483,8 +491,8 @@ class _Kernel:
                 h = gcd(c, lead)
                 if h != lead:
                     k = lead // h
-                    for t, v in rest.items():
-                        rest[t] = v * k
+                    for cell in rest.values():
+                        cell[0] *= k
                     for t, v in remainder.items():
                         remainder[t] = v * k
                     scale *= k
@@ -492,12 +500,12 @@ class _Kernel:
             shift = m - lm
             for gm, gc in tail:
                 t = gm + shift
-                old = get(t)
-                if old is None:
-                    rest[t] = q * gc
+                cell = get(t)
+                if cell is None:
+                    rest[t] = [q * gc]
                     push(heap, -t)
                 else:
-                    rest[t] = old + q * gc
+                    cell[0] += q * gc
         return remainder, scale
 
     def divisors(self, polys: Iterable[dict]) -> _Divisors:
@@ -508,17 +516,19 @@ class _Kernel:
 @lru_cache(maxsize=64)
 def _packing(order: MonomialOrder, arity: int, width: int) -> PackedMonomials:
     """One packing per (order, arity, width), kept across runs: a small
-    ``chain`` run would otherwise build 25, and the signature loop builds
-    the packed unit vectors of ``monomial`` on every run."""
+    ``chain`` run would otherwise build 25, and each builds its row, guard
+    and weight-row tables (``_sums``) at construction."""
     return PackedMonomials(order, arity, width)
 
 
 def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budget | None = None):
     """``run(kernel)`` on a kernel whose field width fits every exponent of
-    ``polys`` with a guard bit to spare (at least ``_FIRST_WIDTH`` bits).
-    When a run creates a monomial that outgrows the width, it starts again
-    at twice the width with ``budget.used`` as it was, so the outcome does
-    not depend on the width."""
+    ``polys`` with a guard bit to spare, and is at least ``_FIRST_WIDTH``,
+    8 bits: a six-variable grevlex monomial is then 96 bits, four of
+    Python's 30-bit int digits, not the seven of 192 bits at 16.  When a
+    run creates a monomial that outgrows the width, it starts again at
+    twice the width with ``budget.used`` as it was, so the outcome does not
+    depend on the width."""
     ring = polys[0].ring
     degree = max((p.total_degree() for p in polys if p), default=0)
     width = max(_FIRST_WIDTH, degree.bit_length() + 1)
@@ -628,7 +638,10 @@ def _reduced_basis(kernel: _Kernel, ring: PolynomialRing, records: list[tuple]) 
         remainder, scale = kernel.reduce(dict(tail), index)
         reduced.append({lm: scale if lead is None else lead * scale, **remainder})
     reduced.sort(key=max)
-    return tuple(kernel.unpack(ring, kernel.monic(g)) for g in reduced)
+    # the basis shares most of its monomials: unpack each distinct one once
+    unpack = kernel.packing.unpack
+    exponents = {m: unpack(m) for m in set().union(*reduced)}
+    return tuple(Polynomial._raw(ring, {exponents[m]: c for m, c in kernel.monic(g).items()}) for g in reduced)
 
 
 def _buchberger(kernel: _Kernel, ring: PolynomialRing, generators: list[Polynomial], budget: Budget) -> tuple[Polynomial, ...]:
@@ -757,6 +770,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     packing = kernel.packing
     guard, width, segment, exponent_guard = kernel.guard, packing.width, packing.exponent_mask, packing.exponent_guard
     lcm, monomial, slot_hits, slot_bits = packing.lcm, packing.monomial, packing.slot_hits, packing.slot_bits
+    top = width - 1
     gens = [kernel.normalized(f) for f in generators]
     if len(gens) > 1 << width:
         raise WidthOverflow(width)
@@ -785,7 +799,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         return False
 
     def record_syzygy(known: list[int], t: int) -> bool:
-        if divides_any(known, t):
+        if known and divides_any(known, t):
             return False
         known[:] = [s for s in known if (s - t) & exponent_guard]
         known.append(t)
@@ -826,12 +840,19 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         # syzygy is new only when the J-pair survives.
         fresh = []
         for a, other, hit in zip(range(k), keys, hits):
+            if hit and other < key:
+                continue
+            if other == key:
+                continue  # singular: the same index and ratio
+            # d = lcm(l_a, e) - e, all fields at once as in ``lcm``: each
+            # field of x keeps its guard bit, and then holds the difference
+            # of l_a's and e's fields, exactly when l_a's is the larger
+            la = leads[a]
+            x = (la | exponent_guard) - e
+            h = x & exponent_guard
+            d = x & h - (h >> top)
             if other < key:  # k's side gives the signature
-                if hit:
-                    continue
-                la = leads[a]
-                d = lcm(la, e) - e
-                if d & single or divides_any(others, d):
+                if d & single or others and divides_any(others, d):
                     continue
                 t = span + d
                 if t & exponent_guard:
@@ -843,35 +864,33 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
                 koszul = la + span  # its residual is l_a
                 if koszul & exponent_guard:
                     raise WidthOverflow(width)
-                if not (la & single or divides_any(others, la)):
+                if not (la & single or others and divides_any(others, la)):
                     record_syzygy(mine, koszul)
                     single = residual(single, others, la)
                 fresh.append((k, a, d + e, t, d))
                 continue
-            if other == key:
-                continue  # singular: the same index and ratio
-            la = leads[a]  # a's side gives the signature
-            l = lcm(la, e)
-            t = l - la + spans[a]
+            # a's side gives the signature
+            t = d + e - la + spans[a]
             if t & exponent_guard:
                 raise WidthOverflow(width)
             known = syzygies[other & index]
-            if divides_any(known, t):
+            if known and divides_any(known, t):
                 continue
-            if l == la + e:
+            if d == la:
                 syzygy = t  # coprime
             else:
                 syzygy = e + spans[a]
                 if syzygy & exponent_guard:
                     raise WidthOverflow(width)
-                fresh.append((a, k, l, t, None))
+                fresh.append((a, k, d + e, t, None))
             if record_syzygy(known, syzygy) and known is mine:
                 single = residual(single, others, lcm(syzygy, span) - span)
         for j, i, l, t, d in fresh:
             if d is None:
-                if divides_any(syzygies[keys[j] & index], t):
+                known = syzygies[keys[j] & index]
+                if known and divides_any(known, t):
                     continue
-            elif d & single or divides_any(others, d):
+            elif d & single or others and divides_any(others, d):
                 continue
             t = (monomial(l) << width) + keys[j]
             if t >> width & guard:
@@ -891,10 +910,11 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         sig = heappop(heap)
         j, i = queued.pop(sig)
         if i is None:
-            r = kernel.reduce(dict(gens[j]), divisors, sig)[0]
+            r = kernel.reduce(gens[j], divisors, sig)[0]
         else:
             key, t = keys[j], sig >> width & segment
-            if divides_any(syzygies[key & index], t):
+            known = syzygies[key & index]
+            if known and divides_any(known, t):
                 continue
             if any(other > key and not (t - s) & exponent_guard for other, s in elements[key & index]):
                 continue

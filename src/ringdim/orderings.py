@@ -20,6 +20,7 @@ the Groebner engine works on packed monomials.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import mul, neg
 
 from .errors import FrozenRecord
@@ -141,11 +142,12 @@ class PackedMonomials:
 
     __slots__ = (
         "width", "guard", "limit", "exponent_mask", "exponent_guard",
-        "slot_bits", "_rows", "_shifts", "_mask", "_segment_bits", "_units",
+        "slot_bits", "_rows", "_shifts", "_mask", "_segment_bits", "_sums",
     )
 
     def __init__(self, order: MonomialOrder, arity: int, width: int):
-        self._rows = order.weights(arity) + _unit_rows(arity)
+        weights = order.weights(arity)
+        self._rows = weights + _unit_rows(arity)
         self.width = width
         self.limit = 1 << (width - 1)
         self.guard = sum(self.limit << (width * k) for k in range(len(self._rows)))
@@ -156,7 +158,10 @@ class PackedMonomials:
         self.exponent_guard = self.guard & self.exponent_mask
         # whole bytes, with a spare bit above the segment (``slot_hits``)
         self.slot_bits = (self._segment_bits >> 3) + 1 << 3
-        self._units = None  # built by the first ``monomial`` call; most packings never make one
+        # each weight row as (the mask of its variables' exponent fields,
+        # the shift of its field): every order here has 0/1 weights
+        fields, top = [self._mask << shift for shift in self._shifts], len(self._rows) - 1
+        self._sums = [(sum(compress(fields, row)), width * (top - k)) for k, row in enumerate(weights)]
 
     def pack(self, u: tuple[int, ...]) -> int:
         packed = 0
@@ -222,19 +227,17 @@ class PackedMonomials:
 
     def monomial(self, e: int) -> int:
         """The packed monomial whose exponent segment is ``e``, of total
-        degree below 2^width.
+        degree below 2^width - 1, as the lcm of two monomials that fit is.
 
-        Every order here has 0/1 weights, so no weight field exceeds the
-        degree, and a field that outgrew ``width - 1`` bits sets its guard
-        bit without carrying: one test raises ``WidthOverflow`` for every
-        monomial that does not fit."""
-        if self._units is None:
-            # the packed monomial of each variable: the rows' columns as fields
-            self._units = [0] * len(self._shifts)
-            for row in self._rows:
-                self._units = [unit << self.width | x for unit, x in zip(self._units, row)]
-        mask = self._mask
-        m = sum((e >> shift & mask) * unit for shift, unit in zip(self._shifts, self._units))
+        A weight row's field is the sum of the exponent fields its mask
+        selects, and, as in ``graded``, that part of the segment is the sum
+        modulo 2^width - 1.  No weight field exceeds the degree, and a field
+        that outgrew ``width - 1`` bits sets its guard bit without carrying:
+        one test raises ``WidthOverflow`` for every monomial that does not
+        fit."""
+        m, mask = e, self._mask
+        for fields, shift in self._sums:
+            m |= (e & fields) % mask << shift
         if m & self.guard:
             raise WidthOverflow(self.width)
         return m

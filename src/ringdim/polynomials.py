@@ -16,7 +16,7 @@ copies (see ``ideals``), so nothing here is cached.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 from typing import Iterable, Mapping
 
 from .errors import ArityMismatchError, RingMismatchError, ZeroPolynomialError
@@ -335,37 +335,52 @@ class Polynomial:
 
 # -- text form ----------------------------------------------------------------
 
-def format_polynomial(p: Polynomial, negate: bool = False) -> str:
+def _monomial_entry(names: tuple[str, ...], exps: tuple[int, ...]) -> tuple[tuple, str]:
+    """The grevlex ``descending_key`` of a monomial and its text ("" for 1)."""
+    factors = []
+    for name, e in zip(names, exps):
+        if e == 1:
+            factors.append(name)
+        elif e:
+            factors.append(f"{name}^{e}")
+    return GREVLEX.descending_key(exps), "*".join(factors)
+
+
+def format_polynomial(p: Polynomial, negate: bool = False, monomials: dict | None = None) -> str:
     """Canonical text: terms in descending grevlex order, `^` powers.
 
     The output parses back to an equal polynomial, so reports diff cleanly.
     A coefficient prints as the unsigned text of ``display_split``, which
     is "1" exactly for 1 and -1: those print as their sign alone.  With
     ``negate`` the text is that of -p, for p over Q, where -c prints as c
-    with the sign flipped.
+    with the sign flipped.  ``monomials`` memoizes ``_monomial_entry`` for
+    p's variable names: pass one dict to print many polynomials of a ring.
     """
     if p.is_zero():
         return "0"
     field = p.ring.field
     names = p.ring.variables
-    key = GREVLEX.descending_key
-    items = sorted(p.terms.items(), key=lambda item: key(item[0]))
+    if monomials is None:
+        monomials = {}
+    get = monomials.get
+    items = []
+    for exps, c in p.terms.items():
+        entry = get(exps)
+        if entry is None:
+            entry = monomials[exps] = _monomial_entry(names, exps)
+        items.append((entry, c))
+    # distinct monomials have distinct keys: no text or coefficient is compared
+    items.sort(key=itemgetter(0))
     pieces: list[str] = []
-    for exps, c in items:
+    for (_, factors), c in items:
         negative, body = field.display_split(c)
         negative ^= negate
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
         if not factors:
             text = body
         elif body == "1":
-            text = "*".join(factors)
+            text = factors
         else:
-            text = body + "*" + "*".join(factors)
+            text = body + "*" + factors
         if not pieces:
             pieces.append(f"-{text}" if negative else text)
         else:

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from ringdim import chains, cli
+from ringdim import GREVLEX, PolynomialRing, QQ, buchberger, chains, cli, orderings, parse_polynomial, parse_ring_expr, polynomials
 from ringdim.chains import verify_chain
 from ringdim.cli import (
     EXIT_BUDGET,
@@ -24,6 +25,9 @@ from ringdim.cli import (
 from ringdim.errors import InconsistentBoundsError
 from ringdim.ideals import eliminate
 from ringdim.parser import MAX_NESTING
+from ringdim.polynomials import format_polynomial
+
+from test_golden_bases import KATSURA_4
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "ringdim" / "report_schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -166,6 +170,38 @@ def test_verify_refuses_a_mutated_chain_file(capsys, tmp_path, mutate, failed_ch
     assert (code, report["status"], report["error"]["message"]) == (EXIT_USER_ERROR, "user-error", message)
     if failed_check is not None:
         assert report["result"]["verification"][failed_check] is False
+
+
+def _pop_evidence(cert):
+    cert["evidence"].pop()
+
+
+def _no_links(cert):
+    cert["links"], cert["evidence"] = [], []
+
+
+def _extra_evidence(cert):
+    cert["evidence"].append(cert["evidence"][-1])
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_pop_evidence, "the number of evidence entries (1) must equal the number of links (2)"),
+        (_no_links, "certificate has no links"),
+        (_extra_evidence, "the number of evidence entries (3) must equal the number of links (2)"),
+    ],
+    ids=["evidence-popped", "no-links", "extra-evidence"],
+)
+def test_verify_refuses_a_chain_file_whose_evidence_does_not_match_its_links(capsys, tmp_path, mutate, message):
+    out = tmp_path / "cert.json"
+    run_cli(capsys, "chain", "--witnesses", "u", "--fresh", "X1", "Poly(Q;u)", "--out", str(out))
+    blob = json.loads(out.read_text())
+    mutate(blob["result"]["certificate"])
+    out.write_text(json.dumps(blob))
+    code, report = run_cli(capsys, "verify", str(out))
+    assert (code, report["status"], report["result"]) == (EXIT_USER_ERROR, "user-error", None)
+    assert report["error"]["message"] == message
 
 
 def test_verify_accepts_a_chain_that_starts_with_two_links(capsys, tmp_path):
@@ -665,6 +701,57 @@ def test_ring_changes_avoid_coefficient_field_names(capsys):
     assert report["result"]["verification"] == dict.fromkeys(
         ("strictness", "avoidance", "substitution_transfer", "evaluation_witness"), True
     )
+
+
+def _count_monomial_entries(monkeypatch) -> Counter:
+    built = Counter()
+    entry = polynomials._monomial_entry
+
+    def counting(names, exps):
+        built[names, exps] += 1
+        return entry(names, exps)
+
+    monkeypatch.setattr(polynomials, "_monomial_entry", counting)
+    return built
+
+
+def test_a_basis_prints_each_distinct_monomial_once(monkeypatch):
+    basis = buchberger(parse_ring_expr(KATSURA_4).relations, GREVLEX)
+    expected = [format_polynomial(g) for g in basis]
+    built = _count_monomial_entries(monkeypatch)
+    assert cli.generators_to_json(basis) == expected
+    names = basis[0].ring.variables
+    assert built == Counter({(names, exps): 1 for g in basis for exps in g.terms})
+    assert sum(len(g.terms) for g in basis) > len(built)  # the basis shares monomials
+
+
+def test_generators_of_rings_with_different_names_print_with_their_own_names():
+    xy, uv = PolynomialRing(QQ, ("x", "y")), PolynomialRing(QQ, ("u", "v"))
+    polys = [parse_polynomial("x^2*y - 1", xy), parse_polynomial("u^2*v - 1", uv), parse_polynomial("x*y", xy)]
+    assert cli.generators_to_json(polys) == ["x^2*y - 1", "u^2*v - 1", "x*y"]
+
+
+def test_consecutive_runs_leave_no_formatting_or_unpack_state(monkeypatch, capsys):
+    built = _count_monomial_entries(monkeypatch)
+    unpacked = Counter()
+    unpack = orderings.PackedMonomials.unpack
+
+    def counting(self, m):
+        unpacked[m] += 1
+        return unpack(self, m)
+
+    monkeypatch.setattr(orderings.PackedMonomials, "unpack", counting)
+    runs = []
+    for _ in range(2):
+        built.clear()
+        unpacked.clear()
+        code, report = run_cli(capsys, "gb", KATSURA_4)
+        assert code == EXIT_OK
+        runs.append((report["result"]["basis"], dict(built), dict(unpacked)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] and runs[0][2]
+    # within one run each distinct monomial of the basis is unpacked once
+    assert set(runs[0][2].values()) == {1}
 
 
 def test_zero_relation_is_not_a_generator(capsys):

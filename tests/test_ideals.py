@@ -28,12 +28,13 @@ from ringdim import (
     normal_form,
     saturate,
 )
-from ringdim import format_polynomial, ideals, parse_polynomial, polynomial_gcd
+from ringdim import format_polynomial, ideals, parse_polynomial, parse_ring_expr, polynomial_gcd
 from ringdim.ideals import _Divisors, _IntPoly, _Kernel, _buchberger, _int_poly_gcd, _packed, _packing
 from ringdim.orderings import PackedMonomials
 from ringdim.polynomials import monomial_divides
 
 from conftest import monomial, random_polynomial, same_ideal
+from test_golden_bases import KATSURA_4
 from test_orderings import block_oracle, grevlex_oracle, lex_oracle
 
 ELIMINATE_X = BlockElimination(frozenset({0}))
@@ -567,6 +568,44 @@ def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables
     narrow = Budget()
     assert buchberger(gens, order, narrow) == basis
     assert narrow.used == wide.used
+
+
+CYCLIC_5 = [
+    " + ".join("*".join(f"x{(i + j) % 5}" for j in range(k)) for i in range(5)) for k in range(1, 5)
+] + ["x0*x1*x2*x3*x4 - 1"]
+KEEP_X3_X4 = BlockElimination(frozenset({0, 1, 2}))
+
+
+def _width_system(name: str) -> tuple[Polynomial, ...]:
+    if name == "katsura-4-Q":
+        return parse_ring_expr(KATSURA_4.replace("(Fp(32003);", "(Q;")).relations
+    katsura = parse_ring_expr(KATSURA_4).relations
+    if name == "katsura-4":
+        return katsura
+    return tuple(parse_polynomial(text, katsura[0].ring) for text in CYCLIC_5)
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        *((name, order) for name in ("katsura-4", "cyclic-5") for order in (GREVLEX, LEX, KEEP_X3_X4)),
+        ("katsura-4-Q", GREVLEX),
+    ],
+    ids=[
+        *(f"{name}-F32003-{order}" for name in ("katsura-4", "cyclic-5") for order in ("grevlex", "lex", "keep-x3-x4")),
+        "katsura-4-Q-grevlex",
+    ],
+)
+def test_first_widths_8_16_and_32_give_one_outcome(monkeypatch, name, order):
+    # katsura-4 under lex outgrows 8 bits in the final tail reduction alone,
+    # so its run starts again at 16
+    gens = _width_system(name)
+    outcomes = []
+    for width in (8, 16, 32):
+        monkeypatch.setattr(ideals, "_FIRST_WIDTH", width)
+        budget = Budget()
+        outcomes.append((buchberger(gens, order, budget), budget.used))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_groebner_cache_reuse(rxy):

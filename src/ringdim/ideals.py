@@ -748,24 +748,27 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     spends it once.  Divisibility of signatures is read off their exponent
     segments.
 
-    A new element k (lead segment e, signature segment ``span``) decides
+    A new element k (lead segment e, signature segment ``span``) screens
     its J-pairs when it joins the basis, after Faugere's F5 and Roune and
-    Stillman.  On a pair (a, k) whose signature k gives, the signature
-    segment is span + d with d = lcm(l_a, e) - e, and a syzygy s of k's
-    index divides it exactly when the residual lcm(s, span) - span divides
-    d.  The residuals are taken once per element, and one recorded while
-    its pairs are formed joins them at once.  Those that are a single
-    variable form one mask: d meets it exactly when the pair dies, and
-    ``PackedMonomials.slot_hits`` tests every earlier lead against it in
-    one pass over an int that holds all leads side by side.  The rest of
-    the pairs are walked one by one, as before.  The screen reads d alone,
-    which fits whenever the lcm does, so it needs no overflow check; a pair
-    it kills is dropped before its signature is formed, which may spare a
-    restart but never changes a decision.  Every signature segment that is
-    kept or pushed, every J-pair signature and every syzygy segment is
-    checked against the guard bits, and the generator index needs
-    ``len(generators) <= 2^width``; a run that breaks either starts again
-    at twice the width.
+    Stillman, and the pop decides the rest.  On a pair (a, k) whose
+    signature k gives, the signature segment is span + d with
+    d = lcm(l_a, e) - e, and a syzygy s of k's index divides it exactly
+    when the residual lcm(s, span) - span divides d.  The residuals are
+    taken once per element, from the syzygies known when it joins.  A
+    syzygy recorded while its pairs are formed reaches those it kills when
+    they are popped: the pop's syzygy test reads only the signature, so
+    J-pairs with one signature share its outcome, and a dropped one spends
+    no budget.  The residuals that are a single variable form one mask: d
+    meets it exactly when the pair dies, and ``PackedMonomials.slot_hits``
+    tests every earlier lead against it in one pass over an int that holds
+    all leads side by side.  The other residuals are tested pair by pair.
+    The screen reads d alone, which fits whenever the lcm does, so it needs
+    no overflow check; a pair it kills is dropped before its signature is
+    formed, which may spare a restart but never changes a decision.  Every
+    signature segment that is kept or pushed, every J-pair signature and
+    every syzygy segment is checked against the guard bits, and the
+    generator index needs ``len(generators) <= 2^width``; a run that breaks
+    either starts again at twice the width.
     """
     packing = kernel.packing
     guard, width, segment, exponent_guard = kernel.guard, packing.width, packing.exponent_mask, packing.exponent_guard
@@ -798,21 +801,11 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
                 return True
         return False
 
-    def record_syzygy(known: list[int], t: int) -> bool:
+    def record_syzygy(known: list[int], t: int):
         if known and divides_any(known, t):
-            return False
+            return
         known[:] = [s for s in known if (s - t) & exponent_guard]
         known.append(t)
-        return True
-
-    def residual(single: int, others: list[int], r: int) -> int:
-        # a variable joins the mask ``single`` as its whole field (``index``
-        # is one field's mask); a residual that meets the mask is implied
-        if r in units:
-            return single | r * index
-        if not r & single:
-            others.append(r)
-        return single
 
     def add(terms: dict, sig: int):
         nonlocal slots, ones
@@ -827,18 +820,20 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         # A syzygy s of k's index divides the signature segment span + d of
         # the J-pair of a and k on k's side, d = lcm(l_a, e) - e, exactly
         # when its residual lcm(s, span) - span divides d.  A residual that
-        # is a variable divides d when d meets its field: ``slot_hits``
-        # tests every lead at once.  Residuals are only ever added: one of a
-        # syzygy that a new one replaced kills no pair the new one spares.
+        # is a variable divides d when d meets its field: those make the
+        # mask ``single``, and ``slot_hits`` tests every lead against it at
+        # once.  The screen holds the syzygies known before the walk; one
+        # recorded during it reaches the J-pairs it kills when they are
+        # popped.
         mine = syzygies[key & index]
         single, others = 0, []
         for s in mine:
-            single = residual(single, others, lcm(s, span) - span)
+            r = lcm(s, span) - span
+            if r in units:
+                single |= r * index  # the variable's whole field: ``index`` is one field's mask
+            elif not r & single:  # a residual that meets the mask is implied
+                others.append(r)
         hits = slot_hits(slots, ones, e, single) if single else bytes(k)
-        # Record the Koszul syzygies before pushing any J-pair.  A J-pair's
-        # signature divides that of the two elements' Koszul syzygy, so the
-        # syzygy is new only when the J-pair survives.
-        fresh = []
         for a, other, hit in zip(range(k), keys, hits):
             if hit and other < key:
                 continue
@@ -852,47 +847,38 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
             h = x & exponent_guard
             d = x & h - (h >> top)
             if other < key:  # k's side gives the signature
-                if d & single or others and divides_any(others, d):
+                if others and divides_any(others, d):
                     continue
                 t = span + d
                 if t & exponent_guard:
                     raise WidthOverflow(width)
                 if d == la:  # coprime: the Koszul syzygy has the J-pair's signature
                     record_syzygy(mine, t)
-                    single = residual(single, others, d)
                     continue
-                koszul = la + span  # its residual is l_a
+                # the Koszul syzygy, whose residual is l_a, is new only
+                # when the J-pair survives, since its signature divides it
+                koszul = la + span
                 if koszul & exponent_guard:
                     raise WidthOverflow(width)
                 if not (la & single or others and divides_any(others, la)):
                     record_syzygy(mine, koszul)
-                    single = residual(single, others, la)
-                fresh.append((k, a, d + e, t, d))
-                continue
-            # a's side gives the signature
-            t = d + e - la + spans[a]
-            if t & exponent_guard:
-                raise WidthOverflow(width)
-            known = syzygies[other & index]
-            if known and divides_any(known, t):
-                continue
-            if d == la:
-                syzygy = t  # coprime
-            else:
+                j, i = k, a
+            else:  # a's side gives the signature
+                t = d + e - la + spans[a]
+                if t & exponent_guard:
+                    raise WidthOverflow(width)
+                known = syzygies[other & index]
+                if known and divides_any(known, t):
+                    continue
+                if d == la:  # coprime
+                    record_syzygy(known, t)
+                    continue
                 syzygy = e + spans[a]
                 if syzygy & exponent_guard:
                     raise WidthOverflow(width)
-                fresh.append((a, k, d + e, t, None))
-            if record_syzygy(known, syzygy) and known is mine:
-                single = residual(single, others, lcm(syzygy, span) - span)
-        for j, i, l, t, d in fresh:
-            if d is None:
-                known = syzygies[keys[j] & index]
-                if known and divides_any(known, t):
-                    continue
-            elif d & single or others and divides_any(others, d):
-                continue
-            t = (monomial(l) << width) + keys[j]
+                record_syzygy(known, syzygy)
+                j, i = a, k
+            t = (monomial(d + e) << width) + keys[j]
             if t >> width & guard:
                 raise WidthOverflow(width)
             held = queued.get(t)

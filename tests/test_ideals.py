@@ -570,6 +570,28 @@ def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables
     assert narrow.used == wide.used
 
 
+# Systems on which a syzygy recorded while a new element's J-pairs are
+# formed kills one of them.  The screen holds only the syzygies known before
+# that walk, so the J-pair is pushed, and dropped when it is popped, where it
+# spends no budget.
+POP_TIME_DROPS = [
+    (PrimeField(7), ["6*x*y^2 + y^2", "6*x*y^2", "3*x^2*y^3 + 6*x^2"], ["y^2", "x^2"], 1),
+    (PrimeField(7), ["2*x*y^3 + 4*y", "5*x*y", "5*x^2*y + 6*x"], ["y", "x"], 4),
+    (QQ, ["5*x*y^2 + 6", "5*x^3*y", "5*x^2*y^3 + 1"], ["1"], 6),
+]
+
+
+@pytest.mark.parametrize("field, texts, expected, used", POP_TIME_DROPS, ids=["F7-squares", "F7-variables", "rationals-unit"])
+def test_a_syzygy_found_while_pairs_form_drops_them_at_pop(field, texts, expected, used):
+    ring = PolynomialRing(field, ("x", "y"))
+    gens = [parse_polynomial(text, ring) for text in texts]
+    budget = Budget()
+    basis = buchberger(gens, GREVLEX, budget)
+    assert [format_polynomial(g) for g in basis] == expected
+    assert [g.terms for g in basis] == ref_reduced_basis(field, [g.terms for g in gens], ORACLES[GREVLEX])
+    assert budget.used == used
+
+
 CYCLIC_5 = [
     " + ".join("*".join(f"x{(i + j) % 5}" for j in range(k)) for i in range(5)) for k in range(1, 5)
 ] + ["x0*x1*x2*x3*x4 - 1"]

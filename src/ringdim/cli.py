@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -537,6 +538,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file as well")
+        # a word with one leading "-" (the element -x, say) is an argument, as
+        # argparse reads -1: -h, the one short flag, is matched before this
+        p._negative_number_matcher = re.compile(r"-[^-]")
     return parser
 
 

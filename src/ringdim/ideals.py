@@ -23,9 +23,11 @@ Over Q(t) in one variable the same loop runs on polynomials in t over Z
 ``RatFunc`` appears only where ``Fraction`` does over Q.  Over F_p and the
 other function fields coefficients meet through ``+``, ``-`` and ``*``
 alone, and over F_p each is taken ``% p`` once, when its monomial is
-popped.  The starting width fits the inputs; a run that creates a monomial
-too wide for it starts again at twice the width, so no answer depends on
-the width.
+popped.  The starting width fits the inputs; where ``pack``, the pop in
+division or a loop's bound on each element it adds (for the signature
+loop, a signature degree below half the field limit, which makes every sum
+of a lead and a signature fit) finds it too narrow, the run starts again
+at twice the width, so no answer depends on the width.
 
 Two completion loops share that division and the final minimalization and
 tail reduction, so both give the one reduced basis.  Both start from the
@@ -525,10 +527,10 @@ def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budg
     """``run(kernel)`` on a kernel whose field width fits every exponent of
     ``polys`` with a guard bit to spare, and is at least ``_FIRST_WIDTH``,
     8 bits: a six-variable grevlex monomial is then 96 bits, four of
-    Python's 30-bit int digits, not the seven of 192 bits at 16.  When a
-    run creates a monomial that outgrows the width, it starts again at
-    twice the width with ``budget.used`` as it was, so the outcome does not
-    depend on the width."""
+    Python's 30-bit int digits, not the seven of 192 bits at 16.  Where
+    ``pack``, division's pop or a per-element bound (signature degree below
+    ``limit / 2`` in the signature loop) finds the width too narrow, the run
+    restarts at twice it with ``budget.used`` as it was, so no outcome differs."""
     ring = polys[0].ring
     degree = max((p.total_degree() for p in polys if p), default=0)
     width = max(_FIRST_WIDTH, degree.bit_length() + 1)
@@ -762,16 +764,18 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     meets it exactly when the pair dies, and ``PackedMonomials.slot_hits``
     tests every earlier lead against it in one pass over an int that holds
     all leads side by side.  The other residuals are tested pair by pair.
-    The screen reads d alone, which fits whenever the lcm does, so it needs
-    no overflow check; a pair it kills is dropped before its signature is
-    formed, which may spare a restart but never changes a decision.  Every
-    signature segment that is kept or pushed, every J-pair signature and
-    every syzygy segment is checked against the guard bits, and the
-    generator index needs ``len(generators) <= 2^width``; a run that breaks
-    either starts again at twice the width.
+    The run starts again at twice the width where ``len(generators) >
+    2^width``, the room of the generator index, and where ``add`` meets a
+    signature of degree ``limit / 2`` or more; no sum needs a test of its
+    own.  Under grevlex no field of a packed monomial exceeds its degree,
+    and a signature is never below its lead (key >= 0), so no lead reaches
+    the bound either.  Every value the walk forms (span + d, l_a + span,
+    lcm - l_a + span_a, e + span_a and lcm*sig_j/lm_j) has degree at most
+    that of one lead plus one signature, below ``limit``, so it fits.
     """
     packing = kernel.packing
-    guard, width, segment, exponent_guard = kernel.guard, packing.width, packing.exponent_mask, packing.exponent_guard
+    width, segment, exponent_guard = packing.width, packing.exponent_mask, packing.exponent_guard
+    half = packing.limit >> 1  # the bound on every signature's degree
     lcm, monomial, slot_hits, slot_bits = packing.lcm, packing.monomial, packing.slot_hits, packing.slot_bits
     top = width - 1
     gens = [kernel.normalized(f) for f in generators]
@@ -814,6 +818,8 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         key = sig - (lm << width)
         e = lm & segment
         span = sig >> width & segment
+        if packing.degree(span) >= half:
+            raise WidthOverflow(width)  # then every sum the walk forms fits
         keys.append(key)
         leads.append(e)
         spans.append(span)
@@ -850,37 +856,25 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
                 if others and divides_any(others, d):
                     continue
                 t = span + d
-                if t & exponent_guard:
-                    raise WidthOverflow(width)
                 if d == la:  # coprime: the Koszul syzygy has the J-pair's signature
                     record_syzygy(mine, t)
                     continue
                 # the Koszul syzygy, whose residual is l_a, is new only
                 # when the J-pair survives, since its signature divides it
-                koszul = la + span
-                if koszul & exponent_guard:
-                    raise WidthOverflow(width)
                 if not (la & single or others and divides_any(others, la)):
-                    record_syzygy(mine, koszul)
+                    record_syzygy(mine, la + span)
                 j, i = k, a
             else:  # a's side gives the signature
                 t = d + e - la + spans[a]
-                if t & exponent_guard:
-                    raise WidthOverflow(width)
                 known = syzygies[other & index]
                 if known and divides_any(known, t):
                     continue
                 if d == la:  # coprime
                     record_syzygy(known, t)
                     continue
-                syzygy = e + spans[a]
-                if syzygy & exponent_guard:
-                    raise WidthOverflow(width)
-                record_syzygy(known, syzygy)
+                record_syzygy(known, e + spans[a])
                 j, i = a, k
             t = (monomial(d + e) << width) + keys[j]
-            if t >> width & guard:
-                raise WidthOverflow(width)
             held = queued.get(t)
             if held is None:
                 queued[t] = (j, i)

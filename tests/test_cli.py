@@ -790,6 +790,7 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path, content, message
     [
         (["dim"], "the following arguments are required: expression"),
         (["dim", "Q", "--bogus"], "unrecognized arguments: --bogus"),
+        (["dim", "Q", "-q"], "unrecognized arguments: -q"),
         (["gb", "Quot(Poly(Q;x); x)", "--budget", "notanint"], "argument --budget: invalid int value: 'notanint'"),
         (
             ["dim", "Quot(Poly(Q;x); x)", "--budget", "-1"],
@@ -797,7 +798,7 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path, content, message
         ),
         (["dim", "Q", "--order", "lex"], "unrecognized arguments: --order lex"),
     ],
-    ids=["missing-expression", "unknown-flag", "bad-budget", "negative-budget", "order-on-dim"],
+    ids=["missing-expression", "unknown-flag", "extra-minus-word", "bad-budget", "negative-budget", "order-on-dim"],
 )
 def test_usage_error_for_a_known_verb_is_a_user_error_report(capsys, argv, message):
     code, report = run_cli(capsys, *argv)
@@ -820,6 +821,31 @@ def test_help_still_exits_zero(capsys):
         cli.main(["dim", "--help"])
     assert info.value.code == 0
     assert "usage: ringdim dim" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, spelled_out",
+    [
+        (["nzd", "Quot(Poly(Q;x,y); x*y)", "-x"], ["nzd", "Quot(Poly(Q;x,y); x*y)", "--", "-x"]),
+        (
+            ["chain", "Poly(Q;u)", "--witnesses", "-u", "--fresh", "X"],
+            ["chain", "Poly(Q;u)", "--witnesses=-u", "--fresh", "X"],
+        ),
+    ],
+    ids=["nzd-element", "chain-witness"],
+)
+def test_a_word_that_starts_with_a_minus_is_an_argument(capsys, argv, spelled_out):
+    # without "--" or "=" before it, -x is the element and -u the witness
+    code, report = run_cli(capsys, *argv)
+    assert (code, report["status"]) == (EXIT_OK, "ok")
+    assert report["result"] == run_cli(capsys, *spelled_out)[1]["result"]
+
+
+def test_h_after_an_expression_still_asks_for_help(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["nzd", "Quot(Poly(Q;x,y); x*y)", "-h"])
+    assert info.value.code == 0
+    assert "usage: ringdim nzd" in capsys.readouterr().out
 
 
 def test_perfbench_tracer_restores_every_binding_it_replaces(capsys):

@@ -75,7 +75,7 @@ def test_the_readme_examples_are_found():
     ]
 
 
-def assert_keeps_the_report_contract(argv: list[str]) -> None:
+def assert_keeps_the_report_contract(argv: list[str]) -> dict:
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = cli.main(argv)
@@ -83,6 +83,7 @@ def assert_keeps_the_report_contract(argv: list[str]) -> None:
     jsonschema.validate(report, SCHEMA)
     assert report["status"] in EXIT_CODES, (argv, report.get("error"))
     assert code == EXIT_CODES[report["status"]], argv
+    return report
 
 
 @pytest.mark.parametrize("example", EXAMPLES, ids=[" ".join(argv[:2]) for argv in EXAMPLES])
@@ -162,6 +163,27 @@ def test_every_verb_keeps_the_report_contract_on_grammar_inputs(argvs):
         report = str(Path(tmp) / "report.json")
         for argv in argvs:
             assert_keeps_the_report_contract([report if arg == "{report}" else arg for arg in argv])
+
+
+@st.composite
+def quotients_and_elements(draw) -> tuple[str, str]:
+    """A payload of the grammar and an element its ring may hold."""
+    expression, names, variables = _payload(draw, draw(st.sampled_from(FIELDS)))
+    return expression, _element_text(draw, names, variables)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(quotients_and_elements())
+def test_an_element_and_its_negative_give_one_answer(case):
+    # -f is a unit times f: a zero divisor exactly when f is, with the same
+    # saturation.  Written -(f), it starts with "-" as an option does.
+    expression, element = case
+    for verb in ("nzd", "saturate"):
+        plain, negated = (
+            assert_keeps_the_report_contract([verb, expression, text, "--budget", "200"])
+            for text in (element, f"-({element})")
+        )
+        assert (negated["status"], negated["result"]) == (plain["status"], plain["result"]), (verb, case)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -490,8 +490,10 @@ def test_basis_outgrowing_the_first_width(rxyz):
 
 def test_pair_whose_lcm_outgrows_the_first_width(rxy):
     # Each lead fits the 16-bit fields that degree 20000 asks for, and the
-    # lcm x^20000*y^20000 of degree 40000 would not; but the pair is coprime,
-    # so it is skipped before its lcm is packed, and no pair is reduced.
+    # lcm x^20000*y^20000 of degree 40000 would not.  The first element's
+    # signature, of degree 20000, is past 2^14, half the fields' limit, so
+    # the run starts again at 32 bits before the pair is formed; the pair
+    # is coprime, and no pair is reduced.
     x, y = rxy.variable("x"), rxy.variable("y")
     gens = [x**20000 - rxy.one(), y**20000 - rxy.one()]
     budget = Budget(used=3)
@@ -504,9 +506,11 @@ def test_pair_whose_lcm_outgrows_the_first_width(rxy):
 )
 def test_reduced_pair_whose_lcm_outgrows_the_first_width(rxy, order):
     # The leads share x*y, so the pair is reduced.  Under grevlex its lcm's
-    # degree 40000 outgrows the 16-bit fields, and the run starts again at
-    # 32 bits with the budget as it was; under lex and the block order every
-    # field of the lcm fits.  Either way exactly one pair is spent.
+    # degree 40000 would outgrow the 16-bit fields, and the first element's
+    # signature, of degree 20001, is past half their limit, so the run
+    # starts again at 32 bits with the budget as it was; under lex and the
+    # block order every field of the lcm fits.  Either way exactly one pair
+    # is spent.
     x, y = rxy.variable("x"), rxy.variable("y")
     gens = [x**20000 * y, x * y**20000]
     budget = Budget(used=3)
@@ -515,39 +519,53 @@ def test_reduced_pair_whose_lcm_outgrows_the_first_width(rxy, order):
     assert budget.used == 4
 
 
+# (order, variables, generators, first width); at first width 2 the inputs'
+# degrees set 3 or 4 bits.  The signature loop starts a run again when an
+# element's signature has degree half the fields' limit, 2^(width - 2), or
+# more: at the width that a generator of degree D asks for, that is D or
+# less, so most rows trip on a generator.
 NARROW_WIDTH_CASES = [
     # Under lex a basis element gets a lead of total degree 4 or more while
     # each exponent fits 3-bit fields.  The classic loop starts again: its
     # pair keys hold lcm degrees modulo 2^width - 1, and in the wrapped order
     # it reduces 11 pairs, not 10.
-    (LEX, ("x", "y", "z", "w"), ["z*w^2 - z*w", "x*z^2 + z", "x^2*z + y*z*w"]),
+    (LEX, ("x", "y", "z", "w"), ["z*w^2 - z*w", "x*z^2 + z", "x^2*z + y*z*w"], 2),
     # Ten generators, and a 3-bit signature holds only eight indices.  The
     # signature loop starts again; with the indices spilling into the
     # monomials it reduces 12 J-pairs, not 13.
-    (GREVLEX, ("a", "b", "c", "d", "e"), ["a*c", "a*c + c*e", "c*d", "e^2", "a^2", "a*d", "a*e", "a*e + e^2", "d^2", "b^2"]),
-    # At 3 bits one J-pair's signature segment outgrows its fields, but a
-    # known syzygy's one-variable residual already kills the pair, so the
-    # signature loop screens it out without reading the signature and keeps
-    # the width; a loop that tested the signature first would start again.
-    (GREVLEX, ("x", "y"), ["2*x*y + 4*x", "5*x^2 + y"]),
+    (GREVLEX, ("a", "b", "c", "d", "e"), ["a*c", "a*c + c*e", "c*d", "e^2", "a^2", "a*d", "a*e", "a*e + e^2", "d^2", "b^2"], 2),
+    # At 3 bits one J-pair's signature segment would outgrow its fields,
+    # and a known syzygy's one-variable residual kills that pair.  The first
+    # element's signature has degree 2, half the limit, so the run starts
+    # again at 6 bits before the pair is formed.
+    (GREVLEX, ("x", "y"), ["2*x*y + 4*x", "5*x^2 + y"], 2),
     # At 3 bits the signature segment of a coprime J-pair, on the side of the
-    # element that joins last, outgrows its fields, and the check on that
-    # segment starts the run again before the pair's Koszul syzygy is kept.
-    (GREVLEX, ("x", "y", "z"), ["3*x*y + y*z + 2*x + 2", "y*z + 3*x", "2*y^2 + 6*z^2 + 2*x"]),
+    # element that joins last, would outgrow its fields.  The first element,
+    # of signature degree 2, starts the run again before any pair is formed.
+    (GREVLEX, ("x", "y", "z"), ["3*x*y + y*z + 2*x + 2", "y*z + 3*x", "2*y^2 + 6*z^2 + 2*x"], 2),
     # At 3 bits the Koszul syzygy of a J-pair that is not coprime, on the
-    # side of the element that joins last, outgrows its fields.
-    (GREVLEX, ("x", "y"), ["3*y^3", "3*x*y^2"]),
+    # side of the element that joins last, would outgrow its fields.  The
+    # first element, of signature degree 3, starts the run again.
+    (GREVLEX, ("x", "y"), ["3*y^3", "3*x*y^2"], 2),
     # At 3 bits the syzygy a J-pair leaves on the side of the element that
-    # joined first outgrows its fields.
-    (GREVLEX, ("x", "y"), ["4*x*y^2 + 3", "4*y^2 + y"]),
-    # At 4 bits the signature segment of a J-pair, on the side of the
-    # element that joined first, outgrows its fields.
-    (GREVLEX, ("x", "y"), ["3*x^2*y^3 + 6*x", "3*x^3", "9*x^3 + 4*x*y^2 + 6*y^2"]),
+    # joined first would outgrow its fields.  The first element, of signature
+    # degree 2, starts the run again; without that bound the run stays at 3
+    # bits and gives a wrong basis.
+    (GREVLEX, ("x", "y"), ["4*x*y^2 + 3", "4*y^2 + y"], 2),
+    # At 4 bits the signature of a J-pair, on the side of the element that
+    # joined first, would outgrow its fields.  The third element, the
+    # generator of degree 5, starts the run again before any pair is reduced.
+    (GREVLEX, ("x", "y"), ["3*x^2*y^3 + 6*x", "3*x^3", "9*x^3 + 4*x*y^2 + 6*y^2"], 2),
+    # At 4 bits every generator's signature has degree 3, below half the
+    # limit.  The bound first trips on an element made from a J-pair, of
+    # signature degree 4, after one J-pair was reduced; the run starts again
+    # at 8 bits with the budget as it was and spends 5 in all.
+    (GREVLEX, ("x", "y"), ["y^3 + x*y", "5*x^3", "5*x*y^2 + y^3"], 4),
 ]
 
 
 @pytest.mark.parametrize(
-    "order, variables, texts",
+    "order, variables, texts, width",
     NARROW_WIDTH_CASES,
     ids=[
         "lead-degree",
@@ -557,14 +575,15 @@ NARROW_WIDTH_CASES = [
         "koszul-segment",
         "first-side-syzygy",
         "first-side-signature",
+        "pair-element-signature",
     ],
 )
-def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables, texts):
+def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables, texts, width):
     ring = PolynomialRing(PrimeField(7), variables)
     gens = [parse_polynomial(text, ring) for text in texts]
     wide = Budget()
     basis = buchberger(gens, order, wide)
-    monkeypatch.setattr(ideals, "_FIRST_WIDTH", 2)  # the inputs' degrees ask for 3 or 4 bits
+    monkeypatch.setattr(ideals, "_FIRST_WIDTH", width)
     narrow = Budget()
     assert buchberger(gens, order, narrow) == basis
     assert narrow.used == wide.used
@@ -759,6 +778,25 @@ def test_first_width_two_gives_the_default_outcome(gens):
     with patch.object(ideals, "_FIRST_WIDTH", 2):
         assert buchberger(gens, GREVLEX, narrow) == basis
     assert narrow.used == wide.used
+
+
+@settings(derandomize=True, max_examples=60)
+@given(grevlex_systems())
+def test_no_signature_is_below_its_lead(gens):
+    # the signature loop bounds each element's signature degree alone; it
+    # relies on key = sig - (lm << width) >= 0, a signature monomial that is
+    # at least the lead, so the lead's degree is bounded too
+    keys = []
+    divisor = _Kernel.divisor
+
+    def recording(self, terms, key=None):
+        keys.append(key)
+        return divisor(self, terms, key)
+
+    with patch.object(_Kernel, "divisor", recording):
+        buchberger(gens, GREVLEX)
+    signed = [key for key in keys if key is not None]
+    assert signed and min(signed) >= 0
 
 
 QTS = RationalFunctionField(QQ, ("t", "s"))

@@ -23,8 +23,9 @@ them; `ringdim verify cert.json` does exactly that re-verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import re
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -168,55 +169,49 @@ def certificate_to_json(cert: ChainCertificate) -> dict:
     }
 
 
-# JSON shape of a serialized certificate: a key ending in "?" is optional,
-# and an array shape with several entries is a tuple of exactly that length
-_CERTIFICATE_SHAPE = {
-    "field": str,
-    "variables": [str],
-    "witness_variables": [str],
-    "witnesses": [str],
-    "links": [[str]],
-    "evidence": [
-        {
-            "strictness_witness": (str, type(None)),
-            "avoidance_checked?": bool,
-            "primality": {"kind": str, "note?": str, "base_prime?": [str], "substitutions?": [[str, str]]},
-        }
-    ],
+# JSON Schema type name -> (Python type, its name in a refusal)
+_JSON_TYPES = {
+    "object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
+    "boolean": (bool, "a boolean"), "null": (type(None), "null"),
 }
-_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
 
 
-def _check_shape(value, shape, where: str) -> None:
+@functools.cache
+def _report_schema() -> dict:
+    """``report_schema.json``, read on first use: only ``verify`` needs it."""
+    with open(os.path.join(os.path.dirname(__file__), "report_schema.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _check_shape(value, schema: dict, where: str) -> None:
     """Raise a ``CertificateError`` naming the first key that is missing or
-    whose value does not have the JSON shape ``shape``."""
-    if isinstance(shape, (dict, list)):
-        kinds = (type(shape),)
-    else:
-        kinds = shape if isinstance(shape, tuple) else (shape,)
-    if not isinstance(value, kinds):
-        expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
-        found = _JSON_TYPE_NAMES.get(type(value), "a number")
+    whose value does not match ``schema``, read as JSON Schema's ``type`` (a
+    name or a list), ``properties`` in file order with ``required``, and
+    ``items`` (one schema for every entry, or a list for a tuple that long)."""
+    kinds = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+    if not isinstance(value, tuple(_JSON_TYPES[k][0] for k in kinds)):
+        expected = " or ".join(_JSON_TYPES[k][1] for k in kinds)
+        found = next((name for kind, name in _JSON_TYPES.values() if type(value) is kind), "a number")
         raise CertificateError(f"{where} must be {expected}, not {found}")
-    if isinstance(shape, dict):
-        for key, inner in shape.items():
-            name = key.rstrip("?")
-            if name in value:
-                _check_shape(value[name], inner, f"{where}[{name!r}]")
-            elif name == key:
-                raise CertificateError(f"{where} has no {name!r} key")
-    elif isinstance(shape, list):
-        if len(shape) > 1 and len(value) != len(shape):
-            raise CertificateError(f"{where} must have {len(shape)} entries, not {len(value)}")
+    if isinstance(value, dict):
+        for key, inner in schema.get("properties", {}).items():
+            if key in value:
+                _check_shape(value[key], inner, f"{where}[{key!r}]")
+            elif key in schema.get("required", ()):
+                raise CertificateError(f"{where} has no {key!r} key")
+    elif isinstance(value, list) and "items" in schema:
+        items = schema["items"]
+        if isinstance(items, list) and len(value) != len(items):
+            raise CertificateError(f"{where} must have {len(items)} entries, not {len(value)}")
         for i, item in enumerate(value):
-            _check_shape(item, shape[i] if len(shape) > 1 else shape[0], f"{where}[{i}]")
+            _check_shape(item, items[i] if isinstance(items, list) else items, f"{where}[{i}]")
 
 
 def certificate_from_json(blob) -> ChainCertificate:
     # accept either a bare certificate or a full chain report containing one
     if isinstance(blob, dict) and "field" not in blob and isinstance(blob.get("result"), dict):
         blob = blob["result"].get("certificate", blob)
-    _check_shape(blob, _CERTIFICATE_SHAPE, "certificate")
+    _check_shape(blob, _report_schema()["definitions"]["certificate"], "certificate")
     n_links, n_evidence = len(blob["links"]), len(blob["evidence"])
     if not n_links:
         raise CertificateError("certificate has no links")
@@ -506,6 +501,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         verb = self.prog.split()[-1]
         raise _UsageError(verb if verb in _VERBS else None, message)
 
+    def _parse_optional(self, arg_string):
+        # a word with one leading "-" (the element -x or -h*x, say) is an
+        # argument, as argparse reads -1, unless it is an option string: -h
+        if arg_string.startswith("-") and not arg_string.startswith("--") and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _pair_cap(text: str) -> int:
     """The ``--budget`` value: an int, 0 or more."""
@@ -538,9 +540,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file as well")
-        # a word with one leading "-" (the element -x, say) is an argument, as
-        # argparse reads -1: -h, the one short flag, is matched before this
-        p._negative_number_matcher = re.compile(r"-[^-]")
     return parser
 
 

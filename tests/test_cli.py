@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import copy
+import functools
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringdim import GREVLEX, PolynomialRing, QQ, buchberger, chains, cli, orderings, parse_polynomial, parse_ring_expr, polynomials
 from ringdim.chains import verify_chain
@@ -22,12 +29,14 @@ from ringdim.cli import (
     certificate_from_json,
     certificate_to_json,
 )
-from ringdim.errors import InconsistentBoundsError
+from ringdim.errors import CertificateError, InconsistentBoundsError
 from ringdim.ideals import eliminate
-from ringdim.parser import MAX_NESTING
-from ringdim.polynomials import format_polynomial
+from ringdim.parser import MAX_NESTING, format_field
+from ringdim.polynomials import Polynomial, format_polynomial
 
 from test_golden_bases import KATSURA_4
+from test_golden_reports import pinned_reports
+from test_ideals import QT, grevlex_systems
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "ringdim" / "report_schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -433,17 +442,7 @@ def test_text_format(capsys):
 def test_schema_file_matches_validator_constants():
     assert SCHEMA["properties"]["schema_version"]["const"] == cli.SCHEMA_VERSION
     assert set(SCHEMA["properties"]["command"]["enum"]) == set(cli._VERBS)
-    assert set(SCHEMA["required"]) == {
-        "schema_version",
-        "command",
-        "input",
-        "status",
-        "result",
-        "trace",
-        "cross_checks",
-        "timing_ms",
-        "error",
-    }
+    assert set(SCHEMA["required"]) == set(cli.make_report("dim", {}, time.perf_counter()))
 
 
 def test_dim_interval_report(capsys):
@@ -480,6 +479,74 @@ def test_dim_locsub_and_frac(capsys):
     assert report["result"]["dimension"] == {"kind": "exact", "value": 0}
 
 
+def _dimension(text: str) -> dict:
+    """The ``dimension`` of the ``dim`` report on ``text``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["dim", text])
+    report = json.loads(out.getvalue())
+    jsonschema.validate(report, SCHEMA)
+    assert code == EXIT_OK, (text, report["error"])
+    return report["result"]["dimension"]
+
+
+def _ring_text(gens, names=None) -> str:
+    ring = gens[0].ring
+    return f"Poly({format_field(ring.field)}; {','.join(names or ring.variables)})"
+
+
+def _relations_text(gens, names=None) -> str:
+    """The generators, printed with the variables called ``names``."""
+    ring = gens[0].ring
+    renamed = PolynomialRing(ring.field, names or ring.variables)
+    return ", ".join(format_polynomial(Polynomial(renamed, g.terms)) for g in gens)
+
+
+def _units(field) -> list:
+    units = [field.from_int(n) for n in (-1, 2, -5)]
+    return units + ([field.generator("t"), field.inv(field.generator("t") + field.one)] if field is QT else [])
+
+
+@st.composite
+def equivalent_presentations(draw, change: str):
+    """A system of ``grevlex_systems`` as a quotient, and the quotient
+    after one change that keeps the ring up to isomorphism: its variables
+    renamed and permuted, its generators permuted, or one generator scaled
+    by a unit."""
+    gens = draw(grevlex_systems())
+    ring, names, moved = gens[0].ring, None, list(gens)
+    if change == "rename":
+        perm = draw(st.permutations(range(ring.arity)))
+        moved = [Polynomial(ring, {tuple(e[k] for k in perm): c for e, c in g.terms.items()}) for g in gens]
+        names = draw(st.permutations(["a", "b", "u", "v", "x", "y", "z", "w"]))[: ring.arity]
+    elif change == "permute":
+        moved = draw(st.permutations(gens))
+    else:
+        k = draw(st.integers(0, len(gens) - 1))
+        moved[k] = gens[k].scale(draw(st.sampled_from(_units(ring.field))))
+    return (
+        f"Quot({_ring_text(gens)}; {_relations_text(gens)})",
+        f"Quot({_ring_text(moved, names)}; {_relations_text(moved, names)})",
+    )
+
+
+@pytest.mark.parametrize("change", ["rename", "permute", "scale"])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dim_is_invariant_under_a_change_of_presentation(change, data):
+    plain, moved = data.draw(equivalent_presentations(change))
+    assert _dimension(plain) == _dimension(moved), (plain, moved)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(grevlex_systems())
+def test_dim_of_a_quotient_of_a_localization_is_that_of_the_localized_quotient(gens):
+    # Quot(Loc(A; f); g) and Loc(Quot(A; g); f) present one ring
+    a, f = _ring_text(gens), _relations_text(gens[:1])
+    g = _relations_text(gens[1:]) if len(gens) > 1 else "0"
+    assert _dimension(f"Quot(Loc({a}; {f}); {g})") == _dimension(f"Loc(Quot({a}; {g}); {f})"), gens
+
+
 def run_module(*argv) -> subprocess.CompletedProcess:
     """``python -m ringdim`` in a child process that imports the package this
     process imported, whether or not PYTHONPATH names it."""
@@ -511,9 +578,13 @@ def test_out_file_is_json_even_in_text_mode(capsys, tmp_path):
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # records are built without dataclasses: importing it (and inspect,
     # which it pulls in) and building classes with it cost cold start.
-    # Module names, not times, keep the check deterministic.
+    # Module names, not times, keep the check deterministic.  Nor is the
+    # report schema read: only verify needs it.
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = "import sys; bare = set(sys.modules); import ringdim.cli; print(*sorted(set(sys.modules) - bare))"
+    probe = (
+        "import sys; bare = set(sys.modules); import ringdim.cli; "
+        "print(*sorted(set(sys.modules) - bare), ringdim.cli._report_schema.cache_info().misses)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -521,8 +592,9 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
-    added = set(proc.stdout.split())
-    assert "ringdim.cli" in added
+    *added, schema_reads = proc.stdout.split()
+    added = set(added)
+    assert (schema_reads, "ringdim.cli" in added) == ("0", True)
     assert not added & {"dataclasses", "inspect"}
 
 
@@ -545,6 +617,30 @@ def test_reports_are_bit_identical_across_processes(tmp_path):
         first = run_once(argv)
         second = run_once(argv)
         assert first == second
+
+
+# a key of each verb's result and a value of a JSON type it never has
+_RESULT_KEYS = {
+    "dim": ("dimension", 3),
+    "gb": ("basis", "x^2 - y"),
+    "eliminate": ("keep", "x,y"),
+    "quotient": ("generators", [1]),
+    "saturate": ("generators", "y"),
+    "nzd": ("is_zero_divisor", "true"),
+    "trdeg": ("trdeg", 1.5),
+    "chain": ("lower_bound", "1"),
+    "verify": ("verified", 1),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_RESULT_KEYS))
+def test_a_result_with_a_missing_or_mistyped_key_fails_the_schema(verb):
+    report = next(r for r in pinned_reports() if (r["command"], r["status"]) == (verb, "ok"))
+    jsonschema.validate(report, SCHEMA)
+    key, wrong = _RESULT_KEYS[verb]
+    for result in ({k: v for k, v in report["result"].items() if k != key}, {**report["result"], key: wrong}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**report, "result": result}, SCHEMA)
 
 
 def test_validator_rejects_unjustified_exact_dimension():
@@ -785,6 +881,77 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path, content, message
     assert report["error"]["message"] == message
 
 
+@functools.cache
+def _chain_certificate() -> dict:
+    """The certificate ``chain --out`` writes for two witnesses: a
+    zero-ideal link, then two substitution transfers."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        path = Path(tmp) / "cert.json"
+        assert cli.main(["chain", "--witnesses", "u,v", "--fresh", "X1,X2", "Poly(Q;u,v)", "--out", str(path)]) == EXIT_OK
+        return json.loads(path.read_text())["result"]["certificate"]
+
+
+def _paths(value, path=()):
+    """The path of every value inside a JSON document, the root first."""
+    yield path
+    entries = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in entries:
+        yield from _paths(inner, path + (key,))
+
+
+def _at(blob, path):
+    for key in path:
+        blob = blob[key]
+    return blob
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A real certificate with one to three edits: a key dropped, a value
+    swapped for one of another JSON type, or a substitution pair lengthened
+    or shortened."""
+    blob = {"root": copy.deepcopy(_chain_certificate())}  # so that the root can be swapped too
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [("root",) + p for p in _paths(blob["root"])]
+        edit = draw(st.sampled_from(["drop", "swap", "resize"]))
+        if edit == "drop":
+            keys = [p for p in paths[1:] if isinstance(_at(blob, p[:-1]), dict)]
+            if not keys:
+                continue
+            path = draw(st.sampled_from(keys))
+            del _at(blob, path[:-1])[path[-1]]
+        elif edit == "swap":
+            path = draw(st.sampled_from(paths))
+            old = _at(blob, path)
+            _at(blob, path[:-1])[path[-1]] = draw(
+                st.sampled_from([v for v in (None, True, 7, 1.5, "u", [], {}) if type(v) is not type(old)])
+            )
+        else:
+            pairs = [_at(blob, p) for p in paths if p[-2:-1] == ("substitutions",) and isinstance(_at(blob, p), list)]
+            if pairs:
+                pair = draw(st.sampled_from(pairs))
+                if pair and draw(st.booleans()):
+                    pair.pop()
+                else:
+                    pair.append("w")
+    return blob["root"]
+
+
+# the certificate's definition, as jsonschema reads it
+CERTIFICATE_SCHEMA = jsonschema.Draft7Validator({**SCHEMA, "$ref": "#/definitions/certificate"})
+
+
+@settings(derandomize=True, max_examples=300)
+@given(mutated_certificates())
+def test_certificate_reader_refuses_exactly_what_the_schema_rejects(blob):
+    try:
+        cli._check_shape(blob, SCHEMA["definitions"]["certificate"], "certificate")
+        read = True
+    except CertificateError:
+        read = False
+    assert read == CERTIFICATE_SCHEMA.is_valid(blob)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -816,9 +983,10 @@ def test_usage_error_without_a_verb_writes_no_report(capsys, argv):
     assert "ringdim: error:" in captured.err
 
 
-def test_help_still_exits_zero(capsys):
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_still_exits_zero(capsys, flag):
     with pytest.raises(SystemExit) as info:
-        cli.main(["dim", "--help"])
+        cli.main(["dim", flag])
     assert info.value.code == 0
     assert "usage: ringdim dim" in capsys.readouterr().out
 
@@ -839,6 +1007,12 @@ def test_a_word_that_starts_with_a_minus_is_an_argument(capsys, argv, spelled_ou
     code, report = run_cli(capsys, *argv)
     assert (code, report["status"]) == (EXIT_OK, "ok")
     assert report["result"] == run_cli(capsys, *spelled_out)[1]["result"]
+
+
+def test_an_element_that_starts_with_minus_h_is_an_argument(capsys):
+    # argparse would read -h*x as -h, the help flag, with the argument *x
+    code, report = run_cli(capsys, "nzd", "Quot(Poly(Q;h,x); h*x)", "-h*x")
+    assert (code, report["status"], report["result"]["status"]) == (EXIT_OK, "ok", "zero-element")
 
 
 def test_h_after_an_expression_still_asks_for_help(capsys):

@@ -134,6 +134,20 @@ def test_golden_reports(tmp_path):
         assert (got["exit_code"], got["report"]) == (want["exit_code"], want["report"]), got["argv"]
 
 
+def pinned_reports() -> list[dict]:
+    """Every pinned report, with ``timing_ms`` put back."""
+    return [{**json.loads(row["report"]), "timing_ms": 0.0} for row in json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))]
+
+
+def test_pinned_reports_match_the_schema():
+    import jsonschema  # the script half of this module needs only the standard library
+
+    path = Path(cli.__file__).parent / "report_schema.json"
+    schema = jsonschema.Draft7Validator(json.loads(path.read_text(encoding="utf-8")))
+    for report in pinned_reports():
+        schema.validate(report)
+
+
 def main(argv: list[str] | None = None) -> int:
     import argparse
     import tempfile

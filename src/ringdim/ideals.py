@@ -41,6 +41,13 @@ the classic loop reduces 164 S-pairs, 128 of them to zero.  Under lex and
 the block orders of ``eliminate`` the classic loop (``_buchberger``: normal
 selection, both classic pair criteria, on the exponent fields of the
 packed leads) stays; ``buchberger`` says why.
+
+An ``IdealPresentation`` caches one reduced basis per order, and with it,
+once a normal form against it is asked for, the basis packed and indexed
+(``_Basis``): every membership test (``contains``, chain verification)
+then packs only its element and divides it by that index.  The index
+memoizes the divisors of each monomial a division pops, across calls, so
+the cache is not for concurrent use.
 """
 
 from __future__ import annotations
@@ -523,17 +530,25 @@ def _packing(order: MonomialOrder, arity: int, width: int) -> PackedMonomials:
     return PackedMonomials(order, arity, width)
 
 
-def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budget | None = None):
-    """``run(kernel)`` on a kernel whose field width fits every exponent of
-    ``polys`` with a guard bit to spare, and is at least ``_FIRST_WIDTH``,
-    8 bits: a six-variable grevlex monomial is then 96 bits, four of
-    Python's 30-bit int digits, not the seven of 192 bits at 16.  Where
-    ``pack``, division's pop or a per-element bound (signature degree below
-    ``limit / 2`` in the signature loop) finds the width too narrow, the run
-    restarts at twice it with ``budget.used`` as it was, so no outcome differs."""
-    ring = polys[0].ring
+def _first_width(polys: Iterable[Polynomial], headroom: int = 1) -> int:
+    """The field width a run starts at: at least ``_FIRST_WIDTH``, and wide
+    enough that each field holds ``headroom`` times the largest total
+    degree of ``polys`` with its guard bit to spare."""
     degree = max((p.total_degree() for p in polys if p), default=0)
-    width = max(_FIRST_WIDTH, degree.bit_length() + 1)
+    return max(_FIRST_WIDTH, (headroom * degree).bit_length() + 1)
+
+
+def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budget | None = None):
+    """``run(kernel)`` on a kernel at the ``_first_width`` of ``polys``.
+    Under grevlex, whose loop keeps every signature degree below
+    ``limit / 2`` (``_completion``), the fields hold twice the largest
+    degree: at ``D.bit_length() + 1`` bits a generator of degree D is past
+    that bound, and the run would restart as soon as it joined.  Where
+    ``pack``, division's pop or a per-element bound finds the width too
+    narrow, the run restarts at twice it with ``budget.used`` as it was, so
+    no outcome differs."""
+    ring = polys[0].ring
+    width = _first_width(polys, 2 if isinstance(order, GrevLex) else 1)
     used = budget.used if budget is not None else 0
     while True:
         try:
@@ -544,6 +559,59 @@ def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budg
             width *= 2
 
 
+class _Basis(tuple):
+    """Polynomials of ``ring`` that ``normal_form`` divides by under
+    ``order``, with their packed form: a kernel, and a keyless divisor
+    index (``_Divisors``) of the elements packed and normalized.
+
+    The first request builds both, at the ``_first_width`` of the basis and
+    its element; later ones reuse them, the index's memo of popped
+    monomials included.  An element that does not fit (``WidthOverflow``
+    from ``pack`` or from division's pop) rebuilds them at twice the width,
+    as ``_packed`` restarts a run.  The remainder does not depend on the
+    width or on the memo: each popped monomial is reduced by the first
+    divisor, in descending leading-monomial order, whose lead divides it.
+    Every reduction grows the memo, so a ``_Basis`` is not for concurrent
+    use.
+    """
+
+    def __new__(cls, polys: Iterable[Polynomial], order: MonomialOrder, ring: PolynomialRing):
+        basis = super().__new__(cls, polys)
+        for g in basis:
+            if g.ring != ring:
+                raise RingMismatchError("basis element in a different ring")
+            if g.is_zero():
+                raise ZeroPolynomialError("zero polynomial has no leading term")
+        basis.order, basis.ring, basis.width, basis.packed = order, ring, 0, None
+        return basis
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        """The normal form of f: the zero polynomial, without unpacking,
+        when the remainder is empty."""
+        ring = self.ring
+        if f.ring != ring:
+            raise RingMismatchError("element in a different ring from the basis")
+        if not self:
+            return f  # nothing divides it
+        if not self.width:
+            self.width = _first_width([f, *self])
+        while True:
+            if self.packed is None:
+                kernel = _Kernel(ring.field, _packing(self.order, ring.arity, self.width))
+                self.packed = kernel, kernel.divisors(map(kernel.normalized, self))
+            kernel, divisors = self.packed
+            try:
+                rest, d = kernel.pack(f)
+                remainder, s = kernel.reduce(rest, divisors)
+                break
+            except WidthOverflow:
+                self.width *= 2
+                self.packed = None
+        if not remainder:
+            return ring.zero()
+        return kernel.unpack(ring, kernel.divide(remainder, d * s))
+
+
 def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     """Fully reduce f modulo basis: no term of the result is divisible by
     any basis leading term.
@@ -551,22 +619,13 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     Divisors are tried by leading term, descending (ties in basis order),
     so the result is deterministic for a fixed basis.  The polynomials are
     packed, the basis is normalized, f is divided by the kernel
-    ``buchberger`` uses, and the remainder is unpacked.
+    ``buchberger`` uses, and the remainder is unpacked.  A basis that an
+    ``IdealPresentation`` cached under ``order`` keeps its packed form
+    between calls (``_Basis``); any other is packed for this call.
     """
-    ring = f.ring
-    for g in basis:
-        if g.ring != ring:
-            raise RingMismatchError("basis element in a different ring")
-        if g.is_zero():
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-
-    def run(kernel: _Kernel) -> Polynomial:
-        divisors = kernel.divisors(map(kernel.normalized, basis))
-        rest, d = kernel.pack(f)
-        remainder, s = kernel.reduce(rest, divisors)
-        return kernel.unpack(ring, kernel.divide(remainder, d * s))
-
-    return _packed([f, *basis], order, run)
+    if not (isinstance(basis, _Basis) and basis.order == order):
+        basis = _Basis(basis, order, f.ring)
+    return basis.reduce(f)
 
 
 def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: Budget | None = None) -> tuple[Polynomial, ...]:
@@ -914,8 +973,12 @@ class IdealPresentation:
     every function that works on such an algebra takes its presentation.
     Zero generators are dropped on construction, so the zero ideal is the
     presentation with no generators.  Presentations are immutable apart from
-    the basis cache, whose fill is idempotent, so sharing across threads is
-    safe.
+    the basis cache: one reduced basis per order, computed on first use, and
+    with each the packed form that ``normal_form`` builds on its first
+    request against it (``_Basis``), so ``contains`` packs the basis once.
+    Every membership test grows the memo of that packed form's divisor
+    index, so the cache, and with it a presentation, is not for concurrent
+    use.
     """
 
     __slots__ = ("ring", "generators", "_gb_cache")
@@ -927,7 +990,7 @@ class IdealPresentation:
                 raise RingMismatchError(f"generator {g!r} is not in {ring!r}")
         self.ring = ring
         self.generators = tuple(g for g in gens if not g.is_zero())
-        self._gb_cache: dict[MonomialOrder, tuple[Polynomial, ...]] = {}
+        self._gb_cache: dict[MonomialOrder, _Basis] = {}
 
     @classmethod
     def zero_ideal(cls, ring: PolynomialRing) -> "IdealPresentation":
@@ -949,7 +1012,7 @@ class IdealPresentation:
     def groebner_basis(self, order: MonomialOrder = GREVLEX, budget: Budget | None = None) -> tuple[Polynomial, ...]:
         cached = self._gb_cache.get(order)
         if cached is None:
-            cached = buchberger(self.generators, order, budget)
+            cached = _Basis(buchberger(self.generators, order, budget), order, self.ring)
             self._gb_cache[order] = cached
         return cached
 

@@ -241,29 +241,22 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = self.ring.one()
-        base = self
-        while n:
+        if not n:
+            return self.ring.one()
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def scale(self, c) -> "Polynomial":
         field = self.ring.field
         if field.is_zero(c):
             return self.ring.zero()
         return Polynomial._raw(self.ring, {e: field.mul(c, v) for e, v in self.terms.items()})
-
-    def mul_term(self, coeff, exps: tuple[int, ...]) -> "Polynomial":
-        field = self.ring.field
-        if field.is_zero(coeff):
-            return self.ring.zero()
-        return Polynomial._raw(
-            self.ring,
-            {monomial_mul(e, exps): field.mul(coeff, c) for e, c in self.terms.items()},
-        )
 
     def monic(self) -> "Polynomial":
         _, lc = self.leading(GREVLEX)
@@ -272,18 +265,35 @@ class Polynomial:
         return self.scale(self.ring.field.inv(lc))
 
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace variables by polynomials of the same ring."""
+        """Replace variables by polynomials of the same ring.
+
+        Each power ``values[i] ** e`` is taken once, and every term's
+        image is added into one dict of terms."""
         ring = self.ring
-        result = ring.zero()
+        field = ring.field
+        mul, add = field.mul, field.add
+        powers: dict = {}
+        out: dict = {}
         for exps, c in self.terms.items():
-            factor = ring.constant(c)
+            factor = None
             kept = list(exps)
             for i, e in enumerate(exps):
                 if e and i in values:
                     kept[i] = 0
-                    factor = factor * values[i] ** e
-            result = result + factor.mul_term(ring.field.one, tuple(kept))
-        return result
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = values[i] ** e
+                    factor = power if factor is None else factor * power
+            kept = tuple(kept)
+            if factor is None:
+                images = ((kept, c),)
+            else:
+                images = [(monomial_mul(m, kept), mul(c, v)) for m, v in factor.terms.items()]
+            for m, v in images:
+                old = out.get(m)
+                out[m] = v if old is None else add(old, v)
+        is_zero = field.is_zero
+        return Polynomial._raw(ring, {m: v for m, v in out.items() if not is_zero(v)})
 
     def map_to(self, target: PolynomialRing, var_map: Mapping[int, int] | None = None) -> "Polynomial":
         """Reinterpret in ``target``, sending variable i to var_map[i].

@@ -488,16 +488,30 @@ def test_basis_outgrowing_the_first_width(rxyz):
     assert_is_reduced_groebner_basis(basis, gens, LEX)
 
 
+def _with_kernel_widths(run) -> tuple:
+    """``run()``, and the field width of every kernel it built, in order."""
+    widths = []
+    init = _Kernel.__init__
+
+    def recording(self, field, packing):
+        widths.append(packing.width)
+        init(self, field, packing)
+
+    with patch.object(_Kernel, "__init__", recording):
+        return run(), widths
+
+
 def test_pair_whose_lcm_outgrows_the_first_width(rxy):
-    # Each lead fits the 16-bit fields that degree 20000 asks for, and the
-    # lcm x^20000*y^20000 of degree 40000 would not.  The first element's
-    # signature, of degree 20000, is past 2^14, half the fields' limit, so
-    # the run starts again at 32 bits before the pair is formed; the pair
-    # is coprime, and no pair is reduced.
+    # Under grevlex the first width holds twice the generators' degree
+    # 20000: 17 bits, where the signature loop's bound, signature degree
+    # below 2^15, lets both generators join.  At 16 bits, the width degree
+    # 20000 asks for alone, the first one would trip that bound at once and
+    # the run would restart at 32.  The lcm x^20000*y^20000 of degree 40000
+    # fits 17-bit fields; the pair is coprime, and no pair is reduced.
     x, y = rxy.variable("x"), rxy.variable("y")
     gens = [x**20000 - rxy.one(), y**20000 - rxy.one()]
     budget = Budget(used=3)
-    assert buchberger(gens, GREVLEX, budget) == (gens[1], gens[0])
+    assert _with_kernel_widths(lambda: buchberger(gens, GREVLEX, budget)) == ((gens[1], gens[0]), [17])
     assert budget.used == 3
 
 
@@ -505,12 +519,11 @@ def test_pair_whose_lcm_outgrows_the_first_width(rxy):
     "order", [GREVLEX, LEX, BlockElimination(frozenset({0}))], ids=["grevlex", "lex", "block0"]
 )
 def test_reduced_pair_whose_lcm_outgrows_the_first_width(rxy, order):
-    # The leads share x*y, so the pair is reduced.  Under grevlex its lcm's
-    # degree 40000 would outgrow the 16-bit fields, and the first element's
-    # signature, of degree 20001, is past half their limit, so the run
-    # starts again at 32 bits with the budget as it was; under lex and the
-    # block order every field of the lcm fits.  Either way exactly one pair
-    # is spent.
+    # The leads share x*y, so the pair is reduced, to zero.  Under grevlex
+    # the run starts at 17 bits, twice the degree 20001; the lcm's degree
+    # 40000 fits them.  Under lex and the block order the run starts at 16
+    # bits and every field of the lcm fits.  Either way exactly one pair is
+    # spent.
     x, y = rxy.variable("x"), rxy.variable("y")
     gens = [x**20000 * y, x * y**20000]
     budget = Budget(used=3)
@@ -519,53 +532,60 @@ def test_reduced_pair_whose_lcm_outgrows_the_first_width(rxy, order):
     assert budget.used == 4
 
 
-# (order, variables, generators, first width); at first width 2 the inputs'
-# degrees set 3 or 4 bits.  The signature loop starts a run again when an
+# (order, variables, generators, the width the run starts at, the widths
+# it runs at).  The rows start narrower than ``_first_width`` would, which
+# under grevlex holds twice the generators' degree, so that the checks that
+# restart a run are reached.  The signature loop starts a run again when an
 # element's signature has degree half the fields' limit, 2^(width - 2), or
-# more: at the width that a generator of degree D asks for, that is D or
-# less, so most rows trip on a generator.
+# more: at the width that a generator of degree D asks for alone, that is D
+# or less, so most rows trip on a generator.
 NARROW_WIDTH_CASES = [
     # Under lex a basis element gets a lead of total degree 4 or more while
     # each exponent fits 3-bit fields.  The classic loop starts again: its
     # pair keys hold lcm degrees modulo 2^width - 1, and in the wrapped order
     # it reduces 11 pairs, not 10.
-    (LEX, ("x", "y", "z", "w"), ["z*w^2 - z*w", "x*z^2 + z", "x^2*z + y*z*w"], 2),
+    (LEX, ("x", "y", "z", "w"), ["z*w^2 - z*w", "x*z^2 + z", "x^2*z + y*z*w"], 3, [3, 6]),
     # Ten generators, and a 3-bit signature holds only eight indices.  The
     # signature loop starts again; with the indices spilling into the
     # monomials it reduces 12 J-pairs, not 13.
-    (GREVLEX, ("a", "b", "c", "d", "e"), ["a*c", "a*c + c*e", "c*d", "e^2", "a^2", "a*d", "a*e", "a*e + e^2", "d^2", "b^2"], 2),
+    (GREVLEX, ("a", "b", "c", "d", "e"), ["a*c", "a*c + c*e", "c*d", "e^2", "a^2", "a*d", "a*e", "a*e + e^2", "d^2", "b^2"], 3, [3, 6]),
     # At 3 bits one J-pair's signature segment would outgrow its fields,
     # and a known syzygy's one-variable residual kills that pair.  The first
     # element's signature has degree 2, half the limit, so the run starts
     # again at 6 bits before the pair is formed.
-    (GREVLEX, ("x", "y"), ["2*x*y + 4*x", "5*x^2 + y"], 2),
+    (GREVLEX, ("x", "y"), ["2*x*y + 4*x", "5*x^2 + y"], 3, [3, 6]),
     # At 3 bits the signature segment of a coprime J-pair, on the side of the
     # element that joins last, would outgrow its fields.  The first element,
     # of signature degree 2, starts the run again before any pair is formed.
-    (GREVLEX, ("x", "y", "z"), ["3*x*y + y*z + 2*x + 2", "y*z + 3*x", "2*y^2 + 6*z^2 + 2*x"], 2),
+    (GREVLEX, ("x", "y", "z"), ["3*x*y + y*z + 2*x + 2", "y*z + 3*x", "2*y^2 + 6*z^2 + 2*x"], 3, [3, 6]),
     # At 3 bits the Koszul syzygy of a J-pair that is not coprime, on the
     # side of the element that joins last, would outgrow its fields.  The
     # first element, of signature degree 3, starts the run again.
-    (GREVLEX, ("x", "y"), ["3*y^3", "3*x*y^2"], 2),
+    (GREVLEX, ("x", "y"), ["3*y^3", "3*x*y^2"], 3, [3, 6]),
     # At 3 bits the syzygy a J-pair leaves on the side of the element that
     # joined first would outgrow its fields.  The first element, of signature
     # degree 2, starts the run again; without that bound the run stays at 3
     # bits and gives a wrong basis.
-    (GREVLEX, ("x", "y"), ["4*x*y^2 + 3", "4*y^2 + y"], 2),
+    (GREVLEX, ("x", "y"), ["4*x*y^2 + 3", "4*y^2 + y"], 3, [3, 6]),
     # At 4 bits the signature of a J-pair, on the side of the element that
     # joined first, would outgrow its fields.  The third element, the
     # generator of degree 5, starts the run again before any pair is reduced.
-    (GREVLEX, ("x", "y"), ["3*x^2*y^3 + 6*x", "3*x^3", "9*x^3 + 4*x*y^2 + 6*y^2"], 2),
+    (GREVLEX, ("x", "y"), ["3*x^2*y^3 + 6*x", "3*x^3", "9*x^3 + 4*x*y^2 + 6*y^2"], 4, [4, 8]),
     # At 4 bits every generator's signature has degree 3, below half the
     # limit.  The bound first trips on an element made from a J-pair, of
     # signature degree 4, after one J-pair was reduced; the run starts again
     # at 8 bits with the budget as it was and spends 5 in all.
-    (GREVLEX, ("x", "y"), ["y^3 + x*y", "5*x^3", "5*x*y^2 + y^3"], 4),
+    (GREVLEX, ("x", "y"), ["y^3 + x*y", "5*x^3", "5*x*y^2 + y^3"], 4, [4, 8]),
+    # 5 bits, the width ``_first_width`` picks for generators of degree 7
+    # under grevlex, so no generator trips the bound.  An element made from
+    # a J-pair does, and the run starts again at 10 bits; without that bound
+    # the run stays at 5 bits and reduces 24 J-pairs, not 23.
+    (GREVLEX, ("x", "y", "z"), ["4*x*y*z^3 + y^3", "x^2*y + 6*z", "2*x*y^3*z^3"], 5, [5, 10]),
 ]
 
 
 @pytest.mark.parametrize(
-    "order, variables, texts, width",
+    "order, variables, texts, width, widths",
     NARROW_WIDTH_CASES,
     ids=[
         "lead-degree",
@@ -576,16 +596,17 @@ NARROW_WIDTH_CASES = [
         "first-side-syzygy",
         "first-side-signature",
         "pair-element-signature",
+        "first-width-signature",
     ],
 )
-def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables, texts, width):
+def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables, texts, width, widths):
     ring = PolynomialRing(PrimeField(7), variables)
     gens = [parse_polynomial(text, ring) for text in texts]
     wide = Budget()
     basis = buchberger(gens, order, wide)
-    monkeypatch.setattr(ideals, "_FIRST_WIDTH", width)
+    monkeypatch.setattr(ideals, "_first_width", lambda polys, headroom=1: width)
     narrow = Budget()
-    assert buchberger(gens, order, narrow) == basis
+    assert _with_kernel_widths(lambda: buchberger(gens, order, narrow)) == (basis, widths)
     assert narrow.used == wide.used
 
 
@@ -654,6 +675,73 @@ def test_groebner_cache_reuse(rxy):
     I = IdealPresentation(rxy, [x**2 - y])
     first = I.groebner_basis(GREVLEX)
     assert I.groebner_basis(GREVLEX) is first
+
+
+def test_membership_tests_pack_the_cached_basis_once(rxyz):
+    # the first test packs and normalizes the cached basis; the other 19
+    # reduce against what it kept
+    x, y, z = (rxyz.variable(i) for i in range(3))
+    ideal = IdealPresentation(rxyz, [x**2 - y * z, x * y - z, y**3 + x])
+    basis = ideal.groebner_basis(GREVLEX)
+    elements = [x, y * z - x**2, (x * y - z) * (x + z), z**3 - y, x**2 * y * z - y * z**3]
+    normalized = _Kernel.normalized
+    packed = []
+
+    def counting(self, f):
+        packed.append(f)
+        return normalized(self, f)
+
+    with patch.object(_Kernel, "normalized", counting):
+        answers = [ideal.contains(f) for f in elements * 4]
+    assert answers == [False, True, True, False, True] * 4
+    assert packed == list(basis)
+
+
+@st.composite
+def membership_problems(draw):
+    """Generators in x, y (and z) over F_p, Q or Q(t), and elements of a
+    ring with one more variable u, which no generator involves: ideal
+    members, random polynomials, and one of them times u^200, whose degree
+    does not fit the 8-bit fields the first test packs at."""
+    field = draw(st.sampled_from([PrimeField(32003), QQ, QT]))
+    arity = draw(st.integers(2, 3))
+    ring = PolynomialRing(field, ("x", "y", "z")[:arity] + ("u",))
+    pool = [field.from_int(n) for n in (1, -1, 2, -3)] + [field.div(field.one, field.from_int(2))]
+    if field is QT:
+        pool += _functions_of_t(field)[:2]
+    monomials = st.tuples(*[st.integers(0, 2)] * arity, st.just(0))
+
+    def polynomials(min_size: int = 0):
+        terms = st.dictionaries(monomials, st.sampled_from(pool), min_size=min_size, max_size=3)
+        return terms.map(lambda t: Polynomial(ring, t))
+
+    gens = draw(st.lists(polynomials(1), min_size=1, max_size=3))
+    elements = []
+    for _ in range(draw(st.integers(2, 4))):
+        member = sum((draw(polynomials()) * g for g in gens), ring.zero())
+        elements.append(member + draw(polynomials()) if draw(st.booleans()) else member)
+    wide = draw(st.integers(1, len(elements) - 1))
+    elements.insert(wide, (elements[wide] or ring.one()) * monomial(ring, (0,) * arity + (200,)))
+    return ring, gens, elements
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(membership_problems())
+def test_cached_membership_agrees_with_a_fresh_normal_form(problem):
+    # every test reuses the presentation's packed basis and its divisor
+    # memo; the element times u^200 rebuilds both at 16 bits, and the tests
+    # after it reduce against the rebuilt ones
+    ring, gens, elements = problem
+    ideal = IdealPresentation(ring, gens)
+    basis = ideal.groebner_basis(GREVLEX)
+    divisors = [g.terms for g in basis]
+    answers, widths = _with_kernel_widths(lambda: [ideal.contains(f) for f in elements])
+    for f, answer in zip(elements, answers):
+        assert answer == normal_form(f, tuple(basis), GREVLEX).is_zero()
+        assert answer == (not ref_normal_form(ring.field, f.terms, divisors, grevlex_oracle))
+        for order in (GREVLEX, LEX):
+            assert normal_form(f, basis, order) == normal_form(f, tuple(basis), order)
+    assert widths == [8, 16]
 
 
 def test_budget_exhaustion_is_an_error_not_an_answer():

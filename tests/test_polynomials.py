@@ -4,7 +4,7 @@ import random
 from decimal import Decimal
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ringdim import (
     BlockElimination,
@@ -26,7 +26,7 @@ from ringdim import (
 )
 
 from ringdim import fields
-from conftest import random_polynomial
+from conftest import monomial, random_polynomial
 
 
 @pytest.fixture
@@ -157,6 +157,67 @@ def test_substitute(rxy):
     assert p.substitute({0: y}) == y**2 + y
 
 
+def _evaluate(p: Polynomial, values: dict) -> Polynomial:
+    """p with variable i replaced by values[i], by ring arithmetic alone:
+    each term is its coefficient times one factor per unit of exponent."""
+    ring = p.ring
+    result = ring.zero()
+    for exps, c in p.terms.items():
+        term = ring.constant(c)
+        for i, e in enumerate(exps):
+            factor = values.get(i, ring.variable(i))
+            for _ in range(e):
+                term = term * factor
+        result = result + term
+    return result
+
+
+SUBSTITUTION_FIELDS = [QQ, PrimeField(7), RationalFunctionField(QQ, ("t",))]
+
+
+@st.composite
+def substitutions(draw):
+    field = draw(st.sampled_from(SUBSTITUTION_FIELDS))
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = random_polynomial(rng, ring, max_degree=4, max_terms=5)
+    replaced = draw(st.sets(st.integers(0, 2)))
+    return p, {i: random_polynomial(rng, ring, max_degree=2, max_terms=3) for i in replaced}
+
+
+def _cancelling(field) -> tuple:
+    # x - y - z with x -> y + z, y and z left alone: every term cancels
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    x, y, z = (ring.variable(i) for i in range(3))
+    return x - y - z, {0: y + z}
+
+
+def _all_replaced_cancelling(field) -> tuple:
+    # x*y - 2*z with x -> z, y -> 2, z -> z: every variable is replaced,
+    # each with exponent 1, and the images cancel
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    x, y, z = (ring.variable(i) for i in range(3))
+    return x * y - z - z, {0: z, 1: ring.from_int(2), 2: z}
+
+
+def _partly_cancelling(field) -> tuple:
+    # x^2*y - y*z^2 + x with x -> z, y and z left alone: the first two
+    # terms cancel, and x^2 and x share the image z
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    x, y, z = (ring.variable(i) for i in range(3))
+    return x**2 * y - y * z**2 + x, {0: z}
+
+
+@settings(derandomize=True, max_examples=90, deadline=None)
+@given(substitutions())
+@example(_cancelling(QQ))
+@example(_all_replaced_cancelling(PrimeField(7)))
+@example(_partly_cancelling(RationalFunctionField(QQ, ("t",))))
+def test_substitute_matches_ring_evaluation(problem):
+    p, values = problem
+    assert p.substitute(values) == _evaluate(p, values)
+
+
 def test_exact_divide(rxy):
     x, y = rxy.variable("x"), rxy.variable("y")
     p = (x + y) * (x - y)
@@ -174,7 +235,7 @@ def _schoolbook_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
             return None
         exps = tuple(b - a for a, b in zip(lq, lr))
         quotient[exps] = p.ring.field.div(cr, cq)
-        rest = rest - q.mul_term(quotient[exps], exps)
+        rest = rest - q * monomial(p.ring, exps, quotient[exps])
     return Polynomial(p.ring, quotient)
 
 
@@ -219,7 +280,7 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
         d = rest.degree_in(i)
         lc_r = rest.coefficient_of(i, d)
         shift = tuple(d - n if j == i else 0 for j in range(f.ring.arity))
-        rest = rest * lc_g - (lc_r * g).mul_term(f.ring.field.one, shift)
+        rest = rest * lc_g - lc_r * g * monomial(f.ring, shift)
     return rest
 
 

@@ -31,21 +31,22 @@ at twice the width, so no answer depends on the width.
 
 Two completion loops share that division and the final minimalization and
 tail reduction, so both give the one reduced basis.  Both start from the
-generators as given, each packed and ``normalize``d, in
-``Polynomial.sort_key`` order: no pass reduces them by one another first.
-Every divisor the kernel records is normalized, so over a field it is
-monic.  Under grevlex, the order of every ``dim``, ``nzd`` and unit-ideal
-test, the signature loop (``_signature_buchberger``) skips the pairs whose
-remainder would be zero: katsura-6 over F_p reduces 46 J-pairs there, where
+generators as given, each packed and ``normalize``d, in one fixed order
+(``buchberger``): no pass reduces them by one another first.  Every
+divisor the kernel records is normalized, so over a field it is monic.
+Under grevlex, the order of every ``dim``, ``nzd`` and unit-ideal test,
+the signature loop (``_signature_buchberger``) skips the pairs whose
+remainder would be zero: katsura-6 over F_p reduces 44 J-pairs there, where
 the classic loop reduces 164 S-pairs, 128 of them to zero.  Under lex and
 the block orders of ``eliminate`` the classic loop (``_buchberger``: normal
 selection, both classic pair criteria, on the exponent fields of the
 packed leads) stays; ``buchberger`` says why.
 
 An ``IdealPresentation`` caches one reduced basis per order, and with it,
-once a normal form against it is asked for, the basis packed and indexed
-(``_Basis``): every membership test (``contains``, chain verification)
-then packs only its element and divides it by that index.  The index
+once a normal form or a membership test against it is asked for, the
+basis packed and indexed (``_Basis``): every membership test
+(``contains``, chain verification) then packs only its element, divides
+it by that index and reads whether the packed remainder is empty.  The index
 memoizes the divisors of each monomial a division pops, across calls, so
 the cache is not for concurrent use.
 """
@@ -407,8 +408,10 @@ class _Kernel:
         ``lcm``, for ``reduce`` alone, up to a nonzero scalar: over a field
         f and g are monic, and it is the difference of their shifted tails;
         over Q and Q(t), with leads a and b, the tails are first multiplied
-        by b/h and a/h, h = gcd(a, b).  Terms that cancel stay, with a zero
-        coefficient, and over F_p coefficients may leave [0, p)."""
+        by b/h and a/h, h = gcd(a, b).  It is written as ``reduce`` takes
+        it, each coefficient in a one-item list.  Terms that cancel stay,
+        with a zero coefficient, and over F_p coefficients may leave
+        [0, p)."""
         f_tail, g_tail = f[1], g[1]
         if self.integral:
             a, b, one = f[3], g[3], self.one
@@ -418,25 +421,28 @@ class _Kernel:
                 f_tail = [(m, c * b) for m, c in f_tail]
             if a != one:
                 g_tail = [(m, c * a) for m, c in g_tail]
-        rest = {}
         shift = lcm - f[0]
-        for m, c in f_tail:
-            rest[m + shift] = c
+        rest = {m + shift: [c] for m, c in f_tail}
         shift = lcm - g[0]
         get = rest.get
         for m, c in g_tail:
             t = m + shift
-            old = get(t)
-            rest[t] = -c if old is None else old - c
+            cell = get(t)
+            if cell is None:
+                rest[t] = [-c]
+            else:
+                cell[0] -= c
         return rest
 
     def reduce(self, rest: dict, divisors: _Divisors, bound: int | None = None) -> tuple[dict, object]:
         """Remainder of ``rest`` under ``divisors``, and the
         scalar s it is multiplied by: the remainder of ``rest`` is the one
-        returned over s.  The largest unreduced monomial m is reduced by the
-        first divisor, in descending leading-monomial order with ties in the
-        order added, whose leading monomial divides m: the index's memo lists
-        them from the first pop of m on.  In a regular reduction
+        returned over s.  ``rest`` holds each coefficient in a one-item
+        list, the cell that division updates in place, and is used up.
+        The largest unreduced monomial m is reduced by the first divisor, in
+        descending leading-monomial order with ties in the order added,
+        whose leading monomial divides m: the index's memo lists them from
+        the first pop of m on.  In a regular reduction
         (``_signature_buchberger``) the bound is a signature, and a divisor
         with a key takes part only where ``(m << width) + key < bound``; one
         without a key always does.
@@ -449,7 +455,7 @@ class _Kernel:
         until it is popped.  A coefficient is looked at only then: over F_p
         it is taken ``% p`` once, and one that cancelled to zero is
         skipped.  An update is one ``+`` and one ``*``, over every field,
-        into a one-item list, so it hashes its monomial once.
+        into a monomial's cell, so it hashes its monomial once.
 
         Over a field every divisor is monic, so -c times the shifted tail
         is added and s is one.  Over Q and Q(t) the division is
@@ -467,7 +473,6 @@ class _Kernel:
         memo, get_hits, ordered, leads = divisors.memo, divisors.memo.get, divisors.ordered, divisors.leads
         heap = [-m for m in rest]
         heapify(heap)
-        rest = {m: [c] for m, c in rest.items()}
         pop, push, get, take = heappop, heappush, rest.get, rest.pop
         remainder = {}
         scale = self.one
@@ -560,8 +565,8 @@ def _packed(polys: Sequence[Polynomial], order: MonomialOrder, run, budget: Budg
 
 
 class _Basis(tuple):
-    """Polynomials of ``ring`` that ``normal_form`` divides by under
-    ``order``, with their packed form: a kernel, and a keyless divisor
+    """Polynomials of ``ring`` that ``normal_form`` and membership tests
+    divide by under ``order``, with their packed form: a kernel, and a keyless divisor
     index (``_Divisors``) of the elements packed and normalized.
 
     The first request builds both, at the ``_first_width`` of the basis and
@@ -585,14 +590,17 @@ class _Basis(tuple):
         basis.order, basis.ring, basis.width, basis.packed = order, ring, 0, None
         return basis
 
-    def reduce(self, f: Polynomial) -> Polynomial:
-        """The normal form of f: the zero polynomial, without unpacking,
-        when the remainder is empty."""
+    def remainder(self, f: Polynomial) -> tuple[dict, object]:
+        """f's remainder, packed by the kernel in ``packed``, and the
+        nonzero scalar d it carries: the normal form of f is the remainder
+        over d.  The remainder is empty exactly when f lies in the ideal,
+        so a membership test unpacks nothing.  An empty basis divides
+        nothing: there the remainder is f's own terms, and d is None."""
         ring = self.ring
         if f.ring != ring:
             raise RingMismatchError("element in a different ring from the basis")
         if not self:
-            return f  # nothing divides it
+            return f.terms, None
         if not self.width:
             self.width = _first_width([f, *self])
         while True:
@@ -602,14 +610,11 @@ class _Basis(tuple):
             kernel, divisors = self.packed
             try:
                 rest, d = kernel.pack(f)
-                remainder, s = kernel.reduce(rest, divisors)
-                break
+                remainder, s = kernel.reduce({m: [c] for m, c in rest.items()}, divisors)
+                return remainder, d * s
             except WidthOverflow:
                 self.width *= 2
                 self.packed = None
-        if not remainder:
-            return ring.zero()
-        return kernel.unpack(ring, kernel.divide(remainder, d * s))
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
@@ -625,7 +630,13 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     """
     if not (isinstance(basis, _Basis) and basis.order == order):
         basis = _Basis(basis, order, f.ring)
-    return basis.reduce(f)
+    remainder, d = basis.remainder(f)
+    if d is None:
+        return f
+    if not remainder:
+        return f.ring.zero()  # without unpacking
+    kernel = basis.packed[0]
+    return kernel.unpack(f.ring, kernel.divide(remainder, d))
 
 
 def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: Budget | None = None) -> tuple[Polynomial, ...]:
@@ -636,19 +647,22 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     orders, the classic pair loop (``_buchberger``), which spends it once
     per S-pair.  The order is part of the input, so it alone picks the
     loop.  The signature loop leaves most zero remainders uncomputed: on
-    katsura-5 over Q it reduces 21 J-pairs where the classic loop reduces
-    66 S-pairs, 48 of them to zero, and takes 0.013 s instead of 0.047 s.
+    katsura-5 over Q it reduces 20 J-pairs where the classic loop reduces
+    66 S-pairs, 48 of them to zero, and takes 0.011 s instead of 0.027 s.
     Under lex and the block orders its Schreyer signatures fit less well:
-    on cyclic-5 over F_32003 it reduces 179 J-pairs where the classic loop
-    reduces 120 S-pairs, and takes 0.097 s instead of 0.029 s under lex
-    (0.066 s instead of 0.025 s under the block order that keeps x3, x4),
-    though on katsura-4 under lex it is faster (0.061 s instead of
-    0.084 s).  (Best of three runs, Python 3.11 on a 2-core VM.)  The zero
-    ideal yields the empty basis.
+    on cyclic-5 over F_32003 it reduces 172 J-pairs where the classic loop
+    reduces 119 S-pairs, and takes 0.093 s instead of 0.024 s under lex
+    (0.038 s instead of 0.022 s under the block order that keeps x3, x4),
+    though on katsura-4 under lex it is faster (0.050 s instead of
+    0.096 s).  (Best of three runs, Python 3.11 on a shared 2-core VM.)
+    The zero ideal yields the empty basis.
 
-    The generators are sorted by ``Polynomial.sort_key``, so the pairs
-    reduced do not depend on the order they are written in, and packed
-    once (``PackedMonomials``, at the narrowest width their degrees allow);
+    The generators are sorted by total degree, lowest first, then by term
+    count, largest first, then by ``Polynomial.sort_key``; in the
+    signature loop a generator's place breaks the ties of the Schreyer
+    order.  The order is total, so the pairs reduced do not depend on the
+    order the generators are written in.  They are packed once
+    (``PackedMonomials``, at the narrowest width their degrees allow);
     S-polynomials, division and the final tail reduction run on packed
     polynomials, and only the reduced basis is unpacked.  A run that
     outgrows the width starts again at twice the width with the budget as
@@ -663,7 +677,7 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder, budget: B
     for g in generators:
         if g.ring != ring:
             raise RingMismatchError("generators in different rings")
-    generators.sort(key=Polynomial.sort_key)
+    generators.sort(key=lambda g: (g.total_degree(), -len(g.terms), g.sort_key()))
     complete = _completion(order)[0]
     return _packed(generators, order, lambda kernel: complete(kernel, ring, generators, budget), budget)
 
@@ -696,7 +710,7 @@ def _reduced_basis(kernel: _Kernel, ring: PolynomialRing, records: list[tuple]) 
     index = _Divisors(guard, [(lm, tail, None, lead) for lm, tail, _, lead in kept])
     reduced = []
     for lm, tail, _, lead in kept:
-        remainder, scale = kernel.reduce(dict(tail), index)
+        remainder, scale = kernel.reduce({m: [c] for m, c in tail}, index)
         reduced.append({lm: scale if lead is None else lead * scale, **remainder})
     reduced.sort(key=max)
     # the basis shares most of its monomials: unpack each distinct one once
@@ -820,9 +834,16 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     they are popped: the pop's syzygy test reads only the signature, so
     J-pairs with one signature share its outcome, and a dropped one spends
     no budget.  The residuals that are a single variable form one mask: d
-    meets it exactly when the pair dies, and ``PackedMonomials.slot_hits``
-    tests every earlier lead against it in one pass over an int that holds
-    all leads side by side.  The other residuals are tested pair by pair.
+    meets it exactly when the pair dies.  Each element keeps its mask, so
+    the pairs whose signature the earlier element a gives are screened the
+    same way: there the multiplier is lcm(l_a, e) - l_a, and the mask is
+    a's.  ``PackedMonomials.slot_hits`` tests every earlier lead against
+    both in one pass over ints that hold all leads, and all masks, side by
+    side.  The other residuals, and the syzygies recorded since a joined,
+    are tested pair by pair.  A J-pair that survives is queued under its
+    signature segment and index, so one whose signature is queued already
+    is merged without packing its signature.
+
     The run starts again at twice the width where ``len(generators) >
     2^width``, the room of the generator index, and where ``add`` meets a
     signature of degree ``limit / 2`` or more; no sum needs a test of its
@@ -835,7 +856,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     packing = kernel.packing
     width, segment, exponent_guard = packing.width, packing.exponent_mask, packing.exponent_guard
     half = packing.limit >> 1  # the bound on every signature's degree
-    lcm, monomial, slot_hits, slot_bits = packing.lcm, packing.monomial, packing.slot_hits, packing.slot_bits
+    monomial, slot_hits, slot_bits = packing.monomial, packing.slot_hits, packing.slot_bits
     top = width - 1
     gens = [kernel.normalized(f) for f in generators]
     if len(gens) > 1 << width:
@@ -847,15 +868,19 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
     keys: list[int] = []
     leads: list[int] = []  # exponent segments of the leading monomials
     spans: list[int] = []  # exponent segments of the signatures' monomials
-    slots = ones = 0  # the leads again, one per slot of ``slot_bits`` bits, and the slots' low bits
+    # the leads again, one per slot of ``slot_bits`` bits, each element's
+    # ``single`` mask in the same slots, and the slots' low bits
+    slots = masks = ones = 0
     # Signature divisibility is read off exponent segments.  Per generator
     # index: the (key, signature segment) of its elements, and the minimal
     # signature segments of its known syzygies (tens where thousands are
     # recorded).
     elements: list[list[tuple]] = [[] for _ in gens]
     syzygies: list[list[int]] = [[] for _ in gens]
-    queued = {max(f) << width | i: (i, None) for i, f in enumerate(gens)}  # signature -> J-pair
-    heap = list(queued)
+    # J-pairs by signature, written (signature segment << width | index),
+    # and a heap of the signatures, packed
+    queued = {(max(f) & segment) << width | i: (i, None) for i, f in enumerate(gens)}
+    heap = [max(f) << width | i for i, f in enumerate(gens)]
     heapify(heap)
 
     def divides_any(known: list[int], t: int) -> bool:
@@ -871,7 +896,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         known.append(t)
 
     def add(terms: dict, sig: int):
-        nonlocal slots, ones
+        nonlocal slots, masks, ones
         k = len(records)
         lm = max(terms)
         key = sig - (lm << width)
@@ -887,27 +912,30 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         # when its residual lcm(s, span) - span divides d.  A residual that
         # is a variable divides d when d meets its field: those make the
         # mask ``single``, and ``slot_hits`` tests every lead against it at
-        # once.  The screen holds the syzygies known before the walk; one
-        # recorded during it reaches the J-pairs it kills when they are
-        # popped.
+        # once.  Each earlier element a kept its own mask from when it
+        # joined, and ``slot_hits`` tests lcm(l_a, e) - l_a against each in
+        # the same pass: that screens the J-pairs whose signature a gives.
+        # The screen holds the syzygies known before the walk; one recorded
+        # during it reaches the J-pairs it kills when they are popped.
         mine = syzygies[key & index]
         single, others = 0, []
         for s in mine:
-            r = lcm(s, span) - span
+            # r = lcm(s, span) - span, all fields at once as in ``lcm``:
+            # each field of x keeps its guard bit, and then holds the
+            # difference of the fields of s and span, exactly when that of s
+            # is the larger
+            x = (s | exponent_guard) - span
+            h = x & exponent_guard
+            r = x & h - (h >> top)
             if r in units:
                 single |= r * index  # the variable's whole field: ``index`` is one field's mask
             elif not r & single:  # a residual that meets the mask is implied
                 others.append(r)
-        hits = slot_hits(slots, ones, e, single) if single else bytes(k)
+        hits = slot_hits(slots, ones, e, single, masks)
         for a, other, hit in zip(range(k), keys, hits):
-            if hit and other < key:
-                continue
-            if other == key:
-                continue  # singular: the same index and ratio
-            # d = lcm(l_a, e) - e, all fields at once as in ``lcm``: each
-            # field of x keeps its guard bit, and then holds the difference
-            # of l_a's and e's fields, exactly when l_a's is the larger
-            la = leads[a]
+            if hit & (1 if other < key else 2) or other == key:
+                continue  # screened, or singular: the same index and ratio
+            la = leads[a]  # d = lcm(l_a, e) - e, as r above
             x = (la | exponent_guard) - e
             h = x & exponent_guard
             d = x & h - (h >> top)
@@ -933,25 +961,30 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
                     continue
                 record_syzygy(known, e + spans[a])
                 j, i = a, k
-            t = (monomial(d + e) << width) + keys[j]
+            # t is the signature segment: most J-pairs share their
+            # signature with one queued before, so only a new one is packed
+            sig_key = keys[j]
+            t = t << width | sig_key & index
             held = queued.get(t)
             if held is None:
                 queued[t] = (j, i)
-                heappush(heap, t)
-            elif keys[held[0]] < keys[j]:
+                heappush(heap, (monomial(d + e) << width) + sig_key)
+            elif keys[held[0]] < sig_key:
                 queued[t] = (j, i)
         divisors.add(kernel.divisor(terms, key))
         elements[key & index].append((key, span))
         slots |= e << slot_bits * k
+        masks |= single << slot_bits * k
         ones |= 1 << slot_bits * k
 
     while heap:
         sig = heappop(heap)
-        j, i = queued.pop(sig)
+        t = sig >> width & segment
+        j, i = queued.pop(t << width | sig & index)
         if i is None:
-            r = kernel.reduce(gens[j], divisors, sig)[0]
+            r = kernel.reduce({m: [c] for m, c in gens[j].items()}, divisors, sig)[0]
         else:
-            key, t = keys[j], sig >> width & segment
+            key = keys[j]
             known = syzygies[key & index]
             if known and divides_any(known, t):
                 continue
@@ -962,7 +995,7 @@ def _signature_buchberger(kernel: _Kernel, ring: PolynomialRing, generators: lis
         if r:
             add(kernel.normalize(r), sig)
         else:
-            record_syzygy(syzygies[sig & index], sig >> width & segment)
+            record_syzygy(syzygies[sig & index], t)
     return _reduced_basis(kernel, ring, records)
 
 
@@ -974,8 +1007,9 @@ class IdealPresentation:
     Zero generators are dropped on construction, so the zero ideal is the
     presentation with no generators.  Presentations are immutable apart from
     the basis cache: one reduced basis per order, computed on first use, and
-    with each the packed form that ``normal_form`` builds on its first
-    request against it (``_Basis``), so ``contains`` packs the basis once.
+    with each the packed form that the first normal form or membership
+    test against it builds (``_Basis``), so ``contains`` packs the basis
+    once.
     Every membership test grows the memo of that packed form's divisor
     index, so the cache, and with it a presentation, is not for concurrent
     use.
@@ -1017,7 +1051,7 @@ class IdealPresentation:
         return cached
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
-        return normal_form(f, self.groebner_basis(GREVLEX, budget), GREVLEX).is_zero()
+        return not self.groebner_basis(GREVLEX, budget).remainder(f)[0]
 
     def is_zero_ideal(self) -> bool:
         return not self.generators

@@ -199,16 +199,19 @@ class PackedMonomials:
         clear, so ``lcm`` works on all slots at once."""
         return self.lcm(slots, e * ones, self.exponent_guard * ones)
 
-    def slot_hits(self, slots: int, ones: int, e: int, mask: int) -> bytes:
-        """One byte per slot of ``slots`` (as in ``slot_lcms``), nonzero
-        exactly when the segment lcm(a, e) - e meets ``mask``.
+    def slot_hits(self, slots: int, ones: int, e: int, mask: int, masks: int) -> bytes:
+        """One byte per slot of ``slots`` (as in ``slot_lcms``): bit 0 is
+        set exactly when the segment lcm(a, e) - e meets ``mask``, and bit 1
+        exactly when lcm(a, e) - a meets the slot's own mask in ``masks``
+        (held as ``slots`` holds the segments).
 
-        The part of a slot's quotient inside the mask is below
+        The part of a slot's quotient inside a mask is below
         2^(arity*width); adding 2^(arity*width) - 1 carries into the spare
         bit above the segment exactly when that part is nonzero."""
-        quotients = self.slot_lcms(slots, ones, e) - e * ones
-        hits = ((quotients & mask * ones) + self.exponent_mask * ones) >> self._segment_bits & ones
-        return hits.to_bytes(ones.bit_length() + 7 >> 3, "little")[::self.slot_bits >> 3]
+        lcms, spread, bits = self.slot_lcms(slots, ones, e), self.exponent_mask * ones, self._segment_bits
+        mine = ((lcms - e * ones & mask * ones) + spread) >> bits & ones
+        theirs = ((lcms - slots & masks) + spread) >> bits & ones
+        return (mine | theirs << 1).to_bytes(ones.bit_length() + 7 >> 3, "little")[::self.slot_bits >> 3]
 
     def graded(self, e: int) -> int:
         """An int that orders exponent segments like (total degree, exponent

@@ -389,18 +389,18 @@ CYCLIC4_FIBER = (
 
 
 def test_generic_fiber_spends_pairs_on_one_basis(capsys):
-    # the fiber's dimension is dim A over the base field, one basis of eight
-    # pair reductions; a second basis over Q(T1) would need eight more
-    code, report = run_cli(capsys, "dim", "--budget", "8", CYCLIC4_FIBER)
+    # the fiber's dimension is dim A over the base field, one basis of four
+    # pair reductions; a second basis over Q(T1) would need four more
+    code, report = run_cli(capsys, "dim", "--budget", "4", CYCLIC4_FIBER)
     assert (code, report["status"]) == (EXIT_OK, "ok")
     assert report["result"]["dimension"] == {"kind": "exact", "value": 1}
     assert [t["rule"] for t in report["trace"]] == ["generic-fiber-kernel", "tensor-upper-bound"]
 
 
 def test_generic_fiber_budget_still_binds(capsys):
-    code, report = run_cli(capsys, "dim", "--budget", "7", CYCLIC4_FIBER)
+    code, report = run_cli(capsys, "dim", "--budget", "3", CYCLIC4_FIBER)
     assert (code, report["status"]) == (EXIT_BUDGET, "budget-exhausted")
-    assert report["error"] == {"limit": 7, "message": "budget exhausted: 8 pair reductions (limit 7)", "used": 8}
+    assert report["error"] == {"limit": 3, "message": "budget exhausted: 4 pair reductions (limit 3)", "used": 4}
 
 
 def test_exit_code_internal_inconsistency(capsys, monkeypatch):

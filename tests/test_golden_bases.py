@@ -14,7 +14,8 @@ the way is pinned too: J-pairs under grevlex, where the signature loop
 runs, and S-pairs under lex and the block order that ranks x0, x1 first.
 It fixes which pairs the criteria let through, which no basis text shows,
 and with it the order in which each loop pops them; the J-pair counts of
-the benchmark's grevlex systems (katsura-5/6, cyclic-5/6) are pinned too.
+the benchmark's grevlex systems (katsura-5/6, cyclic-5/6) are pinned too,
+and so are the flags the signature loop's bulk screen raises on them.
 Last, the benchmark's own oracle (standard-monomial count and basis
 digest, ``perfbench/workloads.py``) judges the gb-fp and gb-coeff cases.
 """
@@ -25,10 +26,12 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from ringdim import GREVLEX, LEX, BlockElimination, Budget, buchberger, cli, parse_ring_expr
+from ringdim.orderings import PackedMonomials
 
 KATSURA_3 = (
     "Quot(Poly(Fp(32003); x0,x1,x2,x3); x0 + 2*x1 + 2*x2 + 2*x3 - 1, "
@@ -179,11 +182,11 @@ PAIR_REDUCTIONS = {
     "katsura-4/grevlex": 10,
     "katsura-4/lex": 131,
     "katsura-4/block01": 42,
-    "cyclic-4/grevlex": 8,
-    "cyclic-4/lex": 15,
-    "cyclic-4/block01": 15,
+    "cyclic-4/grevlex": 4,
+    "cyclic-4/lex": 14,
+    "cyclic-4/block01": 14,
     "katsura-3-Qt/grevlex": 3,
-    "over-t-Qt/grevlex": 1,
+    "over-t-Qt/grevlex": 0,
     "tu-F7/grevlex": 3,
 }
 
@@ -235,7 +238,7 @@ def test_gb_fp_cases_pass_the_benchmark_oracle(capsys):
 # J-pairs reduced on the grevlex gb-fp systems of the benchmark over
 # F_32009 (the oracle test above runs over F_32003, and katsura-6 over
 # F_32057, with the same counts)
-BENCHMARK_PAIR_REDUCTIONS = {"katsura-5": 21, "katsura-6": 46, "cyclic-5": 53, "cyclic-6": 232}
+BENCHMARK_PAIR_REDUCTIONS = {"katsura-5": 20, "katsura-6": 44, "cyclic-5": 44, "cyclic-6": 210}
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PAIR_REDUCTIONS))
@@ -250,7 +253,7 @@ def test_benchmark_pair_reductions_are_pinned(name):
 
 # J-pairs reduced on the gb-coeff systems of the benchmark: division over Q
 # without fractions must reduce the J-pairs that division with them did
-GB_COEFF_PAIR_REDUCTIONS = {"katsura-5-Q": 21, "katsura-4-Qt": 10}
+GB_COEFF_PAIR_REDUCTIONS = {"katsura-5-Q": 20, "katsura-4-Qt": 10}
 
 
 @pytest.mark.parametrize("name", sorted(GB_COEFF_PAIR_REDUCTIONS))
@@ -260,3 +263,29 @@ def test_gb_coeff_pair_reductions_are_pinned(name):
     budget = Budget()
     buchberger(parse_ring_expr(case.argv[1]).relations, GREVLEX, budget)
     assert budget.used == GB_COEFF_PAIR_REDUCTIONS[name]
+
+
+# Flags the signature loop's bulk screen raises (``PackedMonomials.slot_hits``)
+# on the grevlex gb-fp systems over F_32009: bit 0 of a slot where the new
+# element's mask meets lcm(l_a, e) - e, bit 1 where the earlier element's own
+# mask meets lcm(l_a, e) - l_a.  The screen drops only J-pairs that the tests
+# pair by pair would drop as well, so no basis and no J-pair count shows a
+# screen that stopped screening; these counts do.
+SCREEN_FLAGS = {"katsura-5": (190, 53), "katsura-6": (762, 282), "cyclic-5": (673, 191), "cyclic-6": (14509, 6713)}
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_FLAGS))
+def test_bulk_screen_flags_are_pinned(name):
+    workloads = _load_workloads()
+    case = next(case for case in workloads.gb_fp_cases(1) if case.name == name)
+    slot_hits, flags = PackedMonomials.slot_hits, [0, 0]
+
+    def counting(self, *args):
+        hits = slot_hits(self, *args)
+        flags[0] += sum(hit & 1 for hit in hits)
+        flags[1] += sum(hit >> 1 for hit in hits)
+        return hits
+
+    with patch.object(PackedMonomials, "slot_hits", counting):
+        buchberger(parse_ring_expr(case.argv[1]).relations, GREVLEX, Budget())
+    assert tuple(flags) == SCREEN_FLAGS[name]

@@ -287,11 +287,16 @@ def test_divisor_index_lookups_match_a_brute_force_filter(batch, steps):
             index.add(records[-1])
             continue
         m = pack(e)
-        kernel.reduce({m: 1}, index, 1 << 99)
+        kernel.reduce({m: [1]}, index, 1 << 99)
         hits = [r for r in records if all(a <= b for a, b in zip(unpack(r[0]), e))]
         hits.sort(key=cmp_to_key(lambda a, b: grevlex_oracle(unpack(b[0]), unpack(a[0]))))
         assert _through_first_keyless(index.memo[m]) == _through_first_keyless(hits)
     assert index.records == records
+
+
+def _cells(terms: dict) -> dict:
+    # ``_Kernel.reduce`` takes each coefficient in a one-item list, and uses the dict up
+    return {m: [c] for m, c in terms.items()}
 
 
 _SMALL_POLYNOMIALS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.sampled_from([1, -1, 2, 3, -5]), min_size=1, max_size=4)
@@ -320,10 +325,10 @@ def test_reduce_through_a_grown_index_matches_a_fresh_one(field, divisors, probe
         records.append(kernel.divisor(kernel.normalize(pack(terms)), None if bound is None else keys[n]))
         grown.add(records[-1])
         for f in probes:
-            kernel.reduce(dict(f), grown, bound)
+            kernel.reduce(_cells(f), grown, bound)
     fresh = _Divisors(kernel.guard, records)
     for f in probes:
-        assert kernel.reduce(dict(f), grown, bound) == kernel.reduce(dict(f), fresh, bound)
+        assert kernel.reduce(_cells(f), grown, bound) == kernel.reduce(_cells(f), fresh, bound)
 
 
 def test_buchberger_twisted_cubic_style_example(rxyz):
@@ -616,8 +621,8 @@ def test_narrow_first_width_gives_the_wide_outcome(monkeypatch, order, variables
 # spends no budget.
 POP_TIME_DROPS = [
     (PrimeField(7), ["6*x*y^2 + y^2", "6*x*y^2", "3*x^2*y^3 + 6*x^2"], ["y^2", "x^2"], 1),
-    (PrimeField(7), ["2*x*y^3 + 4*y", "5*x*y", "5*x^2*y + 6*x"], ["y", "x"], 4),
-    (QQ, ["5*x*y^2 + 6", "5*x^3*y", "5*x^2*y^3 + 1"], ["1"], 6),
+    (PrimeField(7), ["2*x*y^3 + 4*y", "5*x*y", "5*x^2*y + 6*x"], ["y", "x"], 1),
+    (QQ, ["6*x^2*y^2 + 5", "2*x^3*y^3 + 3*x^2*y^3", "6*x^2 + 4*x*y"], ["1"], 4),
 ]
 
 
@@ -679,7 +684,8 @@ def test_groebner_cache_reuse(rxy):
 
 def test_membership_tests_pack_the_cached_basis_once(rxyz):
     # the first test packs and normalizes the cached basis; the other 19
-    # reduce against what it kept
+    # reduce against what it kept, and none, not even for a non-member,
+    # unpacks its remainder or divides it by its scale
     x, y, z = (rxyz.variable(i) for i in range(3))
     ideal = IdealPresentation(rxyz, [x**2 - y * z, x * y - z, y**3 + x])
     basis = ideal.groebner_basis(GREVLEX)
@@ -691,7 +697,10 @@ def test_membership_tests_pack_the_cached_basis_once(rxyz):
         packed.append(f)
         return normalized(self, f)
 
-    with patch.object(_Kernel, "normalized", counting):
+    def unexpected(self, *args):
+        raise AssertionError("a membership test left the kernel")
+
+    with patch.object(_Kernel, "normalized", counting), patch.object(_Kernel, "unpack", unexpected), patch.object(_Kernel, "divide", unexpected):
         answers = [ideal.contains(f) for f in elements * 4]
     assert answers == [False, True, True, False, True] * 4
     assert packed == list(basis)
@@ -802,6 +811,7 @@ def test_signature_loop_reaches_the_classic_loops_basis(gens):
     ring = gens[0].ring
     classic = _packed(gens, GREVLEX, lambda kernel: _buchberger(kernel, ring, gens, Budget()))
     assert buchberger(gens, GREVLEX) == classic
+
 
 
 @st.composite
@@ -934,6 +944,36 @@ def test_two_variable_function_field_gcds_stay_small():
     texts = ["2*y^2 + t*x", "t*x^2*y + 2*x + 2*y", "3/t^2*x^2*y + (t - 1)*x*y + x"]
     over_t, over_ts = ([parse_polynomial(s, PolynomialRing(field, ("x", "y"))) for s in texts] for field in (QT, QTS))
     assert _outcome(over_ts, LEX) == _outcome(over_t, LEX) == (["y", "x"], 5)
+
+
+@settings(derandomize=True, max_examples=80)
+@given(st.one_of(grevlex_systems().map(lambda gens: (gens, GREVLEX)), small_systems()), st.data())
+def test_permuting_the_generators_changes_neither_basis_nor_budget(problem, data):
+    # ``buchberger`` sorts the generators into one fixed order first, so the
+    # pairs it reduces, and the budget they spend, depend only on the
+    # generators written, not on their order; a run that hits the cap must
+    # hit it at the same pair.  The lex and block draws are the small systems.
+    gens, order = problem
+    moved = data.draw(st.permutations(gens))
+    assert _outcome(moved, order) == _outcome(gens, order)
+
+
+@pytest.mark.parametrize(
+    "field, variables, texts, order",
+    [
+        (QQ, ("x", "y"), ["-3*x^2*y + x*y^2 + x*y", "2*x*y^2 + y^2 + 2*x", "-x^2*y + 2*y + 1"], GREVLEX),
+        (PrimeField(32003), ("x", "y", "z"), ["x*z - x - 3", "-3*x*z + x + 1", "2*y*z + x - 3"], LEX),
+    ],
+    ids=["rationals-grevlex", "F32003-lex"],
+)
+def test_generators_of_one_degree_and_length_reduce_the_same_pairs_in_any_order(field, variables, texts, order):
+    # every generator has the same degree and term count, and the order the
+    # ties are broken in changes the pairs reduced (by one), so only the
+    # last part of the sort key, ``Polynomial.sort_key``, makes it fixed
+    ring = PolynomialRing(field, variables)
+    gens = [parse_polynomial(text, ring) for text in texts]
+    first = _outcome(gens, order)
+    assert all(_outcome(list(moved), order) == first for moved in permutations(gens))
 
 
 def _int_poly(coefficients) -> _IntPoly:

@@ -216,44 +216,54 @@ def test_pair_key_orders_like_degree_then_exponents(case):
 @st.composite
 def slotted_leads(draw):
     """A lex packing of width 2 to 5 (where every exponent field is free up
-    to its limit), up to eight leads for the slots, one more segment e, and
-    a set of variables for the mask of ``slot_hits``."""
+    to its limit), up to eight leads for the slots, one more segment e, a
+    set of variables for the mask of ``slot_hits``, and one more set per
+    lead for the masks held in the slots."""
     width = draw(st.integers(2, 5))
     arity = draw(st.integers(1, 4))
     top = (1 << (width - 1)) - 1
     monomial = st.tuples(*[st.just(top) | st.integers(0, top)] * arity)
     leads = draw(st.lists(monomial, max_size=8))
-    variables = draw(st.sets(st.integers(0, arity - 1)))
-    return PackedMonomials(LEX, arity, width), leads, draw(monomial), variables
+    variables = st.sets(st.integers(0, arity - 1))
+    own = draw(st.lists(variables, min_size=len(leads), max_size=len(leads)))
+    return PackedMonomials(LEX, arity, width), leads, draw(monomial), draw(variables), own
 
 
 @settings(derandomize=True)
 @given(slotted_leads())
-@example((PackedMonomials(LEX, 4, 2), [(1, 1, 1, 1), (0, 0, 0, 0), (1, 0, 0, 1)], (0, 1, 1, 0), {0, 3}))
+@example((PackedMonomials(LEX, 4, 2), [(1, 1, 1, 1), (0, 0, 0, 0), (1, 0, 0, 1)], (0, 1, 1, 0), {0, 3}, [{1}, set(), {0, 2}]))
 def test_slot_lcms_and_hits_match_the_pairwise_tests(case):
-    packing, leads, u, variables = case
+    packing, leads, u, variables, own = case
     bits, guard = packing.slot_bits, packing.exponent_guard
 
     def segment(m):
         return packing.pack(m) & packing.exponent_mask
 
+    def units(variables):
+        return [segment(tuple(int(i == v) for i in range(len(u)))) for v in variables]
+
+    def mask(variables):
+        return sum(unit * ((1 << packing.width) - 1) for unit in units(variables))
+
     e = segment(u)
     slots = sum(segment(m) << bits * k for k, m in enumerate(leads))
     ones = sum(1 << bits * k for k in range(len(leads)))
-    units = [segment(tuple(int(i == v) for i in range(len(u)))) for v in variables]
-    mask = sum(unit * ((1 << packing.width) - 1) for unit in units)
+    masks = sum(mask(vs) << bits * k for k, vs in enumerate(own))
     lcms = packing.slot_lcms(slots, ones, e)
-    hits = packing.slot_hits(slots, ones, e, mask)
+    hits = packing.slot_hits(slots, ones, e, mask(variables), masks)
     assert lcms >> bits * len(leads) == 0
     assert len(hits) == len(leads)
     for k, m in enumerate(leads):
         lcm = packing.lcm(segment(m), e)
         assert lcms >> bits * k & (1 << bits) - 1 == lcm
         assert packing.unpack(lcm) == tuple(map(max, m, u))
-        # the pair's flag is the per-pair test: a variable of the mask
-        # divides lcm(m, u) / u
-        assert bool(hits[k]) == any(not (lcm - e - unit) & guard for unit in units)
-        assert bool(hits[k]) == any(m[v] > u[v] for v in variables)
+        # the pair's flags are the per-pair tests: a variable of the mask
+        # divides lcm(m, u) / u, and one of the slot's own mask lcm(m, u) / m
+        assert hits[k] in (0, 1, 2, 3)
+        assert bool(hits[k] & 1) == any(not (lcm - e - unit) & guard for unit in units(variables))
+        assert bool(hits[k] & 1) == any(m[v] > u[v] for v in variables)
+        assert bool(hits[k] & 2) == any(not (lcm - segment(m) - unit) & guard for unit in units(own[k]))
+        assert bool(hits[k] & 2) == any(u[v] > m[v] for v in own[k])
 
 
 def test_orders_are_equal_only_to_orders_of_their_own_type():

@@ -6,14 +6,21 @@ ints in [0, p) for F_p, and gcd-reduced numerator/denominator polynomial
 pairs for rational function fields.  Field objects mediate all arithmetic so
 the polynomial layer never needs to know which representation it is holding.
 Rational-function sums and products stay reduced by Henrici's formulas, which
-take gcds only of denominators and cross terms; only construction, ``inv``
-and ``div`` run the full normalization.
+take gcds only of denominators and cross terms; only construction runs the
+full normalization, and ``inv`` only makes the swapped denominator monic.
 
 Every field object provides:
-    zero, one, function_variables
-    from_int, add, mul, neg, inv, div, is_zero, is_one
+    function_variables, from_int, inv
+    zero, one        -- from_int(0) and from_int(1)
+    add, mul, neg    -- the elements' own +, * and unary -
+    is_zero          -- the elements' own truth, negated
+    is_one           -- equality with the int 1
     element_key      -- hashable/sortable canonical key
     display_split    -- (is_negative, unsigned text) for the printer
+``_Field`` gives zero, one, add, mul, neg, is_zero and is_one as described;
+each field defines the rest.  ``PrimeField`` overrides ``add``, ``mul`` and
+``neg`` to reduce mod p, and ``RationalFunctionField`` overrides ``is_one``,
+since a ``RatFunc`` never equals the int 1.  Division is ``mul`` by ``inv``.
 The unsigned text of ``display_split`` is "1" exactly when the element is 1
 or -1: ``format_polynomial`` relies on that to print a term with such a
 coefficient as its sign and monomial, without testing the element itself.
@@ -25,6 +32,7 @@ on polynomials in t over Z.
 
 from __future__ import annotations
 
+import operator
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -74,44 +82,39 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
-class RationalField(FrozenRecord):
+class _Field(FrozenRecord):
+    """The protocol entries that the fields share: ``zero`` and ``one``
+    from ``from_int``, and arithmetic by the elements' own operators."""
+
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    is_zero = staticmethod(operator.not_)
+
+    @property
+    def zero(self):
+        return self.from_int(0)
+
+    @property
+    def one(self):
+        return self.from_int(1)
+
+    def is_one(self, a) -> bool:
+        return a == 1
+
+
+class RationalField(_Field):
     """The field Q, with Fraction elements."""
 
     function_variables: tuple[str, ...] = ()
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
     def from_int(self, n: int):
         return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
         return 1 / a
-
-    def div(self, a, b):
-        return a / b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def is_one(self, a) -> bool:
-        return a == 1
 
     def element_key(self, a):
         return ("q", a)
@@ -127,8 +130,9 @@ class RationalField(FrozenRecord):
 QQ = RationalField()
 
 
-class PrimeField(FrozenRecord):
-    """F_p for prime p; elements are canonical ints in [0, p)."""
+class PrimeField(_Field):
+    """F_p for prime p; elements are canonical ints in [0, p), so the
+    inherited ``is_zero`` and ``is_one`` need no reduction."""
 
     p: int
     function_variables: tuple[str, ...] = ()
@@ -136,14 +140,6 @@ class PrimeField(FrozenRecord):
     def __post_init__(self):
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def from_int(self, n: int):
         return n % self.p
@@ -161,15 +157,6 @@ class PrimeField(FrozenRecord):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def is_one(self, a) -> bool:
-        return a % self.p == 1
 
     def element_key(self, a):
         return ("fp", a % self.p)
@@ -322,7 +309,7 @@ def _poly_ring(base, variables: tuple[str, ...]) -> PolynomialRing:
     return PolynomialRing(base, variables)
 
 
-class RationalFunctionField(FrozenRecord):
+class RationalFunctionField(_Field):
     """K(t_1, .., t_m) for K in {Q, F_p}: a single transcendental layer.
 
     Stacking a function field on a function field is rejected; a tower
@@ -350,16 +337,6 @@ class RationalFunctionField(FrozenRecord):
     def poly_ring(self) -> PolynomialRing:
         return _poly_ring(self.base, self.variables)
 
-    @property
-    def zero(self) -> RatFunc:
-        ring = self.poly_ring
-        return RatFunc._reduced(ring.zero(), ring.one())
-
-    @property
-    def one(self) -> RatFunc:
-        ring = self.poly_ring
-        return RatFunc._reduced(ring.one(), ring.one())
-
     def from_int(self, n: int) -> RatFunc:
         ring = self.poly_ring
         return RatFunc._reduced(ring.from_int(n), ring.one())
@@ -367,15 +344,6 @@ class RationalFunctionField(FrozenRecord):
     def generator(self, name: str) -> RatFunc:
         ring = self.poly_ring
         return RatFunc._reduced(ring.variable(name), ring.one())
-
-    def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return a + b
-
-    def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return a * b
-
-    def neg(self, a: RatFunc) -> RatFunc:
-        return -a
 
     def inv(self, a: RatFunc) -> RatFunc:
         """den/num, with no gcd: the parts of a are already coprime, so only
@@ -387,12 +355,6 @@ class RationalFunctionField(FrozenRecord):
             return RatFunc._reduced(a.den, a.num)
         inv = self.base.inv(lc)
         return RatFunc._reduced(a.den.scale(inv), a.num.scale(inv))
-
-    def div(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a: RatFunc) -> bool:
-        return not a
 
     def is_one(self, a: RatFunc) -> bool:
         return _is_constant(a.den) and _is_constant(a.num) and self.base.is_one(a.num.constant_value())

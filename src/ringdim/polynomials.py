@@ -416,7 +416,8 @@ def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     field = p.ring.field
     key = GREVLEX.descending_key
     lq, cq = q.leading(GREVLEX)
-    tail = [(e, field.neg(field.div(c, cq))) for e, c in q.terms.items() if e != lq]
+    inv = field.inv(cq)
+    tail = [(e, field.neg(field.mul(c, inv))) for e, c in q.terms.items() if e != lq]
     rest = dict(p.terms)
     heap = sorted((key(e), e) for e in rest)
     quotient: dict = {}
@@ -428,7 +429,7 @@ def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
         if not monomial_divides(lq, lr):
             return None
         exps = tuple(map(sub, lr, lq))
-        quotient[exps] = field.div(cr, cq)
+        quotient[exps] = field.mul(cr, inv)
         for e, c in tail:
             m = monomial_mul(e, exps)
             if m in rest:

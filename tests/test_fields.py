@@ -50,7 +50,7 @@ def test_normalize_monic_denominator_and_idempotent(qt):
     num, den = normalize_rational_function(t.scale(QQ.from_int(2)), ring.from_int(4))
     # (2t)/4 canonicalizes to ((1/2)t)/1 under the monic-denominator convention
     assert den == ring.one()
-    assert num == t.scale(QQ.div(QQ.one, QQ.from_int(2)))
+    assert num == t.scale(QQ.inv(QQ.from_int(2)))
     again = normalize_rational_function(num, den)
     assert again == (num, den)
 
@@ -91,7 +91,7 @@ def test_prime_field_arithmetic():
     assert f5.add(3, 4) == 2
     assert f5.mul(2, 4) == 3
     assert f5.inv(2) == 3
-    assert f5.div(f5.from_int(3), f5.from_int(2)) == 4  # 3/2 = 3*3 = 9 = 4
+    assert f5.mul(f5.from_int(3), f5.inv(f5.from_int(2))) == 4  # 3/2 = 3*3 = 9 = 4
     with pytest.raises(ZeroDivisionError):
         f5.inv(0)
     with pytest.raises(ValueError):
@@ -276,7 +276,7 @@ def test_arithmetic_matches_the_schoolbook_formulas(field, seed):
         (field.add(a, field.neg(a)), field.poly_ring.zero(), a.den),
     ]
     if not field.is_zero(b):
-        cases.append((field.div(a, b), a.num * b.den, a.den * b.num))
+        cases.append((field.mul(a, field.inv(b)), a.num * b.den, a.den * b.num))
         cases.append((field.inv(b), b.den, b.num))
         assert field.is_one(field.mul(b, field.inv(b)))
     for r, num, den in cases:
@@ -302,12 +302,36 @@ def test_constant_numerators_are_not_one():
     # -1, 1/2 and 3 are constants but not 1: multiplying by them must scale
     ring = QT.poly_ring
     t = QT.generator("t")
-    for c in (QQ.from_int(-1), QQ.div(QQ.one, QQ.from_int(2)), QQ.from_int(3)):
+    for c in (QQ.from_int(-1), QQ.inv(QQ.from_int(2)), QQ.from_int(3)):
         k = RatFunc(ring.constant(c), ring.one())
         assert QT.mul(k, t).num == ring.variable("t").scale(c)
         assert not QT.is_one(k)
         assert QT.is_zero(QT.add(QT.mul(k, t), QT.neg(QT.mul(t, k))))
     assert QT.is_one(QT.one) and not QT.is_one(QT.zero) and not QT.is_one(t)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QQ, PrimeField(7), QT, RationalFunctionField(PrimeField(7), ("t", "s"))],
+    ids=["rationals", "f7", "rational-t", "f7-ts"],
+)
+@settings(derandomize=True, max_examples=60)
+@given(m=st.integers(-20, 20), n=st.integers(-20, 20))
+def test_every_field_keeps_the_shared_protocol(field, m, n):
+    # each field builds its elements with its own from_int; the shared
+    # entries must agree with it, and over F_7 add, mul and neg must reduce
+    # (4 + 5 is 2 there, not 9)
+    characteristic = getattr(getattr(field, "base", field), "p", 0)
+    a, b = field.from_int(m), field.from_int(n)
+    assert field.zero == field.from_int(0) and field.one == field.from_int(1)
+    assert field.is_zero(a) == (m % characteristic == 0 if characteristic else m == 0)
+    assert field.is_one(a) == (m % characteristic == 1 if characteristic else m == 1)
+    assert field.is_zero(field.zero) and field.is_one(field.one)
+    assert field.add(a, b) == field.from_int(m + n)
+    assert field.mul(a, b) == field.from_int(m * n)
+    assert field.neg(a) == field.from_int(-m)
+    if not field.is_zero(a):
+        assert field.is_one(field.mul(a, field.inv(a)))
 
 
 def _least_exponents(f, g):

@@ -45,7 +45,7 @@ ORACLES = {LEX: lex_oracle, GREVLEX: grevlex_oracle, ELIMINATE_X: block_oracle(f
 # Written from the definitions and sharing no code with the engine's division:
 # monomials are ranked by the order oracles of test_orderings, polynomials are
 # read only through Polynomial.terms, and coefficients go through the field's
-# own add/neg/mul/div.
+# own add/neg/mul/inv.
 
 def ref_leading(terms: dict, cmp) -> tuple[int, ...]:
     lead = None
@@ -66,7 +66,7 @@ def ref_normal_form(field, terms: dict, divisors: list[dict], cmp) -> dict:
         m = ref_leading(rest, cmp)
         for lead, g in leads:
             if all(a <= b for a, b in zip(lead, m)):
-                q = field.div(rest[m], g[lead])
+                q = field.mul(rest[m], field.inv(g[lead]))
                 for gm, gc in g.items():
                     t = tuple(e + f - d for e, f, d in zip(gm, m, lead))
                     value = field.add(rest.get(t, field.zero), field.neg(field.mul(q, gc)))
@@ -85,7 +85,7 @@ def ref_s_polynomial(field, f: dict, g: dict, cmp) -> dict:
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     out: dict = {}
     for p, lead, sign in ((f, lf, field.one), (g, lg, field.neg(field.one))):
-        scale = field.div(sign, p[lead])
+        scale = field.mul(sign, field.inv(p[lead]))
         for m, c in p.items():
             t = tuple(e + l - d for e, l, d in zip(m, lcm, lead))
             value = field.add(out.get(t, field.zero), field.mul(scale, c))
@@ -121,7 +121,7 @@ def ref_reduced_basis(field, generators: list[dict], cmp) -> list[dict]:
     for i, g in enumerate(minimal):
         r = ref_normal_form(field, g, minimal[:i] + minimal[i + 1:], cmp)
         lc = r[ref_leading(r, cmp)]
-        reduced.append({m: field.div(c, lc) for m, c in r.items()})
+        reduced.append({m: field.mul(c, field.inv(lc)) for m, c in r.items()})
     return reduced
 
 
@@ -171,7 +171,7 @@ def test_groebner_oracle_rejects_the_basis_of_a_bigger_ideal(rxy):
 
 def _coefficient_pool(field) -> list:
     one = field.one
-    pool = [field.from_int(n) for n in (1, -1, 2, 3)] + [field.div(one, field.from_int(2))]
+    pool = [field.from_int(n) for n in (1, -1, 2, 3)] + [field.inv(field.from_int(2))]
     if isinstance(field, RationalFunctionField):
         t = field.generator("t")
         pool += [t, field.inv(field.add(t, one))]
@@ -715,7 +715,7 @@ def membership_problems(draw):
     field = draw(st.sampled_from([PrimeField(32003), QQ, QT]))
     arity = draw(st.integers(2, 3))
     ring = PolynomialRing(field, ("x", "y", "z")[:arity] + ("u",))
-    pool = [field.from_int(n) for n in (1, -1, 2, -3)] + [field.div(field.one, field.from_int(2))]
+    pool = [field.from_int(n) for n in (1, -1, 2, -3)] + [field.inv(field.from_int(2))]
     if field is QT:
         pool += _functions_of_t(field)[:2]
     monomials = st.tuples(*[st.integers(0, 2)] * arity, st.just(0))
@@ -786,7 +786,7 @@ QT = RationalFunctionField(QQ, ("t",))
 def _functions_of_t(field) -> list:
     # t, t - 1, 1/(t + 1) and 3/t^2, in ``field``
     one, t = field.one, field.generator("t")
-    return [t, t - one, field.inv(t + one), field.div(field.from_int(3), t * t)]
+    return [t, t - one, field.inv(t + one), field.mul(field.from_int(3), field.inv(t * t))]
 
 
 @st.composite
@@ -794,8 +794,7 @@ def grevlex_systems(draw):
     field = draw(st.sampled_from([PrimeField(32003), QQ, QT]))
     ring = PolynomialRing(field, ("x", "y", "z", "w")[: draw(st.integers(3, 4))])
     monomials = st.tuples(*[st.integers(0, 2)] * ring.arity)
-    one = field.one
-    fractions = [field.div(one, field.from_int(2)), field.div(field.from_int(-3), field.from_int(7))]
+    fractions = [field.inv(field.from_int(2)), field.mul(field.from_int(-3), field.inv(field.from_int(7)))]
     if field is QT:
         fractions += _functions_of_t(field)
     coefficients = st.sampled_from([field.from_int(n) for n in (1, -1, 2, 3, -5)] + fractions)
@@ -821,7 +820,7 @@ def small_systems(draw):
     field = draw(st.sampled_from([PrimeField(32003), QQ, QT]))
     ring = PolynomialRing(field, ("x", "y", "z")[: draw(st.integers(2, 3))])
     monomials = st.tuples(*[st.integers(0, 2)] * ring.arity)
-    pool = [field.from_int(n) for n in (1, -1, 2, -3)] + [field.div(field.one, field.from_int(2))]
+    pool = [field.from_int(n) for n in (1, -1, 2, -3)] + [field.inv(field.from_int(2))]
     if field is QT:
         pool += _functions_of_t(field)[:2]
     terms = st.dictionaries(monomials, st.sampled_from(pool), min_size=1, max_size=3)

@@ -234,7 +234,7 @@ def _schoolbook_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
         if any(a > b for a, b in zip(lq, lr)):
             return None
         exps = tuple(b - a for a, b in zip(lq, lr))
-        quotient[exps] = p.ring.field.div(cr, cq)
+        quotient[exps] = p.ring.field.mul(cr, p.ring.field.inv(cq))
         rest = rest - q * monomial(p.ring, exps, quotient[exps])
     return Polynomial(p.ring, quotient)
 
@@ -248,6 +248,25 @@ def test_exact_divide_matches_schoolbook_division(any_ring, seed):
     for p in (a * b, a * b + r):
         assert exact_divide(p, b) == _schoolbook_divide(p, b)
     assert exact_divide(a * b, b) == a
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["rationals", "f7"])
+def test_exact_divide_inverts_the_divisor_lead_once(field, monkeypatch):
+    ring = PolynomialRing(field, ("x", "y"))
+    x, y, one = ring.variable("x"), ring.variable("y"), ring.one()
+    q = x.scale(field.from_int(3)) + y + one
+    a = x**2 + x * y - y + ring.from_int(2)
+    p = q * a
+    calls = []
+    inv = type(field).inv
+
+    def counting_inv(self, c):
+        calls.append(c)
+        return inv(self, c)
+
+    monkeypatch.setattr(type(field), "inv", counting_inv)
+    assert exact_divide(p, q) == a
+    assert calls == [field.from_int(3)]
 
 
 def test_polynomial_gcd_multivariate(rxy):

@@ -18,10 +18,12 @@ basis.  Division is one loop for every coefficient field.  Over Q it runs
 on ints, fraction-free: a divisor with lead a cancels a coefficient c by
 scaling what is left by a/gcd(a, c), one int carries the scale, and
 ``Fraction`` appears only where a basis or normal form leaves the kernel.
-Over Q(t) in one variable the same loop runs on polynomials in t over Z
-(``_IntPoly``, dense coefficient tuples), with a gcd in Z[t], and
-``RatFunc`` appears only where ``Fraction`` does over Q.  Over F_p and the
-other function fields coefficients meet through ``+``, ``-`` and ``*``
+Over Q(t) in one variable the same loop runs on polynomials in t over Z,
+with a gcd in Z[t]: a constant is a plain int, so it costs what it costs
+over Q, and any other is an ``_IntPoly``, a dense coefficient tuple.
+``RatFunc`` appears only where ``Fraction`` does over Q, and a basis whose
+leads are constants leaves by dividing by an int, as over Q.  Over F_p and
+the other function fields coefficients meet through ``+``, ``-`` and ``*``
 alone, and over F_p each is taken ``% p`` once, when its monomial is
 popped.  The starting width fits the inputs; where ``pack``, the pop in
 division or a loop's bound on each element it adds (for the signature
@@ -98,50 +100,57 @@ class Budget(Record):
 
 
 class _IntPoly(tuple):
-    """A polynomial in one variable t over Z, for the kernel over Q(t): its
-    coefficients from degree 0 up, the last one nonzero, so ``()`` is zero
-    and equal polynomials are equal tuples.  It has ``+``, ``-``, unary
-    ``-``, ``*`` and truth; ``a // b`` is exact division and needs b to
-    divide a."""
+    """A polynomial in one variable t over Z of degree at least 1, for the
+    kernel over Q(t): its coefficients from degree 0 up, at least two, the
+    last one nonzero.  The kernel holds the constants of Z[t], zero among
+    them, as plain ints, so a value of Z[t] is an int exactly when it is
+    constant, and equal values are equal.  ``+``, ``-``, ``*`` and ``//``
+    take an int on either side, and every operation returns such a value:
+    an int wherever the result is constant.  ``a // b`` is exact division
+    and needs b to divide a."""
 
     __slots__ = ()
 
-    def __add__(self, other: "_IntPoly") -> "_IntPoly":
+    def __add__(self, other):
+        if type(other) is int:
+            return _IntPoly((self[0] + other, *self[1:])) if other else self
         a, b = (self, other) if len(self) >= len(other) else (other, self)
         n = len(b)
         s = [x + y for x, y in zip(a, b)]
         if len(a) > n:
             s += a[n:]
-        else:
-            while s and not s[-1]:
-                s.pop()
-        return _IntPoly(s)
+            return _IntPoly(s)
+        return _int_poly(s)
 
-    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
+    __radd__ = __add__
+
+    def __sub__(self, other):
         return self + -other
+
+    def __rsub__(self, other: int):
+        return -self + other
 
     def __neg__(self) -> "_IntPoly":
         return _IntPoly([-x for x in self])
 
-    def __mul__(self, other: "_IntPoly") -> "_IntPoly":
-        a, b = (self, other) if len(self) >= len(other) else (other, self)
-        if len(b) <= 1:
-            if not b:
-                return b
-            c = b[0]
-            return a if c == 1 else _IntPoly([c * x for x in a])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, y in enumerate(b):
+    def __mul__(self, other):
+        if type(other) is int:
+            if other == 1:
+                return self
+            return _IntPoly([other * x for x in self]) if other else 0
+        out = [0] * (len(self) + len(other) - 1)
+        for i, y in enumerate(other):
             if y:
-                for j, x in enumerate(a, i):
+                for j, x in enumerate(self, i):
                     out[j] += x * y
         return _IntPoly(out)
 
-    def __floordiv__(self, other: "_IntPoly") -> "_IntPoly":
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        if type(other) is int:
+            return self if other == 1 else _IntPoly([x // other for x in self])
         n = len(other) - 1
-        if not n:
-            c = other[0]
-            return self if c == 1 else _IntPoly([x // c for x in self])
         rest, lead, tail = list(self), other[n], other[:n]
         q = [0] * (len(self) - n)
         for i in range(len(q) - 1, -1, -1):
@@ -149,19 +158,28 @@ class _IntPoly(tuple):
             if c:
                 for j, y in enumerate(tail, i):
                     rest[j] -= c * y
-        return _IntPoly(q)
+        return _int_poly(q)
+
+    def __rfloordiv__(self, other: int) -> int:
+        return 0  # a constant that a polynomial of degree >= 1 divides is 0
 
 
-def _lead_negative(a: _IntPoly) -> bool:
-    return a[-1] < 0
+def _int_poly(s: list):
+    """The value of Z[t] whose coefficients, from degree 0 up, are ``s``
+    (which it may shorten): an ``_IntPoly``, or an int where it is
+    constant."""
+    while s and not s[-1]:
+        s.pop()
+    return _IntPoly(s) if len(s) > 1 else s[0] if s else 0
 
 
-_INT_POLY_ONE = _IntPoly((1,))
+def _lead_negative(a) -> bool:
+    return (a if type(a) is int else a[-1]) < 0
 
 
 def _primitive(a) -> _IntPoly:
-    """The nonzero ``a`` over the gcd of its coefficients, with a positive
-    leading coefficient."""
+    """The ``a`` of degree >= 1 over the gcd of its coefficients, with a
+    positive leading coefficient."""
     c = gcd(*a)
     if a[-1] < 0:
         c = -c
@@ -187,42 +205,45 @@ def _pseudo_remainder(a: _IntPoly, b: _IntPoly) -> list:
     return r
 
 
-def _int_poly_gcd(*polys: _IntPoly) -> _IntPoly:
-    """gcd over Z[t] with a positive leading coefficient (zero when every
-    operand is zero).  Where an operand is constant it is the gcd of all the
-    coefficients; elsewhere the gcd of the contents times the last nonzero
-    member of the primitive pseudo-remainder sequence (Collins; Knuth,
-    TAOCP vol. 2, 4.6.1)."""
-    g = _IntPoly(())
+def _int_poly_gcd(*polys):
+    """gcd over Z[t] with a positive leading coefficient, 0 when every
+    operand is 0.  Where an operand is a nonzero int it is the gcd of all
+    the coefficients, an int; elsewhere the gcd of the contents times the
+    last nonzero member of the primitive pseudo-remainder sequence
+    (Collins; Knuth, TAOCP vol. 2, 4.6.1), an int where that member is
+    constant."""
+    g = 0
     for b in polys:
-        a = g
-        if not a or not b:
-            g = a or b
-            if g and g[-1] < 0:
-                g = -g
-            continue
-        if len(a) == 1 or len(b) == 1:
-            g = _IntPoly((gcd(*a, *b),))
-            if g == _INT_POLY_ONE:
-                return g
-            continue
-        d = gcd(gcd(*a), gcd(*b))
-        a, b = _primitive(a), _primitive(b)
-        if len(a) < len(b):
-            a, b = b, a
-        while True:
-            r = _pseudo_remainder(a, b)
-            if not r:
-                break
-            if len(r) == 1:
-                b = _INT_POLY_ONE
-                break
-            a, b = b, _primitive(r)
-        g = b if d == 1 else _IntPoly([d * x for x in b])
+        if type(b) is int:
+            if type(g) is int:
+                g = gcd(g, b)
+            elif b:
+                g = gcd(b, *g)
+        elif type(g) is int:
+            if g:
+                g = gcd(g, *b)
+            else:
+                g = -b if b[-1] < 0 else b
+        else:
+            d = gcd(gcd(*g), gcd(*b))
+            a, b = _primitive(g), _primitive(b)
+            if len(a) < len(b):
+                a, b = b, a
+            while True:
+                r = _pseudo_remainder(a, b)
+                if not r:
+                    break
+                if len(r) == 1:
+                    b = 1
+                    break
+                a, b = b, _primitive(r)
+            g = b * d
+        if g == 1:
+            return 1
     return g
 
 
-def _int_poly_pair(c: RatFunc) -> tuple[_IntPoly, _IntPoly]:
+def _int_poly_pair(c: RatFunc) -> tuple:
     """(n, d) over Z[t] with n/d = c, for c in Q(t): c's numerator and
     denominator times the lcm of their coefficients' denominators."""
     num, den = c.num.terms, c.den.terms
@@ -230,15 +251,18 @@ def _int_poly_pair(c: RatFunc) -> tuple[_IntPoly, _IntPoly]:
     return _dense(num, k), _dense(den, k)
 
 
-def _dense(terms: dict, k: int) -> _IntPoly:
+def _dense(terms: dict, k: int):
+    """k times the nonzero ``terms`` of Q[t], as a value of Z[t]."""
     out = [0] * (max(terms)[0] + 1)
     for (e,), x in terms.items():
         out[e] = x.numerator * (k // x.denominator)
-    return _IntPoly(out)
+    return _int_poly(out)
 
 
-def _sparse(ring: PolynomialRing, a: _IntPoly, lead: int) -> Polynomial:
-    """a/lead in ``ring``, the ring Q[t]."""
+def _sparse(ring: PolynomialRing, a, lead: int) -> Polynomial:
+    """a/lead in ``ring``, the ring Q[t], for a value a of Z[t]."""
+    if type(a) is int:
+        a = (a,)
     return Polynomial._raw(ring, {(e,): Fraction(x, lead) for e, x in enumerate(a) if x})
 
 
@@ -284,7 +308,8 @@ class _Kernel:
 
     One kernel serves one run at one width, over any field.  Over Q the
     coefficients are ints, and over Q(t) in one variable t they are
-    ``_IntPoly``, polynomials in t over Z (both ``integral``): a packed
+    polynomials in t over Z (both ``integral``), ints where constant and
+    ``_IntPoly`` elsewhere, so both rings share ``one``, 1: a packed
     polynomial stands for itself up to a nonzero factor of Q or Q(t), which
     ``pack`` and ``reduce`` report where it matters, and only ``divide``
     makes field elements (``Fraction``, ``RatFunc``) again.  The two rings
@@ -311,23 +336,23 @@ class _Kernel:
         )
         self.t_ring = field.poly_ring if univariate_q else None
         self.integral = univariate_q or isinstance(field, RationalField)
+        self.one = 1 if self.integral else field.one
         if univariate_q:
-            self.one, self.gcd, self.negative = _INT_POLY_ONE, _int_poly_gcd, _lead_negative
+            self.gcd, self.negative = _int_poly_gcd, _lead_negative
         else:
-            self.one = 1 if self.integral else field.one
             self.gcd, self.negative = gcd, (0).__gt__  # negative(a): 0 > a
 
     def pack(self, f: Polynomial) -> tuple[dict, object]:
         """f packed, and the factor d its coefficients were multiplied by:
         over Q and Q(t) the least common denominator, in Z and in Z[t],
-        which makes them ints and ``_IntPoly``, and the field's one
-        elsewhere."""
+        which makes them ints and values of Z[t] (ints where constant),
+        and the field's one elsewhere."""
         pack = self.packing.pack
         if not self.integral:
             return {pack(m): c for m, c in f.terms.items()}, self.one
         if self.t_ring is not None:
             pairs = [(pack(m), *_int_poly_pair(c)) for m, c in f.terms.items()]
-            d = _INT_POLY_ONE
+            d = 1
             for _, _, e in pairs:
                 if e != d:
                     d = d * (e // _int_poly_gcd(d, e))
@@ -342,20 +367,25 @@ class _Kernel:
     def divide(self, terms: dict, d) -> dict:
         """``terms`` over the nonzero scalar d, exactly.  Over Q and Q(t)
         the quotient has ``Fraction`` and ``RatFunc`` coefficients, so it
-        is taken only for what leaves the kernel.  Over Q(t) each
-        coefficient c becomes (c/g)/(d/g), g = gcd(c, d) in Z[t], both
-        parts over the leading coefficient of d/g: the canonical
-        ``RatFunc``, found with one gcd in Z[t].  Coefficients that share
-        d/g share one denominator polynomial."""
+        is taken only for what leaves the kernel.  Over Q(t) an int d, a
+        constant, divides each coefficient of each value as over Q, and
+        every quotient has the denominator 1.  Otherwise each coefficient c
+        becomes (c/g)/(d/g), g = gcd(c, d) in Z[t], both parts over the
+        leading coefficient of d/g: the canonical ``RatFunc``, found with
+        one gcd in Z[t].  Coefficients that share d/g share one denominator
+        polynomial."""
         if self.integral:
             ring = self.t_ring
             if ring is None:
                 return {m: Fraction(c, d) for m, c in terms.items()}
+            if type(d) is int:
+                one = _sparse(ring, 1, 1)
+                return {m: RatFunc._reduced(_sparse(ring, c, d), one) for m, c in terms.items()}
             out, dens = {}, {}
             for m, c in terms.items():
                 g = _int_poly_gcd(c, d)
                 n, e = c // g, d // g
-                lead = e[-1]
+                lead = e if type(e) is int else e[-1]
                 den = dens.get(e)
                 if den is None:
                     den = dens[e] = _sparse(ring, e, lead)
@@ -395,7 +425,7 @@ class _Kernel:
         """(leading monomial, tail, signature key, lead) of a ``normalize``d
         polynomial.
 
-        Over Q and Q(t) the lead is lc, an int or an ``_IntPoly``; over a
+        Over Q and Q(t) the lead is lc, an int or a value of Z[t]; over a
         field the polynomial is monic and the lead is None.  The key, set
         only in the signature loop, is the one ``reduce`` compares with its
         bound."""

@@ -34,7 +34,7 @@ from ringdim.orderings import PackedMonomials
 from ringdim.polynomials import monomial_divides
 
 from conftest import monomial, random_polynomial, same_ideal
-from test_golden_bases import KATSURA_4
+from test_golden_bases import KATSURA_3_QT, KATSURA_4, _load_workloads
 from test_orderings import block_oracle, grevlex_oracle, lex_oracle
 
 ELIMINATE_X = BlockElimination(frozenset({0}))
@@ -896,6 +896,31 @@ def test_no_signature_is_below_its_lead(gens):
     assert signed and min(signed) >= 0
 
 
+def _gb_fp_system(name: str) -> list[Polynomial]:
+    # a grevlex system of the gb-fp benchmark, over F_32009
+    case = next(case for case in _load_workloads().gb_fp_cases(1) if case.name == name)
+    return parse_ring_expr(case.argv[1]).relations
+
+
+@settings(derandomize=True, max_examples=60)
+@given(grevlex_systems())
+@example(_gb_fp_system("katsura-5"))
+@example(_gb_fp_system("katsura-6"))
+@example(_gb_fp_system("cyclic-5"))
+def test_the_bulk_screen_drops_only_pairs_the_pop_drops(gens):
+    # with every flag of ``slot_hits`` clear, every J-pair the screen would
+    # drop is queued and left to the syzygy test at its pop, which must drop
+    # it there: the same basis after the same J-pairs.  One byte per slot,
+    # as ``slot_hits`` gives: a shorter result would make the walk's ``zip``
+    # skip pairs without an error.
+    screened = Budget()
+    basis = buchberger(gens, GREVLEX, screened)
+    unscreened = Budget()
+    with patch.object(PackedMonomials, "slot_hits", lambda self, slots, ones, *_: bytes(ones.bit_count())):
+        assert buchberger(gens, GREVLEX, unscreened) == basis
+    assert unscreened.used == screened.used
+
+
 QTS = RationalFunctionField(QQ, ("t", "s"))
 
 
@@ -937,6 +962,51 @@ def test_univariate_function_field_matches_the_two_variable_one(problem):
     assert _outcome(over_t, order) == _outcome(over_ts, order)
 
 
+def _kernel_values(gens, order) -> list:
+    # every coefficient of every divisor record the kernel builds, and of
+    # every polynomial it divides by a scalar on the way out
+    values = []
+    divisor, divide = _Kernel.divisor, _Kernel.divide
+
+    def recording_divisor(self, terms, key=None):
+        record = divisor(self, terms, key)
+        values.append(record[3])
+        values.extend(c for _, c in record[1])
+        return record
+
+    def recording_divide(self, terms, d):
+        values.append(d)
+        values.extend(terms.values())
+        return divide(self, terms, d)
+
+    with patch.object(_Kernel, "divisor", recording_divisor), patch.object(_Kernel, "divide", recording_divide):
+        buchberger(gens, order)
+    return values
+
+
+def _assert_canonical_in_z_t(values):
+    # the kernel over Q(t) holds constants of Z[t] as ints; a constant kept
+    # as a one-coefficient tuple gives the same answers, only slower, so no
+    # other test would show it
+    assert values
+    for c in values:
+        assert type(c) is int or (type(c) is _IntPoly and len(c) >= 2 and c[-1]), c
+
+
+@settings(derandomize=True, max_examples=60)
+@given(function_field_systems())
+def test_the_univariate_kernel_holds_constants_as_ints(problem):
+    (over_t, _), order = problem
+    _assert_canonical_in_z_t(_kernel_values(over_t, order))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_katsura_3_over_q_t_holds_constants_as_ints(order):
+    values = _kernel_values(parse_ring_expr(KATSURA_3_QT).relations, order)
+    _assert_canonical_in_z_t(values)
+    assert any(type(c) is int for c in values) and any(type(c) is _IntPoly for c in values)
+
+
 def test_two_variable_function_field_gcds_stay_small():
     # polynomial_gcd once kept the constant content of its pseudo-remainders;
     # their coefficients grew until this system took more than 10 s over Q(t, s)
@@ -975,15 +1045,30 @@ def test_generators_of_one_degree_and_length_reduce_the_same_pairs_in_any_order(
     assert all(_outcome(list(moved), order) == first for moved in permutations(gens))
 
 
-def _int_poly(coefficients) -> _IntPoly:
+def _int_poly(coefficients):
+    # the canonical value of Z[t]: an int where it is constant
     coefficients = list(coefficients)
     while coefficients and not coefficients[-1]:
         coefficients.pop()
+    if len(coefficients) <= 1:
+        return coefficients[0] if coefficients else 0
     return _IntPoly(coefficients)
 
 
-def _over_q(a: _IntPoly) -> Polynomial:
-    return Polynomial(QT.poly_ring, {(e,): Fraction(c) for e, c in enumerate(a)})
+def _coefficients(a) -> tuple:
+    return (a,) if type(a) is int else tuple(a)
+
+
+def _over_q(a) -> Polynomial:
+    return Polynomial(QT.poly_ring, {(e,): Fraction(c) for e, c in enumerate(_coefficients(a)) if c})
+
+
+def _is_canonical(result, expected: Polynomial) -> bool:
+    # an int exactly when the degree is at most 0; otherwise a tuple of at
+    # least two coefficients whose top one is nonzero
+    if max(expected.terms, default=(0,))[0] <= 0:
+        return type(result) is int
+    return type(result) is _IntPoly and len(result) >= 2 and result[-1] != 0
 
 
 int_polys = st.builds(
@@ -993,25 +1078,37 @@ int_polys = st.builds(
 )
 
 
-@given(int_polys, int_polys, int_polys)
-@example(_IntPoly(()), _IntPoly((3,)), _IntPoly((-6, 4)))
-@example(_IntPoly((4, -8)), _IntPoly((-2,)), _IntPoly((6, 0, -2)))
-def test_int_polys_match_polynomials_over_q(a, b, c):
-    A, B, C = _over_q(a), _over_q(b), _over_q(c)
-    for result, expected in ((a + b, A + B), (a - b, A - B), (-a, -A), (a * b, A * B)):
-        assert type(result) is _IntPoly and (not result or result[-1])
+@given(int_polys, int_polys, int_polys, st.integers(-6, 6))
+@example(0, 3, _IntPoly((-6, 4)), 0)
+@example(_IntPoly((4, -8)), -2, _IntPoly((6, 0, -2)), 1)
+@example(_IntPoly((1, 2)), 1, 1, 3)  # 3 * (1, 2) is (3, 6), not the tuple repeated
+def test_int_polys_match_polynomials_over_q(a, b, c, n):
+    A, B, C, N = _over_q(a), _over_q(b), _over_q(c), _over_q(n)
+    checks = [(a + b, A + B), (a - b, A - B), (-a, -A), (a * b, A * B)]
+    # an int operand on either side
+    checks += [(a + n, A + N), (n + a, N + A), (a - n, A - N), (n - a, N - A), (n * a, N * A), (a * n, A * N)]
+    if n and all(x % n == 0 for x in _coefficients(a)):
+        quotient = {(e,): Fraction(x, n) for e, x in enumerate(_coefficients(a)) if x}
+        checks.append((a // n, Polynomial(QT.poly_ring, quotient)))
+    for result, expected in checks:
+        assert _is_canonical(result, expected)
         assert _over_q(result) == expected
+    assert a - a == 0 and type(a - a) is int
+    if n:
+        assert (n * a) // n == a
     if b:
         assert (a * b) // b == a
     # gcd(ac, bc) is c times gcd(a, b) up to a unit of Q; over Z its
     # content is the gcd of the operands' contents, and its lead positive
     g = _int_poly_gcd(a * c, b * c)
     if not (a * c or b * c):
-        assert g == _IntPoly(())
+        assert g == 0 and type(g) is int
         return
-    assert g[-1] > 0
-    assert _over_q(g).monic() == polynomial_gcd(A * C, B * C)
-    assert gcd(*g) == gcd(*(a * c), *(b * c))
+    G = _over_q(g)
+    assert _is_canonical(g, G)
+    assert _coefficients(g)[-1] > 0
+    assert G.monic() == polynomial_gcd(A * C, B * C)
+    assert gcd(*_coefficients(g)) == gcd(*_coefficients(a * c), *_coefficients(b * c))
     assert (a * c) // g * g == a * c and (b * c) // g * g == b * c
     assert _int_poly_gcd(a, b, c) == _int_poly_gcd(_int_poly_gcd(a, b), c)
 
